@@ -3,7 +3,7 @@
 from .models import BlochModel, RMParams, bz_mesh, rm_d_vector, wrap_k
 from .spectra import (Eigensystem, eigensystem, eigensystem_general,
                       eigensystem_two_band, gauge_rescale, overlap_matrices)
-from .geometry import (GeometryGrid, GeometryRecord, berry_curvature_lr, compute_geometry,
+from .geometry import (GeometryGrid, berry_curvature_lr, compute_geometry,
                        finite_difference_qgt, scan_geometry)
 from .topology import ChernResult, chern_from_curvature, chern_plaquette, compute_chern
 from .response import (OpticalWeightResult, TransitionTable, absorptive_part,
@@ -16,7 +16,7 @@ __all__ = [
     "BlochModel", "RMParams", "bz_mesh", "rm_d_vector", "wrap_k",
     "Eigensystem", "eigensystem", "eigensystem_general",
     "eigensystem_two_band", "gauge_rescale", "overlap_matrices",
-    "GeometryGrid", "GeometryRecord", "berry_curvature_lr", "compute_geometry",
+    "GeometryGrid", "berry_curvature_lr", "compute_geometry",
     "finite_difference_qgt", "scan_geometry",
     "ChernResult", "chern_from_curvature", "chern_plaquette", "compute_chern",
     "OpticalWeightResult", "TransitionTable", "absorptive_part",

@@ -4,7 +4,8 @@ Every checker is a pure function returning a :class:`BoundReport` whose
 per-point left/right sides are stored verbatim, so a failed report can be
 audited.  Margins are normalized by the local magnitude scale before the
 pass/fail decision; the default tolerance -1e-9 separates genuine
-violations from floating-point noise.
+violations from floating-point noise.  A NaN or infinite margin is a
+numerical failure (NonFiniteError), not a FAIL.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchViolationError, NonHermitianInputError
+from .errors import BranchViolationError, NonFiniteError, NonHermitianInputError
 from .geometry import GeometryGrid
 from .topology import ChernResult
 
@@ -52,6 +53,9 @@ class BoundReport:
 
 def _finish(name, labels, lhs, rhs, scale, tolerance, extra=None):
     margin = rhs - lhs
+    bad = ~np.isfinite(margin)
+    if np.any(bad):
+        raise NonFiniteError(f"{name}: non-finite margin at {int(np.count_nonzero(bad))} point(s)")
     norm = margin / np.maximum(scale, 1e-300)
     worst = float(np.min(norm)) if norm.size else 0.0
     return BoundReport(

@@ -68,9 +68,9 @@ def load_config(path=None, cli_overrides=None):
     if env_grid:
         cfg["grid"] = _parse_grid(env_grid)
     if os.environ.get("NHGEO_THREADS"):
-        cfg["threads"] = int(os.environ["NHGEO_THREADS"])
+        cfg["threads"] = os.environ["NHGEO_THREADS"]
     if os.environ.get("NHGEO_BAND"):
-        cfg["band"] = int(os.environ["NHGEO_BAND"])
+        cfg["band"] = os.environ["NHGEO_BAND"]
     if os.environ.get("NHGEO_OUT"):
         cfg["output"]["dir"] = os.environ["NHGEO_OUT"]
 
@@ -99,16 +99,38 @@ def _parse_grid(text):
     return {"nx": nx, "ny": ny}
 
 
+def _integer(value, name):
+    """int(value) for integral input (3, 3.0, "3"); ConfigError otherwise."""
+    try:
+        out = int(value)
+        integral = out == float(value)
+    except (TypeError, ValueError):
+        integral = False
+    if not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
 def _validate(cfg):
+    """Check the entries every command reads; grid, threads and band become ints."""
     grid = cfg.get("grid", {})
-    nx, ny = int(grid.get("nx", 0)), int(grid.get("ny", 0))
-    if nx < 8 or ny < 8:
+    if not isinstance(grid, dict):
+        raise ConfigError("grid must be a mapping with nx and ny")
+    grid["nx"] = _integer(grid.get("nx", 0), "grid.nx")
+    grid["ny"] = _integer(grid.get("ny", 0), "grid.ny")
+    if grid["nx"] < 8 or grid["ny"] < 8:
         raise ConfigError("grid must be at least 8x8")
-    if float(cfg["response"].get("eta", 0.0)) <= 0.0:
-        raise ConfigError("response.eta must be positive")
-    if int(cfg.get("threads", 1)) < 1:
+    try:
+        eta = float(cfg["response"].get("eta", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"response.eta must be a number: {exc}") from exc
+    if not 0.0 < eta < np.inf:
+        raise ConfigError("response.eta must be positive and finite")
+    cfg["threads"] = _integer(cfg.get("threads", 1), "threads")
+    if cfg["threads"] < 1:
         raise ConfigError("threads must be >= 1")
-    if int(cfg.get("band", 0)) not in (0, 1):
+    cfg["band"] = _integer(cfg.get("band", 0), "band")
+    if cfg["band"] not in (0, 1):
         raise ConfigError("band must be 0 or 1")
 
 

@@ -29,6 +29,14 @@ class NonConvergenceError(NHGeoError):
     """Dense eigensolver failed to converge."""
 
 
+class NonFiniteError(NHGeoError):
+    """A computed quantity is NaN or infinite."""
+
+
+class ProportionalityError(NHGeoError):
+    """Keldysh self-energy outside its declared proportionality class."""
+
+
 class IllConditionedError(NHGeoError):
     """Overlap matrix condition number too large (near-exceptional point)."""
 

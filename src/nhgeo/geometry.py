@@ -10,18 +10,21 @@ Conventions
 * ``norm_product`` is the gauge-invariant ||R_n||^2 ||L_n||^2 that converts
   between the two normalizations of the mixed tensor.
 
-Everything is batched over leading axes.  All quantities are gauge
-invariant under |R_n> -> c(k)|R_n>, |L_n> -> |L_n>/conj(c(k)).
+Every tensor is a function of the velocity matrix V_mu = <L|d_mu H|R>
+(:func:`velocity_matrices`, the one contraction of dH), the energies and
+the two Gram matrices.  Everything is batched over leading axes.  All
+quantities are gauge invariant under |R_n> -> c(k)|R_n>,
+|L_n> -> |L_n>/conj(c(k)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import (ExceptionalPointError, GaugeLockError,
+from .errors import (ConfigError, ExceptionalPointError, GaugeLockError,
                      NonRealCurvatureError)
 from .models import BlochModel, bz_mesh
 from .spectra import Eigensystem, braket, eigensystem_two_band, gauge_rescale, matrix_elements
@@ -35,68 +38,44 @@ ORACLE_STEP = 1e-4
 CURVATURE_IMAG_TOL = 1e-9
 
 
-def _fd_weights(eig: Eigensystem, dh):
-    """Velocity matrix elements V[n, m] = <L_n|dh|R_m>."""
-    return matrix_elements(eig.left, dh, eig.right)
+def velocity_matrices(eig: Eigensystem, dhx, dhy):
+    """V[..., mu, n, m] = <L_n|d_mu H|R_m>, shape (..., 2, N, N).
+
+    The only contraction of the Hamiltonian derivatives; every tensor
+    below is a function of V, the energies and the two Gram matrices.
+    """
+    return np.stack([matrix_elements(eig.left, dh, eig.right) for dh in (dhx, dhy)],
+                    axis=-3)
 
 
 def _gaps(energies, band, others):
     return energies[..., band, None] - energies[..., others]
 
 
-def qgt_lr(eig: Eigensystem, dhx, dhy, band=0, occupied=None):
+def _others(eig: Eigensystem, band):
+    return [m for m in range(eig.nbands) if m != band]
+
+
+def qgt_lr(eig: Eigensystem, v, band=0, occupied=None):
     """Mixed LR tensor Q^{LR}_{mu nu} of one band, shape (..., 2, 2).
 
     Sum over bands outside the occupied set of
     <L_n|dH_mu|R_k><L_k|dH_nu|R_n> / (e_n - e_k)^2, which is the
     gauge-invariant resolvent form of <d_mu psiL|(1 - P_O)|d_nu psiR>.
+    ``v`` is the output of :func:`velocity_matrices`.
     """
     occupied = {band} if occupied is None else set(occupied)
     if band not in occupied:
         raise ValueError("band must belong to the occupied set")
     others = [k for k in range(eig.nbands) if k not in occupied]
-    vx = _fd_weights(eig, dhx)
-    vy = _fd_weights(eig, dhy)
-    gaps = _gaps(eig.energies, band, others)
-    out = np.empty(eig.energies.shape[:-1] + (2, 2), dtype=complex)
-    for (mu, va) in ((0, vx), (1, vy)):
-        for (nu, vb) in ((0, vx), (1, vy)):
-            num = va[..., band, others] * vb[..., others, band]
-            out[..., mu, nu] = np.sum(num / gaps**2, axis=-1)
-    return out
+    gaps = _gaps(eig.energies, band, others)[..., None, None, :]
+    num = v[..., band, others][..., :, None, :] * v[..., others, band][..., None, :, :]
+    return np.sum(num / gaps**2, axis=-1)
 
 
 def qgt_rl_from_lr(q_lr):
     """Q^{RL}_{mu nu} = conj(Q^{LR}_{nu mu}); an involution."""
     return np.conj(np.swapaxes(q_lr, -1, -2))
-
-
-def qgt_rr_two_band(eig: Eigensystem, dhx, dhy, band=0):
-    """Symmetric RR tensor for N = 2 via the single cross matrix element."""
-    if eig.nbands != 2:
-        raise ValueError("two-band formula needs N = 2")
-    other = 1 - band
-    rt = eig.right[..., band, :] / np.sqrt(eig.norms_right_sq())[..., band, None]
-    lt = eig.left[..., other, :] / np.sqrt(eig.norms_left_sq())[..., other, None]
-    gap2 = np.abs(eig.energies[..., band] - eig.energies[..., other]) ** 2
-    a = np.stack([np.einsum("...i,...ij,...j->...", np.conj(lt), np.asarray(dh, dtype=complex), rt)
-                  for dh in (dhx, dhy)], axis=-1)
-    return np.conj(a[..., :, None]) * a[..., None, :] / gap2[..., None, None]
-
-
-def qgt_ll_two_band(eig: Eigensystem, dhx, dhy, band=0):
-    """Symmetric LL tensor for N = 2 (mirror of the RR formula)."""
-    if eig.nbands != 2:
-        raise ValueError("two-band formula needs N = 2")
-    other = 1 - band
-    lt = eig.left[..., band, :] / np.sqrt(eig.norms_left_sq())[..., band, None]
-    rt = eig.right[..., other, :] / np.sqrt(eig.norms_right_sq())[..., other, None]
-    gap2 = np.abs(eig.energies[..., band] - eig.energies[..., other]) ** 2
-    # c_mu = <tilde R_m| dH^dagger |tilde L_n>
-    c = np.stack([np.einsum("...i,...ij,...j->...", np.conj(rt),
-                            np.conj(np.swapaxes(np.asarray(dh, dtype=complex), -1, -2)), lt)
-                  for dh in (dhx, dhy)], axis=-1)
-    return np.conj(c[..., :, None]) * c[..., None, :] / gap2[..., None, None]
 
 
 def _schur_weights(gram, band, others):
@@ -108,76 +87,55 @@ def _schur_weights(gram, band, others):
     return sub - col[..., :, None] * row[..., None, :] / nn[..., None, None]
 
 
-def qgt_rr_multiband(eig: Eigensystem, dhx, dhy, band=0):
-    """Symmetric RR tensor of band n with explicit overlap weights.
+def _schur_square(b, gram, band, others):
+    """sum_{m, k != n} conj(B^mu_m) W_mk B^nu_k; Hermitian PSD in (mu, nu)."""
+    w = _schur_weights(gram, band, others)
+    return np.einsum("...am,...mk,...bk->...ab", np.conj(b), w, b)
 
-    Implements the double band sum over m, k != n with the Schur-complement
-    weights of the right Gram matrix; reduces to the two-band formula at
-    N = 2 and to the projector QGT in the Hermitian limit.
+
+def qgt_rr(eig: Eigensystem, v, band=0):
+    """Symmetric RR tensor of the unit-normalized right ray of band n.
+
+    Double band sum over m, k != n with the Schur-complement weights of the
+    right Gram matrix and B_k = <L_k|dH|R_n> / (||R_n|| (e_n - e_k)); it is
+    the projector QGT in the Hermitian limit.
     """
-    others = [m for m in range(eig.nbands) if m != band]
-    rt = eig.right[..., band, :] / np.sqrt(eig.norms_right_sq())[..., band, None]
-    gaps = _gaps(eig.energies, band, others)
-    w = _schur_weights(eig.overlap_right, band, others)
-    out = np.empty(eig.energies.shape[:-1] + (2, 2), dtype=complex)
-    b = []
-    for dh in (dhx, dhy):
-        # B_k = <L_k|dH|tilde R_n> / (e_n - e_k)
-        bk = np.einsum("...ki,...ij,...j->...k",
-                       np.conj(eig.left[..., others, :]), np.asarray(dh, dtype=complex), rt)
-        b.append(bk / gaps)
-    for mu in range(2):
-        for nu in range(2):
-            out[..., mu, nu] = np.einsum("...m,...mk,...k->...",
-                                         np.conj(b[mu]), w, b[nu])
-    return out
+    others = _others(eig, band)
+    gaps = _gaps(eig.energies, band, others)[..., None, :]
+    norm = np.sqrt(eig.norms_right_sq()[..., band])[..., None, None]
+    return _schur_square(v[..., others, band] / norm / gaps, eig.overlap_right,
+                         band, others)
 
 
-def qgt_ll_multiband(eig: Eigensystem, dhx, dhy, band=0):
-    """Symmetric LL tensor of band n; left Gram weights, daggered velocities."""
-    others = [m for m in range(eig.nbands) if m != band]
-    lt = eig.left[..., band, :] / np.sqrt(eig.norms_left_sq())[..., band, None]
-    gaps = np.conj(_gaps(eig.energies, band, others))
-    w = _schur_weights(eig.overlap_left, band, others)
-    out = np.empty(eig.energies.shape[:-1] + (2, 2), dtype=complex)
-    b = []
-    for dh in (dhx, dhy):
-        dhd = np.conj(np.swapaxes(np.asarray(dh, dtype=complex), -1, -2))
-        # B_k = <R_k|dH^dagger|tilde L_n> / (e_n - e_k)^*
-        bk = np.einsum("...ki,...ij,...j->...k",
-                       np.conj(eig.right[..., others, :]), dhd, lt)
-        b.append(bk / gaps)
-    for mu in range(2):
-        for nu in range(2):
-            out[..., mu, nu] = np.einsum("...m,...mk,...k->...",
-                                         np.conj(b[mu]), w, b[nu])
-    return out
+def qgt_ll(eig: Eigensystem, v, band=0):
+    """Symmetric LL tensor of band n: left Gram weights and
+    B_k = <R_k|dH^dagger|L_n> / (||L_n|| (e_n - e_k)^*), the conjugate of V."""
+    others = _others(eig, band)
+    gaps = np.conj(_gaps(eig.energies, band, others))[..., None, :]
+    norm = np.sqrt(eig.norms_left_sq()[..., band])[..., None, None]
+    return _schur_square(np.conj(v[..., band, others]) / norm / gaps,
+                         eig.overlap_left, band, others)
 
 
-def anomalous_connection(eig: Eigensystem, dh, band=0, side="R"):
-    """Gauge-invariant anomalous connection Q^R_mu or Q^L_mu (one direction).
+def anomalous_connection(eig: Eigensystem, v, band=0, side="R"):
+    """Gauge-invariant anomalous connection (Q^R_x, Q^R_y) or (Q^L_x, Q^L_y).
 
     R side: i sum_{m != n} (I_nm / I_nn) <L_m|dH|R_n> / (e_n - e_m);
     L side mirrors it with the left Gram matrix, daggered velocity and
-    conjugated energies.
+    conjugated energies.  Shape (..., 2).
     """
-    others = [m for m in range(eig.nbands) if m != band]
-    dh = np.asarray(dh, dtype=complex)
+    others = _others(eig, band)
+    gaps = _gaps(eig.energies, band, others)[..., None, :]
     if side == "R":
         gram = eig.overlap_right
-        gaps = _gaps(eig.energies, band, others)
-        elem = np.einsum("...mi,...ij,...j->...m",
-                         np.conj(eig.left[..., others, :]), dh, eig.right[..., band, :])
+        elem = v[..., others, band] / gaps
     elif side == "L":
         gram = eig.overlap_left
-        gaps = np.conj(_gaps(eig.energies, band, others))
-        dhd = np.conj(np.swapaxes(dh, -1, -2))
-        elem = np.einsum("...mi,...ij,...j->...m",
-                         np.conj(eig.right[..., others, :]), dhd, eig.left[..., band, :])
+        elem = np.conj(v[..., band, others]) / np.conj(gaps)
     else:
         raise ValueError("side must be 'R' or 'L'")
     ratio = gram[..., band, others] / gram[..., band, band, None]
-    return 1j * np.sum(ratio * elem / gaps, axis=-1)
+    return 1j * np.sum(ratio[..., None, :] * elem, axis=-1)
 
 
 def berry_curvature_lr(q_lr, strict=False):
@@ -201,28 +159,11 @@ def berry_curvature_lr(q_lr, strict=False):
 
 
 @dataclass
-class GeometryRecord:
-    """All geometric objects of one band at a single k-point."""
-
-    kx: float
-    ky: float
-    band: int
-    qgt_lr: np.ndarray
-    qgt_rl: np.ndarray
-    qgt_rr: np.ndarray
-    qgt_ll: np.ndarray
-    anomalous_r: np.ndarray
-    anomalous_l: np.ndarray
-    curvature_lr: complex
-    norm_product: float
-
-
-@dataclass
 class GeometryGrid:
     """All geometric quantities of one band on a uniform BZ mesh.
 
     Arrays are struct-of-arrays with the mesh in the two leading axes,
-    row-major in (kx index, ky index); ``record(i, j)`` views one point.
+    row-major in (kx index, ky index).
     """
 
     kx: np.ndarray
@@ -236,7 +177,6 @@ class GeometryGrid:
     anomalous_l: np.ndarray
     curvature_lr: np.ndarray  # (nx, ny) complex
     norm_product: np.ndarray  # (nx, ny) real
-    params: dict = field(default_factory=dict)
 
     @property
     def shape(self):
@@ -246,32 +186,19 @@ class GeometryGrid:
         nx, ny = self.shape
         return (2.0 * np.pi / nx) * (2.0 * np.pi / ny)
 
-    def record(self, i, j) -> GeometryRecord:
-        return GeometryRecord(
-            kx=float(self.kx[i, j]), ky=float(self.ky[i, j]), band=self.band,
-            qgt_lr=self.qgt_lr[i, j], qgt_rl=self.qgt_rl[i, j],
-            qgt_rr=self.qgt_rr[i, j], qgt_ll=self.qgt_ll[i, j],
-            anomalous_r=self.anomalous_r[i, j], anomalous_l=self.anomalous_l[i, j],
-            curvature_lr=complex(self.curvature_lr[i, j]),
-            norm_product=float(self.norm_product[i, j]))
-
 
 def compute_geometry(eig: Eigensystem, dhx, dhy, band=0, occupied=None):
-    """All per-point geometric objects from one eigensystem (batched)."""
-    q_lr = qgt_lr(eig, dhx, dhy, band=band, occupied=occupied)
-    q_rl = qgt_rl_from_lr(q_lr)
-    if eig.nbands == 2:
-        q_rr = qgt_rr_two_band(eig, dhx, dhy, band=band)
-        q_ll = qgt_ll_two_band(eig, dhx, dhy, band=band)
-    else:
-        q_rr = qgt_rr_multiband(eig, dhx, dhy, band=band)
-        q_ll = qgt_ll_multiband(eig, dhx, dhy, band=band)
-    anom_r = np.stack([anomalous_connection(eig, dh, band=band, side="R")
-                       for dh in (dhx, dhy)], axis=-1)
-    anom_l = np.stack([anomalous_connection(eig, dh, band=band, side="L")
-                       for dh in (dhx, dhy)], axis=-1)
-    curv = berry_curvature_lr(q_lr)
-    return q_lr, q_rl, q_rr, q_ll, anom_r, anom_l, curv
+    """All per-point geometric objects from one eigensystem (batched).
+
+    The derivatives enter once, through :func:`velocity_matrices`.
+    """
+    v = velocity_matrices(eig, dhx, dhy)
+    q_lr = qgt_lr(eig, v, band=band, occupied=occupied)
+    return (q_lr, qgt_rl_from_lr(q_lr), qgt_rr(eig, v, band=band),
+            qgt_ll(eig, v, band=band),
+            anomalous_connection(eig, v, band=band, side="R"),
+            anomalous_connection(eig, v, band=band, side="L"),
+            berry_curvature_lr(q_lr))
 
 
 def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
@@ -284,9 +211,10 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
     Bands carry the k-smooth branch labels by default (integer topology
     requires a labeling that is continuous across the zone).
     """
+    if model.dimension != 2:
+        raise ConfigError("grid scans support two-band models only")
     ny = nx if ny is None else ny
     kxg, kyg = bz_mesh(nx, ny)
-    nb = model.dimension
     out = GeometryGrid(
         kx=kxg, ky=kyg, band=band,
         qgt_lr=np.full((nx, ny, 2, 2), np.nan, dtype=complex),
@@ -297,17 +225,13 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
         anomalous_l=np.full((nx, ny, 2), np.nan, dtype=complex),
         curvature_lr=np.full((nx, ny), np.nan, dtype=complex),
         norm_product=np.full((nx, ny), np.nan),
-        params={"model": model.label, "band": band, "grid": [nx, ny]},
     )
     bad_points = []
 
     def do_row(i):
         kxr, kyr = kxg[i], kyg[i]
-        h = model.hamiltonian(kxr, kyr)
-        if nb != 2:
-            raise ExceptionalPointError("grid scans support two-band models only")
         try:
-            eig = eigensystem_two_band(h, ordering=ordering)
+            eig = eigensystem_two_band(model.hamiltonian(kxr, kyr), ordering=ordering)
         except ExceptionalPointError as exc:
             for (j,) in np.asarray(exc.points).reshape(-1, 1):
                 bad_points.append((float(kxr[j]), float(kyr[j])))
@@ -338,39 +262,45 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
     return out
 
 
-# -- finite-difference oracle ------------------------------------------------
+# -- phase-locked stencil and finite-difference oracles -----------------------
 
-def _locked_eigensystems(model: BlochModel, kx, ky, h, ordering="branch"):
-    """Center eigensystem plus 4-point stencil locked to the center gauge.
+def locked_stencil(model: BlochModel, kx, ky, h, gauge=None):
+    """Center eigensystem plus the 4-point stencil locked to the center gauge.
 
-    Returns (center, {(axis, sign): eigensystem}) where each stencil
-    eigensystem's per-band phase is aligned with the center band
-    (overlap made real positive).  Raises GaugeLockError when any
-    normalized overlap magnitude drops below LOCK_MIN_OVERLAP.  Branch
-    labels keep the stencil on one smooth band.
+    Returns (center, {(axis, sign): ((kx', ky'), eigensystem)}) with the
+    shifted momenta k' = k + sign * h e_axis.  Each stencil eigensystem's
+    per-band phase is aligned with the center band (overlap made real
+    positive); branch labels keep the stencil on one smooth band.
+    ``gauge`` injects a test rescaling c(k) at every point, which the lock
+    must cancel.  Raises GaugeLockError when any normalized overlap
+    magnitude drops below LOCK_MIN_OVERLAP.
     """
+    def solve(akx, aky):
+        eig = eigensystem_two_band(model.hamiltonian(akx, aky), ordering="branch")
+        return eig if gauge is None else gauge_rescale(eig, gauge(akx, aky))
+
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
-    center = eigensystem_two_band(model.hamiltonian(kx, ky), ordering=ordering)
+    center = solve(kx, ky)
     shifted = {}
     for axis in (0, 1):
         for sign in (1.0, -1.0):
-            dkx = kx + sign * h if axis == 0 else kx
-            dky = ky + sign * h if axis == 1 else ky
-            eig = eigensystem_two_band(model.hamiltonian(dkx, dky), ordering=ordering)
+            k = (kx + sign * h, ky) if axis == 0 else (kx, ky + sign * h)
+            eig = solve(*k)
             ov = np.einsum("...ni,...ni->...n", np.conj(center.right), eig.right)
-            if np.any(np.abs(ov) < LOCK_MIN_OVERLAP):
+            nrm = np.abs(ov) / np.sqrt(center.norms_right_sq() * eig.norms_right_sq())
+            if np.any(nrm < LOCK_MIN_OVERLAP):
                 raise GaugeLockError(
                     f"stencil overlap below {LOCK_MIN_OVERLAP} at step {h}")
-            shifted[(axis, sign)] = gauge_rescale(eig, np.abs(ov) / ov)
+            shifted[(axis, sign)] = (k, gauge_rescale(eig, np.abs(ov) / ov))
     return center, shifted
 
 
-def _vector_derivatives(center, shifted, h):
+def _vector_derivatives(shifted, h):
     """(dR[axis], dL[axis]) central differences of locked eigenvectors."""
     dr, dl = [], []
     for axis in (0, 1):
-        plus, minus = shifted[(axis, 1.0)], shifted[(axis, -1.0)]
+        plus, minus = shifted[(axis, 1.0)][1], shifted[(axis, -1.0)][1]
         dr.append((plus.right - minus.right) / (2.0 * h))
         dl.append((plus.left - minus.left) / (2.0 * h))
     return dr, dl
@@ -388,12 +318,12 @@ def finite_difference_qgt(model: BlochModel, kx, ky, band=0, pair="lr",
 
     Accuracy is O(h^2); used only to validate the gauge-invariant formulas.
     """
-    center, shifted = _locked_eigensystems(model, kx, ky, h)
+    center, shifted = locked_stencil(model, kx, ky, h)
     n = band
     out = np.empty(np.shape(np.asarray(kx, dtype=float)) + (2, 2), dtype=complex)
 
     if pair in ("lr", "rl"):
-        dr, dl = _vector_derivatives(center, shifted, h)
+        dr, dl = _vector_derivatives(shifted, h)
         r = center.right[..., n, :]
         l = center.left[..., n, :]
         for mu in range(2):
@@ -412,8 +342,8 @@ def finite_difference_qgt(model: BlochModel, kx, ky, band=0, pair="lr",
         vc = vc / np.linalg.norm(vc, axis=-1, keepdims=True)
         dv = []
         for axis in (0, 1):
-            vp = pick(shifted[(axis, 1.0)])[..., n, :]
-            vm = pick(shifted[(axis, -1.0)])[..., n, :]
+            vp = pick(shifted[(axis, 1.0)][1])[..., n, :]
+            vm = pick(shifted[(axis, -1.0)][1])[..., n, :]
             vp = vp / np.linalg.norm(vp, axis=-1, keepdims=True)
             vm = vm / np.linalg.norm(vm, axis=-1, keepdims=True)
             dv.append((vp - vm) / (2.0 * h))
@@ -429,8 +359,8 @@ def finite_difference_qgt(model: BlochModel, kx, ky, band=0, pair="lr",
 def finite_difference_connection(model: BlochModel, kx, ky, band=0, side="R",
                                  h=ORACLE_STEP):
     """Oracle for the anomalous connection: same-family minus mixed connection."""
-    center, shifted = _locked_eigensystems(model, kx, ky, h)
-    dr, dl = _vector_derivatives(center, shifted, h)
+    center, shifted = locked_stencil(model, kx, ky, h)
+    dr, dl = _vector_derivatives(shifted, h)
     n = band
     r = center.right[..., n, :]
     l = center.left[..., n, :]
@@ -465,9 +395,8 @@ def anomalous_divergence_integral(model: BlochModel, band=0, n_grid=64,
 
     def q_at(kx, ky):
         eig = eigensystem_two_band(model.hamiltonian(kx, ky), ordering="branch")
-        return np.stack([anomalous_connection(eig, model.derivative(kx, ky, ax),
-                                              band=band, side=side)
-                         for ax in (0, 1)], axis=-1)
+        v = velocity_matrices(eig, model.derivative(kx, ky, 0), model.derivative(kx, ky, 1))
+        return anomalous_connection(eig, v, band=band, side=side)
 
     div = (q_at(kxg + h, kyg)[..., 0] - q_at(kxg - h, kyg)[..., 0]) / (2 * h) \
         + (q_at(kxg, kyg + h)[..., 1] - q_at(kxg, kyg - h)[..., 1]) / (2 * h)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import (CommutatorViolationError, NonHermitianTargetError,
-                     NonIntegrableError)
+                     NonIntegrableError, ProportionalityError)
 from .models import pauli_decompose
 
 _HERM_TOL = 1e-10
@@ -128,10 +128,14 @@ class KeldyshSet:
     proportionality: str = "minus_two_i"
 
     def check(self):
-        if self.proportionality == "minus_two_i":
-            assert np.allclose(self.sigma_k, -2j * self.sigma_r)
-        elif self.proportionality == "plus_two_i":
-            assert np.allclose(self.sigma_k, 2j * self.sigma_r)
+        """Raise ProportionalityError unless sigma_k = -+2i sigma_r as declared."""
+        factor = {"minus_two_i": -2j, "plus_two_i": 2j}.get(self.proportionality)
+        if factor is None:
+            raise ProportionalityError(
+                f"unknown proportionality class {self.proportionality!r}")
+        if not np.allclose(self.sigma_k, factor * self.sigma_r):
+            raise ProportionalityError(
+                f"sigma_k and sigma_r violate their class {self.proportionality}")
         return self
 
 
@@ -164,10 +168,11 @@ def lindbladian_matrix(h_eff, sigma_k):
 def keldysh_green(h_eff, sigma_k, omega, mode="auto", comm_tol=1e-10):
     """G^K(omega) = G^R Sigma^K G^A with G^R = (omega - H)^-1.
 
-    ``mode="projected"`` demands [H, Sigma^K] = 0 (CommutatorViolationError
-    otherwise) and evaluates the same product in the common eigenbasis;
-    "full" always uses matrix inverses; "auto" picks projected when the
-    commutator vanishes.  G^K is anti-Hermitian whenever Sigma^K is.
+    Every mode evaluates the product with a matrix inverse.
+    ``mode="projected"`` additionally demands [H, Sigma^K] = 0
+    (CommutatorViolationError otherwise), the condition under which the
+    eigenbasis (projected) form holds; "full" and "auto" skip that check.
+    G^K is anti-Hermitian whenever Sigma^K is.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     sigma_k = np.asarray(sigma_k, dtype=complex)

@@ -58,6 +58,9 @@ class RMParams:
     dz_offset: float = 0.0
 
     def __post_init__(self):
+        for name in ("t", "delta", "Delta", "gamma", "Gamma", "dz_offset"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.gamma < 0.0:
             raise ConfigError("gamma must be >= 0 (decay, not gain)")
         if self.Gamma < 0.0:

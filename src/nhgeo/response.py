@@ -9,7 +9,8 @@ integral of Re sigma/omega is carried out in closed form with the infrared
 cutoff eta kept explicit (its coefficient is returned separately).
 
 Band labels: weight routines accept ``band="slowest"`` to select, at each
-k separately, the smooth branch band with the larger Im(e).  That pointwise
+k separately, the smooth branch band that decays slowest
+(:func:`nhgeo.spectra.decays_slower`).  That pointwise
 selection keeps arg(e_other - e_band) in [-pi, 0] as the closed forms
 require, while each branch field stays differentiable in k.
 """
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import BranchViolationError, GaugeLockError, PoleOnAxisError
+from .errors import BranchViolationError, PoleOnAxisError
 from .models import BlochModel, bz_mesh
-from .spectra import braket, eigensystem_two_band, gauge_rescale, matrix_elements
-from .geometry import LOCK_MIN_OVERLAP, qgt_rr_two_band
+from .spectra import braket, decays_slower, eigensystem_two_band
+from .geometry import locked_stencil, qgt_rr, velocity_matrices
 
 FD_STEP = 1e-5
 
@@ -143,91 +144,62 @@ def response_spectrum(table: TransitionTable, rho, omegas, volume=1.0):
 
 # -- interband coefficients of the wave-packet conductivity -------------------
 
-def _locked_pair(model, kx, ky, axis, sign, h, center, gauge):
-    dkx = kx + sign * h if axis == 0 else kx
-    dky = ky + sign * h if axis == 1 else ky
-    eig = eigensystem_two_band(model.hamiltonian(dkx, dky), ordering="branch")
-    if gauge is not None:
-        eig = gauge_rescale(eig, gauge(dkx, dky))
-    ov = np.einsum("...ni,...ni->...n", np.conj(center.right), eig.right)
-    nrm = np.abs(ov) / np.sqrt(center.norms_right_sq() * eig.norms_right_sq())
-    if np.any(nrm < LOCK_MIN_OVERLAP):
-        raise GaugeLockError(f"stencil overlap below {LOCK_MIN_OVERLAP} at step {h}")
-    return (dkx, dky), gauge_rescale(eig, np.abs(ov) / ov)
-
-
-def interband_fh(model: BlochModel, kx, ky, band=0, h=FD_STEP, gauge=None):
+def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
     """Coefficients f_{mu nu} and h_{mu nu} of the interband response, batched.
 
     Two-band only.  All inner products are evaluated from the resolvent
     identities; the derivative of the mixed element <L_m|d_nu psiR_n> and
-    the band-diagonal connections come from a phase-locked central stencil
-    of step ``h``.  Both outputs are gauge invariant; ``gauge`` injects a
-    test rescaling that the phase lock must cancel.
+    the band-diagonal connections come from one phase-locked central
+    stencil of step ``h`` that serves both bands.  Both outputs are gauge
+    invariant; ``gauge`` injects a test rescaling that the phase lock must
+    cancel.
 
-    Returns (f, h_coef) of shape (..., 2, 2) in (mu, nu).
+    Returns (f, h_coef) of shape (..., 2, 2, 2) in (band n, mu, nu); the
+    other band m = 1 - n is the transition partner.
     """
     if model.dimension != 2:
         raise ValueError("interband coefficients implemented for two bands")
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    n, m = band, 1 - band
-    center = eigensystem_two_band(model.hamiltonian(kx, ky), ordering="branch")
-    if gauge is not None:
-        center = gauge_rescale(center, gauge(kx, ky))
-    dh = [model.derivative(kx, ky, ax) for ax in (0, 1)]
-    v = [matrix_elements(center.left, d, center.right) for d in dh]
-    de = center.energies[..., n] - center.energies[..., m]
+    center, shifted = locked_stencil(model, kx, ky, h, gauge=gauge)
 
-    # g_nu = <L_m|d_nu psiR_n> and band velocities, closed form
-    g = [v[ax][..., m, n] / de for ax in (0, 1)]
-    vel = [v[ax][..., (0, 1), (0, 1)] for ax in (0, 1)]
+    def velocities(eig, akx, aky):
+        return velocity_matrices(eig, model.derivative(akx, aky, 0),
+                                 model.derivative(akx, aky, 1))
 
-    # locked stencil: eigenvector derivatives and the derivative of g_nu
-    d_right = []
-    dg = np.empty(kx.shape + (2, 2), dtype=complex) if kx.shape else np.empty((2, 2), dtype=complex)
-    for axis in (0, 1):
-        (kpx, kpy), plus = _locked_pair(model, kx, ky, axis, +1.0, h, center, gauge)
-        (kmx, kmy), minus = _locked_pair(model, kx, ky, axis, -1.0, h, center, gauge)
-        d_right.append((plus.right - minus.right) / (2.0 * h))
-        for nu in (0, 1):
-            gp = matrix_elements(plus.left, model.derivative(kpx, kpy, nu), plus.right)
-            gm = matrix_elements(minus.left, model.derivative(kmx, kmy, nu), minus.right)
-            gp = gp[..., m, n] / (plus.energies[..., n] - plus.energies[..., m])
-            gm = gm[..., m, n] / (minus.energies[..., n] - minus.energies[..., m])
-            dg[..., axis, nu] = (gp - gm) / (2.0 * h)
+    def mixed(eig, v, n):
+        """g_nu = <L_m|d_nu psiR_n> = V_nu[m, n] / (e_n - e_m), closed form."""
+        de = eig.energies[..., n] - eig.energies[..., 1 - n]
+        return v[..., 1 - n, n] / de[..., None]
 
-    r_n = center.right[..., n, :]
-    r_m = center.right[..., m, :]
-    i_nn = center.overlap_right[..., n, n]
-    i_nm = center.overlap_right[..., n, m]
+    v = velocities(center, np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
+    vel = v[..., (0, 1), (0, 1)]  # band velocities, (..., mu, band)
+    stencil = {key: (eig, velocities(eig, *k)) for key, (k, eig) in shifted.items()}
+    d_right = [(shifted[(ax, 1.0)][1].right - shifted[(ax, -1.0)][1].right) / (2.0 * h)
+               for ax in (0, 1)]
 
-    f = np.empty_like(dg)
-    h_coef = np.empty_like(dg)
-    for mu in (0, 1):
-        dr_n = d_right[mu][..., n, :]
-        dr_m = d_right[mu][..., m, :]
-        bracket = np.conj(braket(r_m, dr_n)) - braket(r_n, dr_m)
-        a_rr = 1j * braket(r_n, dr_n) / i_nn
-        for nu in (0, 1):
-            f[..., mu, nu] = (g[nu] * bracket
-                              - i_nm * (2j * np.real(a_rr) * g[nu] + dg[..., mu, nu])
-                              ) / (2.0 * i_nn)
-            h_coef[..., mu, nu] = (i_nm / (2.0 * i_nn)) * g[nu] \
-                * (vel[mu][..., n] - vel[mu][..., m])
+    f = np.empty(center.energies.shape[:-1] + (2, 2, 2), dtype=complex)
+    h_coef = np.empty_like(f)
+    for n in (0, 1):
+        m = 1 - n
+        g = mixed(center, v, n)
+        r_n = center.right[..., n, :]
+        r_m = center.right[..., m, :]
+        i_nn = center.overlap_right[..., n, n]
+        i_nm = center.overlap_right[..., n, m]
+        for mu in (0, 1):
+            dr_n = d_right[mu][..., n, :]
+            dr_m = d_right[mu][..., m, :]
+            bracket = np.conj(braket(r_m, dr_n)) - braket(r_n, dr_m)
+            a_rr = 1j * braket(r_n, dr_n) / i_nn
+            g_plus = mixed(*stencil[(mu, 1.0)], n)
+            g_minus = mixed(*stencil[(mu, -1.0)], n)
+            for nu in (0, 1):
+                dg = (g_plus[..., nu] - g_minus[..., nu]) / (2.0 * h)
+                f[..., n, mu, nu] = (g[..., nu] * bracket
+                                     - i_nm * (2j * np.real(a_rr) * g[..., nu] + dg)
+                                     ) / (2.0 * i_nn)
+                h_coef[..., n, mu, nu] = (i_nm / (2.0 * i_nn)) * g[..., nu] \
+                    * (vel[..., mu, n] - vel[..., mu, m])
     return f, h_coef
-
-
-def f_coefficient(model, kx, ky, band, mu, nu, h=FD_STEP):
-    """Single interband coefficient f^{n,m}_{mu nu} (m the other band)."""
-    f, _ = interband_fh(model, kx, ky, band=band, h=h)
-    return f[..., mu, nu]
-
-
-def h_coefficient(model, kx, ky, band, mu, nu, h=FD_STEP):
-    """Single interband coefficient h^{n,m}_{mu nu} (m the other band)."""
-    _, hc = interband_fh(model, kx, ky, band=band, h=h)
-    return hc[..., mu, nu]
 
 
 def drude_coefficient(model: BlochModel, kx, ky, band=0, h=1e-4):
@@ -254,6 +226,16 @@ def drude_coefficient(model: BlochModel, kx, ky, band=0, h=1e-4):
     return out
 
 
+def _band_coefficients(model, kx, ky, band, h):
+    """(f, h_coef, z, center) of one branch band; z = e_other - e_band."""
+    f, hc = interband_fh(model, kx, ky, h=h)
+    eig = eigensystem_two_band(model.hamiltonian(np.asarray(kx, dtype=float),
+                                                 np.asarray(ky, dtype=float)),
+                               ordering="branch")
+    z = eig.energies[..., 1 - band] - eig.energies[..., band]
+    return f[..., band, :, :], hc[..., band, :, :], z, eig
+
+
 def _sigma_regular_from_fh(f, h_coef, z, omega):
     """Regular conductivity matrix at one k from stored coefficients."""
     om = np.asarray(omega, dtype=float)[..., None, None]
@@ -269,11 +251,7 @@ def conductivity_wavepacket(model: BlochModel, kx, ky, band=0, omega=0.0,
     The Drude piece (principal value 1/omega times d2e) is excluded; use
     :func:`drude_coefficient` for it.  Scalar k only.
     """
-    f, hc = interband_fh(model, kx, ky, band=band, h=h)
-    eig = eigensystem_two_band(model.hamiltonian(np.asarray(kx, dtype=float),
-                                                 np.asarray(ky, dtype=float)),
-                               ordering="branch")
-    z = eig.energies[..., 1 - band] - eig.energies[..., band]
+    f, hc, z, _ = _band_coefficients(model, kx, ky, band, h)
     return _sigma_regular_from_fh(f, hc, z, omega)
 
 
@@ -315,7 +293,7 @@ def _resolve_band(model, kx, ky, band):
         raise ValueError("band must be 0, 1 or 'slowest'")
     eig = eigensystem_two_band(model.hamiltonian(float(kx), float(ky)),
                                ordering="branch")
-    return 0 if bool(_slowest_mask(eig)) else 1
+    return 0 if bool(decays_slower(eig.energies[0], eig.energies[1])) else 1
 
 
 def optical_weight_numeric(model: BlochModel, kx, ky, band="slowest", eta=1e-3,
@@ -329,11 +307,7 @@ def optical_weight_numeric(model: BlochModel, kx, ky, band="slowest", eta=1e-3,
     if eta <= 0:
         raise ValueError("eta must be positive")
     band = _resolve_band(model, kx, ky, band)
-    f, hc = interband_fh(model, kx, ky, band=band, h=h)
-    eig = eigensystem_two_band(model.hamiltonian(np.asarray(kx, dtype=float),
-                                                 np.asarray(ky, dtype=float)),
-                               ordering="branch")
-    z = eig.energies[..., 1 - band] - eig.energies[..., band]
+    f, hc, z, _ = _band_coefficients(model, kx, ky, band, h)
     base, coeff = _weight_terms(f, hc, z)
     tr_base = base[..., 0, 0] + base[..., 1, 1]
     tr_coeff = coeff[..., 0, 0] + coeff[..., 1, 1]
@@ -349,10 +323,8 @@ def optical_weight_quadrature(model: BlochModel, kx, ky, band="slowest", eta=1e-
     open-ended tail.
     """
     band = _resolve_band(model, kx, ky, band)
-    f, hc = interband_fh(model, float(kx), float(ky), band=band, h=h)
-    eig = eigensystem_two_band(model.hamiltonian(float(kx), float(ky)),
-                               ordering="branch")
-    z = complex(eig.energies[1 - band] - eig.energies[band])
+    f, hc, z, eig = _band_coefficients(model, float(kx), float(ky), band, h)
+    z = complex(z)
     if abs(np.imag(z)) < 1e-12 * abs(z):
         raise PoleOnAxisError("undamped transition: quadrature needs Im z != 0")
     if omega_max is None:
@@ -391,15 +363,6 @@ class OpticalWeightResult:
     arg_per_k: np.ndarray
 
 
-def _slowest_mask(eig):
-    """True where branch band 0 decays slowest; ties go to ascending Re(e)."""
-    im0 = np.imag(eig.energies[..., 0])
-    im1 = np.imag(eig.energies[..., 1])
-    re0 = np.real(eig.energies[..., 0])
-    re1 = np.real(eig.energies[..., 1])
-    return (im0 > im1) | ((im0 == im1) & (re0 < re1))
-
-
 def optical_weight_bz(model: BlochModel, band="slowest", n_grid=48, eta=1e-3,
                       h=FD_STEP):
     """Optical weight trace integrated over the BZ, by both two-band routes.
@@ -420,16 +383,17 @@ def optical_weight_bz(model: BlochModel, band="slowest", n_grid=48, eta=1e-3,
     dhy = model.derivative(kxg, kyg, 1)
     area = (2.0 * np.pi / n_grid) ** 2
 
+    f_all, hc_all = interband_fh(model, kxg, kyg, h=h)
+    v = velocity_matrices(eig, dhx, dhy)
     per_band = {}
     for b in (0, 1):
-        f, hc = interband_fh(model, kxg, kyg, band=b, h=h)
         z = eig.energies[..., 1 - b] - eig.energies[..., b]
-        q_rr = qgt_rr_two_band(eig, dhx, dhy, band=b)
+        q_rr = qgt_rr(eig, v, band=b)
         trg = np.real(q_rr[..., 0, 0] + q_rr[..., 1, 1])
-        per_band[b] = (f, hc, z, trg)
+        per_band[b] = (f_all[..., b, :, :], hc_all[..., b, :, :], z, trg)
 
     if band == "slowest":
-        mask = _slowest_mask(eig)
+        mask = decays_slower(eig.energies[..., 0], eig.energies[..., 1])
     elif band in (0, 1):
         mask = np.full(kxg.shape, band == 0)
     else:

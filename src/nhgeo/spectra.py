@@ -7,7 +7,7 @@ component real positive; every reported quantity downstream is gauge
 invariant, so the convention only serves determinism.
 
 Bands are sorted by descending Im(e) (band 0 decays slowest), ties broken
-by ascending Re(e).
+by ascending Re(e); :func:`decays_slower` is that rule for one pair.
 """
 
 from __future__ import annotations
@@ -38,6 +38,15 @@ def braket(a, b):
 def matrix_elements(left, op, right):
     """M[n, m] = <L_n|op|R_m>, batched over leading axes."""
     return np.einsum("...ni,...ij,...mj->...nm", np.conj(left), op, right)
+
+
+def decays_slower(e_a, e_b):
+    """True where level a sorts before level b: larger Im(e), ties by smaller Re(e).
+
+    The slowest-band rule of ``ordering="im"`` and of the response routines.
+    """
+    im_a, im_b = np.imag(e_a), np.imag(e_b)
+    return (im_a > im_b) | ((im_a == im_b) & (np.real(e_a) < np.real(e_b)))
 
 
 @dataclass
@@ -71,27 +80,31 @@ class Eigensystem:
         return self.norms_right_sq()[..., band] * self.norms_left_sq()[..., band]
 
     def validate(self, h=None, check_order=True):
-        """Assert the biorthogonality, completeness and reconstruction identities."""
+        """Check the biorthogonality, completeness and reconstruction identities.
+
+        Every comparison fails on NaN, so a non-finite eigensystem raises
+        NonConvergenceError.
+        """
         n = self.nbands
         eye = np.eye(n)
         cross = np.einsum("...ni,...mi->...nm", np.conj(self.left), self.right)
         err = np.max(np.abs(cross - eye))
-        if err > _BIORTHO_TOL:
+        if not err <= _BIORTHO_TOL:
             raise NonConvergenceError(f"biorthonormality residual {err:.2e}")
         complete = np.einsum("...ni,...nj->...ij", self.right, np.conj(self.left))
         err = np.max(np.abs(complete - eye))
-        if err > _BIORTHO_TOL:
+        if not err <= _BIORTHO_TOL:
             raise NonConvergenceError(f"completeness residual {err:.2e}")
         gram_prod = self.overlap_left @ self.overlap_right
         err = np.max(np.abs(gram_prod - eye))
-        if err > _RECON_TOL * max(1.0, float(np.max(np.abs(self.overlap_right)))):
+        if not err <= _RECON_TOL * max(1.0, float(np.max(np.abs(self.overlap_right)))):
             raise NonConvergenceError(f"overlap inverse residual {err:.2e}")
         if h is not None:
             recon = np.einsum("...n,...ni,...nj->...ij", self.energies,
                               self.right, np.conj(self.left))
             scale = np.max(np.abs(h)) or 1.0
             err = np.max(np.abs(recon - h)) / scale
-            if err > _RECON_TOL:
+            if not err <= _RECON_TOL:
                 raise NonConvergenceError(f"reconstruction residual {err:.2e}")
         if check_order:
             key = np.diff(np.imag(self.energies), axis=-1)
@@ -180,8 +193,7 @@ def eigensystem_two_band(h, gap_rtol=GAP_RTOL, validate=True, ordering="im"):
     v_plus, v_minus = eigvec(1.0), eigvec(-1.0)
 
     if ordering == "im":
-        im_p, im_m = np.imag(e_plus), np.imag(e_minus)
-        plus_first = (im_p > im_m) | ((im_p == im_m) & (np.real(e_plus) < np.real(e_minus)))
+        plus_first = decays_slower(e_plus, e_minus)
     elif ordering == "branch":
         plus_first = np.ones(np.shape(e_plus), dtype=bool)
     else:

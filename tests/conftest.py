@@ -133,6 +133,39 @@ def locked_fd_qgt_general(h_func, kx, ky, band, step=1e-5, occupied=None):
     return out
 
 
+def locked_fd_ray_qgt_general(h_func, kx, ky, band, pair="rr", step=1e-5):
+    """General-N finite-difference QGT of one unit-normalized ray (dense solver).
+
+    ``pair="rr"`` differentiates u = R_n/||R_n||, ``"ll"`` u = L_n/||L_n||:
+    <d_mu u|(1 - |u><u|)|d_nu u> with the shifted rays phase-locked to the
+    center ray.
+    """
+    from nhgeo.spectra import eigensystem_general
+
+    def ray(akx, aky):
+        eig = eigensystem_general(h_func(akx, aky))
+        u = (eig.right if pair == "rr" else eig.left)[band]
+        return u / np.linalg.norm(u)
+
+    center = ray(kx, ky)
+
+    def locked(akx, aky):
+        u = ray(akx, aky)
+        ov = center.conj() @ u
+        return u * np.abs(ov) / ov
+
+    du = []
+    for axis in range(2):
+        dk = (step, 0.0) if axis == 0 else (0.0, step)
+        du.append((locked(kx + dk[0], ky + dk[1]) - locked(kx - dk[0], ky - dk[1]))
+                  / (2 * step))
+    out = np.zeros((2, 2), dtype=complex)
+    for mu in range(2):
+        for nu in range(2):
+            out[mu, nu] = du[mu].conj() @ (du[nu] - (center.conj() @ du[nu]) * center)
+    return out
+
+
 def random_three_band_model(seed=7):
     """Dense non-Hermitian three-band Bloch model for multiband checks."""
     gen = np.random.default_rng(seed)

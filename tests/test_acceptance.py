@@ -16,8 +16,8 @@ from nhgeo.bounds import (check_absorptive_psd, check_local_curvature_bound,
                           check_qgt_inequality)
 from nhgeo.cli import main as cli_main
 from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
-                            compute_geometry, finite_difference_qgt, qgt_ll_multiband,
-                            qgt_lr, qgt_rl_from_lr, qgt_rr_multiband, scan_geometry)
+                            compute_geometry, finite_difference_qgt, qgt_ll, qgt_lr,
+                            qgt_rl_from_lr, qgt_rr, scan_geometry, velocity_matrices)
 from nhgeo.lindblad import (bubble_matrix, decompose_antihermitian,
                             effective_hamiltonian, keldysh_sigma,
                             polarization_bubble_commuting,
@@ -80,11 +80,12 @@ def test_c03_qgt_inequality():
     for kx, ky in rng.uniform(-np.pi, np.pi, size=(30, 2)):
         eig = eigensystem_general(h_func(kx, ky))
         dhx, dhy = dh_func(kx, ky, 0), dh_func(kx, ky, 1)
-        q_rl = qgt_rl_from_lr(qgt_lr(eig, dhx, dhy, band=0))
-        rr = np.real(np.diag(qgt_rr_multiband(eig, dhx, dhy, band=0)))
-        ll = np.real(np.diag(qgt_ll_multiband(eig, dhx, dhy, band=0)))
-        a_r = [anomalous_connection(eig, dh, band=0, side="R") for dh in (dhx, dhy)]
-        a_l = [anomalous_connection(eig, dh, band=0, side="L") for dh in (dhx, dhy)]
+        v = velocity_matrices(eig, dhx, dhy)
+        q_rl = qgt_rl_from_lr(qgt_lr(eig, v, band=0))
+        rr = np.real(np.diag(qgt_rr(eig, v, band=0)))
+        ll = np.real(np.diag(qgt_ll(eig, v, band=0)))
+        a_r = anomalous_connection(eig, v, band=0, side="R")
+        a_l = anomalous_connection(eig, v, band=0, side="L")
         for mu in range(2):
             for nu in range(2):
                 lhs = abs(q_rl[mu, nu]) ** 2
@@ -175,7 +176,7 @@ def test_c07_oracle_equivalence():
                                    ordering="branch")
         dhx = model.derivative(np.asarray(kx), np.asarray(ky), 0)
         dhy = model.derivative(np.asarray(kx), np.asarray(ky), 1)
-        closed = qgt_lr(eig, dhx, dhy, band=0)
+        closed = qgt_lr(eig, velocity_matrices(eig, dhx, dhy), band=0)
         fd = finite_difference_qgt(model, kx, ky, band=0, pair="lr", h=1e-4)
         worst = max(worst, float(np.max(np.abs(closed - fd))))
     assert worst < 1e-6
@@ -184,8 +185,9 @@ def test_c07_oracle_equivalence():
     kx, ky = 0.7, -1.3
     eig = eigensystem_two_band(model.hamiltonian(np.asarray(kx), np.asarray(ky)),
                                ordering="branch")
-    closed = qgt_lr(eig, model.derivative(np.asarray(kx), np.asarray(ky), 0),
-                    model.derivative(np.asarray(kx), np.asarray(ky), 1), band=0)
+    v = velocity_matrices(eig, model.derivative(np.asarray(kx), np.asarray(ky), 0),
+                          model.derivative(np.asarray(kx), np.asarray(ky), 1))
+    closed = qgt_lr(eig, v, band=0)
     e1 = np.max(np.abs(finite_difference_qgt(model, kx, ky, pair="lr", h=2e-3) - closed))
     e2 = np.max(np.abs(finite_difference_qgt(model, kx, ky, pair="lr", h=1e-3) - closed))
     assert 3.0 < e1 / e2 < 5.0

@@ -7,9 +7,9 @@ from nhgeo.bounds import (check_absorptive_psd, check_chern_chain,
                           check_local_curvature_bound, check_optical_weight_bound,
                           check_psd, check_qgt_inequality,
                           hermitian_min_eigenvalue)
-from nhgeo.errors import BranchViolationError, NonHermitianInputError
-from nhgeo.geometry import (anomalous_connection, qgt_ll_multiband, qgt_lr,
-                            qgt_rl_from_lr, qgt_rr_multiband, scan_geometry)
+from nhgeo.errors import BranchViolationError, NonFiniteError, NonHermitianInputError
+from nhgeo.geometry import (anomalous_connection, qgt_ll, qgt_lr, qgt_rl_from_lr,
+                            qgt_rr, scan_geometry, velocity_matrices)
 from nhgeo.models import BlochModel, RMParams
 from nhgeo.response import TransitionTable, absorptive_part, lehmann_correlator
 from nhgeo.spectra import eigensystem_general
@@ -76,13 +76,12 @@ def test_qgt_inequality_ablation_three_band(rng):
     for kx, ky in rng.uniform(-np.pi, np.pi, size=(40, 2)):
         eig = eigensystem_general(h_func(kx, ky))
         dhx, dhy = dh_func(kx, ky, 0), dh_func(kx, ky, 1)
-        q_rl = qgt_rl_from_lr(qgt_lr(eig, dhx, dhy, band=0))
-        rr = np.real(np.diag(qgt_rr_multiband(eig, dhx, dhy, band=0)))
-        ll = np.real(np.diag(qgt_ll_multiband(eig, dhx, dhy, band=0)))
-        a_r = np.array([anomalous_connection(eig, dh, band=0, side="R")
-                        for dh in (dhx, dhy)])
-        a_l = np.array([anomalous_connection(eig, dh, band=0, side="L")
-                        for dh in (dhx, dhy)])
+        v = velocity_matrices(eig, dhx, dhy)
+        q_rl = qgt_rl_from_lr(qgt_lr(eig, v, band=0))
+        rr = np.real(np.diag(qgt_rr(eig, v, band=0)))
+        ll = np.real(np.diag(qgt_ll(eig, v, band=0)))
+        a_r = anomalous_connection(eig, v, band=0, side="R")
+        a_l = anomalous_connection(eig, v, band=0, side="L")
         n_fac = eig.norm_product(0)
         for mu in range(2):
             for nu in range(2):
@@ -112,6 +111,16 @@ def test_psd_negative_control():
     rep = check_psd(np.diag([1.0, -1.0])[None])
     assert not rep.passed
     npt.assert_allclose(rep.margin, [-1.0])
+
+
+def test_nan_margin_is_numerical_error():
+    # a NaN margin is a numerical failure (exit 3), never a FAIL (exit 4)
+    q = np.eye(2, dtype=complex)[None].repeat(3, axis=0)
+    q[1, 0, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        check_psd(q)
+    with pytest.raises(NonFiniteError):
+        check_optical_weight_bound(np.nan, 1, -0.5)
 
 
 def test_psd_rejects_non_hermitian():

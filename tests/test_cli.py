@@ -50,6 +50,23 @@ def test_cli_bad_config_exit_2(tmp_path):
     assert main(["scan", "--config", str(tmp_path / "missing.yaml")]) == 2
 
 
+@pytest.mark.parametrize("env, config", [
+    ({"NHGEO_THREADS": "x"}, {}),
+    ({"NHGEO_BAND": "2.5"}, {}),
+    ({}, {"response": {"eta": "abc"}}),
+    ({}, {"model": {"gamma": float("nan")}}),
+    ({}, {"model": {"family": "constant",
+                    "matrix": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]}}),
+], ids=["threads_env", "band_env", "eta_text", "gamma_nan", "three_band_constant"])
+def test_cli_scan_bad_input_exit_2(tmp_path, monkeypatch, env, config):
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    cfg = _write(tmp_path, "bad.yaml", dict(config, grid={"nx": 8, "ny": 8}))
+    out = tmp_path / "o"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "geometry.csv").exists()
+
+
 def test_cli_scan_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["scan", "--grid", "12", "--out", out1]) == 0

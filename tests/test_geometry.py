@@ -2,26 +2,26 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import (hermitian_qgt, locked_fd_qgt_general,
+from conftest import (hermitian_qgt, locked_fd_qgt_general, locked_fd_ray_qgt_general,
                       random_three_band_model, smooth_gauge)
 from nhgeo.errors import ExceptionalPointError
 from nhgeo.models import BlochModel, bz_mesh
 from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
                             berry_curvature_lr, compute_geometry,
                             finite_difference_connection, finite_difference_qgt,
-                            qgt_ll_multiband, qgt_ll_two_band, qgt_lr,
-                            qgt_rl_from_lr, qgt_rr_multiband, qgt_rr_two_band,
-                            scan_geometry)
+                            qgt_ll, qgt_lr, qgt_rl_from_lr, qgt_rr, scan_geometry,
+                            velocity_matrices)
 from nhgeo.spectra import eigensystem_general, eigensystem_two_band, gauge_rescale
 
 SAMPLE_K = [(np.pi / 2, np.pi / 2), (0.7, -1.3), (-2.1, 0.4), (1.9, 2.5)]
 
 
-def _eig_dh(model, kx, ky, ordering="branch"):
+def _eig_v(model, kx, ky, ordering="branch"):
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
     eig = eigensystem_two_band(model.hamiltonian(kx, ky), ordering=ordering)
-    return eig, model.derivative(kx, ky, 0), model.derivative(kx, ky, 1)
+    return eig, velocity_matrices(eig, model.derivative(kx, ky, 0),
+                                  model.derivative(kx, ky, 1))
 
 
 # -- Hermitian limit ----------------------------------------------------------
@@ -29,21 +29,22 @@ def _eig_dh(model, kx, ky, ordering="branch"):
 def test_all_qgts_coincide_hermitian(hermitian_model, rng):
     for kx, ky in SAMPLE_K:
         # im-ordering ties break by ascending Re, matching eigh band order
-        eig, dhx, dhy = _eig_dh(hermitian_model, kx, ky, ordering="im")
-        ref = hermitian_qgt(hermitian_model.hamiltonian(kx, ky), dhx, dhy, band=0)
-        q_lr = qgt_lr(eig, dhx, dhy, band=0)
+        eig, v = _eig_v(hermitian_model, kx, ky, ordering="im")
+        ref = hermitian_qgt(hermitian_model.hamiltonian(kx, ky),
+                            hermitian_model.derivative(kx, ky, 0),
+                            hermitian_model.derivative(kx, ky, 1), band=0)
+        q_lr = qgt_lr(eig, v, band=0)
         npt.assert_allclose(q_lr, ref, atol=1e-10)
         npt.assert_allclose(qgt_rl_from_lr(q_lr), ref, atol=1e-10)
-        npt.assert_allclose(qgt_rr_two_band(eig, dhx, dhy, band=0), ref, atol=1e-10)
-        npt.assert_allclose(qgt_ll_two_band(eig, dhx, dhy, band=0), ref, atol=1e-10)
+        npt.assert_allclose(qgt_rr(eig, v, band=0), ref, atol=1e-10)
+        npt.assert_allclose(qgt_ll(eig, v, band=0), ref, atol=1e-10)
 
 
 def test_anomalous_vanishes_hermitian(hermitian_model):
     for kx, ky in SAMPLE_K:
-        eig, dhx, dhy = _eig_dh(hermitian_model, kx, ky)
+        eig, v = _eig_v(hermitian_model, kx, ky)
         for side in ("R", "L"):
-            for dh in (dhx, dhy):
-                assert abs(anomalous_connection(eig, dh, band=0, side=side)) < 1e-12
+            assert np.max(np.abs(anomalous_connection(eig, v, band=0, side=side))) < 1e-12
 
 
 # -- oracle agreement ---------------------------------------------------------
@@ -51,12 +52,12 @@ def test_anomalous_vanishes_hermitian(hermitian_model):
 @pytest.mark.parametrize("pair", ["lr", "rl", "rr", "ll"])
 def test_qgt_matches_fd_oracle(rm_model, pair):
     for kx, ky in SAMPLE_K:
-        eig, dhx, dhy = _eig_dh(rm_model, kx, ky)
+        eig, v = _eig_v(rm_model, kx, ky)
         closed = {
-            "lr": qgt_lr(eig, dhx, dhy, band=0),
-            "rl": qgt_rl_from_lr(qgt_lr(eig, dhx, dhy, band=0)),
-            "rr": qgt_rr_two_band(eig, dhx, dhy, band=0),
-            "ll": qgt_ll_two_band(eig, dhx, dhy, band=0),
+            "lr": qgt_lr(eig, v, band=0),
+            "rl": qgt_rl_from_lr(qgt_lr(eig, v, band=0)),
+            "rr": qgt_rr(eig, v, band=0),
+            "ll": qgt_ll(eig, v, band=0),
         }[pair]
         fd = finite_difference_qgt(rm_model, kx, ky, band=0, pair=pair, h=1e-4)
         assert np.max(np.abs(closed - fd)) < 1e-6
@@ -64,8 +65,8 @@ def test_qgt_matches_fd_oracle(rm_model, pair):
 
 def test_oracle_error_scales_h2(rm_model):
     kx, ky = 0.7, -1.3
-    eig, dhx, dhy = _eig_dh(rm_model, kx, ky)
-    closed = qgt_lr(eig, dhx, dhy, band=0)
+    eig, v = _eig_v(rm_model, kx, ky)
+    closed = qgt_lr(eig, v, band=0)
     e1 = np.max(np.abs(finite_difference_qgt(rm_model, kx, ky, pair="lr", h=2e-3) - closed))
     e2 = np.max(np.abs(finite_difference_qgt(rm_model, kx, ky, pair="lr", h=1e-3) - closed))
     assert 3.0 < e1 / e2 < 5.0
@@ -73,10 +74,9 @@ def test_oracle_error_scales_h2(rm_model):
 
 def test_connection_matches_fd_oracle(rm_model):
     for kx, ky in SAMPLE_K[:2]:
-        eig, dhx, dhy = _eig_dh(rm_model, kx, ky)
+        eig, v = _eig_v(rm_model, kx, ky)
         for side in ("R", "L"):
-            closed = np.array([anomalous_connection(eig, dh, band=0, side=side)
-                               for dh in (dhx, dhy)])
+            closed = anomalous_connection(eig, v, band=0, side=side)
             fd = finite_difference_connection(rm_model, kx, ky, band=0, side=side, h=1e-4)
             assert np.max(np.abs(closed - fd)) < 1e-6
 
@@ -85,10 +85,23 @@ def test_multiband_matches_fd_oracle_three_band():
     h_func, dh_func = random_three_band_model()
     kx, ky = 0.9, -1.7
     eig = eigensystem_general(h_func(kx, ky))
-    dhx, dhy = dh_func(kx, ky, 0), dh_func(kx, ky, 1)
-    closed = qgt_lr(eig, dhx, dhy, band=0)
+    v = velocity_matrices(eig, dh_func(kx, ky, 0), dh_func(kx, ky, 1))
+    closed = qgt_lr(eig, v, band=0)
     fd = locked_fd_qgt_general(h_func, kx, ky, band=0, step=1e-5)
     assert np.max(np.abs(closed - fd)) < 1e-6
+
+
+@pytest.mark.parametrize("band", [0, 1, 2])
+def test_rr_ll_match_ray_oracle_three_band(band):
+    # the Schur-weight RR/LL forms away from the Hermitian limit at N > 2
+    h_func, dh_func = random_three_band_model()
+    kx, ky = 0.9, -1.7
+    eig = eigensystem_general(h_func(kx, ky))
+    v = velocity_matrices(eig, dh_func(kx, ky, 0), dh_func(kx, ky, 1))
+    for pair, closed in (("rr", qgt_rr(eig, v, band=band)),
+                         ("ll", qgt_ll(eig, v, band=band))):
+        fd = locked_fd_ray_qgt_general(h_func, kx, ky, band=band, pair=pair, step=1e-5)
+        assert np.max(np.abs(closed - fd)) < 1e-6
 
 
 def test_multiband_occupied_set_three_band():
@@ -96,20 +109,20 @@ def test_multiband_occupied_set_three_band():
     h_func, dh_func = random_three_band_model()
     kx, ky = 0.9, -1.7
     eig = eigensystem_general(h_func(kx, ky))
-    dhx, dhy = dh_func(kx, ky, 0), dh_func(kx, ky, 1)
-    closed = qgt_lr(eig, dhx, dhy, band=0, occupied={0, 1})
+    v = velocity_matrices(eig, dh_func(kx, ky, 0), dh_func(kx, ky, 1))
+    closed = qgt_lr(eig, v, band=0, occupied={0, 1})
     fd = locked_fd_qgt_general(h_func, kx, ky, band=0, step=1e-5,
                                occupied={0, 1})
     assert np.max(np.abs(closed - fd)) < 1e-6
     with pytest.raises(ValueError):
-        qgt_lr(eig, dhx, dhy, band=2, occupied={0, 1})
+        qgt_lr(eig, v, band=2, occupied={0, 1})
 
 
 # -- structural identities ----------------------------------------------------
 
 def test_rl_is_conjugate_transpose_and_involution(rm_model):
-    eig, dhx, dhy = _eig_dh(rm_model, 0.7, -1.3)
-    q_lr = qgt_lr(eig, dhx, dhy, band=0)
+    eig, v = _eig_v(rm_model, 0.7, -1.3)
+    q_lr = qgt_lr(eig, v, band=0)
     q_rl = qgt_rl_from_lr(q_lr)
     npt.assert_allclose(q_rl, np.conj(q_lr.T), atol=0)
     npt.assert_allclose(qgt_rl_from_lr(q_rl), q_lr, atol=0)
@@ -117,22 +130,12 @@ def test_rl_is_conjugate_transpose_and_involution(rm_model):
 
 def test_rr_ll_psd_random_vectors(rm_model, rng):
     for kx, ky in SAMPLE_K:
-        eig, dhx, dhy = _eig_dh(rm_model, kx, ky)
-        for q in (qgt_rr_two_band(eig, dhx, dhy, band=0),
-                  qgt_ll_two_band(eig, dhx, dhy, band=0)):
+        eig, v = _eig_v(rm_model, kx, ky)
+        for q in (qgt_rr(eig, v, band=0), qgt_ll(eig, v, band=0)):
             tr = np.real(np.trace(q))
             v = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
             quad = np.real(np.einsum("vi,ij,vj->v", np.conj(v), q, v))
             assert np.min(quad) >= -1e-12 * tr * np.max(np.abs(v)) ** 2
-
-
-def test_two_band_equals_multiband(rm_model):
-    for kx, ky in SAMPLE_K:
-        eig, dhx, dhy = _eig_dh(rm_model, kx, ky)
-        npt.assert_allclose(qgt_rr_two_band(eig, dhx, dhy, band=0),
-                            qgt_rr_multiband(eig, dhx, dhy, band=0), atol=1e-9)
-        npt.assert_allclose(qgt_ll_two_band(eig, dhx, dhy, band=0),
-                            qgt_ll_multiband(eig, dhx, dhy, band=0), atol=1e-9)
 
 
 def test_multiband_hermitian_three_band(rng):
@@ -144,13 +147,14 @@ def test_multiband_hermitian_three_band(rng):
     dhy = dhy + dhy.conj().T
     eig = eigensystem_general(h)
     ref = hermitian_qgt(h, dhx, dhy, band=1)
-    npt.assert_allclose(qgt_rr_multiband(eig, dhx, dhy, band=1), ref, atol=1e-9)
-    npt.assert_allclose(qgt_ll_multiband(eig, dhx, dhy, band=1), ref, atol=1e-9)
+    v = velocity_matrices(eig, dhx, dhy)
+    npt.assert_allclose(qgt_rr(eig, v, band=1), ref, atol=1e-9)
+    npt.assert_allclose(qgt_ll(eig, v, band=1), ref, atol=1e-9)
 
 
 def test_curvature_from_antisymmetrized_lr(rm_model):
-    eig, dhx, dhy = _eig_dh(rm_model, 0.7, -1.3)
-    q_lr = qgt_lr(eig, dhx, dhy, band=0)
+    eig, v = _eig_v(rm_model, 0.7, -1.3)
+    q_lr = qgt_lr(eig, v, band=0)
     f = berry_curvature_lr(q_lr)
     npt.assert_allclose(f, 1j * (q_lr[0, 1] - q_lr[1, 0]), atol=0)
     # projector-term cancellation: matches the eigenvector-derivative oracle
@@ -160,8 +164,8 @@ def test_curvature_from_antisymmetrized_lr(rm_model):
 
 def test_flat_model_zero_curvature():
     m = BlochModel.constant(np.diag([1.0, 2.0 - 0.5j]))
-    eig, dhx, dhy = _eig_dh(m, 0.3, 0.4)
-    npt.assert_allclose(berry_curvature_lr(qgt_lr(eig, dhx, dhy, band=0)), 0.0)
+    eig, v = _eig_v(m, 0.3, 0.4)
+    npt.assert_allclose(berry_curvature_lr(qgt_lr(eig, v, band=0)), 0.0)
 
 
 # -- gauge invariance ---------------------------------------------------------
@@ -172,13 +176,14 @@ def test_geometry_gauge_invariance(rm_model):
                                           ordering="branch"),
                      rm_model.derivative(kxg, kyg, 0),
                      rm_model.derivative(kxg, kyg, 1))
-    base = compute_geometry(eig, dhx, dhy, band=0)
     gauged = gauge_rescale(eig, smooth_gauge(seed=3)(kxg, kyg))
-    mod = compute_geometry(gauged, dhx, dhy, band=0)
-    for a, b in zip(base, mod):
-        scale = np.maximum(np.abs(a), 1.0)
-        assert np.max(np.abs(a - b) / scale) < 1e-10
-    npt.assert_allclose(gauged.norm_product(0), eig.norm_product(0), rtol=1e-10)
+    for band in (0, 1):
+        base = compute_geometry(eig, dhx, dhy, band=band)
+        mod = compute_geometry(gauged, dhx, dhy, band=band)
+        for a, b in zip(base, mod):
+            scale = np.maximum(np.abs(a), 1.0)
+            assert np.max(np.abs(a - b) / scale) < 1e-10
+        npt.assert_allclose(gauged.norm_product(band), eig.norm_product(band), rtol=1e-10)
 
 
 def test_norm_product_at_least_one(rm_model, hermitian_model):
@@ -195,10 +200,8 @@ def test_scan_geometry_single_point(rm_model):
     grid = scan_geometry(rm_model, nx=1, ny=1)
     assert grid.shape == (1, 1)
     assert np.isfinite(grid.curvature_lr[0, 0])
-    rec = grid.record(0, 0)
-    assert rec.kx == -np.pi and rec.band == 0
-    assert rec.norm_product >= 1.0
-    npt.assert_array_equal(rec.qgt_lr, grid.qgt_lr[0, 0])
+    assert grid.kx[0, 0] == -np.pi and grid.band == 0
+    assert grid.norm_product[0, 0] >= 1.0
 
 
 def test_scan_deterministic_across_workers(rm_model):

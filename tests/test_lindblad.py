@@ -3,9 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from nhgeo.errors import (CommutatorViolationError, NonHermitianTargetError,
-                          NonIntegrableError)
+                          NonIntegrableError, ProportionalityError)
 from nhgeo.models import SIGMA_Y, SIGMA_Z
-from nhgeo.lindblad import (JumpSpec, bubble_h, bubble_h_quadrature,
+from nhgeo.lindblad import (JumpSpec, KeldyshSet, bubble_h, bubble_h_quadrature,
                             bubble_matrix,
                             bubble_positivity, decompose_antihermitian,
                             effective_hamiltonian, full_response,
@@ -90,6 +90,17 @@ def test_keldysh_sigma_rm():
     inv = keldysh_sigma(spec, inverted=True)
     npt.assert_allclose(inv.sigma_k, -kel.sigma_k, atol=1e-14)
     inv.check()
+
+
+def test_keldysh_check_rejects_bogus_set():
+    # a typed error, not an assert that python -O strips
+    d = np.diag([1.0, 0.5]).astype(complex)
+    with pytest.raises(ProportionalityError):
+        KeldyshSet(sigma_k=2j * d, sigma_r=d, proportionality="minus_two_i").check()
+    with pytest.raises(ProportionalityError):
+        KeldyshSet(sigma_k=-2j * d, sigma_r=d, proportionality="plus_two_i").check()
+    with pytest.raises(ProportionalityError):
+        KeldyshSet(sigma_k=-2j * d, sigma_r=d, proportionality="other").check()
 
 
 def test_keldysh_green_scalar_example():

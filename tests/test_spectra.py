@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nhgeo.errors import (ExceptionalPointError, IllConditionedError)
+from nhgeo.errors import (ExceptionalPointError, IllConditionedError,
+                          NonConvergenceError)
 from nhgeo.models import SIGMA_X, rm_d_vector
-from nhgeo.spectra import (eigensystem, eigensystem_general,
+from nhgeo.spectra import (Eigensystem, eigensystem, eigensystem_general,
                            eigensystem_two_band, gauge_rescale,
                            overlap_matrices)
 
@@ -117,6 +118,20 @@ def test_gauge_rescale_preserves_biorthonormality(rm_model, rng):
     scaled = gauge_rescale(eig, c)
     cross = np.einsum("ni,mi->nm", np.conj(scaled.left), scaled.right)
     npt.assert_allclose(cross, np.eye(2), atol=1e-12)
+
+
+def test_validate_rejects_nan(rm_model):
+    # NaN residuals must fail every comparison, not slip past "err > tol"
+    eig = eigensystem_two_band(rm_model.hamiltonian(1.1, 0.2))
+    h = rm_model.hamiltonian(1.1, 0.2)
+    for field in ("energies", "right", "left", "overlap_right"):
+        bad = {name: np.copy(getattr(eig, name)) for name in
+               ("energies", "right", "left", "overlap_right", "overlap_left")}
+        bad[field].flat[0] = np.nan
+        with pytest.raises(NonConvergenceError):
+            Eigensystem(**bad).validate(h)
+    with pytest.raises(NonConvergenceError), np.errstate(invalid="ignore"):
+        eigensystem_two_band(np.full((2, 2), np.nan, dtype=complex))
 
 
 def test_exceptional_point_two_band():
