@@ -23,7 +23,7 @@ from . import lindblad, response, serialize, topology
 from .errors import ConfigError, NHGeoError
 from .geometry import scan_geometry
 from .models import BlochModel, bz_mesh, model_from_config
-from .response import TransitionTable, response_spectrum
+from .response import response_spectrum
 
 DEFAULT_CONFIG = {
     "model": {"family": "rice_mele", "t": 1.0, "delta": 1.0, "Delta": 1.0,
@@ -111,8 +111,20 @@ def _integer(value, name):
     return out
 
 
+def _number(value, name):
+    """float(value) for finite numeric input; ConfigError otherwise."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = np.nan
+    if not np.isfinite(out):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return out
+
+
 def _validate(cfg):
-    """Check the entries every command reads; grid, threads and band become ints."""
+    """Check the entries the commands read; grid, threads, band and the
+    response counts become ints, the other response entries floats."""
     grid = cfg.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("grid must be a mapping with nx and ny")
@@ -120,12 +132,19 @@ def _validate(cfg):
     grid["ny"] = _integer(grid.get("ny", 0), "grid.ny")
     if grid["nx"] < 8 or grid["ny"] < 8:
         raise ConfigError("grid must be at least 8x8")
-    try:
-        eta = float(cfg["response"].get("eta", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"response.eta must be a number: {exc}") from exc
-    if not 0.0 < eta < np.inf:
-        raise ConfigError("response.eta must be positive and finite")
+    rsp = cfg.get("response")
+    if not isinstance(rsp, dict):
+        raise ConfigError("response must be a mapping")
+    for key in ("eta", "omega_min", "omega_max"):
+        rsp[key] = _number(rsp.get(key), f"response.{key}")
+    if not rsp["eta"] > 0.0:
+        raise ConfigError("response.eta must be positive")
+    if rsp.get("beta") is not None:
+        rsp["beta"] = _number(rsp["beta"], "response.beta")
+    for key in ("omega_count", "k_samples"):
+        rsp[key] = _integer(rsp.get(key), f"response.{key}")
+        if rsp[key] < 1:
+            raise ConfigError(f"response.{key} must be >= 1")
     cfg["threads"] = _integer(cfg.get("threads", 1), "threads")
     if cfg["threads"] < 1:
         raise ConfigError("threads must be >= 1")
@@ -140,15 +159,19 @@ def _ensure_outdir(cfg):
     return path
 
 
-def _model(cfg) -> BlochModel:
-    return model_from_config(cfg["model"])
+def _model(model_cfg) -> BlochModel:
+    """The configured model; every command supports two bands only."""
+    model = model_from_config(model_cfg)
+    if model.dimension != 2:
+        raise ConfigError(f"the commands support two-band models only, got {model.dimension}")
+    return model
 
 
 # -- commands -----------------------------------------------------------------
 
 def cmd_scan(cfg):
+    model = _model(cfg["model"])
     out = _ensure_outdir(cfg)
-    model = _model(cfg)
     grid = scan_geometry(model, band=cfg["band"], nx=cfg["grid"]["nx"],
                          ny=cfg["grid"]["ny"], workers=cfg["threads"])
     csv_path = os.path.join(out, "geometry.csv")
@@ -172,8 +195,8 @@ def cmd_scan(cfg):
 
 
 def cmd_chern(cfg):
+    model = _model(cfg["model"])
     out = _ensure_outdir(cfg)
-    model = _model(cfg)
     t0 = time.monotonic()
     result = topology.compute_chern(
         model, band=cfg["band"], n_plaquette=cfg["grid"]["nx"],
@@ -203,40 +226,35 @@ def cmd_chern(cfg):
 
 def _absorptive_stack(cfg, model):
     """Uniform-decay commuting instance: dressed levels of the Hermitian
-    part plus a flat bath of rate gamma/2, current operators as elements."""
+    part plus a flat bath of rate gamma/2, current operators as elements.
+    The whole k-sample mesh goes through one batched response_spectrum."""
     rsp = cfg["response"]
-    nx = min(int(cfg["grid"]["nx"]), int(rsp.get("k_samples", 16)))
+    nx = min(cfg["grid"]["nx"], rsp["k_samples"])
     kxg, kyg = bz_mesh(nx, nx)
-    omegas = np.linspace(float(rsp["omega_min"]), float(rsp["omega_max"]),
-                         int(rsp["omega_count"]))
+    omegas = np.linspace(rsp["omega_min"], rsp["omega_max"], rsp["omega_count"])
     gamma = float(cfg["model"].get("gamma", 1.0)) or 1.0
     rate = 0.5 * gamma
     if rsp.get("invert_bath"):
         rate = -rate
-    beta = rsp.get("beta")
-    stack = np.zeros(omegas.shape + (2, 2), dtype=complex)
-    for i in range(nx):
-        for j in range(nx):
-            h = model.hamiltonian(kxg[i, j], kyg[i, j])
-            h = 0.5 * (h + h.conj().T)
-            evals, vecs = np.linalg.eigh(h)
-            ops = tuple(vecs.conj().T @ model.derivative(kxg[i, j], kyg[i, j], ax) @ vecs
-                        for ax in (0, 1))
-            ops = tuple(0.5 * (o + o.conj().T) for o in ops)
-            energies = evals - 1j * rate
-            table = TransitionTable(energies=energies, operators=ops)
-            if beta is None:
-                rho = np.array([1.0, 0.0])
-            else:
-                w = np.exp(-float(beta) * evals)
-                rho = w / w.sum()
-            stack += response_spectrum(table, rho, omegas).pi_abs
-    return omegas, stack / (nx * nx)
+    h = model.hamiltonian(kxg, kyg)
+    evals, vecs = np.linalg.eigh(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))))
+    vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
+    ops = np.stack([vecs_h @ model.derivative(kxg, kyg, ax) @ vecs for ax in (0, 1)],
+                   axis=-3)
+    ops = 0.5 * (ops + np.conj(np.swapaxes(ops, -1, -2)))
+    if rsp.get("beta") is None:
+        rho = np.array([1.0, 0.0])
+    else:
+        x = -rsp["beta"] * evals
+        w = np.exp(x - x.max(axis=-1, keepdims=True))  # no overflow at any beta
+        rho = w / w.sum(axis=-1, keepdims=True)
+    pi_abs = response_spectrum(evals - 1j * rate, ops, rho, omegas).pi_abs
+    return omegas, np.sum(pi_abs, axis=(0, 1)) / (nx * nx)
 
 
 def cmd_bounds(cfg):
+    model = _model(cfg["model"])
     out = _ensure_outdir(cfg)
-    model = _model(cfg)
     t0 = time.monotonic()
     tol = cfg.get("tolerances", {}) or {}
     tol_bound = float(tol.get("bound", 1e-9))
@@ -259,7 +277,7 @@ def cmd_bounds(cfg):
 
     weight = response.optical_weight_bz(model, band="slowest",
                                         n_grid=min(cfg["grid"]["nx"], 48),
-                                        eta=float(cfg["response"]["eta"]))
+                                        eta=cfg["response"]["eta"])
     reports.append(bounds_mod.check_optical_weight_bound(
         weight.bound_trace, chern.chern_plaquette, weight.arg_infimum))
 
@@ -283,23 +301,22 @@ def cmd_bounds(cfg):
 
 
 def cmd_optical_weight(cfg, quadrature=False):
-    out = _ensure_outdir(cfg)
     sweep = cfg["sweep"].get("Gamma") or []
     if not sweep:
         raise ConfigError("sweep.Gamma must be a nonempty list")
-    eta = float(cfg["response"]["eta"])
-    n_grid = min(int(cfg["grid"]["nx"]), 48)
+    models = [_model(dict(cfg["model"], Gamma=g_val)) for g_val in sweep]
+    out = _ensure_outdir(cfg)
+    eta = cfg["response"]["eta"]
+    n_grid = min(cfg["grid"]["nx"], 48)
     rows = []
     header = ["Gamma", "weight_numeric", "weight_closed", "weight_bound_form",
               "bound_lhs", "bound_rhs", "margin", "arg_infimum",
               "ln_eta_coefficient"]
     if quadrature:
+        from . import oracles  # the slow oracle module loads only for this column
         header.append("weight_quadrature")
     all_pass = True
-    for g_val in sweep:
-        mcfg = dict(cfg["model"])
-        mcfg["Gamma"] = float(g_val)
-        model = model_from_config(mcfg)
+    for g_val, model in zip(sweep, models):
         res = response.optical_weight_bz(model, band="slowest", n_grid=n_grid,
                                          eta=eta)
         chern = topology.chern_plaquette(model, band=0, n_grid=max(32, n_grid // 2))
@@ -316,7 +333,7 @@ def cmd_optical_weight(cfg, quadrature=False):
             total = 0.0
             for i in range(n_grid):
                 for j in range(n_grid):
-                    total += response.optical_weight_quadrature(
+                    total += oracles.optical_weight_quadrature(
                         model, kxg[i, j], kyg[i, j], eta=eta)
             row.append(total * area)
         rows.append(row)
@@ -333,8 +350,8 @@ def cmd_optical_weight(cfg, quadrature=False):
 
 
 def cmd_lindblad_check(cfg):
+    model = _model(cfg["model"])
     out = _ensure_outdir(cfg)
-    model = _model(cfg)
     h0 = model.hamiltonian(0.0, 0.0)
     anti = 0.5 * (h0 - h0.conj().T)
     if float(np.max(np.abs(anti))) < 1e-14:
@@ -352,8 +369,7 @@ def cmd_lindblad_check(cfg):
 
     # positivity scan of the Keldysh bubbles on the uniform-decay levels
     rsp = cfg["response"]
-    omegas = np.linspace(float(rsp["omega_min"]), float(rsp["omega_max"]),
-                         int(rsp["omega_count"]))
+    omegas = np.linspace(rsp["omega_min"], rsp["omega_max"], rsp["omega_count"])
     gamma = float(cfg["model"].get("gamma", 1.0)) or 1.0
     h_sym = 0.5 * (h0 + h0.conj().T)
     evals = np.linalg.eigvalsh(h_sym)

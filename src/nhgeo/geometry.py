@@ -27,13 +27,10 @@ import numpy as np
 from .errors import (ConfigError, ExceptionalPointError, GaugeLockError,
                      NonRealCurvatureError)
 from .models import BlochModel, bz_mesh
-from .spectra import Eigensystem, braket, eigensystem_two_band, gauge_rescale, matrix_elements
+from .spectra import Eigensystem, eigensystem_two_band, gauge_rescale, matrix_elements
 
 #: minimum |<psi(k)|psi(k')>| for a finite-difference gauge lock
 LOCK_MIN_OVERLAP = 0.5
-
-#: default oracle step in momentum
-ORACLE_STEP = 1e-4
 
 CURVATURE_IMAG_TOL = 1e-9
 
@@ -262,7 +259,7 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
     return out
 
 
-# -- phase-locked stencil and finite-difference oracles -----------------------
+# -- phase-locked stencil -----------------------------------------------------
 
 def locked_stencil(model: BlochModel, kx, ky, h, gauge=None):
     """Center eigensystem plus the 4-point stencil locked to the center gauge.
@@ -294,90 +291,6 @@ def locked_stencil(model: BlochModel, kx, ky, h, gauge=None):
                     f"stencil overlap below {LOCK_MIN_OVERLAP} at step {h}")
             shifted[(axis, sign)] = (k, gauge_rescale(eig, np.abs(ov) / ov))
     return center, shifted
-
-
-def _vector_derivatives(shifted, h):
-    """(dR[axis], dL[axis]) central differences of locked eigenvectors."""
-    dr, dl = [], []
-    for axis in (0, 1):
-        plus, minus = shifted[(axis, 1.0)][1], shifted[(axis, -1.0)][1]
-        dr.append((plus.right - minus.right) / (2.0 * h))
-        dl.append((plus.left - minus.left) / (2.0 * h))
-    return dr, dl
-
-
-def finite_difference_qgt(model: BlochModel, kx, ky, band=0, pair="lr",
-                          h=ORACLE_STEP):
-    """QGT from explicit locked eigenvector derivatives (test oracle).
-
-    ``pair`` picks which definition is differentiated:
-
-    * ``"lr"``: <d_mu psiL|(1 - |R><L|)|d_nu psiR>   (biorthonormal)
-    * ``"rl"``: <d_mu psiR|(1 - |L><R|)|d_nu psiL>
-    * ``"rr"``/``"ll"``: projector QGT of the unit-normalized ray
-
-    Accuracy is O(h^2); used only to validate the gauge-invariant formulas.
-    """
-    center, shifted = locked_stencil(model, kx, ky, h)
-    n = band
-    out = np.empty(np.shape(np.asarray(kx, dtype=float)) + (2, 2), dtype=complex)
-
-    if pair in ("lr", "rl"):
-        dr, dl = _vector_derivatives(shifted, h)
-        r = center.right[..., n, :]
-        l = center.left[..., n, :]
-        for mu in range(2):
-            for nu in range(2):
-                if pair == "lr":
-                    vec = dr[nu][..., n, :] - braket(l, dr[nu][..., n, :])[..., None] * r
-                    out[..., mu, nu] = braket(dl[mu][..., n, :], vec)
-                else:
-                    vec = dl[nu][..., n, :] - braket(r, dl[nu][..., n, :])[..., None] * l
-                    out[..., mu, nu] = braket(dr[mu][..., n, :], vec)
-        return out
-
-    if pair in ("rr", "ll"):
-        pick = (lambda e: e.right) if pair == "rr" else (lambda e: e.left)
-        vc = pick(center)[..., n, :]
-        vc = vc / np.linalg.norm(vc, axis=-1, keepdims=True)
-        dv = []
-        for axis in (0, 1):
-            vp = pick(shifted[(axis, 1.0)][1])[..., n, :]
-            vm = pick(shifted[(axis, -1.0)][1])[..., n, :]
-            vp = vp / np.linalg.norm(vp, axis=-1, keepdims=True)
-            vm = vm / np.linalg.norm(vm, axis=-1, keepdims=True)
-            dv.append((vp - vm) / (2.0 * h))
-        for mu in range(2):
-            for nu in range(2):
-                vec = dv[nu] - braket(vc, dv[nu])[..., None] * vc
-                out[..., mu, nu] = braket(dv[mu], vec)
-        return out
-
-    raise ValueError("pair must be one of 'lr', 'rl', 'rr', 'll'")
-
-
-def finite_difference_connection(model: BlochModel, kx, ky, band=0, side="R",
-                                 h=ORACLE_STEP):
-    """Oracle for the anomalous connection: same-family minus mixed connection."""
-    center, shifted = locked_stencil(model, kx, ky, h)
-    dr, dl = _vector_derivatives(shifted, h)
-    n = band
-    r = center.right[..., n, :]
-    l = center.left[..., n, :]
-    out = np.empty(np.shape(np.asarray(kx, dtype=float)) + (2,), dtype=complex)
-    for axis in range(2):
-        if side == "R":
-            drn = dr[axis][..., n, :]
-            a_same = 1j * braket(r, drn) / braket(r, r)
-            a_mixed = 1j * braket(l, drn)
-        elif side == "L":
-            dln = dl[axis][..., n, :]
-            a_same = 1j * braket(l, dln) / braket(l, l)
-            a_mixed = 1j * braket(r, dln)
-        else:
-            raise ValueError("side must be 'R' or 'L'")
-        out[..., axis] = a_same - a_mixed
-    return out
 
 
 def anomalous_divergence_integral(model: BlochModel, band=0, n_grid=64,

@@ -8,7 +8,9 @@ anti-Hermitian part -i D up to an identity shift that keeps every decay
 rate nonnegative.
 
 Frequency integrals of retarded/advanced/Keldysh products are evaluated
-both by closing the contour (residue sums) and by adaptive quadrature.
+by closing the contour (residue sums); the polarization bubble is the
+Lehmann kernel of :mod:`nhgeo.response` in the Keldysh convention.  The
+adaptive-quadrature oracles live in :mod:`nhgeo.oracles`.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (CommutatorViolationError, NonHermitianTargetError,
                      NonIntegrableError, ProportionalityError)
 from .models import pauli_decompose
+from .response import lehmann_correlator
 
 _HERM_TOL = 1e-10
 
@@ -153,18 +155,6 @@ def keldysh_sigma(spec: JumpSpec, inverted=False):
                       proportionality="minus_two_i" if not inverted else "plus_two_i")
 
 
-def lindbladian_matrix(h_eff, sigma_k):
-    """Superoperator block matrix [[H, Sigma^K], [0, -H^T]] (stored, never exponentiated)."""
-    h_eff = np.asarray(h_eff, dtype=complex)
-    sigma_k = np.asarray(sigma_k, dtype=complex)
-    n = h_eff.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = h_eff
-    out[:n, n:] = sigma_k
-    out[n:, n:] = -h_eff.T
-    return out
-
-
 def keldysh_green(h_eff, sigma_k, omega, mode="auto", comm_tol=1e-10):
     """G^K(omega) = G^R Sigma^K G^A with G^R = (omega - H)^-1.
 
@@ -185,10 +175,6 @@ def keldysh_green(h_eff, sigma_k, omega, mode="auto", comm_tol=1e-10):
     n = h_eff.shape[0]
     g_r = np.linalg.inv(omega * np.eye(n) - h_eff)
     return g_r @ sigma_k @ g_r.conj().T
-
-
-def _gk_scalar(eps_m, sigma_k_m, w):
-    return sigma_k_m / ((w - eps_m) * (w - np.conj(eps_m)))
 
 
 def _pair_integral(p, q):
@@ -228,30 +214,6 @@ def bubble_h(eps_n, eps_m, omega, side="A", sigma_k_m=None):
                     - _pair_integral(g_pole, np.conj(eps_m)))
 
 
-def bubble_h_quadrature(eps_n, eps_m, omega, side="A", sigma_k_m=None,
-                        cut_factor=200.0):
-    """Adaptive-quadrature oracle for :func:`bubble_h` (same conventions)."""
-    eps_n, eps_m = complex(eps_n), complex(eps_m)
-    if sigma_k_m is None:
-        sigma_k_m = 2j * np.imag(eps_m)
-    if side == "A":
-        g_fun = lambda w: 1.0 / (w + omega - np.conj(eps_n))
-    else:
-        g_fun = lambda w: 1.0 / (w + omega - eps_n)
-
-    def integrand(w):
-        return g_fun(w) * _gk_scalar(eps_m, sigma_k_m, w)
-
-    cut = cut_factor * max(abs(eps_n), abs(eps_m), abs(omega), 1.0)
-    points = sorted({np.real(eps_m), np.real(eps_n) - omega, np.real(eps_n) + omega})
-    points = [p for p in points if -cut < p < cut]
-    re, _ = integrate.quad(lambda w: np.real(integrand(w)), -cut, cut,
-                           points=points, limit=400)
-    im, _ = integrate.quad(lambda w: np.imag(integrand(w)), -cut, cut,
-                           points=points, limit=400)
-    return re + 1j * im
-
-
 def bubble_positivity(eps_n, eps_m, omega, side="A", sigma_k_m=None):
     """Signed real part of the bubble: the quantity whose nonnegativity
     encodes an uninverted bath (side A counts +Re, side R counts -Re)."""
@@ -259,91 +221,26 @@ def bubble_positivity(eps_n, eps_m, omega, side="A", sigma_k_m=None):
     return float(np.real(val)) if side == "A" else -float(np.real(val))
 
 
-def polarization_bubble_commuting(energies, op_i, op_j, omega, sign=+1):
-    """Closed-form polarization bubble for simultaneously diagonal self-energies.
+def bubble_matrix(energies, ops, omega, sign=+1):
+    """Operator-indexed polarization bubble pi_ij(omega) for simultaneously
+    diagonal self-energies.
 
     pi_ij(omega) = -sign/2 * sum_nm O^i_nm O^j_mn / (E_nm - omega + i S''_nm)
-    with E_nm = E_n - E_m and S''_nm = S''_n + S''_m; sign=+1 is the branch
-    whose absorptive part is positive semidefinite for decaying levels.
+    with E_nm = E_n - E_m and S''_nm = S''_n + S''_m: the Lehmann kernel at
+    uniform occupation 1/N, scaled by sign N/2, with the operator indices
+    swapped.  ``omega`` may be an array (leading output axes).
+
+    sign=+1 is the branch whose absorptive part (pi - pi^dagger)/2i is the
+    Lorentzian sum (pi/2) sum_nm L_nm(omega) O^i_nm O^j_mn, positive
+    semidefinite at every omega when all levels decay.  sign=-1 is the
+    vector-jump response (1/2) sum_nm O^i_nm O^j_mn / (eps_n^* - eps_m - omega),
+    valid whenever Sigma^K = -2i Sigma^R (single-vector jumps).  The
+    combination pi(omega) + pi(-omega)^* is reactive: its anti-Hermitian
+    part cancels between the two terms.
+
+    Raises PoleOnAxisError for an undamped transition on resonance.
     """
     energies = np.asarray(energies, dtype=complex)
-    e = np.real(energies)
-    s = -np.imag(energies)
-    denom = (e[:, None] - e[None, :]) - omega + 1j * (s[:, None] + s[None, :])
-    num = np.asarray(op_i, dtype=complex) * np.asarray(op_j, dtype=complex).T
-    return -0.5 * sign * np.sum(num / denom)
-
-
-def polarization_bubble_quadrature(energies, op_i, op_j, omega, sign=+1,
-                                   cut_factor=200.0):
-    """Frequency-integral oracle for :func:`polarization_bubble_commuting`.
-
-    Evaluates sign * int dw/2pi sum_nm O^i_nm G^R_m(w) O^j_mn
-    G^R_n(w + omega) Im(eps_n) G^A_n(w + omega) over a symmetric window
-    (the integrand decays cubically, so the truncation error is quartic).
-    """
-    energies = np.asarray(energies, dtype=complex)
-    n = energies.shape[0]
-    op_i = np.asarray(op_i, dtype=complex)
-    op_j = np.asarray(op_j, dtype=complex)
-
-    def integrand(w):
-        total = 0.0 + 0.0j
-        for a in range(n):
-            g_r_shift = 1.0 / (w + omega - energies[a])
-            g_a_shift = 1.0 / (w + omega - np.conj(energies[a]))
-            weight = np.imag(energies[a]) * g_r_shift * g_a_shift
-            for b in range(n):
-                total += op_i[a, b] * op_j[b, a] * weight / (w - energies[b])
-        return sign * total / (2.0 * np.pi)
-
-    cut = cut_factor * max(float(np.max(np.abs(energies))), abs(omega), 1.0)
-    points = sorted({float(x) for x in np.real(energies)}
-                    | {float(x) - omega for x in np.real(energies)})
-    points = [p for p in points if -cut < p < cut]
-    re, _ = integrate.quad(lambda w: np.real(integrand(w)), -cut, cut,
-                           points=points, limit=400)
-    im, _ = integrate.quad(lambda w: np.imag(integrand(w)), -cut, cut,
-                           points=points, limit=400)
-    return re + 1j * im
-
-
-def bubble_matrix(energies, ops, omega, sign=+1):
-    """Operator-indexed bubble pi_ij(omega) over an operator list.
-
-    Its absorptive part (pi - pi^dagger)/2i is the Lorentzian sum
-    (pi/2) sum_nm L_nm(omega) O^i_nm O^j_mn, positive semidefinite at every
-    omega when all levels decay.
-    """
-    nops = len(ops)
-    out = np.empty((nops, nops), dtype=complex)
-    for i in range(nops):
-        for j in range(nops):
-            out[i, j] = polarization_bubble_commuting(energies, ops[i], ops[j],
-                                                      omega, sign=sign)
-    return out
-
-
-def full_response(energies, ops, omega, sign=+1):
-    """Pi_ij(omega) = pi_ij(omega) + pi_ij(-omega)^* over an operator list.
-
-    The symmetrized combination is reactive: its anti-Hermitian part
-    cancels between the two terms by construction, so the dissipative
-    bounds live in :func:`bubble_matrix`.
-    """
-    return bubble_matrix(energies, ops, omega, sign=sign) \
-        + np.conj(bubble_matrix(energies, ops, -omega, sign=sign))
-
-
-def response_vector_jump(energies, op_i, op_j, big_omega):
-    """Vector-jump response (1/2) sum_nm O^i_nm O^j_mn / (eps_n^* - eps_m - Omega).
-
-    Valid whenever the Keldysh self-energy is -2i times the retarded one
-    (single-vector jumps); operator elements are taken in the biorthogonal
-    eigenbasis.  Reduces to minus the sign=+1 commuting bubble when the
-    self-energies are diagonal in the Hamiltonian basis.
-    """
-    energies = np.asarray(energies, dtype=complex)
-    denom = np.conj(energies)[:, None] - energies[None, :] - big_omega
-    num = np.asarray(op_i, dtype=complex) * np.asarray(op_j, dtype=complex).T
-    return 0.5 * np.sum(num / denom)
+    n = energies.shape[-1]
+    k = lehmann_correlator(energies, np.stack(ops), np.full(n, 1.0 / n), omega)
+    return sign * (n / 2.0) * np.swapaxes(k, -1, -2)

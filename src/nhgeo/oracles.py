@@ -1,0 +1,195 @@
+"""Reference implementations the closed forms are checked against.
+
+Adaptive quadrature of the frequency integrals (optical weight, Keldysh
+bubble, polarization bubble) and phase-locked finite differences of the
+eigenvectors (QGTs, anomalous connection).  They are slow by design and
+serve tests and the ``--quadrature`` column of ``nhgeo optical-weight``;
+this is the only module that imports scipy, and nothing on the path that
+serves results imports it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import integrate
+
+from .errors import PoleOnAxisError
+from .geometry import locked_stencil
+from .models import BlochModel
+from .response import FD_STEP, _band_coefficients, _resolve_band, _sigma_regular_from_fh
+from .spectra import braket
+
+#: default finite-difference oracle step in momentum
+ORACLE_STEP = 1e-4
+
+
+# -- frequency quadratures ----------------------------------------------------
+
+def optical_weight_quadrature(model: BlochModel, kx, ky, band="slowest", eta=1e-3,
+                              omega_max=None, h=FD_STEP):
+    """Adaptive quadrature of int_eta^inf Re tr sigma^reg(omega)/omega domega.
+
+    Scalar k.  Oracle for :func:`nhgeo.response.optical_weight_numeric`;
+    Gauss-Kronrod panels up to ``omega_max`` (resonances passed as break
+    points), then an open-ended tail.
+    """
+    band = _resolve_band(model, kx, ky, band)
+    f, hc, z, eig = _band_coefficients(model, float(kx), float(ky), band, h)
+    z = complex(z)
+    if abs(np.imag(z)) < 1e-12 * abs(z):
+        raise PoleOnAxisError("undamped transition: quadrature needs Im z != 0")
+    if omega_max is None:
+        omega_max = 50.0 * float(np.max(np.abs(eig.energies)))
+
+    def integrand(w):
+        s = _sigma_regular_from_fh(f, hc, z, w)
+        return np.real(s[..., 0, 0] + s[..., 1, 1]) / w
+
+    points = [p for p in (abs(np.real(z)), abs(z)) if eta < p < omega_max]
+    val, _ = integrate.quad(integrand, eta, omega_max, points=points, limit=400)
+    tail, _ = integrate.quad(integrand, omega_max, np.inf, limit=200)
+    return val + tail
+
+
+def _complex_quad(integrand, cut, points):
+    """int_{-cut}^{cut} of a complex integrand, real and imaginary parts apart."""
+    points = [p for p in sorted(points) if -cut < p < cut]
+    re, _ = integrate.quad(lambda w: np.real(integrand(w)), -cut, cut,
+                           points=points, limit=400)
+    im, _ = integrate.quad(lambda w: np.imag(integrand(w)), -cut, cut,
+                           points=points, limit=400)
+    return re + 1j * im
+
+
+def bubble_h_quadrature(eps_n, eps_m, omega, side="A", sigma_k_m=None,
+                        cut_factor=200.0):
+    """Adaptive-quadrature oracle for :func:`nhgeo.lindblad.bubble_h`
+    (same conventions)."""
+    eps_n, eps_m = complex(eps_n), complex(eps_m)
+    if sigma_k_m is None:
+        sigma_k_m = 2j * np.imag(eps_m)
+    pole = np.conj(eps_n) if side == "A" else eps_n
+
+    def integrand(w):
+        g_k = sigma_k_m / ((w - eps_m) * (w - np.conj(eps_m)))
+        return g_k / (w + omega - pole)
+
+    cut = cut_factor * max(abs(eps_n), abs(eps_m), abs(omega), 1.0)
+    return _complex_quad(integrand, cut,
+                         {np.real(eps_m), np.real(eps_n) - omega, np.real(eps_n) + omega})
+
+
+def polarization_bubble_quadrature(energies, op_i, op_j, omega, sign=+1,
+                                   cut_factor=200.0):
+    """Frequency-integral oracle for one element of
+    :func:`nhgeo.lindblad.bubble_matrix`.
+
+    Evaluates sign * int dw/2pi sum_nm O^i_nm G^R_m(w) O^j_mn
+    G^R_n(w + omega) Im(eps_n) G^A_n(w + omega) over a symmetric window
+    (the integrand decays cubically, so the truncation error is quartic).
+    """
+    energies = np.asarray(energies, dtype=complex)
+    n = energies.shape[0]
+    op_i = np.asarray(op_i, dtype=complex)
+    op_j = np.asarray(op_j, dtype=complex)
+
+    def integrand(w):
+        total = 0.0 + 0.0j
+        for a in range(n):
+            g_r_shift = 1.0 / (w + omega - energies[a])
+            g_a_shift = 1.0 / (w + omega - np.conj(energies[a]))
+            weight = np.imag(energies[a]) * g_r_shift * g_a_shift
+            for b in range(n):
+                total += op_i[a, b] * op_j[b, a] * weight / (w - energies[b])
+        return sign * total / (2.0 * np.pi)
+
+    cut = cut_factor * max(float(np.max(np.abs(energies))), abs(omega), 1.0)
+    return _complex_quad(integrand, cut,
+                         {float(x) for x in np.real(energies)}
+                         | {float(x) - omega for x in np.real(energies)})
+
+
+# -- finite differences of locked eigenvectors --------------------------------
+
+def _vector_derivatives(shifted, h):
+    """(dR[axis], dL[axis]) central differences of locked eigenvectors."""
+    dr, dl = [], []
+    for axis in (0, 1):
+        plus, minus = shifted[(axis, 1.0)][1], shifted[(axis, -1.0)][1]
+        dr.append((plus.right - minus.right) / (2.0 * h))
+        dl.append((plus.left - minus.left) / (2.0 * h))
+    return dr, dl
+
+
+def finite_difference_qgt(model: BlochModel, kx, ky, band=0, pair="lr",
+                          h=ORACLE_STEP):
+    """QGT from explicit locked eigenvector derivatives (test oracle).
+
+    ``pair`` picks which definition is differentiated:
+
+    * ``"lr"``: <d_mu psiL|(1 - |R><L|)|d_nu psiR>   (biorthonormal)
+    * ``"rl"``: <d_mu psiR|(1 - |L><R|)|d_nu psiL>
+    * ``"rr"``/``"ll"``: projector QGT of the unit-normalized ray
+
+    Accuracy is O(h^2); used only to validate the gauge-invariant formulas.
+    """
+    center, shifted = locked_stencil(model, kx, ky, h)
+    n = band
+    out = np.empty(np.shape(np.asarray(kx, dtype=float)) + (2, 2), dtype=complex)
+
+    if pair in ("lr", "rl"):
+        dr, dl = _vector_derivatives(shifted, h)
+        r = center.right[..., n, :]
+        l = center.left[..., n, :]
+        for mu in range(2):
+            for nu in range(2):
+                if pair == "lr":
+                    vec = dr[nu][..., n, :] - braket(l, dr[nu][..., n, :])[..., None] * r
+                    out[..., mu, nu] = braket(dl[mu][..., n, :], vec)
+                else:
+                    vec = dl[nu][..., n, :] - braket(r, dl[nu][..., n, :])[..., None] * l
+                    out[..., mu, nu] = braket(dr[mu][..., n, :], vec)
+        return out
+
+    if pair in ("rr", "ll"):
+        pick = (lambda e: e.right) if pair == "rr" else (lambda e: e.left)
+        vc = pick(center)[..., n, :]
+        vc = vc / np.linalg.norm(vc, axis=-1, keepdims=True)
+        dv = []
+        for axis in (0, 1):
+            vp = pick(shifted[(axis, 1.0)][1])[..., n, :]
+            vm = pick(shifted[(axis, -1.0)][1])[..., n, :]
+            vp = vp / np.linalg.norm(vp, axis=-1, keepdims=True)
+            vm = vm / np.linalg.norm(vm, axis=-1, keepdims=True)
+            dv.append((vp - vm) / (2.0 * h))
+        for mu in range(2):
+            for nu in range(2):
+                vec = dv[nu] - braket(vc, dv[nu])[..., None] * vc
+                out[..., mu, nu] = braket(dv[mu], vec)
+        return out
+
+    raise ValueError("pair must be one of 'lr', 'rl', 'rr', 'll'")
+
+
+def finite_difference_connection(model: BlochModel, kx, ky, band=0, side="R",
+                                 h=ORACLE_STEP):
+    """Oracle for the anomalous connection: same-family minus mixed connection."""
+    center, shifted = locked_stencil(model, kx, ky, h)
+    dr, dl = _vector_derivatives(shifted, h)
+    n = band
+    r = center.right[..., n, :]
+    l = center.left[..., n, :]
+    out = np.empty(np.shape(np.asarray(kx, dtype=float)) + (2,), dtype=complex)
+    for axis in range(2):
+        if side == "R":
+            drn = dr[axis][..., n, :]
+            a_same = 1j * braket(r, drn) / braket(r, r)
+            a_mixed = 1j * braket(l, drn)
+        elif side == "L":
+            dln = dl[axis][..., n, :]
+            a_same = 1j * braket(l, dln) / braket(l, l)
+            a_mixed = 1j * braket(r, dln)
+        else:
+            raise ValueError("side must be 'R' or 'L'")
+        out[..., axis] = a_same - a_mixed
+    return out

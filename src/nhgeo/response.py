@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BranchViolationError, PoleOnAxisError
 from .models import BlochModel, bz_mesh
@@ -41,74 +40,46 @@ def lorentzian_kernel(e_nm, sigma_p, sigma_pp, omega):
     return sigma_pp / (np.pi * (d * d + sigma_pp**2))
 
 
-@dataclass
-class TransitionTable:
-    """Energy/decay differences and operator elements between dressed levels.
+def lehmann_correlator(energies, operators, rho, omega, volume=1.0):
+    """Correlator matrices Pi_ij(omega) from the dressed-level resolvent sum.
 
-    ``energies`` are the complex level energies e_n = E_n - i*Sigma''_n;
-    ``operators`` is a sequence of operator matrices in the level basis.
-    E_nm = E_n - E_m is antisymmetric, Sigma''_nm = Sigma''_n + Sigma''_m
-    symmetric (and nonnegative when every level decays).
-    """
-
-    energies: np.ndarray
-    operators: tuple
-
-    def __post_init__(self):
-        self.energies = np.asarray(self.energies, dtype=complex)
-        self.operators = tuple(np.asarray(o, dtype=complex) for o in self.operators)
-        n = self.energies.shape[0]
-        for o in self.operators:
-            if o.shape != (n, n):
-                raise ValueError("operator matrices must match the level count")
-
-    @property
-    def e_diff(self):
-        e = np.real(self.energies)
-        return e[:, None] - e[None, :]
-
-    @property
-    def sigma_pp(self):
-        s = -np.imag(self.energies)
-        return s[:, None] + s[None, :]
-
-    @property
-    def sigma_p(self):
-        return np.zeros_like(self.e_diff)
-
-
-def lehmann_correlator(table: TransitionTable, rho, omega, volume=1.0):
-    """Correlator matrix Pi_ij(omega) from the dressed-level resolvent sum.
-
-    rho holds nonnegative diagonal occupation weights (trace one).  The
-    resolvent of the (n, m) transition is 1/(omega + E_nm + Sigma_nm) with
-    Sigma_nm = Sigma_n - Sigma_m^*; the overall sign is fixed so that the
-    absorptive part assembled from this correlator is positive semidefinite
-    for decaying levels (the load-bearing positivity condition).
+    The package's only evaluation of the resolvent sum
+    Pi_ij(omega) = sum_nm rho_n O^i_nm O^j_mn / (omega + E_nm - i S''_nm) / volume
+    with E_nm = E_n - E_m and S''_nm = S''_n + S''_m, batched over leading
+    axes: ``energies`` (..., N) holds the complex levels e_n = E_n - i S''_n,
+    ``operators`` (..., n_ops, N, N) the operator matrices in the level
+    basis and ``rho`` (..., N) nonnegative occupation weights of trace one.
+    The sign makes the absorptive part positive semidefinite for decaying
+    levels (the load-bearing positivity condition).  Returns shape
+    (..., *omega.shape, n_ops, n_ops).
 
     Raises PoleOnAxisError for an undamped transition hit exactly on
     resonance instead of silently regularizing.
     """
+    energies = np.asarray(energies, dtype=complex)
+    operators = np.asarray(operators, dtype=complex)
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0) or abs(rho.sum() - 1.0) > 1e-12:
+    n = energies.shape[-1]
+    if operators.ndim < 3 or operators.shape[-2:] != (n, n):
+        raise ValueError("operator matrices must match the level count")
+    if rho.shape[-1:] != (n,) or np.any(rho < 0) \
+            or np.any(np.abs(rho.sum(axis=-1) - 1.0) > 1e-12):
         raise ValueError("rho must be nonnegative diagonal weights with trace 1")
     omega = np.asarray(omega, dtype=float)
-    e = table.e_diff
-    sp = table.sigma_p
-    spp = table.sigma_pp
-    denom = omega[..., None, None] + e + sp - 1j * spp
-    on_axis = (spp == 0.0) & (np.abs(np.real(denom)) < 1e-12)
-    if np.any(on_axis):
+    e = np.real(energies)
+    s = -np.imag(energies)
+    e_nm = (e[..., :, None] - e[..., None, :])[..., None, :, :]
+    s_nm = (s[..., :, None] + s[..., None, :])[..., None, :, :]
+    denom = omega.reshape(-1)[:, None, None] + e_nm - 1j * s_nm
+    if np.any((s_nm == 0.0) & (np.abs(np.real(denom)) < 1e-12)):
         raise PoleOnAxisError(
             "undamped transition on resonance; an explicit i0+ prescription is required")
-    nops = len(table.operators)
-    out_shape = omega.shape + (nops, nops)
-    out = np.empty(out_shape, dtype=complex)
-    for i, o_i in enumerate(table.operators):
-        for j, o_j in enumerate(table.operators):
-            num = rho[:, None] * o_i * o_j.T  # rho_n O^i_nm O^j_mn
-            out[..., i, j] = np.sum(num / denom, axis=(-2, -1)) / volume
-    return out
+    # rho_n O^i_nm O^j_mn, contracted over (n, m) without an omega axis
+    num = (rho[..., None, None, :, None] * operators[..., :, None, :, :]
+           * np.swapaxes(operators, -1, -2)[..., None, :, :, :])
+    out = np.einsum("...wnm,...ijnm->...wij", np.reciprocal(denom, out=denom), num)
+    out /= volume
+    return out.reshape(out.shape[:-3] + omega.shape + out.shape[-2:])
 
 
 def absorptive_part(pi):
@@ -126,7 +97,7 @@ class ResponseSpectrum:
     """
 
     omegas: np.ndarray
-    pi: np.ndarray       # (n_omega, n_ops, n_ops) complex
+    pi: np.ndarray       # (..., n_omega, n_ops, n_ops) complex
     pi_abs: np.ndarray
 
     def __post_init__(self):
@@ -135,10 +106,10 @@ class ResponseSpectrum:
             raise ValueError("pi_abs must equal (pi - pi^dagger)/2i exactly")
 
 
-def response_spectrum(table: TransitionTable, rho, omegas, volume=1.0):
-    """Sampled correlator of a transition table over a frequency grid."""
+def response_spectrum(energies, operators, rho, omegas, volume=1.0):
+    """Sampled correlator over a frequency grid (batched like the kernel)."""
     omegas = np.asarray(omegas, dtype=float)
-    pi = lehmann_correlator(table, rho, omegas, volume=volume)
+    pi = lehmann_correlator(energies, operators, rho, omegas, volume=volume)
     return ResponseSpectrum(omegas=omegas, pi=pi, pi_abs=absorptive_part(pi))
 
 
@@ -312,32 +283,6 @@ def optical_weight_numeric(model: BlochModel, kx, ky, band="slowest", eta=1e-3,
     tr_base = base[..., 0, 0] + base[..., 1, 1]
     tr_coeff = coeff[..., 0, 0] + coeff[..., 1, 1]
     return tr_base + tr_coeff * np.log(eta), tr_coeff
-
-
-def optical_weight_quadrature(model: BlochModel, kx, ky, band="slowest", eta=1e-3,
-                              omega_max=None, h=FD_STEP):
-    """Adaptive quadrature of int_eta^inf Re tr sigma^reg(omega)/omega domega.
-
-    Scalar k.  Oracle for :func:`optical_weight_numeric`; Gauss-Kronrod
-    panels up to ``omega_max`` (resonances passed as break points), then an
-    open-ended tail.
-    """
-    band = _resolve_band(model, kx, ky, band)
-    f, hc, z, eig = _band_coefficients(model, float(kx), float(ky), band, h)
-    z = complex(z)
-    if abs(np.imag(z)) < 1e-12 * abs(z):
-        raise PoleOnAxisError("undamped transition: quadrature needs Im z != 0")
-    if omega_max is None:
-        omega_max = 50.0 * float(np.max(np.abs(eig.energies)))
-
-    def integrand(w):
-        s = _sigma_regular_from_fh(f, hc, z, w)
-        return np.real(s[..., 0, 0] + s[..., 1, 1]) / w
-
-    points = [p for p in (abs(np.real(z)), abs(z)) if eta < p < omega_max]
-    val, _ = integrate.quad(integrand, eta, omega_max, points=points, limit=400)
-    tail, _ = integrate.quad(integrand, omega_max, np.inf, limit=200)
-    return val + tail
 
 
 @dataclass

@@ -16,15 +16,14 @@ from nhgeo.bounds import (check_absorptive_psd, check_local_curvature_bound,
                           check_qgt_inequality)
 from nhgeo.cli import main as cli_main
 from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
-                            compute_geometry, finite_difference_qgt, qgt_ll, qgt_lr,
-                            qgt_rl_from_lr, qgt_rr, scan_geometry, velocity_matrices)
+                            compute_geometry, qgt_ll, qgt_lr, qgt_rl_from_lr, qgt_rr,
+                            scan_geometry, velocity_matrices)
 from nhgeo.lindblad import (bubble_matrix, decompose_antihermitian,
-                            effective_hamiltonian, keldysh_sigma,
-                            polarization_bubble_commuting,
-                            polarization_bubble_quadrature)
+                            effective_hamiltonian, keldysh_sigma)
 from nhgeo.models import SIGMA_Y, BlochModel, RMParams, bz_mesh
-from nhgeo.response import (optical_weight_bz, optical_weight_numeric,
-                            optical_weight_quadrature)
+from nhgeo.oracles import (finite_difference_qgt, optical_weight_quadrature,
+                           polarization_bubble_quadrature)
+from nhgeo.response import optical_weight_bz, optical_weight_numeric
 from nhgeo.spectra import eigensystem_general, eigensystem_two_band, gauge_rescale
 from nhgeo.topology import chern_from_curvature, chern_plaquette
 
@@ -256,7 +255,7 @@ def test_c11_bubble_equivalence():
     omegas = np.linspace(-4.0, 4.0, 50)
     worst = 0.0
     for w in omegas:
-        closed = polarization_bubble_commuting(energies, sx, sy, w)
+        closed = bubble_matrix(energies, (sx, sy), w)[0, 1]
         quad = polarization_bubble_quadrature(energies, sx, sy, w)
         worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-12))
     assert worst < 1e-6

@@ -11,7 +11,7 @@ from nhgeo.errors import BranchViolationError, NonFiniteError, NonHermitianInput
 from nhgeo.geometry import (anomalous_connection, qgt_ll, qgt_lr, qgt_rl_from_lr,
                             qgt_rr, scan_geometry, velocity_matrices)
 from nhgeo.models import BlochModel, RMParams
-from nhgeo.response import TransitionTable, absorptive_part, lehmann_correlator
+from nhgeo.response import absorptive_part, lehmann_correlator
 from nhgeo.spectra import eigensystem_general
 from nhgeo.topology import compute_chern
 
@@ -165,19 +165,19 @@ def test_chern_chain_negative_control(rm_model):
     assert not check_chern_chain(bad).passed
 
 
-def _toy_table(gain=False):
+def _toy_levels(gain=False):
+    """(energies, operators) of a two-level toy instance."""
     energies = np.array([1.0 - 0.2j, -1.0 - 0.3j])
     if gain:
         energies = np.array([1.0 + 0.4j, -1.0 - 0.3j])
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    return TransitionTable(energies=energies, operators=(sx, sy))
+    return energies, (sx, sy)
 
 
 def test_absorptive_psd_passes():
-    table = _toy_table()
     omegas = np.linspace(-4.0, 4.0, 61)
-    pi = lehmann_correlator(table, np.array([0.7, 0.3]), omegas)
+    pi = lehmann_correlator(*_toy_levels(), np.array([0.7, 0.3]), omegas)
     rep = check_absorptive_psd(omegas, absorptive_part(pi))
     assert rep.passed
     assert rep.worst_margin >= -1e-10
@@ -189,17 +189,15 @@ def test_absorptive_psd_passes():
 
 
 def test_absorptive_psd_gain_fails():
-    table = _toy_table(gain=True)
     omegas = np.linspace(-4.0, 4.0, 61)
-    pi = lehmann_correlator(table, np.array([0.7, 0.3]), omegas)
+    pi = lehmann_correlator(*_toy_levels(gain=True), np.array([0.7, 0.3]), omegas)
     rep = check_absorptive_psd(omegas, absorptive_part(pi))
     assert not rep.passed
 
 
 def test_absorptive_single_transition_rank_one():
-    table = _toy_table()
     omegas = np.array([0.9, 2.0])
-    pi = lehmann_correlator(table, np.array([1.0, 0.0]), omegas)
+    pi = lehmann_correlator(*_toy_levels(), np.array([1.0, 0.0]), omegas)
     pa = absorptive_part(pi)
     # one initial level, off-diagonal-only operators: exactly rank one
     dets = np.linalg.det(pa)

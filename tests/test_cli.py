@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,21 +52,52 @@ def test_cli_bad_config_exit_2(tmp_path):
     assert main(["scan", "--config", str(tmp_path / "missing.yaml")]) == 2
 
 
-@pytest.mark.parametrize("env, config", [
-    ({"NHGEO_THREADS": "x"}, {}),
-    ({"NHGEO_BAND": "2.5"}, {}),
-    ({}, {"response": {"eta": "abc"}}),
-    ({}, {"model": {"gamma": float("nan")}}),
-    ({}, {"model": {"family": "constant",
-                    "matrix": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]}}),
-], ids=["threads_env", "band_env", "eta_text", "gamma_nan", "three_band_constant"])
-def test_cli_scan_bad_input_exit_2(tmp_path, monkeypatch, env, config):
+THREE_BAND = {"family": "constant",
+              "matrix": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]}
+COMMANDS = ["scan", "chern", "bounds", "optical-weight", "lindblad-check"]
+
+
+@pytest.mark.parametrize("command, env, config", [
+    ("scan", {"NHGEO_THREADS": "x"}, {}),
+    ("scan", {"NHGEO_BAND": "2.5"}, {}),
+    ("scan", {}, {"response": {"eta": "abc"}}),
+    ("scan", {}, {"model": {"gamma": float("nan")}}),
+    ("scan", {}, {"model": THREE_BAND}),
+    ("lindblad-check", {}, {"response": {"omega_count": "abc"}}),
+    ("lindblad-check", {}, {"response": {"omega_max": float("inf")}}),
+    ("bounds", {}, {"response": {"k_samples": 0}}),
+    ("bounds", {}, {"response": {"beta": "hot"}}),
+], ids=["threads_env", "band_env", "eta_text", "gamma_nan", "three_band_constant",
+        "lindblad_omega_count_text", "lindblad_omega_max_inf", "bounds_k_samples_zero",
+        "bounds_beta_text"])
+def test_cli_scan_bad_input_exit_2(tmp_path, monkeypatch, command, env, config):
     for key, val in env.items():
         monkeypatch.setenv(key, val)
     cfg = _write(tmp_path, "bad.yaml", dict(config, grid={"nx": 8, "ny": 8}))
     out = tmp_path / "o"
-    assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
-    assert not (out / "geometry.csv").exists()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_three_band_model_exit_2(tmp_path, capsys, command):
+    # every command refuses an N != 2 model before any work
+    cfg = _write(tmp_path, "three.yaml", {"model": THREE_BAND})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "two-band" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    # scipy serves only the oracles; the command-line import path must not load it
+    code = "import sys, nhgeo.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_scan_deterministic(tmp_path):
@@ -144,6 +177,14 @@ def test_cli_bounds_tolerance_override(tmp_path):
                                         "response": {"k_samples": 4,
                                                      "omega_count": 11}})
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+
+def test_cli_bounds_thermal_occupation_low_temperature(tmp_path):
+    # exp(-beta E) overflows at this beta unless the weights are shifted
+    cfg = _write(tmp_path, "beta.yaml", {"grid": {"nx": 16, "ny": 16},
+                                         "response": {"beta": 2000.0, "k_samples": 4,
+                                                      "omega_count": 11}})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_cli_bounds_gain_flip_exit_4(tmp_path):

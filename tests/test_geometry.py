@@ -7,10 +7,9 @@ from conftest import (hermitian_qgt, locked_fd_qgt_general, locked_fd_ray_qgt_ge
 from nhgeo.errors import ExceptionalPointError
 from nhgeo.models import BlochModel, bz_mesh
 from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
-                            berry_curvature_lr, compute_geometry,
-                            finite_difference_connection, finite_difference_qgt,
-                            qgt_ll, qgt_lr, qgt_rl_from_lr, qgt_rr, scan_geometry,
-                            velocity_matrices)
+                            berry_curvature_lr, compute_geometry, qgt_ll, qgt_lr,
+                            qgt_rl_from_lr, qgt_rr, scan_geometry, velocity_matrices)
+from nhgeo.oracles import finite_difference_connection, finite_difference_qgt
 from nhgeo.spectra import eigensystem_general, eigensystem_two_band, gauge_rescale
 
 SAMPLE_K = [(np.pi / 2, np.pi / 2), (0.7, -1.3), (-2.1, 0.4), (1.9, 2.5)]

@@ -3,17 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from nhgeo.errors import (CommutatorViolationError, NonHermitianTargetError,
-                          NonIntegrableError, ProportionalityError)
+                          NonIntegrableError, PoleOnAxisError, ProportionalityError)
 from nhgeo.models import SIGMA_Y, SIGMA_Z
-from nhgeo.lindblad import (JumpSpec, KeldyshSet, bubble_h, bubble_h_quadrature,
-                            bubble_matrix,
+from nhgeo.lindblad import (JumpSpec, KeldyshSet, bubble_h, bubble_matrix,
                             bubble_positivity, decompose_antihermitian,
-                            effective_hamiltonian, full_response,
-                            keldysh_green, keldysh_sigma, lindbladian_matrix,
-                            m_matrix,
-                            polarization_bubble_commuting,
-                            polarization_bubble_quadrature,
-                            response_vector_jump)
+                            effective_hamiltonian, keldysh_green, keldysh_sigma,
+                            m_matrix)
+from nhgeo.oracles import bubble_h_quadrature, polarization_bubble_quadrature
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = SIGMA_Y
@@ -129,16 +125,6 @@ def test_keldysh_green_commutator_guard():
     keldysh_green(SIGMA_Z.astype(complex), 1j * SIGMA_Z, 0.3, mode="projected")
 
 
-def test_lindbladian_matrix_blocks():
-    h = np.array([[1.0, 0.5], [0.0, -1.0]], dtype=complex)
-    sk = 1j * SIGMA_Y
-    lmat = lindbladian_matrix(h, sk)
-    npt.assert_allclose(lmat[:2, :2], h)
-    npt.assert_allclose(lmat[:2, 2:], sk)
-    npt.assert_allclose(lmat[2:, :2], 0.0)
-    npt.assert_allclose(lmat[2:, 2:], -h.T)
-
-
 # -- Keldysh bubbles ----------------------------------------------------------
 
 EPS = np.array([0.8 - 0.25j, -0.6 - 0.4j])
@@ -173,6 +159,12 @@ def test_bubble_positivity_scan_and_gain_flip():
     assert min(vals) < 0.0
 
 
+def test_bubble_matrix_pole_on_axis():
+    # undamped levels hit on resonance: a typed error, not nan
+    with pytest.raises(PoleOnAxisError):
+        bubble_matrix(np.array([1.0, -1.0]), (SX,), 2.0)
+
+
 def test_bubble_requires_decay():
     with pytest.raises(NonIntegrableError):
         bubble_h(EPS[0], 1.0 + 0.0j, 0.5)
@@ -180,7 +172,7 @@ def test_bubble_requires_decay():
 
 def test_polarization_closed_vs_quadrature():
     for omega in (0.0, 0.8, 2.3):
-        closed = polarization_bubble_commuting(EPS, SX, SY, omega)
+        closed = bubble_matrix(EPS, (SX, SY), omega)[0, 1]
         quad = polarization_bubble_quadrature(EPS, SX, SY, omega)
         assert abs(closed - quad) / max(abs(closed), 1e-12) < 1e-6
 
@@ -191,8 +183,8 @@ def test_polarization_absorptive_is_lorentzian():
     e = np.real(EPS)
     s = -np.imag(EPS)
     for ops in ((SX, SX), (SX, SY)):
-        p_ij = polarization_bubble_commuting(EPS, ops[0], ops[1], omega)
-        p_ji = polarization_bubble_commuting(EPS, ops[1], ops[0], omega)
+        pi = bubble_matrix(EPS, ops, omega)
+        p_ij, p_ji = pi[0, 1], pi[1, 0]
         pabs = (p_ij - np.conj(p_ji)) / 2j
         direct = 0.0 + 0.0j
         for n in range(2):
@@ -206,7 +198,7 @@ def test_polarization_absorptive_is_lorentzian():
 def test_polarization_identity_operator_diagonal():
     # O = 1 keeps only the n = m terms
     omega = 0.6
-    full = polarization_bubble_commuting(EPS, np.eye(2), np.eye(2), omega)
+    full = bubble_matrix(EPS, (np.eye(2),), omega)[0, 0]
     e = np.real(EPS)
     s = -np.imag(EPS)
     diag = sum(-0.5 / (0.0 - omega + 2j * s[n]) for n in range(2))
@@ -231,14 +223,16 @@ def test_bubble_absorptive_psd_and_gain_control():
 
 def test_full_response_is_reactive():
     # the omega-symmetrized combination has no absorptive part left
-    pi = full_response(EPS, (SX, SY), 0.9)
+    pi = bubble_matrix(EPS, (SX, SY), 0.9) + np.conj(bubble_matrix(EPS, (SX, SY), -0.9))
     npt.assert_allclose(pi, pi.conj().T, atol=1e-13)
 
 
 def test_vector_jump_reduces_to_commuting():
+    # (1/2) sum_nm O^i_nm O^j_mn / (eps_n^* - eps_m - Omega) is the sign=-1 bubble
     for omega in (0.0, 1.1):
-        vj = response_vector_jump(EPS, SX, SY, omega)
-        closed = polarization_bubble_commuting(EPS, SX, SY, omega, sign=-1)
+        vj = 0.5 * sum(SX[n, m] * SY[m, n] / (np.conj(EPS[n]) - EPS[m] - omega)
+                       for n in range(2) for m in range(2))
+        closed = bubble_matrix(EPS, (SX, SY), omega, sign=-1)[0, 1]
         npt.assert_allclose(vj, closed, atol=1e-13)
 
 
@@ -247,7 +241,7 @@ def test_vector_jump_hermitian_limit():
     tiny = 1e-6
     eps = np.array([0.8 - 1j * tiny, -0.6 - 1j * tiny])
     omega = 0.3
-    vj = response_vector_jump(eps, SX, SY, omega)
+    vj = bubble_matrix(eps, (SX, SY), omega, sign=-1)[0, 1]
     e = np.real(eps)
     direct = 0.5 * sum(SX[n, m] * SY[m, n] / (e[n] - e[m] - omega + 2j * tiny)
                        for n in range(2) for m in range(2))
@@ -268,9 +262,7 @@ def test_vector_jump_on_dissipative_lattice_model():
     assert np.all(np.imag(eig.energies) <= 1e-12)  # regularizer: all decay
     ops = [matrix_elements(eig.left, model.derivative(kx, ky, ax), eig.right)
            for ax in (0, 1)]
-    sweep = [response_vector_jump(eig.energies, ops[0], ops[1], w)
-             for w in np.linspace(-6, 6, 121)]
-    sweep = np.array(sweep)
+    sweep = bubble_matrix(eig.energies, ops, np.linspace(-6, 6, 121), sign=-1)[:, 0, 1]
     assert np.all(np.isfinite(sweep))
     assert np.max(np.abs(np.diff(sweep))) < 0.5  # smooth, no near-axis poles
 
@@ -282,5 +274,5 @@ def test_vector_jump_poles_off_axis(rng):
     denoms = np.conj(eps)[:, None] - eps[None, :]
     min_im = np.min(np.abs(np.imag(denoms)))
     assert min_im >= 2 * 0.25 - 1e-12
-    vals = [response_vector_jump(eps, SX, SY, w) for w in omegas]
+    vals = bubble_matrix(eps, (SX, SY), omegas, sign=-1)[:, 0, 1]
     assert np.all(np.isfinite(vals))

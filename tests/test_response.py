@@ -7,20 +7,19 @@ from conftest import hermitian_kubo_sigma, hermitian_qgt, smooth_gauge
 from nhgeo.errors import BranchViolationError, PoleOnAxisError
 from nhgeo.geometry import anomalous_connection, qgt_rr, velocity_matrices
 from nhgeo.models import BlochModel, RMParams
-from nhgeo.response import (TransitionTable, absorptive_part,
-                            conductivity_wavepacket, drude_coefficient,
-                            interband_fh, lehmann_correlator, lorentzian_kernel,
-                            lower_branch_arg, optical_weight_bz,
-                            optical_weight_numeric, optical_weight_quadrature)
+from nhgeo.oracles import optical_weight_quadrature
+from nhgeo.response import (absorptive_part, conductivity_wavepacket,
+                            drude_coefficient, interband_fh, lehmann_correlator,
+                            lorentzian_kernel, lower_branch_arg, optical_weight_bz,
+                            optical_weight_numeric)
 from nhgeo.spectra import eigensystem_two_band, matrix_elements
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
-def _toy_table():
-    return TransitionTable(energies=np.array([1.0 - 0.2j, -1.0 - 0.3j]),
-                           operators=(SX, SY))
+TOY_ENERGIES = np.array([1.0 - 0.2j, -1.0 - 0.3j])
+TOY_OPS = (SX, SY)
 
 
 # -- Lorentzian kernel --------------------------------------------------------
@@ -44,10 +43,9 @@ def test_lorentzian_sign_inversion():
 
 def test_lehmann_single_transition_value():
     # one initial level, off-resonance: a single resolvent term per operator pair
-    table = _toy_table()
     rho = np.array([1.0, 0.0])
     omega = np.array([5.0])
-    pi = lehmann_correlator(table, rho, omega)
+    pi = lehmann_correlator(TOY_ENERGIES, TOY_OPS, rho, omega)
     e_nm = 2.0
     s_nm = 0.5
     expected = SX[0, 1] * SX[1, 0] / (5.0 + e_nm - 1j * s_nm) \
@@ -57,40 +55,60 @@ def test_lehmann_single_transition_value():
 
 def test_lehmann_absorptive_is_lorentzian_sum():
     # v* Pi^abs v must equal pi * sum_nm rho_n |O_mn . v|^2 L_nm(omega)
-    table = _toy_table()
     rho = np.array([0.6, 0.4])
     omegas = np.linspace(-4, 4, 41)
-    pi = lehmann_correlator(table, rho, omegas)
+    pi = lehmann_correlator(TOY_ENERGIES, TOY_OPS, rho, omegas)
     pa = absorptive_part(pi)
     rng = np.random.default_rng(5)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     quad_form = np.real(np.einsum("i,wij,j->w", np.conj(v), pa, v))
     direct = np.zeros_like(omegas)
-    ops = table.operators
+    ops = TOY_OPS
+    e, s = np.real(TOY_ENERGIES), -np.imag(TOY_ENERGIES)
     for n in range(2):
         for m in range(2):
             ov = ops[0][m, n] * v[0] + ops[1][m, n] * v[1]
-            kern = lorentzian_kernel(table.e_diff[n, m], 0.0,
-                                     table.sigma_pp[n, m], omegas)
+            kern = lorentzian_kernel(e[n] - e[m], 0.0, s[n] + s[m], omegas)
             direct += np.pi * rho[n] * abs(ov) ** 2 * kern
     npt.assert_allclose(quad_form, direct, atol=1e-12)
 
 
 def test_lehmann_pole_on_axis():
-    table = TransitionTable(energies=np.array([1.0 + 0j, -1.0 + 0j]),
-                            operators=(SX,))
     with pytest.raises(PoleOnAxisError):
-        lehmann_correlator(table, np.array([1.0, 0.0]), np.array([-2.0]))
+        lehmann_correlator(np.array([1.0 + 0j, -1.0 + 0j]), (SX,),
+                           np.array([1.0, 0.0]), np.array([-2.0]))
+
+
+def test_lehmann_batched_matches_slices(rng):
+    # a (k, N) stack in one call equals the per-slice calls
+    n_k, n = 5, 3
+    energies = rng.normal(size=(n_k, n)) - 1j * rng.uniform(0.1, 0.5, size=(n_k, n))
+    ops = rng.normal(size=(n_k, 2, n, n)) + 1j * rng.normal(size=(n_k, 2, n, n))
+    rho = rng.uniform(size=(n_k, n))
+    rho /= rho.sum(axis=-1, keepdims=True)
+    omegas = np.linspace(-3.0, 3.0, 7)
+    batched = lehmann_correlator(energies, ops, rho, omegas)
+    assert batched.shape == (n_k, 7, 2, 2)
+    for k in range(n_k):
+        npt.assert_allclose(batched[k], lehmann_correlator(energies[k], ops[k], rho[k], omegas),
+                            rtol=1e-13, atol=1e-15)
+    # one undamped slice on resonance fails the whole stack
+    energies[3] = [1.0, -1.0, 0.5]
+    with pytest.raises(PoleOnAxisError):
+        lehmann_correlator(energies, ops, rho, np.array([2.0]))
+    with pytest.raises(ValueError):
+        lehmann_correlator(energies, ops[..., :2, :2], rho, omegas)
+    with pytest.raises(ValueError):
+        lehmann_correlator(energies, ops, 2.0 * rho, omegas)
 
 
 def test_kramers_kronig_single_lorentzian():
     # analytic in the lower half-plane: Re Pi(w0) = -(1/pi) PV int Im Pi/(w - w0)
-    table = TransitionTable(energies=np.array([0.5 - 0.3j, -0.5 - 0.2j]),
-                            operators=(SX,))
+    energies = np.array([0.5 - 0.3j, -0.5 - 0.2j])
     rho = np.array([1.0, 0.0])
 
     def pi_of(w):
-        return lehmann_correlator(table, rho, np.atleast_1d(w))[0, 0, 0]
+        return lehmann_correlator(energies, (SX,), rho, np.atleast_1d(w))[0, 0, 0]
 
     w0 = 0.8
     val, _ = integrate.quad(lambda w: np.imag(pi_of(w)), -80.0, 80.0,
@@ -103,9 +121,8 @@ def test_kramers_kronig_single_lorentzian():
 
 def test_response_spectrum_container():
     from nhgeo.response import ResponseSpectrum, response_spectrum
-    table = _toy_table()
     omegas = np.linspace(-2.0, 2.0, 11)
-    spec = response_spectrum(table, np.array([1.0, 0.0]), omegas)
+    spec = response_spectrum(TOY_ENERGIES, TOY_OPS, np.array([1.0, 0.0]), omegas)
     npt.assert_array_equal(spec.pi_abs, absorptive_part(spec.pi))
     with pytest.raises(ValueError):
         ResponseSpectrum(omegas=omegas, pi=spec.pi, pi_abs=spec.pi_abs + 1e-3)

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import smooth_gauge
 from nhgeo.errors import BoundViolationError, LinkCollapseError
-from nhgeo.geometry import finite_difference_qgt, scan_geometry
+from nhgeo.geometry import scan_geometry
 from nhgeo.models import BlochModel, RMParams
+from nhgeo.oracles import finite_difference_qgt
 from nhgeo.topology import (bound_integrals, chern_from_curvature,
                             chern_plaquette, compute_chern)
 
