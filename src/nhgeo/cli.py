@@ -23,7 +23,6 @@ from . import lindblad, response, serialize, topology
 from .errors import ConfigError, NHGeoError
 from .geometry import scan_geometry
 from .models import BlochModel, bz_mesh, model_from_config
-from .response import response_spectrum
 
 DEFAULT_CONFIG = {
     "model": {"family": "rice_mele", "t": 1.0, "delta": 1.0, "Delta": 1.0,
@@ -37,7 +36,7 @@ DEFAULT_CONFIG = {
                  "k_samples": 16, "beta": None},
     "sweep": {"Gamma": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]},
     "chern": {"curvature_grid": 201},
-    "tolerances": {},
+    "tolerances": {"bound": 1e-9, "psd": 1e-12, "qgt": 1e-10},
 }
 
 
@@ -123,8 +122,9 @@ def _number(value, name):
 
 
 def _validate(cfg):
-    """Check the entries the commands read; grid, threads, band and the
-    response counts become ints, the other response entries floats."""
+    """Check the entries the commands read; grid, threads, band, the
+    response counts and chern.curvature_grid become ints, the other
+    response entries and the tolerances floats."""
     grid = cfg.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("grid must be a mapping with nx and ny")
@@ -151,6 +151,20 @@ def _validate(cfg):
     cfg["band"] = _integer(cfg.get("band", 0), "band")
     if cfg["band"] not in (0, 1):
         raise ConfigError("band must be 0 or 1")
+    chern = cfg.get("chern")
+    if not isinstance(chern, dict):
+        raise ConfigError("chern must be a mapping")
+    chern["curvature_grid"] = _integer(chern.get("curvature_grid"),
+                                       "chern.curvature_grid")
+    if chern["curvature_grid"] < 8:
+        raise ConfigError("chern.curvature_grid must be at least 8")
+    tol = cfg.get("tolerances")
+    if not isinstance(tol, dict):
+        raise ConfigError("tolerances must be a mapping")
+    for key in ("bound", "psd", "qgt"):
+        tol[key] = _number(tol.get(key), f"tolerances.{key}")
+        if tol[key] < 0.0:
+            raise ConfigError(f"tolerances.{key} must be >= 0")
 
 
 def _ensure_outdir(cfg):
@@ -200,7 +214,7 @@ def cmd_chern(cfg):
     t0 = time.monotonic()
     result = topology.compute_chern(
         model, band=cfg["band"], n_plaquette=cfg["grid"]["nx"],
-        n_curvature=int(cfg["chern"]["curvature_grid"]), workers=cfg["threads"])
+        n_curvature=cfg["chern"]["curvature_grid"], workers=cfg["threads"])
     chain = bounds_mod.check_chern_chain(result)
     serialize.write_report_json(
         os.path.join(out, "chern.json"),
@@ -227,7 +241,8 @@ def cmd_chern(cfg):
 def _absorptive_stack(cfg, model):
     """Uniform-decay commuting instance: dressed levels of the Hermitian
     part plus a flat bath of rate gamma/2, current operators as elements.
-    The whole k-sample mesh goes through one batched response_spectrum."""
+    The k-sample mean of the correlator is accumulated one kx row at a
+    time; its absorptive part is that of the mean (the map is linear)."""
     rsp = cfg["response"]
     nx = min(cfg["grid"]["nx"], rsp["k_samples"])
     kxg, kyg = bz_mesh(nx, nx)
@@ -248,31 +263,31 @@ def _absorptive_stack(cfg, model):
         x = -rsp["beta"] * evals
         w = np.exp(x - x.max(axis=-1, keepdims=True))  # no overflow at any beta
         rho = w / w.sum(axis=-1, keepdims=True)
-    pi_abs = response_spectrum(evals - 1j * rate, ops, rho, omegas).pi_abs
-    return omegas, np.sum(pi_abs, axis=(0, 1)) / (nx * nx)
+    energies = evals - 1j * rate
+    rho = np.broadcast_to(rho, evals.shape)
+    pi = 0.0
+    for i in range(nx):
+        pi = pi + np.sum(response.lehmann_correlator(energies[i], ops[i], rho[i], omegas),
+                         axis=0)
+    return omegas, response.absorptive_part(pi / (nx * nx))
 
 
 def cmd_bounds(cfg):
     model = _model(cfg["model"])
     out = _ensure_outdir(cfg)
     t0 = time.monotonic()
-    tol = cfg.get("tolerances", {}) or {}
-    tol_bound = float(tol.get("bound", 1e-9))
-    tol_psd = float(tol.get("psd", 1e-12))
-    tol_qgt = float(tol.get("qgt", 1e-10))
+    tol = cfg["tolerances"]
     reports = []
 
     grid = scan_geometry(model, band=cfg["band"], nx=cfg["grid"]["nx"],
                          ny=cfg["grid"]["ny"], workers=cfg["threads"])
-    reports.append(bounds_mod.check_local_curvature_bound(grid, tolerance=tol_bound))
-    reports.append(bounds_mod.check_qgt_inequality(grid, tolerance=tol_qgt))
-    reports.append(bounds_mod.check_psd(grid.qgt_rr, name="PSD_RR", tolerance=tol_psd))
-    reports.append(bounds_mod.check_psd(grid.qgt_ll, name="PSD_LL", tolerance=tol_psd))
+    reports.append(bounds_mod.check_local_curvature_bound(grid, tolerance=tol["bound"]))
+    reports.append(bounds_mod.check_qgt_inequality(grid, tolerance=tol["qgt"]))
+    reports.append(bounds_mod.check_psd(grid.qgt_rr, name="PSD_RR", tolerance=tol["psd"]))
+    reports.append(bounds_mod.check_psd(grid.qgt_ll, name="PSD_LL", tolerance=tol["psd"]))
 
     chern = topology.compute_chern(model, band=cfg["band"],
-                                   n_plaquette=cfg["grid"]["nx"],
-                                   n_curvature=cfg["grid"]["nx"],
-                                   workers=cfg["threads"])
+                                   n_plaquette=cfg["grid"]["nx"], grid=grid)
     reports.append(bounds_mod.check_chern_chain(chern))
 
     weight = response.optical_weight_bz(model, band="slowest",
@@ -340,11 +355,11 @@ def cmd_optical_weight(cfg, quadrature=False):
         print(f"Gamma={g_val}: weight/2pi={res.bound_trace/(2*np.pi):+.6f} "
               f"bound={(np.pi+res.arg_infimum)*abs(chern):+.6f} "
               f"margin={rep.margin[0]:+.6f}")
-    serialize.write_csv(os.path.join(out, "optical_weight.csv"), header, rows)
+    table = np.array(rows, dtype=float)
+    serialize.write_csv(os.path.join(out, "optical_weight.csv"), header, table)
     serialize.write_report_json(
         os.path.join(out, "optical_weight.json"),
-        {"kind": "optical_weight_sweep", "columns": header,
-         "rows": [[float(x) for x in row] for row in rows]},
+        {"kind": "optical_weight_sweep", "columns": header, "rows": table.tolist()},
         config=cfg)
     return 0 if all_pass else 4
 
@@ -425,7 +440,7 @@ def main(argv=None):
     parser.add_argument("--config", help="YAML run configuration")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--grid", help="grid size, e.g. 64x64 or 64")
-    parser.add_argument("--threads", type=int, help="parallel row workers")
+    parser.add_argument("--threads", type=int, help="mesh-chunk worker threads")
     parser.add_argument("--band", type=int, help="band index")
     parser.add_argument("--quadrature", action="store_true",
                         help="add the slow adaptive-quadrature column to the sweep")

@@ -34,6 +34,10 @@ LOCK_MIN_OVERLAP = 0.5
 
 CURVATURE_IMAG_TOL = 1e-9
 
+#: mesh points per batched scan chunk (whole kx rows); small enough that a
+#: chunk's temporaries stay a few MB
+CHUNK_POINTS = 2048
+
 
 def velocity_matrices(eig: Eigensystem, dhx, dhy):
     """V[..., mu, n, m] = <L_n|d_mu H|R_m>, shape (..., 2, N, N).
@@ -202,58 +206,44 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
                   workers=1, ordering="branch"):
     """GeometryGrid over the uniform [-pi, pi)^2 mesh.
 
-    Rows (fixed kx index) are computed independently and written into
-    preallocated arrays, so the result is identical for any ``workers``.
-    Exceptional points are collected and reported with their coordinates.
-    Bands carry the k-smooth branch labels by default (integer topology
-    requires a labeling that is continuous across the zone).
+    The mesh is cut into chunks of whole kx rows, about CHUNK_POINTS points
+    each; ``workers`` threads solve one chunk per batched call and write it
+    into preallocated arrays.  Chunk bounds depend on (nx, ny) only, so the
+    result is identical for any ``workers``.  Exceptional points of every
+    chunk are collected and reported once with their coordinates.  Bands
+    carry the k-smooth branch labels by default (integer topology requires
+    a labeling that is continuous across the zone).
     """
     if model.dimension != 2:
         raise ConfigError("grid scans support two-band models only")
     ny = nx if ny is None else ny
     kxg, kyg = bz_mesh(nx, ny)
-    out = GeometryGrid(
-        kx=kxg, ky=kyg, band=band,
-        qgt_lr=np.full((nx, ny, 2, 2), np.nan, dtype=complex),
-        qgt_rl=np.full((nx, ny, 2, 2), np.nan, dtype=complex),
-        qgt_rr=np.full((nx, ny, 2, 2), np.nan, dtype=complex),
-        qgt_ll=np.full((nx, ny, 2, 2), np.nan, dtype=complex),
-        anomalous_r=np.full((nx, ny, 2), np.nan, dtype=complex),
-        anomalous_l=np.full((nx, ny, 2), np.nan, dtype=complex),
-        curvature_lr=np.full((nx, ny), np.nan, dtype=complex),
-        norm_product=np.full((nx, ny), np.nan),
-    )
-    bad_points = []
+    fields = {"qgt_lr": (2, 2), "qgt_rl": (2, 2), "qgt_rr": (2, 2), "qgt_ll": (2, 2),
+              "anomalous_r": (2,), "anomalous_l": (2,), "curvature_lr": ()}
+    out = GeometryGrid(kx=kxg, ky=kyg, band=band, norm_product=np.full((nx, ny), np.nan),
+                       **{name: np.full((nx, ny) + tail, np.nan, dtype=complex)
+                          for name, tail in fields.items()})
+    rows = max(1, CHUNK_POINTS // ny)
 
-    def do_row(i):
-        kxr, kyr = kxg[i], kyg[i]
+    def do_chunk(i0):
+        rng = slice(i0, i0 + rows)
+        kxr, kyr = kxg[rng], kyg[rng]
         try:
             eig = eigensystem_two_band(model.hamiltonian(kxr, kyr), ordering=ordering)
         except ExceptionalPointError as exc:
-            for (j,) in np.asarray(exc.points).reshape(-1, 1):
-                bad_points.append((float(kxr[j]), float(kyr[j])))
-            return
-        dhx = model.derivative(kxr, kyr, 0)
-        dhy = model.derivative(kxr, kyr, 1)
-        q_lr, q_rl, q_rr, q_ll, a_r, a_l, curv = compute_geometry(
-            eig, dhx, dhy, band=band, occupied=occupied)
-        out.qgt_lr[i] = q_lr
-        out.qgt_rl[i] = q_rl
-        out.qgt_rr[i] = q_rr
-        out.qgt_ll[i] = q_ll
-        out.anomalous_r[i] = a_r
-        out.anomalous_l[i] = a_l
-        out.curvature_lr[i] = curv
-        out.norm_product[i] = eig.norm_product(band)
+            return [(float(kxr[i, j]), float(kyr[i, j])) for i, j in exc.points]
+        values = compute_geometry(eig, model.derivative(kxr, kyr, 0),
+                                  model.derivative(kxr, kyr, 1),
+                                  band=band, occupied=occupied)
+        for name, value in zip(fields, values):
+            getattr(out, name)[rng] = value
+        out.norm_product[rng] = eig.norm_product(band)
+        return []
 
-    if workers <= 1:
-        for i in range(nx):
-            do_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do_row, range(nx)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        bad_points = sorted(pt for pts in pool.map(do_chunk, range(0, nx, rows))
+                            for pt in pts)
     if bad_points:
-        bad_points.sort()
         raise ExceptionalPointError(
             f"{len(bad_points)} exceptional point(s) on the mesh", points=bad_points)
     return out

@@ -115,7 +115,8 @@ def response_spectrum(energies, operators, rho, omegas, volume=1.0):
 
 # -- interband coefficients of the wave-packet conductivity -------------------
 
-def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
+def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None,
+                 return_center=False):
     """Coefficients f_{mu nu} and h_{mu nu} of the interband response, batched.
 
     Two-band only.  All inner products are evaluated from the resolvent
@@ -126,7 +127,8 @@ def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
     cancel.
 
     Returns (f, h_coef) of shape (..., 2, 2, 2) in (band n, mu, nu); the
-    other band m = 1 - n is the transition partner.
+    other band m = 1 - n is the transition partner.  ``return_center=True``
+    appends the stencil's center eigensystem and its velocity matrices.
     """
     if model.dimension != 2:
         raise ValueError("interband coefficients implemented for two bands")
@@ -170,6 +172,8 @@ def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
                                      ) / (2.0 * i_nn)
                 h_coef[..., n, mu, nu] = (i_nm / (2.0 * i_nn)) * g[..., nu] \
                     * (vel[..., mu, n] - vel[..., mu, m])
+    if return_center:
+        return f, h_coef, center, v
     return f, h_coef
 
 
@@ -199,10 +203,7 @@ def drude_coefficient(model: BlochModel, kx, ky, band=0, h=1e-4):
 
 def _band_coefficients(model, kx, ky, band, h):
     """(f, h_coef, z, center) of one branch band; z = e_other - e_band."""
-    f, hc = interband_fh(model, kx, ky, h=h)
-    eig = eigensystem_two_band(model.hamiltonian(np.asarray(kx, dtype=float),
-                                                 np.asarray(ky, dtype=float)),
-                               ordering="branch")
+    f, hc, eig, _ = interband_fh(model, kx, ky, h=h, return_center=True)
     z = eig.energies[..., 1 - band] - eig.energies[..., band]
     return f[..., band, :, :], hc[..., band, :, :], z, eig
 
@@ -323,13 +324,8 @@ def optical_weight_bz(model: BlochModel, band="slowest", n_grid=48, eta=1e-3,
     with grid refinement while the selected band stays k-smooth.
     """
     kxg, kyg = bz_mesh(n_grid, n_grid)
-    eig = eigensystem_two_band(model.hamiltonian(kxg, kyg), ordering="branch")
-    dhx = model.derivative(kxg, kyg, 0)
-    dhy = model.derivative(kxg, kyg, 1)
     area = (2.0 * np.pi / n_grid) ** 2
-
-    f_all, hc_all = interband_fh(model, kxg, kyg, h=h)
-    v = velocity_matrices(eig, dhx, dhy)
+    f_all, hc_all, eig, v = interband_fh(model, kxg, kyg, h=h, return_center=True)
     per_band = {}
     for b in (0, 1):
         z = eig.energies[..., 1 - b] - eig.energies[..., b]

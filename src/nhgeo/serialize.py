@@ -14,18 +14,25 @@ import numpy as np
 
 SCHEMA_VERSION = 1
 
-
-def fmt(x):
-    """17-significant-digit decimal form (lossless for doubles)."""
-    return f"{float(x):.17g}"
+#: rows formatted per string operation; bounds the transient text to a few MB
+_CSV_BLOCK = 2048
 
 
-def write_csv(path, header, rows):
-    """Write rows of floats with a header; deterministic byte output."""
+def write_csv(path, header, table):
+    """Write a 2-D float table with a header; deterministic byte output.
+
+    Each value is printed "%.17g" (the bytes of f"{x:.17g}"), one string
+    operation per block of rows.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"table shape {table.shape} does not fit {len(header)} columns")
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+        for i in range(0, table.shape[0], _CSV_BLOCK):
+            block = table[i:i + _CSV_BLOCK]
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def geometry_csv_header():
@@ -41,44 +48,24 @@ def geometry_csv_header():
     return header
 
 
-def geometry_grid_rows(grid):
-    """Row-major (kx, ky) rows with Re/Im of every tensor component."""
-    nx, ny = grid.shape
-    for i in range(nx):
-        for j in range(ny):
-            row = [grid.kx[i, j], grid.ky[i, j]]
-            for tensor in (grid.qgt_lr, grid.qgt_rl, grid.qgt_rr, grid.qgt_ll):
-                for mu in range(2):
-                    for nu in range(2):
-                        v = tensor[i, j, mu, nu]
-                        row += [v.real, v.imag]
-            for vec in (grid.anomalous_r, grid.anomalous_l):
-                for mu in range(2):
-                    v = vec[i, j, mu]
-                    row += [v.real, v.imag]
-            row += [grid.curvature_lr[i, j].real, grid.curvature_lr[i, j].imag,
-                    grid.norm_product[i, j]]
-            yield row
-
-
 def write_geometry_csv(path, grid):
-    write_csv(path, geometry_csv_header(), geometry_grid_rows(grid))
+    """Row-major (kx, ky) rows with Re/Im of every tensor component."""
+    n = grid.kx.size
+    cols = [grid.kx, grid.ky, grid.qgt_lr, grid.qgt_rl, grid.qgt_rr, grid.qgt_ll,
+            grid.anomalous_r, grid.anomalous_l, grid.curvature_lr, grid.norm_product]
+    # a complex array viewed as float interleaves (re, im) per component
+    table = np.concatenate([np.ascontiguousarray(c).view(float).reshape(n, -1)
+                            for c in cols], axis=1)
+    write_csv(path, geometry_csv_header(), table)
 
 
 def write_bound_csv(path, report):
     """Per-point margin table of one bound report."""
-    labels = np.atleast_2d(np.asarray(report.labels, dtype=float))
-    if labels.shape[0] != report.lhs.shape[0]:
-        labels = labels.T if labels.shape[1] == report.lhs.shape[0] else labels
-    ncol = labels.shape[1] if labels.ndim == 2 else 1
-    header = [f"label{i}" for i in range(ncol)] + ["lhs", "rhs", "margin"]
-    rows = []
-    for idx in range(report.lhs.shape[0]):
-        lab = labels[idx] if labels.ndim == 2 else [labels[idx]]
-        rows.append(list(np.atleast_1d(lab)) + [report.lhs[idx],
-                                                report.rhs[idx],
-                                                report.margin[idx]])
-    write_csv(path, header, rows)
+    n = report.lhs.shape[0]
+    labels = np.asarray(report.labels, dtype=float).reshape(n, -1)
+    header = [f"label{i}" for i in range(labels.shape[1])] + ["lhs", "rhs", "margin"]
+    write_csv(path, header, np.column_stack([labels, report.lhs, report.rhs,
+                                             report.margin]))
 
 
 def _to_jsonable(obj):

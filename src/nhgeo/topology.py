@@ -115,12 +115,17 @@ def bound_integrals(grid: GeometryGrid, tol_scale=1e-9):
 
 
 def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201,
-                  workers=1):
+                  workers=1, grid=None):
     """ChernResult combining the plaquette integer, the curvature sum and
-    the integrated bound chain 2*pi*|C| <= int|F| <= int(|Q|+|Q|)."""
+    the integrated bound chain 2*pi*|C| <= int|F| <= int(|Q|+|Q|).
+
+    ``grid``, an already scanned GeometryGrid of ``band``, replaces the
+    n_curvature^2 scan.
+    """
     c_pl, residue = chern_plaquette(model, band=band, n_grid=n_plaquette,
                                     return_residue=True)
-    grid = scan_geometry(model, band=band, nx=n_curvature, workers=workers)
+    if grid is None:
+        grid = scan_geometry(model, band=band, nx=n_curvature, workers=workers)
     c_cv = chern_from_curvature(grid)
     abs_f, qgt_b = bound_integrals(grid)
     return ChernResult(
@@ -129,7 +134,7 @@ def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201,
         curvature_abs_integral=abs_f,
         qgt_bound_integral=qgt_b,
         grid_plaquette=n_plaquette,
-        grid_curvature=n_curvature,
+        grid_curvature=grid.shape[0],
         band=band,
         plaquette_residue=residue,
     )

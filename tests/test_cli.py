@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 import yaml
 
+from nhgeo import cli, geometry, topology
 from nhgeo.cli import load_config, main
 from nhgeo.errors import ConfigError
+from nhgeo.models import bz_mesh, model_from_config
+from nhgeo.response import response_spectrum
 
 
 def _write(tmp_path, name, payload):
@@ -67,9 +70,15 @@ COMMANDS = ["scan", "chern", "bounds", "optical-weight", "lindblad-check"]
     ("lindblad-check", {}, {"response": {"omega_max": float("inf")}}),
     ("bounds", {}, {"response": {"k_samples": 0}}),
     ("bounds", {}, {"response": {"beta": "hot"}}),
+    ("chern", {}, {"chern": {"curvature_grid": "abc"}}),
+    ("chern", {}, {"chern": {"curvature_grid": 4}}),
+    ("bounds", {}, {"tolerances": {"psd": "abc"}}),
+    ("bounds", {}, {"tolerances": {"bound": float("nan")}}),
+    ("bounds", {}, {"tolerances": {"qgt": -1e-10}}),
 ], ids=["threads_env", "band_env", "eta_text", "gamma_nan", "three_band_constant",
         "lindblad_omega_count_text", "lindblad_omega_max_inf", "bounds_k_samples_zero",
-        "bounds_beta_text"])
+        "bounds_beta_text", "chern_curvature_grid_text", "chern_curvature_grid_small",
+        "bounds_psd_text", "bounds_bound_nan", "bounds_qgt_negative"])
 def test_cli_scan_bad_input_exit_2(tmp_path, monkeypatch, command, env, config):
     for key, val in env.items():
         monkeypatch.setenv(key, val)
@@ -168,6 +177,48 @@ def test_cli_bounds_pass_and_outputs(tmp_path):
             "ChernChain", "OpticalWeight", "AbsorptivePSD"} <= names
     assert all(r["passed"] for r in doc["reports"])
     assert os.path.exists(os.path.join(out, "margins_psd_rr.csv"))
+
+
+def test_cli_bounds_scans_grid_once(tmp_path, monkeypatch):
+    # the curvature chain reuses the grid of the local checks
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("nx"))
+        return geometry.scan_geometry(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "scan_geometry", counting)
+    monkeypatch.setattr(topology, "scan_geometry", counting)
+    cfg = _write(tmp_path, "b.yaml", {"grid": {"nx": 16, "ny": 16},
+                                      "response": {"k_samples": 4, "omega_count": 11}})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == [16]
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
+def test_absorptive_stack_matches_per_k_spectra(beta):
+    # row-wise accumulation of the k mean against one spectrum per k-point
+    cfg = load_config(None, {"grid": "16"})
+    cfg["response"].update(k_samples=4, omega_count=11, beta=beta)
+    model = model_from_config(cfg["model"])
+    omegas, pi_abs = cli._absorptive_stack(cfg, model)
+    kxg, kyg = bz_mesh(4, 4)
+    total = 0.0
+    for kx, ky in zip(kxg.ravel(), kyg.ravel()):
+        h = model.hamiltonian(kx, ky)
+        evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+        ops = np.stack([vecs.conj().T @ model.derivative(kx, ky, ax) @ vecs
+                        for ax in (0, 1)])
+        ops = 0.5 * (ops + np.conj(np.swapaxes(ops, -1, -2)))
+        if beta is None:
+            rho = np.array([1.0, 0.0])
+        else:
+            w = np.exp(-beta * (evals - evals.min()))
+            rho = w / w.sum()
+        total = total + response_spectrum(evals - 0.5j, ops, rho, omegas).pi_abs
+    expected = total / 16
+    np.testing.assert_allclose(pi_abs, expected, rtol=0,
+                               atol=1e-13 * np.max(np.abs(expected)))
 
 
 def test_cli_bounds_tolerance_override(tmp_path):

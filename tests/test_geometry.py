@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import (hermitian_qgt, locked_fd_qgt_general, locked_fd_ray_qgt_general,
                       random_three_band_model, smooth_gauge)
+from nhgeo import geometry
 from nhgeo.errors import ExceptionalPointError
 from nhgeo.models import BlochModel, bz_mesh
 from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
@@ -211,15 +214,37 @@ def test_scan_deterministic_across_workers(rm_model):
     npt.assert_array_equal(a.norm_product, b.norm_product)
 
 
-def test_scan_collects_exceptional_points():
-    # d.d = (1 - cos ky)^2 vanishes on the whole mesh line ky = 0
+def test_scan_chunks_match_full_mesh_for_any_workers(rm_model, monkeypatch):
+    # two kx rows per chunk: six chunks on the 11 x 5 mesh, the last one row
+    monkeypatch.setattr(geometry, "CHUNK_POINTS", 10)
+    kx, ky = bz_mesh(11, 5)
+    eig = eigensystem_two_band(rm_model.hamiltonian(kx, ky), ordering="branch")
+    full = compute_geometry(eig, rm_model.derivative(kx, ky, 0),
+                            rm_model.derivative(kx, ky, 1)) + (eig.norm_product(0),)
+    names = ("qgt_lr", "qgt_rl", "qgt_rr", "qgt_ll", "anomalous_r", "anomalous_l",
+             "curvature_lr", "norm_product")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the chunk threads as often as possible
+    try:
+        grids = [scan_geometry(rm_model, nx=11, ny=5, workers=w) for w in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for grid in grids:
+        for name, ref in zip(names, full):
+            npt.assert_array_equal(getattr(grid, name), ref)
+
+
+def test_scan_collects_exceptional_points(monkeypatch):
+    # d.d = (1 - cos ky)^2 vanishes on the whole mesh line ky = 0, which
+    # crosses all four two-row chunks
+    monkeypatch.setattr(geometry, "CHUNK_POINTS", 16)
     m = BlochModel.pseudospin(
         lambda kx, ky: np.stack([np.sin(kx) + 0j, 1j * np.sin(kx),
                                  1.0 - np.cos(ky) + 0j], axis=-1))
     with pytest.raises(ExceptionalPointError) as err:
-        scan_geometry(m, nx=8)
-    assert len(err.value.points) == 8
-    assert all(abs(ky) < 1e-12 for _, ky in err.value.points)
+        scan_geometry(m, nx=8, workers=2)
+    kx, _ = bz_mesh(8, 8)
+    assert err.value.points == [(float(k), 0.0) for k in kx[:, 0]]
 
 
 def test_curvature_integral_convergence(rm_model):
