@@ -34,8 +34,8 @@ LOCK_MIN_OVERLAP = 0.5
 
 CURVATURE_IMAG_TOL = 1e-9
 
-#: mesh points per batched scan chunk (whole kx rows); small enough that a
-#: chunk's temporaries stay a few MB
+#: mesh points per batched chunk of :func:`solve_mesh` (whole kx rows);
+#: small enough that a chunk's temporaries stay a few MB
 CHUNK_POINTS = 2048
 
 
@@ -202,27 +202,18 @@ def compute_geometry(eig: Eigensystem, dhx, dhy, band=0, occupied=None):
             berry_curvature_lr(q_lr))
 
 
-def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
-                  workers=1, ordering="branch"):
-    """GeometryGrid over the uniform [-pi, pi)^2 mesh.
+def solve_mesh(model: BlochModel, kxg, kyg, ordering, store, mapper=map):
+    """Solve a (nx, ny) mesh in fixed chunks of whole kx rows.
 
-    The mesh is cut into chunks of whole kx rows, about CHUNK_POINTS points
-    each; ``workers`` threads solve one chunk per batched call and write it
-    into preallocated arrays.  Chunk bounds depend on (nx, ny) only, so the
-    result is identical for any ``workers``.  Exceptional points of every
-    chunk are collected and reported once with their coordinates.  Bands
-    carry the k-smooth branch labels by default (integer topology requires
-    a labeling that is continuous across the zone).
+    Each chunk of about CHUNK_POINTS points is one batched
+    ``hamiltonian``/``eigensystem_two_band`` call, handed on as
+    ``store(rows, kx, ky, eig)`` with ``rows`` the chunk's kx-row slice.
+    ``mapper`` runs the chunks (``map`` serially, an executor's ``map`` on
+    threads).  Chunk bounds depend on the mesh shape only.  The exceptional
+    points of every chunk are mapped to (kx, ky), sorted and raised once
+    after the last chunk.
     """
-    if model.dimension != 2:
-        raise ConfigError("grid scans support two-band models only")
-    ny = nx if ny is None else ny
-    kxg, kyg = bz_mesh(nx, ny)
-    fields = {"qgt_lr": (2, 2), "qgt_rl": (2, 2), "qgt_rr": (2, 2), "qgt_ll": (2, 2),
-              "anomalous_r": (2,), "anomalous_l": (2,), "curvature_lr": ()}
-    out = GeometryGrid(kx=kxg, ky=kyg, band=band, norm_product=np.full((nx, ny), np.nan),
-                       **{name: np.full((nx, ny) + tail, np.nan, dtype=complex)
-                          for name, tail in fields.items()})
+    nx, ny = kxg.shape
     rows = max(1, CHUNK_POINTS // ny)
 
     def do_chunk(i0):
@@ -232,20 +223,47 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
             eig = eigensystem_two_band(model.hamiltonian(kxr, kyr), ordering=ordering)
         except ExceptionalPointError as exc:
             return [(float(kxr[i, j]), float(kyr[i, j])) for i, j in exc.points]
+        store(rng, kxr, kyr, eig)
+        return []
+
+    bad_points = sorted(pt for pts in mapper(do_chunk, range(0, nx, rows)) for pt in pts)
+    if bad_points:
+        raise ExceptionalPointError(
+            f"{len(bad_points)} exceptional point(s) on the mesh", points=bad_points)
+
+
+def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
+                  workers=1, ordering="branch"):
+    """GeometryGrid over the uniform [-pi, pi)^2 mesh.
+
+    :func:`solve_mesh` cuts the mesh into chunks of whole kx rows;
+    ``workers`` threads solve one chunk per batched call and write it into
+    preallocated arrays, so the result is identical for any ``workers``.
+    Bands carry the k-smooth branch labels by default (integer topology
+    requires a labeling that is continuous across the zone).
+    """
+    if model.dimension != 2:
+        raise ConfigError("grid scans support two-band models only")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    ny = nx if ny is None else ny
+    kxg, kyg = bz_mesh(nx, ny)
+    fields = {"qgt_lr": (2, 2), "qgt_rl": (2, 2), "qgt_rr": (2, 2), "qgt_ll": (2, 2),
+              "anomalous_r": (2,), "anomalous_l": (2,), "curvature_lr": ()}
+    out = GeometryGrid(kx=kxg, ky=kyg, band=band, norm_product=np.full((nx, ny), np.nan),
+                       **{name: np.full((nx, ny) + tail, np.nan, dtype=complex)
+                          for name, tail in fields.items()})
+
+    def store(rng, kxr, kyr, eig):
         values = compute_geometry(eig, model.derivative(kxr, kyr, 0),
                                   model.derivative(kxr, kyr, 1),
                                   band=band, occupied=occupied)
         for name, value in zip(fields, values):
             getattr(out, name)[rng] = value
         out.norm_product[rng] = eig.norm_product(band)
-        return []
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        bad_points = sorted(pt for pts in pool.map(do_chunk, range(0, nx, rows))
-                            for pt in pts)
-    if bad_points:
-        raise ExceptionalPointError(
-            f"{len(bad_points)} exceptional point(s) on the mesh", points=bad_points)
+        solve_mesh(model, kxg, kyg, ordering, store, mapper=pool.map)
     return out
 
 

@@ -19,7 +19,8 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-#: relative tolerance on |d.d| below which a pseudospin point counts as gapless
+#: tolerance on |d.d|, relative to max(|d|^2, parameter scale^2), at or below
+#: which a Rice-Mele point counts as gapless
 DEGENERACY_RTOL = 1e-10
 
 #: default central-difference step in momentum
@@ -137,18 +138,23 @@ def pauli_decompose(h):
     return d, c
 
 
-def _rm_scale(d, where):
+def _rm_scale(d, p: RMParams, where):
     """Principal sqrt(d.d) with the gapless-point guard.
 
-    The prefactor 1 + i*Gamma/(2*sqrt(d.d)) makes the Gamma term an exact
-    +-i*Gamma/2 shift of the two band energies.
+    A point is gapless when |d.d| <= DEGENERACY_RTOL * max(|d|^2, P^2) with
+    P = |t| + |delta| + |Delta| + gamma/2 + |dz_offset| the parameter scale;
+    the floor P^2 does not shrink with d, so a d that is pure roundoff is
+    caught.  The prefactor 1 + i*Gamma/(2*sqrt(d.d)) makes the Gamma term an
+    exact +-i*Gamma/2 shift of the two band energies.
     """
     dd = np.sum(d * d, axis=-1)
-    scale2 = np.sum(np.abs(d) ** 2, axis=-1)
-    bad = np.abs(dd) < DEGENERACY_RTOL * scale2
+    floor = (abs(p.t) + abs(p.delta) + abs(p.Delta) + 0.5 * p.gamma
+             + abs(p.dz_offset)) ** 2
+    scale2 = np.maximum(np.sum(np.abs(d) ** 2, axis=-1), floor)
+    bad = np.abs(dd) <= DEGENERACY_RTOL * scale2
     if np.any(bad):
         raise DegeneratePointError(
-            f"{where}: |d.d| below {DEGENERACY_RTOL}*|d|^2 at "
+            f"{where}: |d.d| <= {DEGENERACY_RTOL}*max(|d|^2, {floor:.3g}) at "
             f"{int(np.count_nonzero(bad))} point(s) (gapless/exceptional)"
         )
     return np.sqrt(dd)
@@ -161,7 +167,7 @@ def rm_hamiltonian(kx, ky, p: RMParams):
     where the scaling prefactor and all downstream geometry are invalid.
     """
     d = rm_d_vector(kx, ky, p)
-    s = _rm_scale(d, "rm_hamiltonian")
+    s = _rm_scale(d, p, "rm_hamiltonian")
     if p.Gamma == 0.0:
         return pauli_matrix(d)
     g = 1.0 + 0.5j * p.Gamma / s
@@ -172,7 +178,7 @@ def rm_hamiltonian_derivative(kx, ky, p: RMParams, axis):
     """Analytic d/dk_axis of :func:`rm_hamiltonian`."""
     d = rm_d_vector(kx, ky, p)
     dd = rm_d_derivative(kx, ky, p, axis)
-    s = _rm_scale(d, "rm_hamiltonian_derivative")
+    s = _rm_scale(d, p, "rm_hamiltonian_derivative")
     if p.Gamma == 0.0:
         return pauli_matrix(dd)
     g = 1.0 + 0.5j * p.Gamma / s

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import (BoundViolationError, LinkCollapseError,
                      NonIntegerResidueError, NonRealCurvatureError)
 from .models import BlochModel, bz_mesh
-from .spectra import eigensystem_two_band, gauge_rescale
-from .geometry import GeometryGrid, scan_geometry
+from .spectra import gauge_rescale
+from .geometry import GeometryGrid, scan_geometry, solve_mesh
 
 #: links with magnitude below this abort the plaquette sum
 LINK_TOL = 1e-6
@@ -47,21 +47,27 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, flavor="lr",
     left/right swapped (``flavor="rl"``); plaquette phases need no gauge
     fixing, and the total phase sum is an exact multiple of 2*pi up to
     roundoff.  ``gauge`` injects per-band rescalings c(k) for invariance
-    tests.
+    tests.  The mesh is solved in the fixed kx-row chunks of
+    :func:`~nhgeo.geometry.solve_mesh`, one after the other, keeping only
+    the selected band's bra and ket vectors; exceptional points of every
+    chunk are raised once as sorted (kx, ky) pairs.
 
     Raises LinkCollapseError when any |U| < 1e-6 and
     NonIntegerResidueError when the rounding residue exceeds 1e-3.
     """
-    kxg, kyg = bz_mesh(n_grid, n_grid)
-    eig = eigensystem_two_band(model.hamiltonian(kxg, kyg), ordering=ordering)
-    if gauge is not None:
-        eig = gauge_rescale(eig, gauge(kxg, kyg))
-    if flavor == "lr":
-        bra, ket = eig.left[..., band, :], eig.right[..., band, :]
-    elif flavor == "rl":
-        bra, ket = eig.right[..., band, :], eig.left[..., band, :]
-    else:
+    if flavor not in ("lr", "rl"):
         raise ValueError("flavor must be 'lr' or 'rl'")
+    kxg, kyg = bz_mesh(n_grid, n_grid)
+    bra = np.empty((n_grid, n_grid, 2), dtype=complex)
+    ket = np.empty_like(bra)
+
+    def store(rows, kxr, kyr, eig):
+        if gauge is not None:
+            eig = gauge_rescale(eig, gauge(kxr, kyr))
+        left, right = eig.left[..., band, :], eig.right[..., band, :]
+        bra[rows], ket[rows] = (left, right) if flavor == "lr" else (right, left)
+
+    solve_mesh(model, kxg, kyg, ordering, store)
 
     u_x = np.einsum("ijk,ijk->ij", np.conj(bra), np.roll(ket, -1, axis=0))
     u_y = np.einsum("ijk,ijk->ij", np.conj(bra), np.roll(ket, -1, axis=1))

@@ -7,8 +7,14 @@ them is an independent check, not a tautology.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nhgeo.models import BlochModel, RMParams
+
+# property tests draw the same examples on every run: tier-1 and CI are
+# deterministic, and no example database is written
+settings.register_profile("nhgeo", derandomize=True, database=None, deadline=None)
+settings.load_profile("nhgeo")
 
 
 @pytest.fixture

@@ -145,6 +145,17 @@ def test_cli_scan_exceptional_exit_3(tmp_path):
     assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("command", ["scan", "chern", "bounds"])
+def test_cli_roundoff_gapless_point_exit_3(tmp_path, capsys, command):
+    # Delta = gamma = 0 closes the gap at (kx, ky) = (-pi/2, -pi), an 8x8 mesh
+    # point where d is pure roundoff (|d| ~ 1e-16)
+    cfg = _write(tmp_path, "gapless.yaml",
+                 {"model": {"family": "rice_mele", "gamma": 0.0, "Delta": 0.0},
+                  "grid": {"nx": 8, "ny": 8}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "gapless" in capsys.readouterr().err
+
+
 def test_cli_chern(tmp_path, capsys):
     cfg = _write(tmp_path, "c.yaml", {"chern": {"curvature_grid": 51}})
     out = str(tmp_path / "chern")

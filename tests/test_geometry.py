@@ -7,7 +7,7 @@ import pytest
 from conftest import (hermitian_qgt, locked_fd_qgt_general, locked_fd_ray_qgt_general,
                       random_three_band_model, smooth_gauge)
 from nhgeo import geometry
-from nhgeo.errors import ExceptionalPointError
+from nhgeo.errors import ConfigError, ExceptionalPointError
 from nhgeo.models import BlochModel, bz_mesh
 from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
                             berry_curvature_lr, compute_geometry, qgt_ll, qgt_lr,
@@ -245,6 +245,12 @@ def test_scan_collects_exceptional_points(monkeypatch):
         scan_geometry(m, nx=8, workers=2)
     kx, _ = bz_mesh(8, 8)
     assert err.value.points == [(float(k), 0.0) for k in kx[:, 0]]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_scan_rejects_workers_below_one(rm_model, workers):
+    with pytest.raises(ConfigError, match="workers"):
+        scan_geometry(rm_model, nx=8, workers=workers)
 
 
 def test_curvature_integral_convergence(rm_model):

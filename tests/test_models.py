@@ -102,6 +102,17 @@ def test_appendix_gapless_point_raises():
         rm_hamiltonian(0.0, np.arccos(-0.75), p)
 
 
+def test_roundoff_gapless_point_raises():
+    # d = (1.1e-16, -1.2e-16, 0) at (-pi/2, -pi): tiny against the parameter
+    # scale, although |d.d| is not small against |d|^2 itself
+    p = RMParams(gamma=0.0, Delta=0.0)
+    kx, ky = bz_mesh(8, 8)
+    assert np.max(np.abs(rm_d_vector(kx[2, 0], ky[2, 0], p))) < 1e-15
+    with pytest.raises(DegeneratePointError):
+        rm_hamiltonian(kx, ky, p)
+    rm_hamiltonian(kx[3:6], ky[3:6], p)  # the rows between the two Dirac points pass
+
+
 def test_pauli_roundtrip(rng):
     d = rng.normal(size=3) + 1j * rng.normal(size=3)
     c = complex(rng.normal(), rng.normal())

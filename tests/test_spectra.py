@@ -1,12 +1,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as npst
 
 from nhgeo.errors import (ExceptionalPointError, IllConditionedError,
                           NonConvergenceError)
 from nhgeo.models import SIGMA_X, rm_d_vector
 from nhgeo.spectra import (Eigensystem, eigensystem, eigensystem_general,
-                           eigensystem_two_band, gauge_rescale,
+                           eigensystem_two_band, gauge_rescale, mm,
                            overlap_matrices)
 
 
@@ -132,6 +134,42 @@ def test_validate_rejects_nan(rm_model):
             Eigensystem(**bad).validate(h)
     with pytest.raises(NonConvergenceError), np.errstate(invalid="ignore"):
         eigensystem_two_band(np.full((2, 2), np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize("field, message", [
+    ("left", "biorthonormality"),
+    ("overlap_left", "overlap inverse"),
+    ("energies", "reconstruction"),
+])
+def test_validate_rejects_each_broken_identity(rm_model, field, message):
+    h = rm_model.hamiltonian(1.1, 0.2)
+    eig = eigensystem_two_band(h)
+    names = ("energies", "right", "left", "overlap_right", "overlap_left")
+    bad = {name: np.copy(getattr(eig, name)) for name in names}
+    bad[field].flat[0] += 1e-6
+    with pytest.raises(NonConvergenceError, match=message):
+        Eigensystem(**bad).validate(h)
+    # the band order: every identity holds for the swapped labels
+    swapped = Eigensystem(eig.energies[::-1], eig.right[::-1], eig.left[::-1],
+                          eig.overlap_right[::-1, ::-1], eig.overlap_left[::-1, ::-1])
+    swapped.validate(h, check_order=False)
+    with pytest.raises(NonConvergenceError, match="not sorted"):
+        swapped.validate(h)
+
+
+@given(shapes=npst.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
+                                                 max_side=3),
+       n=st.integers(1, 4), k=st.integers(1, 4), m=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_mm_matches_matmul(shapes, n, k, m, seed):
+    gen = np.random.default_rng(seed)
+    shape_a, shape_b = shapes.input_shapes
+    a = gen.normal(size=shape_a + (n, k, 2)) @ [1.0, 1j]
+    b = gen.normal(size=shape_b + (k, m, 2)) @ [1.0, 1j]
+    ref = np.matmul(a, b)
+    out = mm(a, b)
+    assert out.shape == ref.shape
+    assert np.all(np.abs(out - ref) <= 1e-14 * np.matmul(np.abs(a), np.abs(b)))
 
 
 def test_exceptional_point_two_band():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import smooth_gauge
-from nhgeo.errors import BoundViolationError, LinkCollapseError
+from nhgeo import geometry
+from nhgeo.errors import BoundViolationError, ExceptionalPointError, LinkCollapseError
 from nhgeo.geometry import scan_geometry
-from nhgeo.models import BlochModel, RMParams
+from nhgeo.models import BlochModel, RMParams, bz_mesh
 from nhgeo.oracles import finite_difference_qgt
 from nhgeo.topology import (bound_integrals, chern_from_curvature,
                             chern_plaquette, compute_chern)
@@ -52,6 +53,33 @@ def test_plaquette_gauge_invariance(rm_model):
 def test_plaquette_lr_equals_rl(rm_model):
     assert chern_plaquette(rm_model, band=0, n_grid=48, flavor="lr") == \
         chern_plaquette(rm_model, band=0, n_grid=48, flavor="rl")
+
+
+@pytest.mark.parametrize("flavor, gauge", [("lr", None), ("rl", None),
+                                           ("lr", smooth_gauge(seed=5))],
+                         ids=["lr", "rl", "lr_gauge"])
+def test_chern_plaquette_chunks_match_full_mesh(rm_model, monkeypatch, flavor, gauge):
+    def run():
+        return chern_plaquette(rm_model, n_grid=11, flavor=flavor, gauge=gauge,
+                               return_residue=True)
+
+    full = run()  # 121 points: one chunk
+    # two kx rows per chunk: six chunks on the 11 x 11 mesh, the last one row
+    monkeypatch.setattr(geometry, "CHUNK_POINTS", 22)
+    assert run() == full
+
+
+def test_chern_plaquette_collects_exceptional_points(monkeypatch):
+    # d.d = (1 - cos ky)^2 vanishes on the whole mesh line ky = 0, which
+    # crosses all four two-row chunks
+    monkeypatch.setattr(geometry, "CHUNK_POINTS", 16)
+    m = BlochModel.pseudospin(
+        lambda kx, ky: np.stack([np.sin(kx) + 0j, 1j * np.sin(kx),
+                                 1.0 - np.cos(ky) + 0j], axis=-1))
+    with pytest.raises(ExceptionalPointError) as err:
+        chern_plaquette(m, n_grid=8)
+    kx, _ = bz_mesh(8, 8)
+    assert err.value.points == [(float(k), 0.0) for k in kx[:, 0]]
 
 
 def test_link_collapse():
