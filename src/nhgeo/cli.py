@@ -20,7 +20,7 @@ import yaml
 
 from . import bounds as bounds_mod
 from . import lindblad, response, serialize, topology
-from .errors import ConfigError, NHGeoError
+from .errors import ConfigError, NHGeoError, NonIntegrableError
 from .geometry import scan_geometry
 from .models import BlochModel, bz_mesh, model_from_config
 
@@ -343,14 +343,9 @@ def cmd_optical_weight(cfg, quadrature=False):
                (np.pi + res.arg_infimum) * abs(chern),
                rep.margin[0], res.arg_infimum, res.ln_eta_coefficient]
         if quadrature:
-            kxg, kyg = bz_mesh(n_grid, n_grid)
-            area = (2 * np.pi / n_grid) ** 2
-            total = 0.0
-            for i in range(n_grid):
-                for j in range(n_grid):
-                    total += oracles.optical_weight_quadrature(
-                        model, kxg[i, j], kyg[i, j], eta=eta)
-            row.append(total * area)
+            per_k = oracles.optical_weight_quadrature(model, *bz_mesh(n_grid, n_grid),
+                                                      eta=eta)
+            row.append(np.sum(per_k) * (2 * np.pi / n_grid) ** 2)
         rows.append(row)
         print(f"Gamma={g_val}: weight/2pi={res.bound_trace/(2*np.pi):+.6f} "
               f"bound={(np.pi+res.arg_infimum)*abs(chern):+.6f} "
@@ -377,31 +372,27 @@ def cmd_lindblad_check(cfg):
         return 0
     target = 1j * anti  # anti-Hermitian part is -i * target
     spec = lindblad.decompose_antihermitian(target)
-    h_eff = lindblad.effective_hamiltonian(0.5 * (h0 + h0.conj().T), spec)
+    h_sym = 0.5 * (h0 + h0.conj().T)
+    h_eff = lindblad.effective_hamiltonian(h_sym, spec)
     recon = 0.5 * (h_eff - h_eff.conj().T) - spec.identity_shift * np.eye(2)
     residual = float(np.max(np.abs(recon - (-1j) * target)))
-    kel = lindblad.keldysh_sigma(spec, inverted=bool(cfg["response"].get("invert_bath")))
-
-    # positivity scan of the Keldysh bubbles on the uniform-decay levels
     rsp = cfg["response"]
+    kel = lindblad.keldysh_sigma(spec, inverted=bool(rsp.get("invert_bath")))
+
+    # positivity scan of the Keldysh bubbles on the levels e = E - i gamma/2.
+    # With Sigma^K_m = noise_sign 2i Im(e_m), both sides of
+    # bubble_positivity(e_n, e_m, omega) equal one Lorentzian of width
+    # |S_n + S_m| = |gamma|: noise_sign 2 pi^2 L(E_m - E_n, 0, |gamma|, omega)
     omegas = np.linspace(rsp["omega_min"], rsp["omega_max"], rsp["omega_count"])
     gamma = float(cfg["model"].get("gamma", 1.0)) or 1.0
-    h_sym = 0.5 * (h0 + h0.conj().T)
     evals = np.linalg.eigvalsh(h_sym)
-    energies = evals - 0.5j * gamma
+    if abs(0.5 * gamma) < 1e-14 * max(1.0, float(np.max(np.abs(evals - 0.5j * gamma)))):
+        raise NonIntegrableError("level m must decay or grow: Im eps_m = 0")
     # inverted bath: Keldysh noise flips sign at fixed (decaying) spectra
     noise_sign = -1.0 if rsp.get("invert_bath") else 1.0
-    bad_omegas = []
-    for w in omegas:
-        for n in range(2):
-            for m in range(2):
-                for side in ("A", "R"):
-                    q = lindblad.bubble_positivity(
-                        energies[n], energies[m], float(w), side=side,
-                        sigma_k_m=noise_sign * 2j * np.imag(energies[m]))
-                    if q < -1e-10:
-                        bad_omegas.append(float(w))
-    bad_omegas = sorted(set(bad_omegas))
+    q = noise_sign * 2.0 * np.pi**2 * response.lorentzian_kernel(
+        evals[None, :] - evals[:, None], 0.0, abs(gamma), omegas[:, None, None])
+    bad_omegas = sorted(set(omegas[np.any(q < -1e-10, axis=(1, 2))].tolist()))
     passed = residual < 1e-12 and not bad_omegas
 
     print(f"jump count: {len(spec.jumps)}; roundtrip residual: {residual:.2e}")

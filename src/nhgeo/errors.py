@@ -77,10 +77,6 @@ class NonIntegrableError(NHGeoError):
     """Keldysh integrand not integrable (zero decay on the Keldysh leg)."""
 
 
-class CommutatorViolationError(NHGeoError):
-    """Projected form requested but [H, Sigma] is not negligible."""
-
-
 class NonHermitianInputError(NHGeoError):
     """Matrix expected to be Hermitian is not (beyond tolerance)."""
 

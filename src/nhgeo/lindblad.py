@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CommutatorViolationError, NonHermitianTargetError,
-                     NonIntegrableError, ProportionalityError)
+from .errors import (NonHermitianTargetError, NonIntegrableError,
+                     ProportionalityError)
 from .models import pauli_decompose
 from .response import lehmann_correlator
 
@@ -155,26 +155,16 @@ def keldysh_sigma(spec: JumpSpec, inverted=False):
                       proportionality="minus_two_i" if not inverted else "plus_two_i")
 
 
-def keldysh_green(h_eff, sigma_k, omega, mode="auto", comm_tol=1e-10):
-    """G^K(omega) = G^R Sigma^K G^A with G^R = (omega - H)^-1.
+def keldysh_green(h_eff, sigma_k, omega):
+    """G^K(omega) = G^R Sigma^K G^A with G^R = (omega - H)^-1, G^A = (G^R)^dagger.
 
-    Every mode evaluates the product with a matrix inverse.
-    ``mode="projected"`` additionally demands [H, Sigma^K] = 0
-    (CommutatorViolationError otherwise), the condition under which the
-    eigenbasis (projected) form holds; "full" and "auto" skip that check.
-    G^K is anti-Hermitian whenever Sigma^K is.
+    One matrix inverse serves any H and Sigma^K; no commutation [H, Sigma^K]
+    = 0 is assumed.  G^K is anti-Hermitian whenever Sigma^K is.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
-    sigma_k = np.asarray(sigma_k, dtype=complex)
-    comm = h_eff @ sigma_k - sigma_k @ h_eff
-    scale = max(float(np.max(np.abs(h_eff)) * np.max(np.abs(sigma_k))), 1e-300)
-    commuting = float(np.max(np.abs(comm))) <= comm_tol * scale
-    if mode == "projected" and not commuting:
-        raise CommutatorViolationError(
-            f"[H, Sigma^K] relative norm {float(np.max(np.abs(comm)))/scale:.2e}")
     n = h_eff.shape[0]
     g_r = np.linalg.inv(omega * np.eye(n) - h_eff)
-    return g_r @ sigma_k @ g_r.conj().T
+    return g_r @ np.asarray(sigma_k, dtype=complex) @ g_r.conj().T
 
 
 def _pair_integral(p, q):

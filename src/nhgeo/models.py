@@ -35,7 +35,12 @@ def wrap_k(k):
 
 
 def bz_mesh(nx, ny):
-    """Uniform mesh over [-pi, pi)^2; returns (KX, KY) with shape (nx, ny)."""
+    """Uniform mesh over [-pi, pi)^2; returns (KX, KY) with shape (nx, ny).
+
+    Raises ConfigError for a mesh size below 1.
+    """
+    if nx < 1 or ny < 1:
+        raise ConfigError(f"mesh size must be >= 1, got {nx}x{ny}")
     kx = -np.pi + 2.0 * np.pi * np.arange(nx) / nx
     ky = -np.pi + 2.0 * np.pi * np.arange(ny) / ny
     return np.meshgrid(kx, ky, indexing="ij")

@@ -16,7 +16,7 @@ from scipy import integrate
 from .errors import PoleOnAxisError
 from .geometry import locked_stencil
 from .models import BlochModel
-from .response import FD_STEP, _band_coefficients, _resolve_band, _sigma_regular_from_fh
+from .response import _sigma_regular_from_fh, band_coefficients
 from .spectra import braket
 
 #: default finite-difference oracle step in momentum
@@ -26,29 +26,32 @@ ORACLE_STEP = 1e-4
 # -- frequency quadratures ----------------------------------------------------
 
 def optical_weight_quadrature(model: BlochModel, kx, ky, band="slowest", eta=1e-3,
-                              omega_max=None, h=FD_STEP):
+                              omega_max=None):
     """Adaptive quadrature of int_eta^inf Re tr sigma^reg(omega)/omega domega.
 
-    Scalar k.  Oracle for :func:`nhgeo.response.optical_weight_numeric`;
-    Gauss-Kronrod panels up to ``omega_max`` (resonances passed as break
-    points), then an open-ended tail.
+    Oracle for :func:`nhgeo.response.optical_weight_numeric`, batched over
+    k: one :func:`nhgeo.response.band_coefficients` call, then per point
+    Gauss-Kronrod panels up to ``omega_max`` (default 50 max|e|;
+    resonances passed as break points) and an open-ended tail.
     """
-    band = _resolve_band(model, kx, ky, band)
-    f, hc, z, eig = _band_coefficients(model, float(kx), float(ky), band, h)
-    z = complex(z)
-    if abs(np.imag(z)) < 1e-12 * abs(z):
-        raise PoleOnAxisError("undamped transition: quadrature needs Im z != 0")
-    if omega_max is None:
-        omega_max = 50.0 * float(np.max(np.abs(eig.energies)))
+    c = band_coefficients(model, kx, ky, band)
+    e_max = np.max(np.abs(c.energies), axis=-1)
+    out = np.empty(np.shape(c.z))
+    for idx in np.ndindex(out.shape):
+        f, hc, z = c.f[idx], c.h_coef[idx], complex(c.z[idx])
+        if abs(np.imag(z)) < 1e-12 * abs(z):
+            raise PoleOnAxisError("undamped transition: quadrature needs Im z != 0")
+        w_max = 50.0 * float(e_max[idx]) if omega_max is None else omega_max
 
-    def integrand(w):
-        s = _sigma_regular_from_fh(f, hc, z, w)
-        return np.real(s[..., 0, 0] + s[..., 1, 1]) / w
+        def integrand(w):
+            s = _sigma_regular_from_fh(f, hc, z, w)
+            return np.real(s[..., 0, 0] + s[..., 1, 1]) / w
 
-    points = [p for p in (abs(np.real(z)), abs(z)) if eta < p < omega_max]
-    val, _ = integrate.quad(integrand, eta, omega_max, points=points, limit=400)
-    tail, _ = integrate.quad(integrand, omega_max, np.inf, limit=200)
-    return val + tail
+        points = [p for p in (abs(np.real(z)), abs(z)) if eta < p < w_max]
+        val, _ = integrate.quad(integrand, eta, w_max, points=points, limit=400)
+        tail, _ = integrate.quad(integrand, w_max, np.inf, limit=200)
+        out[idx] = val + tail
+    return out[()]
 
 
 def _complex_quad(integrand, cut, points):

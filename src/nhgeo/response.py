@@ -18,6 +18,7 @@ require, while each branch field stays differentiable in k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +116,7 @@ def response_spectrum(energies, operators, rho, omegas, volume=1.0):
 
 # -- interband coefficients of the wave-packet conductivity -------------------
 
-def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None,
-                 return_center=False):
+def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
     """Coefficients f_{mu nu} and h_{mu nu} of the interband response, batched.
 
     Two-band only.  All inner products are evaluated from the resolvent
@@ -126,9 +126,9 @@ def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None,
     invariant; ``gauge`` injects a test rescaling that the phase lock must
     cancel.
 
-    Returns (f, h_coef) of shape (..., 2, 2, 2) in (band n, mu, nu); the
-    other band m = 1 - n is the transition partner.  ``return_center=True``
-    appends the stencil's center eigensystem and its velocity matrices.
+    Returns (f, h_coef, center, v): f and h_coef of shape (..., 2, 2, 2) in
+    (band n, mu, nu), the other band m = 1 - n being the transition partner,
+    then the stencil's center eigensystem and its velocity matrices.
     """
     if model.dimension != 2:
         raise ValueError("interband coefficients implemented for two bands")
@@ -172,9 +172,7 @@ def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None,
                                      ) / (2.0 * i_nn)
                 h_coef[..., n, mu, nu] = (i_nm / (2.0 * i_nn)) * g[..., nu] \
                     * (vel[..., mu, n] - vel[..., mu, m])
-    if return_center:
-        return f, h_coef, center, v
-    return f, h_coef
+    return f, h_coef, center, v
 
 
 def drude_coefficient(model: BlochModel, kx, ky, band=0, h=1e-4):
@@ -201,30 +199,69 @@ def drude_coefficient(model: BlochModel, kx, ky, band=0, h=1e-4):
     return out
 
 
-def _band_coefficients(model, kx, ky, band, h):
-    """(f, h_coef, z, center) of one branch band; z = e_other - e_band."""
-    f, hc, eig, _ = interband_fh(model, kx, ky, h=h, return_center=True)
-    z = eig.energies[..., 1 - band] - eig.energies[..., band]
-    return f[..., band, :, :], hc[..., band, :, :], z, eig
+class BandCoefficients(NamedTuple):
+    """Interband coefficients of one selected branch band, batched over k."""
+
+    f: np.ndarray         # (..., 2, 2) in (mu, nu)
+    h_coef: np.ndarray    # (..., 2, 2)
+    z: np.ndarray         # e_other - e_band
+    trg: np.ndarray       # tr G^RR of the band
+    energies: np.ndarray  # (..., 2) both branch energies
+
+
+def band_coefficients(model: BlochModel, kx, ky, band="slowest"):
+    """The one band selection of the conductivity and weight routines.
+
+    One :func:`interband_fh` call supplies f and h of both branch bands,
+    and its center eigensystem and velocity matrices give z and tr G^RR.
+    ``band="slowest"`` keeps, at each k, the band that decays slowest
+    (:func:`decays_slower`); 0 or 1 keeps that branch band everywhere (only
+    valid while it decays slowest, else the branch cut is crossed).  The k
+    points are solved as one flat batch, so a scalar k gives the same bits
+    as that point of a mesh (numpy's scalar complex arithmetic rounds
+    differently from its array loops).
+    """
+    if band != "slowest" and band not in (0, 1):
+        raise ValueError("band must be 'slowest', 0 or 1")
+    shape = np.broadcast(kx, ky).shape
+    f, hc, eig, v = interband_fh(
+        model, *(np.broadcast_to(np.asarray(k, dtype=float), shape).reshape(-1)
+                 for k in (kx, ky)))
+    e = eig.energies
+    if band == "slowest":
+        mask = decays_slower(e[:, 0], e[:, 1])
+    else:
+        mask = np.full(len(e), band == 0)
+    trg = [qgt_rr(eig, v, band=b) for b in (0, 1)]
+
+    def pick(a, b):
+        return np.where(mask.reshape((-1,) + (1,) * (a.ndim - 1)), a, b
+                        ).reshape(shape + a.shape[1:])
+
+    return BandCoefficients(pick(f[:, 0], f[:, 1]), pick(hc[:, 0], hc[:, 1]),
+                            pick(e[:, 1] - e[:, 0], e[:, 0] - e[:, 1]),
+                            pick(*(np.real(q[:, 0, 0] + q[:, 1, 1]) for q in trg)),
+                            e.reshape(shape + (2,)))
 
 
 def _sigma_regular_from_fh(f, h_coef, z, omega):
-    """Regular conductivity matrix at one k from stored coefficients."""
+    """Regular conductivity matrices from stored coefficients; ``omega``
+    broadcasts against the k axes of ``z``."""
     om = np.asarray(omega, dtype=float)[..., None, None]
-    t_f = -1j * z * f / (z - om) + np.conj(-1j * z * f / (z + om))
-    t_h = 1j * om * (h_coef / (z - om) ** 2 + np.conj(h_coef / (z + om) ** 2))
+    zc = np.asarray(z)[..., None, None]
+    t_f = -1j * zc * f / (zc - om) + np.conj(-1j * zc * f / (zc + om))
+    t_h = 1j * om * (h_coef / (zc - om) ** 2 + np.conj(h_coef / (zc + om) ** 2))
     return t_f + t_h
 
 
-def conductivity_wavepacket(model: BlochModel, kx, ky, band=0, omega=0.0,
-                            h=FD_STEP):
+def conductivity_wavepacket(model: BlochModel, kx, ky, band=0, omega=0.0):
     """Regular part of the wave-packet conductivity sigma^reg_{mu nu}(omega, k).
 
-    The Drude piece (principal value 1/omega times d2e) is excluded; use
-    :func:`drude_coefficient` for it.  Scalar k only.
+    Batched over k (shape (..., 2, 2)).  The Drude piece (principal value
+    1/omega times d2e) is excluded; use :func:`drude_coefficient` for it.
     """
-    f, hc, z, _ = _band_coefficients(model, kx, ky, band, h)
-    return _sigma_regular_from_fh(f, hc, z, omega)
+    c = band_coefficients(model, kx, ky, band)
+    return _sigma_regular_from_fh(c.f, c.h_coef, c.z, omega)
 
 
 def lower_branch_arg(z, tol=1e-9):
@@ -241,49 +278,33 @@ def lower_branch_arg(z, tol=1e-9):
     return ang
 
 
-def _weight_terms(f, h_coef, z):
-    """(eta-independent weight part at eta = 1, ln-eta coefficient), per (mu, nu).
+def _weight_trace(c: BandCoefficients, eta):
+    """Per-k weight trace sum_mu W^{mu mu}(eta) and its ln(eta) coefficient.
 
     W_{mu nu}(eta) = base + coeff * ln(eta) with
     base = 2 Im(h/z) + pi Re f + 2 Im(f ln_L z), coeff = -2 Im f,
     ln_L the [-pi, 0]-branch logarithm.
     """
-    zc = z[..., None, None]
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    zc = c.z[..., None, None]
     ln_l = np.log(np.abs(zc)) + 1j * lower_branch_arg(zc)
-    base = (2.0 * np.imag(h_coef / zc)
-            + np.pi * np.real(f)
-            + 2.0 * np.imag(f * ln_l))
-    coeff = -2.0 * np.imag(f)
-    return base, coeff
+    base = (2.0 * np.imag(c.h_coef / zc)
+            + np.pi * np.real(c.f)
+            + 2.0 * np.imag(c.f * ln_l))
+    coeff = -2.0 * np.imag(c.f)
+    tr_coeff = coeff[..., 0, 0] + coeff[..., 1, 1]
+    return base[..., 0, 0] + base[..., 1, 1] + tr_coeff * np.log(eta), tr_coeff
 
 
-def _resolve_band(model, kx, ky, band):
-    """Resolve band="slowest" to the branch index at one scalar k."""
-    if band in (0, 1):
-        return band
-    if band != "slowest":
-        raise ValueError("band must be 0, 1 or 'slowest'")
-    eig = eigensystem_two_band(model.hamiltonian(float(kx), float(ky)),
-                               ordering="branch")
-    return 0 if bool(decays_slower(eig.energies[0], eig.energies[1])) else 1
-
-
-def optical_weight_numeric(model: BlochModel, kx, ky, band="slowest", eta=1e-3,
-                           h=FD_STEP):
+def optical_weight_numeric(model: BlochModel, kx, ky, band="slowest", eta=1e-3):
     """Per-k weight trace sum_mu W^{mu mu} and its ln(eta) coefficient.
 
     Closed omega-integrated form of int_eta^inf Re sigma^reg(omega)/omega;
     the logarithmic cutoff dependence is extracted analytically as
-    -2 sum_mu Im f_{mu mu}.  Scalar k when band="slowest".
+    -2 sum_mu Im f_{mu mu}.  Batched over k.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    band = _resolve_band(model, kx, ky, band)
-    f, hc, z, _ = _band_coefficients(model, kx, ky, band, h)
-    base, coeff = _weight_terms(f, hc, z)
-    tr_base = base[..., 0, 0] + base[..., 1, 1]
-    tr_coeff = coeff[..., 0, 0] + coeff[..., 1, 1]
-    return tr_base + tr_coeff * np.log(eta), tr_coeff
+    return _weight_trace(band_coefficients(model, kx, ky, band), eta)
 
 
 @dataclass
@@ -309,60 +330,30 @@ class OpticalWeightResult:
     arg_per_k: np.ndarray
 
 
-def optical_weight_bz(model: BlochModel, band="slowest", n_grid=48, eta=1e-3,
-                      h=FD_STEP):
+def optical_weight_bz(model: BlochModel, band="slowest", n_grid=48, eta=1e-3):
     """Optical weight trace integrated over the BZ, by both two-band routes.
 
-    ``band="slowest"`` picks, pointwise, the smooth branch band with the
-    larger Im(e); an integer selects that branch band everywhere (only
-    valid while it decays slowest, else the branch cut is crossed).
-
-    The numeric route integrates the per-k closed omega-form of the f/h
-    coefficients; the reduced routes are the tr G^RR forms (see
-    :class:`OpticalWeightResult`).  Numeric and ``closed_trace`` differ by
-    a total divergence plus the ln(eta) residue, both of which die off
-    with grid refinement while the selected band stays k-smooth.
+    ``band`` is selected by :func:`band_coefficients`.  The numeric route
+    integrates the per-k closed omega-form of the f/h coefficients
+    (:func:`optical_weight_numeric` on the mesh); the reduced routes are
+    the tr G^RR forms (see :class:`OpticalWeightResult`).  Numeric and
+    ``closed_trace`` differ by a total divergence plus the ln(eta) residue,
+    both of which die off with grid refinement while the selected band
+    stays k-smooth.
     """
     kxg, kyg = bz_mesh(n_grid, n_grid)
     area = (2.0 * np.pi / n_grid) ** 2
-    f_all, hc_all, eig, v = interband_fh(model, kxg, kyg, h=h, return_center=True)
-    per_band = {}
-    for b in (0, 1):
-        z = eig.energies[..., 1 - b] - eig.energies[..., b]
-        q_rr = qgt_rr(eig, v, band=b)
-        trg = np.real(q_rr[..., 0, 0] + q_rr[..., 1, 1])
-        per_band[b] = (f_all[..., b, :, :], hc_all[..., b, :, :], z, trg)
-
-    if band == "slowest":
-        mask = decays_slower(eig.energies[..., 0], eig.energies[..., 1])
-    elif band in (0, 1):
-        mask = np.full(kxg.shape, band == 0)
-    else:
-        raise ValueError("band must be 'slowest', 0 or 1")
-
-    def select(field0, field1):
-        m = mask
-        while m.ndim < np.ndim(field0):
-            m = m[..., None]
-        return np.where(m, field0, field1)
-
-    f = select(per_band[0][0], per_band[1][0])
-    hc = select(per_band[0][1], per_band[1][1])
-    z = select(per_band[0][2], per_band[1][2])
-    trg = select(per_band[0][3], per_band[1][3])
-
-    base, coeff = _weight_terms(f, hc, z)
-    w_tr = (base[..., 0, 0] + base[..., 1, 1]
-            + (coeff[..., 0, 0] + coeff[..., 1, 1]) * np.log(eta))
-    arg = lower_branch_arg(z)
+    c = band_coefficients(model, kxg, kyg, band)
+    w_tr, tr_coeff = _weight_trace(c, eta)
+    arg = lower_branch_arg(c.z)
     return OpticalWeightResult(
         per_k=w_tr,
         bz_trace=float(np.sum(w_tr) * area),
         eta_used=float(eta),
-        ln_eta_coefficient=float(np.sum(coeff[..., 0, 0] + coeff[..., 1, 1]) * area),
+        ln_eta_coefficient=float(np.sum(tr_coeff) * area),
         arg_infimum=float(np.min(arg)),
-        closed_trace=float(np.sum(trg * (np.pi + 2.0 * arg)) * area),
-        bound_trace=float(np.sum(trg * (np.pi + arg)) * area),
-        trg_per_k=trg,
+        closed_trace=float(np.sum(c.trg * (np.pi + 2.0 * arg)) * area),
+        bound_trace=float(np.sum(c.trg * (np.pi + arg)) * area),
+        trg_per_k=c.trg,
         arg_per_k=arg,
     )

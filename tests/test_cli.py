@@ -318,3 +318,11 @@ def test_cli_lindblad_check_inverted(tmp_path, capsys):
     assert main(["lindblad-check", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 4
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_cli_lindblad_check_undamped_levels_exit_3(tmp_path, capsys):
+    # Gamma makes the model non-Hermitian, but the scanned levels carry the
+    # rate gamma/2 ~ 0: the Keldysh bubble is not integrable
+    cfg = _write(tmp_path, "u.yaml", {"model": {"gamma": 1e-16, "Gamma": 1.0}})
+    assert main(["lindblad-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "Im eps_m = 0" in capsys.readouterr().err

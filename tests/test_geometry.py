@@ -13,7 +13,9 @@ from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
                             berry_curvature_lr, compute_geometry, qgt_ll, qgt_lr,
                             qgt_rl_from_lr, qgt_rr, scan_geometry, velocity_matrices)
 from nhgeo.oracles import finite_difference_connection, finite_difference_qgt
+from nhgeo.response import optical_weight_bz
 from nhgeo.spectra import eigensystem_general, eigensystem_two_band, gauge_rescale
+from nhgeo.topology import chern_plaquette
 
 SAMPLE_K = [(np.pi / 2, np.pi / 2), (0.7, -1.3), (-2.1, 0.4), (1.9, 2.5)]
 
@@ -251,6 +253,18 @@ def test_scan_collects_exceptional_points(monkeypatch):
 def test_scan_rejects_workers_below_one(rm_model, workers):
     with pytest.raises(ConfigError, match="workers"):
         scan_geometry(rm_model, nx=8, workers=workers)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, n: scan_geometry(m, nx=n),
+    lambda m, n: scan_geometry(m, nx=8, ny=n),
+    lambda m, n: chern_plaquette(m, n_grid=n),
+    lambda m, n: optical_weight_bz(m, n_grid=n),
+], ids=["scan_nx", "scan_ny", "chern_plaquette", "optical_weight_bz"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_mesh_size_below_one_is_config_error(rm_model, call, n):
+    with pytest.raises(ConfigError, match="mesh size"):
+        call(rm_model, n)
 
 
 def test_curvature_integral_convergence(rm_model):

@@ -1,15 +1,17 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
 
-from nhgeo.errors import (CommutatorViolationError, NonHermitianTargetError,
-                          NonIntegrableError, PoleOnAxisError, ProportionalityError)
+from nhgeo.errors import (NonHermitianTargetError, NonIntegrableError,
+                          PoleOnAxisError, ProportionalityError)
 from nhgeo.models import SIGMA_Y, SIGMA_Z
 from nhgeo.lindblad import (JumpSpec, KeldyshSet, bubble_h, bubble_matrix,
                             bubble_positivity, decompose_antihermitian,
                             effective_hamiltonian, keldysh_green, keldysh_sigma,
                             m_matrix)
 from nhgeo.oracles import bubble_h_quadrature, polarization_bubble_quadrature
+from nhgeo.response import lorentzian_kernel
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = SIGMA_Y
@@ -118,13 +120,6 @@ def test_keldysh_green_anti_hermitian(rng):
     npt.assert_allclose(g, -g.conj().T, atol=1e-12)
 
 
-def test_keldysh_green_commutator_guard():
-    with pytest.raises(CommutatorViolationError):
-        keldysh_green(SIGMA_Z.astype(complex), 1j * SIGMA_Y, 0.3, mode="projected")
-    # commuting case passes in projected mode
-    keldysh_green(SIGMA_Z.astype(complex), 1j * SIGMA_Z, 0.3, mode="projected")
-
-
 # -- Keldysh bubbles ----------------------------------------------------------
 
 EPS = np.array([0.8 - 0.25j, -0.6 - 0.4j])
@@ -157,6 +152,20 @@ def test_bubble_positivity_scan_and_gain_flip():
     flipped = np.conj(EPS[1])  # gain on level m
     vals = [bubble_positivity(EPS[0], flipped, w, side="A") for w in omegas]
     assert min(vals) < 0.0
+
+
+@given(e_n=st.floats(-5.0, 5.0), e_m=st.floats(-5.0, 5.0),
+       s_n=st.floats(0.05, 3.0), s_m=st.floats(0.05, 3.0),
+       omega=st.floats(-10.0, 10.0), noise_sign=st.sampled_from([1.0, -1.0]))
+def test_bubble_positivity_is_lorentzian_for_decaying_levels(e_n, e_m, s_n, s_m, omega,
+                                                             noise_sign):
+    # the identity behind the batched positivity scan of ``nhgeo lindblad-check``
+    eps_n, eps_m = e_n - 1j * s_n, e_m - 1j * s_m
+    ref = noise_sign * 2.0 * np.pi**2 * lorentzian_kernel(e_m - e_n, 0.0, s_n + s_m, omega)
+    for side in ("A", "R"):
+        q = bubble_positivity(eps_n, eps_m, omega, side=side,
+                              sigma_k_m=noise_sign * 2j * np.imag(eps_m))
+        assert q == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_bubble_matrix_pole_on_axis():

@@ -6,7 +6,7 @@ from scipy import integrate
 from conftest import hermitian_kubo_sigma, hermitian_qgt, smooth_gauge
 from nhgeo.errors import BranchViolationError, PoleOnAxisError
 from nhgeo.geometry import anomalous_connection, qgt_rr, velocity_matrices
-from nhgeo.models import BlochModel, RMParams
+from nhgeo.models import BlochModel, RMParams, bz_mesh
 from nhgeo.oracles import optical_weight_quadrature
 from nhgeo.response import (absorptive_part, conductivity_wavepacket,
                             drude_coefficient, interband_fh, lehmann_correlator,
@@ -143,21 +143,21 @@ def test_absorptive_anti_hermitian_input():
 
 def test_fh_gauge_invariance(rm_model):
     for kx, ky in [(0.7, -1.3), (2.0, 0.4)]:
-        f0, h0 = interband_fh(rm_model, kx, ky)
-        f1, h1 = interband_fh(rm_model, kx, ky, gauge=smooth_gauge(seed=9))
+        f0, h0, _, _ = interband_fh(rm_model, kx, ky)
+        f1, h1, _, _ = interband_fh(rm_model, kx, ky, gauge=smooth_gauge(seed=9))
         assert np.max(np.abs(f0 - f1)) < 1e-8
         assert np.max(np.abs(h0 - h1)) < 1e-8
 
 
 def test_h_vanishes_hermitian(hermitian_model):
-    _, hc = interband_fh(hermitian_model, 0.7, -1.3)
+    _, hc, _, _ = interband_fh(hermitian_model, 0.7, -1.3)
     assert np.max(np.abs(hc)) < 1e-12
 
 
 def test_f_sum_identity(rm_model):
     # sum_mu f_mumu = tr G^RR + (i/2) div Q^R, the anomalous-connection identity
     for kx, ky in [(0.7, -1.3), (2.0, 0.4), (-1.1, 2.8)]:
-        f, _ = interband_fh(rm_model, kx, ky)
+        f, _, _, _ = interband_fh(rm_model, kx, ky)
         fsum = f[0, 0, 0] + f[0, 1, 1]
         step = 1e-5
 
@@ -181,7 +181,7 @@ def test_f_sum_identity(rm_model):
 def test_f_reduces_to_hermitian_qgt(hermitian_model):
     # f_{mu nu} -> <d_mu n|m><m|d_nu n>, the band-resolved QGT term
     kx, ky = 0.7, -1.3
-    f, _ = interband_fh(hermitian_model, kx, ky)
+    f, _, _, _ = interband_fh(hermitian_model, kx, ky)
     ref = hermitian_qgt(hermitian_model.hamiltonian(kx, ky),
                         hermitian_model.derivative(kx, ky, 0),
                         hermitian_model.derivative(kx, ky, 1), band=1)
@@ -236,6 +236,32 @@ def test_weight_closed_vs_quadrature_25_points(rm_model, rng):
         wn, _ = optical_weight_numeric(rm_model, kx, ky, eta=1e-3)
         worst = max(worst, abs(wq - wn) / max(abs(wq), 1e-9))
     assert worst < 1e-4
+
+
+def test_weight_and_conductivity_batch_equal_scalar_calls(rng):
+    model = BlochModel.rice_mele(RMParams(gamma=1.0, Gamma=0.7, variant="supplemental"))
+    kx, ky = rng.uniform(-np.pi, np.pi, size=(2, 3, 4))
+    w, coeff = optical_weight_numeric(model, kx, ky, eta=1e-3)
+    sig = conductivity_wavepacket(model, kx, ky, band="slowest", omega=0.8)
+    assert w.shape == coeff.shape == kx.shape and sig.shape == kx.shape + (2, 2)
+    for idx in np.ndindex(kx.shape):
+        w1, c1 = optical_weight_numeric(model, kx[idx], ky[idx], eta=1e-3)
+        assert w1 == w[idx] and c1 == coeff[idx]
+        s1 = conductivity_wavepacket(model, kx[idx], ky[idx], band="slowest", omega=0.8)
+        assert np.array_equal(s1, sig[idx])
+
+
+@pytest.mark.parametrize("model_name, band", [
+    ("rm_model", "slowest"), ("hermitian_model", "slowest"),
+    ("hermitian_model", 0), ("hermitian_model", 1),
+])
+def test_weight_numeric_on_mesh_equals_bz_per_k(request, model_name, band):
+    # a fixed band is admissible only where it decays slowest: everywhere
+    # in the Hermitian limit
+    model = request.getfixturevalue(model_name)
+    w, _ = optical_weight_numeric(model, *bz_mesh(12, 12), band=band, eta=1e-3)
+    res = optical_weight_bz(model, band=band, n_grid=12, eta=1e-3)
+    assert np.array_equal(w, res.per_k)
 
 
 def test_weight_eta_dependence_is_logarithmic(rm_model):
