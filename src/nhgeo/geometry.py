@@ -10,10 +10,21 @@ Conventions
 * ``norm_product`` is the gauge-invariant ||R_n||^2 ||L_n||^2 that converts
   between the two normalizations of the mixed tensor.
 
-Every tensor is a function of the velocity matrix V_mu = <L|d_mu H|R>
-(:func:`velocity_matrices`, the one contraction of dH), the energies and
-the two Gram matrices.  Everything is batched over leading axes.  All
-quantities are gauge invariant under |R_n> -> c(k)|R_n>,
+Two routes compute the same tensors, batched over leading axes:
+
+* The eigenvector route: every tensor is a function of the velocity
+  matrix V_mu = <L|d_mu H|R> (:func:`velocity_matrices`, the one
+  contraction of dH), the energies and the two Gram matrices of an
+  :class:`~nhgeo.spectra.Eigensystem`.  It serves any band count and the
+  single-point calls.
+* The pseudospin kernel (:func:`pseudospin_geometry`): for two bands,
+  H = c + d.sigma, every tensor is a trace of products of the band
+  projectors P_+- = (1 +- n.sigma)/2, n = d/sqrt(d.d), with the Pauli
+  parts a_mu of d_mu H; no eigenvector is formed.  It serves
+  :func:`scan_geometry`, guarded per point and cross-checked against the
+  eigenvector route on one kx row of every chunk.
+
+All quantities are gauge invariant under |R_n> -> c(k)|R_n>,
 |L_n> -> |L_n>/conj(c(k)).
 """
 
@@ -25,9 +36,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import (ConfigError, ExceptionalPointError, GaugeLockError,
+                     IllConditionedError, NonConvergenceError, NonFiniteError,
                      NonRealCurvatureError)
 from .models import BlochModel, bz_mesh
-from .spectra import Eigensystem, eigensystem_two_band, gauge_rescale, matrix_elements
+from .spectra import (Eigensystem, eigensystem_two_band, gauge_rescale, matrix_elements,
+                      pseudospin_split)
 
 #: minimum |<psi(k)|psi(k')>| for a finite-difference gauge lock
 LOCK_MIN_OVERLAP = 0.5
@@ -37,6 +50,21 @@ CURVATURE_IMAG_TOL = 1e-9
 #: mesh points per batched chunk of :func:`solve_mesh` (whole kx rows);
 #: small enough that a chunk's temporaries stay a few MB
 CHUNK_POINTS = 2048
+
+#: largest norm product ||R||^2 ||L||^2 (Petermann factor) the pseudospin
+#: kernel serves.  The eigenvector route's Gram inverse carries a roundoff
+#: of about 1.1e-16 N^2, which its validation rejects above 1e-9 (from
+#: N ~ 3e3); beyond this limit neither route can be cross-checked to
+#: CROSS_CHECK_RTOL.
+NORM_PRODUCT_LIMIT = 1e3
+
+#: largest relative disagreement between the pseudospin kernel and the
+#: eigenvector route on a chunk's cross-check row
+CROSS_CHECK_RTOL = 1e-10
+
+#: GeometryGrid fields in the order both routes return them
+FIELDS = ("qgt_lr", "qgt_rl", "qgt_rr", "qgt_ll", "anomalous_r", "anomalous_l",
+          "curvature_lr", "norm_product")
 
 
 def velocity_matrices(eig: Eigensystem, dhx, dhy):
@@ -188,13 +216,13 @@ class GeometryGrid:
         return (2.0 * np.pi / nx) * (2.0 * np.pi / ny)
 
 
-def compute_geometry(eig: Eigensystem, dhx, dhy, band=0, occupied=None):
+def compute_geometry(eig: Eigensystem, dhx, dhy, band=0):
     """All per-point geometric objects from one eigensystem (batched).
 
     The derivatives enter once, through :func:`velocity_matrices`.
     """
     v = velocity_matrices(eig, dhx, dhy)
-    q_lr = qgt_lr(eig, v, band=band, occupied=occupied)
+    q_lr = qgt_lr(eig, v, band=band)
     return (q_lr, qgt_rl_from_lr(q_lr), qgt_rr(eig, v, band=band),
             qgt_ll(eig, v, band=band),
             anomalous_connection(eig, v, band=band, side="R"),
@@ -202,28 +230,173 @@ def compute_geometry(eig: Eigensystem, dhx, dhy, band=0, occupied=None):
             berry_curvature_lr(q_lr))
 
 
-def solve_mesh(model: BlochModel, kxg, kyg, ordering, store, mapper=map):
+def _cross(u, v, out):
+    """out[..., i, :] = (u x v)_i over the component axis -2."""
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.subtract(u[..., j, :] * v[..., k, :], u[..., k, :] * v[..., j, :],
+                    out=out[..., i, :])
+    return out
+
+
+def pseudospin_geometry(h, dhx, dhy, band=0):
+    """The eight :class:`GeometryGrid` fields of branch band ``band`` of
+    two-band matrices, in :data:`FIELDS` order, without eigenvectors.
+
+    With h = c + d.sigma, s = sqrt(d.d) (branch energies c +- s), n = d/s
+    and a_mu the Pauli part of d_mu h, the band projectors are
+    P_n = (1 + sig n.sigma)/2 (sig = +1 for band 0, -1 for band 1) and
+    Delta = e_n - e_m = 2 sig s.  The interband pieces are the traceless
+    matrices P_n A_mu P_m = g_mu.sigma and P_m A_mu P_n = h_mu.sigma with
+    g, h = (a_perp +- i sig n x a)/2, and every field is a trace of their
+    products with the right/left ray projectors
+    rho_R = P P^+/tr(P P^+) = (1 + r.sigma)/2, rho_L = P^+ P/tr(P^+ P)
+    = (1 + l.sigma)/2:
+
+    * Q^LR_mu,nu = tr(P_n A_mu P_m A_nu)/Delta^2 = 2 g_mu.h_nu/Delta^2,
+    * Q^RR_mu,nu = tr(rho_Rn A_mu^+ P_m^+ P_m A_nu)(1 - tr rho_Rm rho_Rn)/|Delta|^2
+      = 2 conj(h_mu).h_nu/(N^2 |Delta|^2), Q^LL mirrored with g,
+    * Q^R_mu = i tr(P_m A_mu P_n rho_Rn)/Delta = i h_mu.r/Delta, Q^L mirrored,
+    * N = tr(P_n^+ P_n) = |Re n|^2, which also gives 1 - tr rho_Rm rho_Rn = 1/N.
+
+    Everything is elementwise over the batch, so a point gets the same bits
+    in any batch.  Guards, each a typed error: the ``GAP_RTOL`` gap of
+    :func:`~nhgeo.spectra.pseudospin_split` (ExceptionalPointError with the
+    batch indices), N above :data:`NORM_PRODUCT_LIMIT`
+    (IllConditionedError) and non-finite output (NonFiniteError).
+    """
+    if band not in (0, 1):
+        raise ValueError("band must be 0 or 1")
+    d, _, s = pseudospin_split(h)
+    shape = s.shape
+    sig = 1.0 if band == 0 else -1.0
+    inv_s = 1.0 / s.reshape(-1)
+    size = inv_s.size
+    n = np.empty((3, size), dtype=complex)
+    np.multiply(d.reshape(size, 3).T, inv_s, out=n)
+    a = np.empty((2, 3, size), dtype=complex)  # 2 a_mu, Pauli parts of d_mu h
+    for mu, dh in enumerate((dhx, dhy)):
+        dh = np.asarray(dh).reshape(size, 2, 2)
+        np.add(dh[:, 0, 1], dh[:, 1, 0], out=a[mu, 0])
+        np.subtract(dh[:, 0, 1], dh[:, 1, 0], out=a[mu, 1])
+        np.subtract(dh[:, 0, 0], dh[:, 1, 1], out=a[mu, 2])
+    a[:, 1] *= 1j
+    x, y = n.real, n.imag
+    norm = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    bad = norm > NORM_PRODUCT_LIMIT
+    if np.any(bad):
+        raise IllConditionedError(
+            f"norm product up to {float(np.max(norm[bad])):.2e} exceeds "
+            f"{NORM_PRODUCT_LIMIT:.0e} at {int(np.count_nonzero(bad))} point(s) "
+            "(near-exceptional)")
+
+    # 4g and 4h: 2 (a_perp +- i sig n x a_perp), with a_perp = a - (n.a) n
+    p = n[0] * a[:, 0] + n[1] * a[:, 1] + n[2] * a[:, 2]
+    a -= p[:, None] * n  # now 2 a_perp
+    twist = _cross((1j * sig) * n, a, np.empty_like(a))
+    hv = a - twist
+    g = np.add(a, twist, out=twist)
+    u = _cross(x, y, np.empty((3, size)))  # x cross y = i (n x n*) / 2
+    r = (sig * x + u) / norm
+    l = (sig * x - u) / norm
+
+    # g and h here are 4 g and 4 h; the factors are folded into the scales
+    q_lr = np.empty((2, 2, size), dtype=complex)
+    for mu in range(2):
+        q_lr[mu] = (g[mu] * hv).sum(axis=1)
+    q_lr *= 0.03125 * inv_s * inv_s
+    w = 0.03125 / (norm * norm * (s.real * s.real + s.imag * s.imag).reshape(-1))
+    # Q^RR_mu,nu ~ conj(h_mu).h_nu and Q^LL_mu,nu ~ g_mu.conj(g_nu): diagonals
+    # in real arithmetic, mirrored off-diagonals, so both are exactly Hermitian
+    q_rr = np.empty((2, 2, size), dtype=complex)
+    q_ll = np.empty_like(q_rr)
+    for q, v, upper in ((q_rr, hv, (0, 1)), (q_ll, g, (1, 0))):
+        sq = (v.real * v.real + v.imag * v.imag).sum(axis=1)
+        q[0, 0] = sq[0] * w
+        q[1, 1] = sq[1] * w
+        q[upper] = (np.conj(v[0]) * v[1]).sum(axis=0) * w
+        q[upper[::-1]] = np.conj(q[upper])
+    q_r = (hv * r).sum(axis=1) * ((0.125j * sig) * inv_s)
+    q_l = (np.conj(g) * l).sum(axis=1) * ((0.125j * sig) * np.conj(inv_s))
+    curv = 1j * (q_lr[0, 1] - q_lr[1, 0])
+
+    # one sum sees every NaN or infinity (and overflow, which is as fatal)
+    if not np.isfinite(sum(np.sum(v) for v in (q_lr, q_rr, q_ll, q_r, q_l, norm))):
+        raise NonFiniteError("non-finite geometry from the pseudospin kernel")
+    batch = len(shape)
+
+    def trailing(q, k):
+        """(k component axes, *shape) -> (*shape, k component axes) view."""
+        order = tuple(range(k, k + batch)) + tuple(range(k))
+        return q.reshape(q.shape[:k] + shape).transpose(order)
+
+    lr = trailing(q_lr, 2)
+    return (lr, qgt_rl_from_lr(lr), trailing(q_rr, 2), trailing(q_ll, 2),
+            trailing(q_r, 1), trailing(q_l, 1), curv.reshape(shape), norm.reshape(shape))
+
+
+def _row_max(x):
+    return np.max(np.abs(x).reshape(len(x), -1), axis=1)
+
+
+def _cross_check(model: BlochModel, kx, ky, values, band):
+    """Compare pseudospin-kernel fields ``values`` at whole kx rows (kx, ky)
+    with the validated eigenvector route (``eigensystem_two_band`` +
+    :func:`compute_geometry`).
+
+    In each row, a field's largest deviation is measured against its own
+    largest magnitude, floored by the natural scale of the fields (the
+    largest tensor entry T; sqrt(T) for the connections; 1 for the norm
+    product), so a field that is pure roundoff (the connections of a
+    Hermitian model) does not count.  Raises NonConvergenceError above
+    CROSS_CHECK_RTOL.
+    """
+    eig = eigensystem_two_band(model.hamiltonian(kx, ky), ordering="branch")
+    ref = compute_geometry(eig, model.derivative(kx, ky, 0), model.derivative(kx, ky, 1),
+                           band=band) + (eig.norm_product(band),)
+    tensor = np.max([_row_max(v) for v in ref[:4]], axis=0)
+    floors = (tensor,) * 4 + (np.sqrt(tensor),) * 2 + (tensor, 1.0)
+    for name, value, want, floor in zip(FIELDS, values, ref, floors):
+        err, scale = _row_max(value - want), np.maximum(_row_max(want), floor)
+        ok = err <= CROSS_CHECK_RTOL * scale
+        if not np.all(ok):
+            row = int(np.argmin(ok))
+            raise NonConvergenceError(
+                f"pseudospin kernel and eigenvector route differ in {name} by "
+                f"{err[row]:.2e} at scale {scale[row]:.2e} (limit {CROSS_CHECK_RTOL:.0e} relative)")
+
+
+def _chunk_rows(ny):
+    """kx rows per chunk of a mesh with ``ny`` points per row."""
+    return max(1, CHUNK_POINTS // ny)
+
+
+def _branch_eigensystem(kx, ky, h):
+    return eigensystem_two_band(h, ordering="branch")
+
+
+def solve_mesh(model: BlochModel, kxg, kyg, store, mapper=map, solve=_branch_eigensystem):
     """Solve a (nx, ny) mesh in fixed chunks of whole kx rows.
 
-    Each chunk of about CHUNK_POINTS points is one batched
-    ``hamiltonian``/``eigensystem_two_band`` call, handed on as
-    ``store(rows, kx, ky, eig)`` with ``rows`` the chunk's kx-row slice.
-    ``mapper`` runs the chunks (``map`` serially, an executor's ``map`` on
-    threads).  Chunk bounds depend on the mesh shape only.  The exceptional
-    points of every chunk are mapped to (kx, ky), sorted and raised once
-    after the last chunk.
+    Each chunk of about CHUNK_POINTS points is one batched ``hamiltonian``
+    call and one ``solve(kx, ky, h)`` call (by default the branch-labelled
+    ``eigensystem_two_band``), handed on as ``store(rows, kx, ky, result)``
+    with ``rows`` the chunk's kx-row slice.  ``mapper`` runs the chunks
+    (``map`` serially, an executor's ``map`` on threads).  Chunk bounds
+    depend on the mesh shape only.  The exceptional points of every chunk
+    are mapped to (kx, ky), sorted and raised once after the last chunk.
     """
     nx, ny = kxg.shape
-    rows = max(1, CHUNK_POINTS // ny)
+    rows = _chunk_rows(ny)
 
     def do_chunk(i0):
         rng = slice(i0, i0 + rows)
         kxr, kyr = kxg[rng], kyg[rng]
         try:
-            eig = eigensystem_two_band(model.hamiltonian(kxr, kyr), ordering=ordering)
+            result = solve(kxr, kyr, model.hamiltonian(kxr, kyr))
         except ExceptionalPointError as exc:
             return [(float(kxr[i, j]), float(kyr[i, j])) for i, j in exc.points]
-        store(rng, kxr, kyr, eig)
+        store(rng, kxr, kyr, result)
         return []
 
     bad_points = sorted(pt for pts in mapper(do_chunk, range(0, nx, rows)) for pt in pts)
@@ -232,15 +405,18 @@ def solve_mesh(model: BlochModel, kxg, kyg, ordering, store, mapper=map):
             f"{len(bad_points)} exceptional point(s) on the mesh", points=bad_points)
 
 
-def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
-                  workers=1, ordering="branch"):
-    """GeometryGrid over the uniform [-pi, pi)^2 mesh.
+def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
+    """GeometryGrid of branch band ``band`` over the uniform [-pi, pi)^2 mesh.
 
     :func:`solve_mesh` cuts the mesh into chunks of whole kx rows;
-    ``workers`` threads solve one chunk per batched call and write it into
-    preallocated arrays, so the result is identical for any ``workers``.
-    Bands carry the k-smooth branch labels by default (integer topology
-    requires a labeling that is continuous across the zone).
+    ``workers`` threads each hand one chunk's H, d_x H and d_y H to
+    :func:`pseudospin_geometry` and write the fields into preallocated
+    arrays.  The kernel is elementwise, so the result is identical for any
+    ``workers``.  The first kx row of every chunk is then recomputed
+    through the validated eigenvector route, batched like the chunks
+    (:func:`_cross_check`).  Bands carry the k-smooth branch labels
+    (integer topology requires a labeling that is continuous across the
+    zone).
     """
     if model.dimension != 2:
         raise ConfigError("grid scans support two-band models only")
@@ -248,22 +424,27 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, occupied=None,
         raise ConfigError(f"workers must be >= 1, got {workers}")
     ny = nx if ny is None else ny
     kxg, kyg = bz_mesh(nx, ny)
-    fields = {"qgt_lr": (2, 2), "qgt_rl": (2, 2), "qgt_rr": (2, 2), "qgt_ll": (2, 2),
-              "anomalous_r": (2,), "anomalous_l": (2,), "curvature_lr": ()}
+    tails = ((2, 2),) * 4 + ((2,),) * 2 + ((),)
     out = GeometryGrid(kx=kxg, ky=kyg, band=band, norm_product=np.full((nx, ny), np.nan),
                        **{name: np.full((nx, ny) + tail, np.nan, dtype=complex)
-                          for name, tail in fields.items()})
+                          for name, tail in zip(FIELDS, tails)})
 
-    def store(rng, kxr, kyr, eig):
-        values = compute_geometry(eig, model.derivative(kxr, kyr, 0),
-                                  model.derivative(kxr, kyr, 1),
-                                  band=band, occupied=occupied)
-        for name, value in zip(fields, values):
+    def solve(kxr, kyr, h):
+        return pseudospin_geometry(h, model.derivative(kxr, kyr, 0),
+                                   model.derivative(kxr, kyr, 1), band=band)
+
+    def store(rng, kxr, kyr, values):
+        for name, value in zip(FIELDS, values):
             getattr(out, name)[rng] = value
-        out.norm_product[rng] = eig.norm_product(band)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        solve_mesh(model, kxg, kyg, ordering, store, mapper=pool.map)
+        solve_mesh(model, kxg, kyg, store, mapper=pool.map, solve=solve)
+    rows = _chunk_rows(ny)
+    firsts = np.arange(0, nx, rows)  # the first kx row of every chunk
+    for i in range(0, len(firsts), rows):
+        sel = firsts[i:i + rows]
+        _cross_check(model, kxg[sel], kyg[sel], [getattr(out, name)[sel] for name in FIELDS],
+                     band)
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BranchViolationError, PoleOnAxisError
 from .models import BlochModel, bz_mesh
-from .spectra import braket, decays_slower, eigensystem_two_band
+from .spectra import Eigensystem, braket, decays_slower, eigensystem_two_band
 from .geometry import locked_stencil, qgt_rr, velocity_matrices
 
 FD_STEP = 1e-5
@@ -128,10 +128,16 @@ def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
 
     Returns (f, h_coef, center, v): f and h_coef of shape (..., 2, 2, 2) in
     (band n, mu, nu), the other band m = 1 - n being the transition partner,
-    then the stencil's center eigensystem and its velocity matrices.
+    then the stencil's center eigensystem and its velocity matrices.  The
+    k points are solved as one flat batch and every output takes their
+    broadcast shape, so a scalar k gives the same bits as that point of a
+    mesh (numpy's scalar complex arithmetic rounds differently from its
+    array loops).
     """
     if model.dimension != 2:
         raise ValueError("interband coefficients implemented for two bands")
+    shape = np.broadcast(kx, ky).shape
+    kx, ky = (np.broadcast_to(np.asarray(k, dtype=float), shape).reshape(-1) for k in (kx, ky))
     center, shifted = locked_stencil(model, kx, ky, h, gauge=gauge)
 
     def velocities(eig, akx, aky):
@@ -143,7 +149,7 @@ def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
         de = eig.energies[..., n] - eig.energies[..., 1 - n]
         return v[..., 1 - n, n] / de[..., None]
 
-    v = velocities(center, np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
+    v = velocities(center, kx, ky)
     vel = v[..., (0, 1), (0, 1)]  # band velocities, (..., mu, band)
     stencil = {key: (eig, velocities(eig, *k)) for key, (k, eig) in shifted.items()}
     d_right = [(shifted[(ax, 1.0)][1].right - shifted[(ax, -1.0)][1].right) / (2.0 * h)
@@ -172,7 +178,13 @@ def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
                                      ) / (2.0 * i_nn)
                 h_coef[..., n, mu, nu] = (i_nm / (2.0 * i_nn)) * g[..., nu] \
                     * (vel[..., mu, n] - vel[..., mu, m])
-    return f, h_coef, center, v
+
+    def unflat(a):
+        return a.reshape(shape + a.shape[1:])
+
+    center = Eigensystem(*map(unflat, (center.energies, center.right, center.left,
+                                       center.overlap_right, center.overlap_left)))
+    return unflat(f), unflat(h_coef), center, unflat(v)
 
 
 def drude_coefficient(model: BlochModel, kx, ky, band=0, h=1e-4):
@@ -216,10 +228,9 @@ def band_coefficients(model: BlochModel, kx, ky, band="slowest"):
     and its center eigensystem and velocity matrices give z and tr G^RR.
     ``band="slowest"`` keeps, at each k, the band that decays slowest
     (:func:`decays_slower`); 0 or 1 keeps that branch band everywhere (only
-    valid while it decays slowest, else the branch cut is crossed).  The k
-    points are solved as one flat batch, so a scalar k gives the same bits
-    as that point of a mesh (numpy's scalar complex arithmetic rounds
-    differently from its array loops).
+    valid while it decays slowest, else the branch cut is crossed).  The
+    selection runs on the flat batch of :func:`interband_fh`, so a scalar k
+    gives the same bits as that point of a mesh.
     """
     if band != "slowest" and band not in (0, 1):
         raise ValueError("band must be 'slowest', 0 or 1")

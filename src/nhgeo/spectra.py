@@ -159,6 +159,31 @@ def _dual_two_band(right):
     return np.stack([l0, l1], axis=-2)
 
 
+def pseudospin_split(h, gap_rtol=GAP_RTOL):
+    """(d, c, s) of 2x2 matrices h = c + d.sigma, batched, with s = sqrt(d.d)
+    on the principal branch: the branch energies are c + s and c - s.
+
+    Raises
+    ------
+    ExceptionalPointError
+        where |e_+ - e_-| < gap_rtol * max|e_+-|, with the batch indices of
+        those points.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.shape[-2:] != (2, 2):
+        raise ValueError("two-band routines expect (..., 2, 2) input")
+    d, c = pauli_decompose(h)
+    s = np.sqrt(np.sum(d * d, axis=-1))
+    e_plus, e_minus = c + s, c - s
+    scale = np.maximum(np.abs(e_plus), np.abs(e_minus))
+    bad = np.abs(e_plus - e_minus) < gap_rtol * np.maximum(scale, 1e-300)
+    if np.any(bad):
+        raise ExceptionalPointError(
+            f"two-band gap below tolerance at {int(np.count_nonzero(bad))} point(s)",
+            points=np.argwhere(bad))
+    return d, c, s
+
+
 def eigensystem_two_band(h, gap_rtol=GAP_RTOL, validate=True, ordering="im"):
     """Closed-form biorthogonal eigensystem of 2x2 matrices, batched.
 
@@ -182,19 +207,8 @@ def eigensystem_two_band(h, gap_rtol=GAP_RTOL, validate=True, ordering="im"):
     ExceptionalPointError
         where |e_1 - e_0| < gap_rtol * max|e|.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.shape[-2:] != (2, 2):
-        raise ValueError("eigensystem_two_band expects (..., 2, 2) input")
-    d, c = pauli_decompose(h)
-    s = np.sqrt(np.sum(d * d, axis=-1))
+    d, c, s = pseudospin_split(h, gap_rtol)
     e_plus, e_minus = c + s, c - s
-    scale = np.maximum(np.abs(e_plus), np.abs(e_minus))
-    bad = np.abs(e_plus - e_minus) < gap_rtol * np.maximum(scale, 1e-300)
-    if np.any(bad):
-        raise ExceptionalPointError(
-            f"two-band gap below tolerance at {int(np.count_nonzero(bad))} point(s)",
-            points=np.argwhere(bad))
-
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     off = dx - 1j * dy
 

@@ -40,7 +40,7 @@ class ChernResult:
 
 
 def chern_plaquette(model: BlochModel, band=0, n_grid=64, flavor="lr",
-                    ordering="branch", gauge=None, return_residue=False):
+                    gauge=None, return_residue=False):
     """Integer Chern number from biorthogonal plaquette link phases.
 
     Links are U_mu(k) = <L(k)|R(k + delta e_mu)> (``flavor="lr"``) or with
@@ -67,7 +67,7 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, flavor="lr",
         left, right = eig.left[..., band, :], eig.right[..., band, :]
         bra[rows], ket[rows] = (left, right) if flavor == "lr" else (right, left)
 
-    solve_mesh(model, kxg, kyg, ordering, store)
+    solve_mesh(model, kxg, kyg, store)
 
     u_x = np.einsum("ijk,ijk->ij", np.conj(bra), np.roll(ket, -1, axis=0))
     u_y = np.einsum("ijk,ijk->ij", np.conj(bra), np.roll(ket, -1, axis=1))

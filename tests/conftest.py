@@ -33,6 +33,21 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+#: exponents e of the near-EP sweep delta = 10^-e of :func:`near_ep_matrix`;
+#: the eigenvector route's validation rejects e >= 6 (overlap condition ~1e6)
+NEAR_EP_EXPONENTS = range(2, 18)
+NEAR_EP_REJECTED = range(6, 18)
+
+
+def near_ep_matrix(delta):
+    """q [[0.3, 1], [delta, 0.3]] q^dagger with a fixed complex rotation q:
+    eigenvalues 0.3 +- sqrt(delta), norm product ~1/(4 delta)."""
+    th, ph = 0.4, 0.7
+    q = np.array([[np.cos(th), -np.exp(1j * ph) * np.sin(th)],
+                  [np.exp(-1j * ph) * np.sin(th), np.cos(th)]])
+    return q @ np.array([[0.3, 1.0], [delta, 0.3]]) @ q.conj().T
+
+
 def smooth_gauge(amp=0.4, seed=0):
     """Random smooth nonvanishing per-band gauge factor c(kx, ky)."""
     gen = np.random.default_rng(seed)

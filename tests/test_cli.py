@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import NEAR_EP_REJECTED, near_ep_matrix
 from nhgeo import cli, geometry, topology
 from nhgeo.cli import load_config, main
 from nhgeo.errors import ConfigError
@@ -127,6 +128,25 @@ def test_cli_scan_deterministic(tmp_path):
             assert b1 == b2
 
 
+@pytest.mark.parametrize("command, report", [("chern", "chern.json"),
+                                             ("bounds", "bounds.json")])
+def test_cli_report_values_identical_across_threads(tmp_path, command, report):
+    cfg = _write(tmp_path, "t.yaml", {"grid": {"nx": 16, "ny": 16},
+                                      "chern": {"curvature_grid": 40},
+                                      "response": {"k_samples": 4, "omega_count": 11}})
+    docs = []
+    for threads in (1, 2, 4):
+        out = tmp_path / f"t{threads}"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        doc = json.loads((out / report).read_text())
+        doc.pop("timing_seconds")
+        assert doc["config"].pop("threads") == threads
+        assert doc["config"].pop("output") == {"dir": str(out)}
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
+
+
 def test_cli_scan_csv_shape(tmp_path):
     out = str(tmp_path / "scan")
     assert main(["scan", "--grid", "8", "--out", out]) == 0
@@ -143,6 +163,19 @@ def test_cli_scan_exceptional_exit_3(tmp_path):
                             "matrix": [[1.0, 0.0], [0.0, 1.0]]},
                   "grid": {"nx": 8, "ny": 8}})
     assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("exponent", NEAR_EP_REJECTED)
+def test_cli_scan_near_ep_exit_3(tmp_path, capsys, exponent):
+    # every near-EP matrix the eigenvector route's validation rejects
+    m = near_ep_matrix(10.0 ** -exponent)
+    cfg = _write(tmp_path, "near_ep.yaml",
+                 {"model": {"family": "constant",
+                            "matrix": [[[float(v.real), float(v.imag)] for v in row]
+                                       for row in m]},
+                  "grid": {"nx": 8, "ny": 8}})
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "norm product" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["scan", "chern", "bounds"])

@@ -3,15 +3,19 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from conftest import (hermitian_qgt, locked_fd_qgt_general, locked_fd_ray_qgt_general,
+from conftest import (NEAR_EP_EXPONENTS, NEAR_EP_REJECTED, hermitian_qgt,
+                      locked_fd_qgt_general, locked_fd_ray_qgt_general, near_ep_matrix,
                       random_three_band_model, smooth_gauge)
 from nhgeo import geometry
-from nhgeo.errors import ConfigError, ExceptionalPointError
-from nhgeo.models import BlochModel, bz_mesh
+from nhgeo.errors import (ConfigError, ExceptionalPointError, IllConditionedError,
+                          NHGeoError, NonConvergenceError, NonFiniteError)
+from nhgeo.models import BlochModel, bz_mesh, pauli_matrix
 from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
-                            berry_curvature_lr, compute_geometry, qgt_ll, qgt_lr,
-                            qgt_rl_from_lr, qgt_rr, scan_geometry, velocity_matrices)
+                            berry_curvature_lr, compute_geometry, pseudospin_geometry,
+                            qgt_ll, qgt_lr, qgt_rl_from_lr, qgt_rr, scan_geometry,
+                            velocity_matrices)
 from nhgeo.oracles import finite_difference_connection, finite_difference_qgt
 from nhgeo.response import optical_weight_bz
 from nhgeo.spectra import eigensystem_general, eigensystem_two_band, gauge_rescale
@@ -220,11 +224,8 @@ def test_scan_chunks_match_full_mesh_for_any_workers(rm_model, monkeypatch):
     # two kx rows per chunk: six chunks on the 11 x 5 mesh, the last one row
     monkeypatch.setattr(geometry, "CHUNK_POINTS", 10)
     kx, ky = bz_mesh(11, 5)
-    eig = eigensystem_two_band(rm_model.hamiltonian(kx, ky), ordering="branch")
-    full = compute_geometry(eig, rm_model.derivative(kx, ky, 0),
-                            rm_model.derivative(kx, ky, 1)) + (eig.norm_product(0),)
-    names = ("qgt_lr", "qgt_rl", "qgt_rr", "qgt_ll", "anomalous_r", "anomalous_l",
-             "curvature_lr", "norm_product")
+    full = pseudospin_geometry(rm_model.hamiltonian(kx, ky), rm_model.derivative(kx, ky, 0),
+                               rm_model.derivative(kx, ky, 1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the chunk threads as often as possible
     try:
@@ -232,8 +233,74 @@ def test_scan_chunks_match_full_mesh_for_any_workers(rm_model, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     for grid in grids:
-        for name, ref in zip(names, full):
+        for name, ref in zip(geometry.FIELDS, full):
             npt.assert_array_equal(getattr(grid, name), ref)
+
+
+_PART = st.floats(-2.0, 2.0).map(lambda v: round(v, 3))
+_VEC = st.tuples(*[st.builds(complex, _PART, _PART)] * 3)
+
+
+@given(d=_VEC, a_x=_VEC, a_y=_VEC, c=st.builds(complex, _PART, _PART),
+       dc=st.builds(complex, _PART, _PART), band=st.sampled_from([0, 1]))
+def test_pseudospin_kernel_matches_eigenvector_route(d, a_x, a_y, c, dc, band):
+    d = np.array(d)
+    # away from exceptional points: both routes lose ~1e-16 N^2 near them
+    assume(abs(d @ d) > 0.0 and np.vdot(d, d).real / abs(d @ d) < 100.0)
+    h = (pauli_matrix(d) + c * np.eye(2))[None]
+    dhx = (pauli_matrix(np.array(a_x)) + dc * np.eye(2))[None]
+    dhy = pauli_matrix(np.array(a_y))[None]
+    fields = pseudospin_geometry(h, dhx, dhy, band=band)
+    eig = eigensystem_two_band(h, ordering="branch")
+    ref = compute_geometry(eig, dhx, dhy, band=band) + (eig.norm_product(band),)
+    # relative to each array's max; the connections and the curvature are
+    # floored at the tensor scale, since for a real d they are pure roundoff
+    tensor = max(np.max(np.abs(q)) for q in ref[:4])
+    floors = (0.0,) * 4 + (np.sqrt(tensor),) * 2 + (tensor, 0.0)
+    for name, value, want, floor in zip(geometry.FIELDS, fields, ref, floors):
+        assert value.shape == want.shape, name
+        assert np.max(np.abs(value - want)) <= 1e-12 * max(np.max(np.abs(want)), floor), name
+    for q in fields[2:4]:
+        assert np.array_equal(q, np.conj(np.swapaxes(q, -1, -2)))
+
+
+@pytest.mark.parametrize("exponent", NEAR_EP_EXPONENTS)
+def test_near_ep_sweep_typed_error_where_eigenvector_route_rejects(exponent):
+    model = BlochModel.constant(near_ep_matrix(10.0 ** -exponent))
+    kx, ky = bz_mesh(4, 4)
+    h = model.hamiltonian(kx, ky)
+    if exponent in NEAR_EP_REJECTED:
+        with pytest.raises(NHGeoError):
+            eigensystem_two_band(h)
+    if 10.0 ** exponent / 4 > geometry.NORM_PRODUCT_LIMIT:  # norm product ~1/(4 delta)
+        with pytest.raises(IllConditionedError, match="norm product"):
+            scan_geometry(model, nx=4)
+    else:
+        grid = scan_geometry(model, nx=4)
+        npt.assert_allclose(grid.norm_product, eigensystem_two_band(h).norm_product(0))
+
+
+def test_scan_cross_check_catches_a_kernel_error(rm_model, monkeypatch):
+    kernel = geometry.pseudospin_geometry
+
+    def skewed(h, dhx, dhy, band=0):
+        fields = kernel(h, dhx, dhy, band=band)
+        fields[2][0, 3] *= 1.0 + 1e-9  # one point of the chunk's first kx row
+        return fields
+
+    monkeypatch.setattr(geometry, "pseudospin_geometry", skewed)
+    with pytest.raises(NonConvergenceError, match="qgt_rr"):
+        scan_geometry(rm_model, nx=8)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_scan_non_finite_hamiltonian_is_typed(rm_model):
+    def ham(kx, ky):
+        h = rm_model.hamiltonian(kx, ky)
+        return np.where(np.isclose(kx, 0.0)[..., None, None], np.nan, h)
+
+    with pytest.raises(NonFiniteError):
+        scan_geometry(BlochModel(2, ham, rm_model.derivative), nx=8)
 
 
 def test_scan_collects_exceptional_points(monkeypatch):

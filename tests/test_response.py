@@ -334,3 +334,19 @@ def test_branch_continuity_along_rows():
     assert np.max(jumps) < np.pi / 2
     assert np.all(res.arg_per_k <= 0.0)
     assert np.all(res.arg_per_k > -np.pi)
+
+
+def test_interband_fh_scalar_call_equals_mesh_point():
+    # interband_fh flattens its own k points: a scalar call runs the array
+    # loops of a mesh, not numpy's scalar complex arithmetic
+    model = BlochModel.rice_mele(RMParams(gamma=1.0, Gamma=0.7, variant="supplemental"))
+    kx, ky = bz_mesh(12, 12)
+    f, hc, eig, v = interband_fh(model, kx, ky)
+    assert f.shape == hc.shape == (12, 12, 2, 2, 2)
+    assert eig.right.shape == (12, 12, 2, 2) and v.shape == (12, 12, 2, 2, 2)
+    for i in range(12):
+        j = (5 * i + 3) % 12
+        f1, h1, eig1, v1 = interband_fh(model, kx[i, j], ky[i, j])
+        for one, mesh in ((f1, f), (h1, hc), (eig1.energies, eig.energies),
+                          (eig1.right, eig.right), (v1, v)):
+            assert np.array_equal(one, mesh[i, j])
