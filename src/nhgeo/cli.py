@@ -251,11 +251,10 @@ def _absorptive_stack(cfg, model):
     rate = 0.5 * gamma
     if rsp.get("invert_bath"):
         rate = -rate
-    h = model.hamiltonian(kxg, kyg)
+    h, *dh = model.hamiltonian(kxg, kyg, derivatives=True)
     evals, vecs = np.linalg.eigh(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))))
     vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
-    ops = np.stack([vecs_h @ model.derivative(kxg, kyg, ax) @ vecs for ax in (0, 1)],
-                   axis=-3)
+    ops = np.stack([vecs_h @ d @ vecs for d in dh], axis=-3)
     ops = 0.5 * (ops + np.conj(np.swapaxes(ops, -1, -2)))
     if rsp.get("beta") is None:
         rho = np.array([1.0, 0.0])

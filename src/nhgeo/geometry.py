@@ -351,9 +351,9 @@ def _cross_check(model: BlochModel, kx, ky, values, band):
     Hermitian model) does not count.  Raises NonConvergenceError above
     CROSS_CHECK_RTOL.
     """
-    eig = eigensystem_two_band(model.hamiltonian(kx, ky), ordering="branch")
-    ref = compute_geometry(eig, model.derivative(kx, ky, 0), model.derivative(kx, ky, 1),
-                           band=band) + (eig.norm_product(band),)
+    h, dhx, dhy = model.hamiltonian(kx, ky, derivatives=True)
+    eig = eigensystem_two_band(h, ordering="branch")
+    ref = compute_geometry(eig, dhx, dhy, band=band) + (eig.norm_product(band),)
     tensor = np.max([_row_max(v) for v in ref[:4]], axis=0)
     floors = (tensor,) * 4 + (np.sqrt(tensor),) * 2 + (tensor, 1.0)
     for name, value, want, floor in zip(FIELDS, values, ref, floors):
@@ -371,20 +371,16 @@ def _chunk_rows(ny):
     return max(1, CHUNK_POINTS // ny)
 
 
-def _branch_eigensystem(kx, ky, h):
-    return eigensystem_two_band(h, ordering="branch")
-
-
-def solve_mesh(model: BlochModel, kxg, kyg, store, mapper=map, solve=_branch_eigensystem):
+def solve_mesh(kxg, kyg, solve, store, mapper=map):
     """Solve a (nx, ny) mesh in fixed chunks of whole kx rows.
 
-    Each chunk of about CHUNK_POINTS points is one batched ``hamiltonian``
-    call and one ``solve(kx, ky, h)`` call (by default the branch-labelled
-    ``eigensystem_two_band``), handed on as ``store(rows, kx, ky, result)``
-    with ``rows`` the chunk's kx-row slice.  ``mapper`` runs the chunks
-    (``map`` serially, an executor's ``map`` on threads).  Chunk bounds
-    depend on the mesh shape only.  The exceptional points of every chunk
-    are mapped to (kx, ky), sorted and raised once after the last chunk.
+    Each chunk of about CHUNK_POINTS points is one ``solve(kx, ky)`` call
+    (one batched model pass and what is built from it), handed on as
+    ``store(rows, kx, ky, result)`` with ``rows`` the chunk's kx-row slice.
+    ``mapper`` runs the chunks (``map`` serially, an executor's ``map`` on
+    threads).  Chunk bounds depend on the mesh shape only.  The
+    exceptional points of every chunk are mapped to (kx, ky), sorted and
+    raised once after the last chunk.
     """
     nx, ny = kxg.shape
     rows = _chunk_rows(ny)
@@ -393,7 +389,7 @@ def solve_mesh(model: BlochModel, kxg, kyg, store, mapper=map, solve=_branch_eig
         rng = slice(i0, i0 + rows)
         kxr, kyr = kxg[rng], kyg[rng]
         try:
-            result = solve(kxr, kyr, model.hamiltonian(kxr, kyr))
+            result = solve(kxr, kyr)
         except ExceptionalPointError as exc:
             return [(float(kxr[i, j]), float(kyr[i, j])) for i, j in exc.points]
         store(rng, kxr, kyr, result)
@@ -409,9 +405,9 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
     """GeometryGrid of branch band ``band`` over the uniform [-pi, pi)^2 mesh.
 
     :func:`solve_mesh` cuts the mesh into chunks of whole kx rows;
-    ``workers`` threads each hand one chunk's H, d_x H and d_y H to
-    :func:`pseudospin_geometry` and write the fields into preallocated
-    arrays.  The kernel is elementwise, so the result is identical for any
+    ``workers`` threads each hand one chunk's H, d_x H and d_y H (one
+    model pass) to :func:`pseudospin_geometry` and write the fields into
+    preallocated arrays.  The kernel is elementwise, so the result is identical for any
     ``workers``.  The first kx row of every chunk is then recomputed
     through the validated eigenvector route, batched like the chunks
     (:func:`_cross_check`).  Bands carry the k-smooth branch labels
@@ -429,16 +425,15 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
                        **{name: np.full((nx, ny) + tail, np.nan, dtype=complex)
                           for name, tail in zip(FIELDS, tails)})
 
-    def solve(kxr, kyr, h):
-        return pseudospin_geometry(h, model.derivative(kxr, kyr, 0),
-                                   model.derivative(kxr, kyr, 1), band=band)
+    def solve(kxr, kyr):
+        return pseudospin_geometry(*model.hamiltonian(kxr, kyr, derivatives=True), band=band)
 
     def store(rng, kxr, kyr, values):
         for name, value in zip(FIELDS, values):
             getattr(out, name)[rng] = value
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        solve_mesh(model, kxg, kyg, store, mapper=pool.map, solve=solve)
+        solve_mesh(kxg, kyg, solve, store, mapper=pool.map)
     rows = _chunk_rows(ny)
     firsts = np.arange(0, nx, rows)  # the first kx row of every chunk
     for i in range(0, len(firsts), rows):
@@ -453,33 +448,41 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
 def locked_stencil(model: BlochModel, kx, ky, h, gauge=None):
     """Center eigensystem plus the 4-point stencil locked to the center gauge.
 
-    Returns (center, {(axis, sign): ((kx', ky'), eigensystem)}) with the
+    Returns (center, {(axis, sign): ((kx', ky'), eigensystem)}, dh) with the
     shifted momenta k' = k + sign * h e_axis.  Each stencil eigensystem's
     per-band phase is aligned with the center band (overlap made real
     positive); branch labels keep the stencil on one smooth band.
     ``gauge`` injects a test rescaling c(k) at every point, which the lock
     must cancel.  Raises GaugeLockError when any normalized overlap
     magnitude drops below LOCK_MIN_OVERLAP.
+
+    Each k set is solved from one ``model.hamiltonian(..., derivatives=True)``
+    pass; ``dh`` maps ``"center"`` and every (axis, sign) key to that set's
+    (d_x H, d_y H).
     """
-    def solve(akx, aky):
-        eig = eigensystem_two_band(model.hamiltonian(akx, aky), ordering="branch")
+    dh = {}
+
+    def solve(key, akx, aky):
+        ham, *dh[key] = model.hamiltonian(akx, aky, derivatives=True)
+        eig = eigensystem_two_band(ham, ordering="branch")
         return eig if gauge is None else gauge_rescale(eig, gauge(akx, aky))
 
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
-    center = solve(kx, ky)
+    center = solve("center", kx, ky)
     shifted = {}
     for axis in (0, 1):
         for sign in (1.0, -1.0):
             k = (kx + sign * h, ky) if axis == 0 else (kx, ky + sign * h)
-            eig = solve(*k)
+            eig = solve((axis, sign), *k)
             ov = np.einsum("...ni,...ni->...n", np.conj(center.right), eig.right)
             nrm = np.abs(ov) / np.sqrt(center.norms_right_sq() * eig.norms_right_sq())
             if np.any(nrm < LOCK_MIN_OVERLAP):
                 raise GaugeLockError(
                     f"stencil overlap below {LOCK_MIN_OVERLAP} at step {h}")
             shifted[(axis, sign)] = (k, gauge_rescale(eig, np.abs(ov) / ov))
-    return center, shifted
+            del eig  # the unlocked copy is not held through the next solve
+    return center, shifted, dh
 
 
 def anomalous_divergence_integral(model: BlochModel, band=0, n_grid=64,
@@ -496,9 +499,9 @@ def anomalous_divergence_integral(model: BlochModel, band=0, n_grid=64,
     kxg, kyg = bz_mesh(n_grid, n_grid)
 
     def q_at(kx, ky):
-        eig = eigensystem_two_band(model.hamiltonian(kx, ky), ordering="branch")
-        v = velocity_matrices(eig, model.derivative(kx, ky, 0), model.derivative(kx, ky, 1))
-        return anomalous_connection(eig, v, band=band, side=side)
+        h, dhx, dhy = model.hamiltonian(kx, ky, derivatives=True)
+        eig = eigensystem_two_band(h, ordering="branch")
+        return anomalous_connection(eig, velocity_matrices(eig, dhx, dhy), band=band, side=side)
 
     div = (q_at(kxg + h, kyg)[..., 0] - q_at(kxg - h, kyg)[..., 0]) / (2 * h) \
         + (q_at(kxg, kyg + h)[..., 1] - q_at(kxg, kyg - h)[..., 1]) / (2 * h)

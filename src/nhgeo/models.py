@@ -75,50 +75,41 @@ class RMParams:
             raise ConfigError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
 
 
-def rm_d_vector(kx, ky, p: RMParams):
-    """Complex pseudospin vector d(k), shape (..., 3)."""
+def rm_d_vector(kx, ky, p: RMParams, derivatives=False):
+    """Complex pseudospin vector d(k), shape (..., 3).
+
+    With ``derivatives=True`` returns (d, d_x d, d_y d), the analytic
+    derivatives along kx and ky taken from the same cos/sin evaluation.
+    """
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
     ck, sk = np.cos(kx), np.sin(kx)
     cq, sq = np.cos(ky), np.sin(ky)
+    tp, tm = p.t + p.delta * ck, p.t - p.delta * ck
     if p.variant == "appendix":
-        dx = p.t + p.delta * ck + (p.t + p.delta * ck) * cq
+        dx = tp + tp * cq
         dz = -sk + p.dz_offset
     else:
-        dx = p.t + p.delta * ck + (p.t - p.delta * ck) * cq
+        dx = tp + tm * cq
         dz = -p.Delta * sk + p.dz_offset
-    dy = (p.t - p.delta * ck) * sq + 0.5j * p.gamma
-    d = np.empty(np.broadcast(dx, dy).shape + (3,), dtype=complex)
+    d = np.empty(np.broadcast(dx, sq).shape + (3,), dtype=complex)
     d[..., 0] = dx
-    d[..., 1] = dy
+    d[..., 1] = tm * sq + 0.5j * p.gamma
     d[..., 2] = dz
-    return d
-
-
-def rm_d_derivative(kx, ky, p: RMParams, axis):
-    """Analytic derivative of the pseudospin vector along kx (axis=0) or ky (axis=1)."""
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    ck, sk = np.cos(kx), np.sin(kx)
-    cq, sq = np.cos(ky), np.sin(ky)
-    d = np.zeros(np.broadcast(ck, cq).shape + (3,), dtype=complex)
-    if axis == 0:
-        if p.variant == "appendix":
-            d[..., 0] = -p.delta * sk * (1.0 + cq)
-            d[..., 2] = -ck
-        else:
-            d[..., 0] = -p.delta * sk * (1.0 - cq)
-            d[..., 2] = -p.Delta * ck
-        d[..., 1] = p.delta * sk * sq
-    elif axis == 1:
-        if p.variant == "appendix":
-            d[..., 0] = -(p.t + p.delta * ck) * sq
-        else:
-            d[..., 0] = -(p.t - p.delta * ck) * sq
-        d[..., 1] = (p.t - p.delta * ck) * cq
+    if not derivatives:
+        return d
+    ddx, ddy = np.zeros((2,) + d.shape, dtype=complex)
+    if p.variant == "appendix":
+        ddx[..., 0] = -p.delta * sk * (1.0 + cq)
+        ddx[..., 2] = -ck
+        ddy[..., 0] = -tp * sq
     else:
-        raise ValueError("axis must be 0 (kx) or 1 (ky)")
-    return d
+        ddx[..., 0] = -p.delta * sk * (1.0 - cq)
+        ddx[..., 2] = -p.Delta * ck
+        ddy[..., 0] = -tm * sq
+    ddx[..., 1] = p.delta * sk * sq
+    ddy[..., 1] = tm * cq
+    return d, ddx, ddy
 
 
 def pauli_matrix(d):
@@ -143,7 +134,13 @@ def pauli_decompose(h):
     return d, c
 
 
-def _rm_scale(d, p: RMParams, where):
+def _sum3(q):
+    """np.sum(q, axis=-1) over three components, written out left to right: the
+    order numpy adds a short axis in (same bits), without its per-row overhead."""
+    return q[..., 0] + q[..., 1] + q[..., 2]
+
+
+def _rm_scale(d, p: RMParams):
     """Principal sqrt(d.d) with the gapless-point guard.
 
     A point is gapless when |d.d| <= DEGENERACY_RTOL * max(|d|^2, P^2) with
@@ -152,98 +149,110 @@ def _rm_scale(d, p: RMParams, where):
     caught.  The prefactor 1 + i*Gamma/(2*sqrt(d.d)) makes the Gamma term an
     exact +-i*Gamma/2 shift of the two band energies.
     """
-    dd = np.sum(d * d, axis=-1)
+    dd = _sum3(d * d)
     floor = (abs(p.t) + abs(p.delta) + abs(p.Delta) + 0.5 * p.gamma
              + abs(p.dz_offset)) ** 2
-    scale2 = np.maximum(np.sum(np.abs(d) ** 2, axis=-1), floor)
+    scale2 = np.maximum(_sum3(np.abs(d) ** 2), floor)
     bad = np.abs(dd) <= DEGENERACY_RTOL * scale2
     if np.any(bad):
         raise DegeneratePointError(
-            f"{where}: |d.d| <= {DEGENERACY_RTOL}*max(|d|^2, {floor:.3g}) at "
+            f"rm_hamiltonian: |d.d| <= {DEGENERACY_RTOL}*max(|d|^2, {floor:.3g}) at "
             f"{int(np.count_nonzero(bad))} point(s) (gapless/exceptional)"
         )
     return np.sqrt(dd)
 
 
-def rm_hamiltonian(kx, ky, p: RMParams):
+def rm_hamiltonian(kx, ky, p: RMParams, derivatives=False):
     """NH Rice-Mele Hamiltonian (1 + i*Gamma/(2|d|)) d.sigma, shape (..., 2, 2).
+
+    With ``derivatives=True`` returns (H, d_x H, d_y H) from one pass:
+    cos/sin, d and its derivatives, the gapless guard, sqrt(d.d) and
+    d.sigma are each evaluated once.  The k points are evaluated as one
+    flat batch, so a scalar k gives the same bits as that point of a mesh.
 
     Raises DegeneratePointError on gapless/exceptional points (d.d ~ 0),
     where the scaling prefactor and all downstream geometry are invalid.
     """
-    d = rm_d_vector(kx, ky, p)
-    s = _rm_scale(d, p, "rm_hamiltonian")
-    if p.Gamma == 0.0:
-        return pauli_matrix(d)
-    g = 1.0 + 0.5j * p.Gamma / s
-    return g[..., None, None] * pauli_matrix(d)
-
-
-def rm_hamiltonian_derivative(kx, ky, p: RMParams, axis):
-    """Analytic d/dk_axis of :func:`rm_hamiltonian`."""
-    d = rm_d_vector(kx, ky, p)
-    dd = rm_d_derivative(kx, ky, p, axis)
-    s = _rm_scale(d, p, "rm_hamiltonian_derivative")
-    if p.Gamma == 0.0:
-        return pauli_matrix(dd)
-    g = 1.0 + 0.5j * p.Gamma / s
-    ds = np.sum(d * dd, axis=-1) / s
-    dg = -0.5j * p.Gamma * ds / s**2
-    return g[..., None, None] * pauli_matrix(dd) + dg[..., None, None] * pauli_matrix(d)
+    shape = np.broadcast(kx, ky).shape
+    kx, ky = (np.broadcast_to(np.asarray(k, dtype=float), shape).reshape(-1) for k in (kx, ky))
+    d, *dd = rm_d_vector(kx, ky, p, derivatives=True) if derivatives \
+        else (rm_d_vector(kx, ky, p),)
+    s = _rm_scale(d, p)
+    h, *dh = (pauli_matrix(x) for x in (d, *dd))
+    if p.Gamma != 0.0:
+        # H = g d.sigma with g = 1 + i Gamma/(2s): d_mu H = g d_mu d.sigma + (d_mu g) d.sigma.
+        # g stays the first factor: numpy's complex product is not bitwise commutative.
+        g = (1.0 + 0.5j * p.Gamma / s)[:, None, None]
+        s2 = s**2
+        for x, m in zip(dd, dh):
+            np.multiply(g, m, out=m)
+            m += (-0.5j * p.Gamma * (_sum3(d * x) / s) / s2)[:, None, None] * h
+        np.multiply(g, h, out=h)
+    out = [a.reshape(shape + (2, 2)) for a in (h, *dh)]
+    return tuple(out) if derivatives else out[0]
 
 
 class BlochModel:
     """Map from 2D quasimomentum to a complex N x N matrix plus derivatives.
 
     ``hamiltonian(kx, ky)`` must be periodic with period 2*pi in both
-    arguments.  ``derivative`` is analytic when the family provides one and
-    a central difference of step ``fd_step`` otherwise.
+    arguments; ``hamiltonian(kx, ky, derivatives=True)`` returns
+    (H, d_x H, d_y H).  An analytic family supplies that triple as one pass
+    ``fused(kx, ky)`` (for Rice-Mele cos/sin, d(k), the gapless guard and
+    sqrt(d.d) are evaluated once), and ``derivative(kx, ky, axis)`` is the
+    matching entry of it.  Without ``fused`` the derivatives are central
+    differences of step ``fd_step``.
     """
 
-    def __init__(self, dimension, hamiltonian, derivative=None,
+    def __init__(self, dimension, hamiltonian, fused=None,
                  fd_step=DEFAULT_FD_STEP, label="custom", params=None):
         self.dimension = int(dimension)
         if self.dimension < 2:
             raise ConfigError("model dimension must be >= 2")
         self._h = hamiltonian
-        self._dh = derivative
+        self._fused = fused
         self.fd_step = float(fd_step)
         self.label = label
         self.params = params
-        self.derivative_kind = "analytic" if derivative is not None else "central"
+        self.derivative_kind = "analytic" if fused is not None else "central"
 
-    def hamiltonian(self, kx, ky):
-        return self._h(kx, ky)
+    def hamiltonian(self, kx, ky, derivatives=False):
+        if not derivatives:
+            return self._h(kx, ky)
+        if self._fused is not None:
+            return self._fused(kx, ky)
+        return self._h(kx, ky), self.derivative(kx, ky, 0), self.derivative(kx, ky, 1)
 
     def derivative(self, kx, ky, axis):
-        if self._dh is not None:
-            return self._dh(kx, ky, axis)
+        if axis not in (0, 1):
+            raise ValueError("axis must be 0 or 1")
+        if self._fused is not None:
+            return self._fused(kx, ky)[1 + axis]
         h = self.fd_step
         kx = np.asarray(kx, dtype=float)
         ky = np.asarray(ky, dtype=float)
         if axis == 0:
             return (self._h(kx + h, ky) - self._h(kx - h, ky)) / (2.0 * h)
-        if axis == 1:
-            return (self._h(kx, ky + h) - self._h(kx, ky - h)) / (2.0 * h)
-        raise ValueError("axis must be 0 or 1")
+        return (self._h(kx, ky + h) - self._h(kx, ky - h)) / (2.0 * h)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def rice_mele(cls, params: RMParams, analytic=True, fd_step=DEFAULT_FD_STEP):
-        dh = (lambda kx, ky, axis, p=params: rm_hamiltonian_derivative(kx, ky, p, axis)) \
+        fused = (lambda kx, ky, p=params: rm_hamiltonian(kx, ky, p, derivatives=True)) \
             if analytic else None
         return cls(2, lambda kx, ky, p=params: rm_hamiltonian(kx, ky, p),
-                   derivative=dh, fd_step=fd_step, label="rice_mele", params=params)
+                   fused=fused, fd_step=fd_step, label="rice_mele", params=params)
 
     @classmethod
     def pseudospin(cls, d_func, d_deriv=None, fd_step=DEFAULT_FD_STEP):
         """Generic two-band model from a complex d-vector function."""
-        dh = None
+        fused = None
         if d_deriv is not None:
-            dh = lambda kx, ky, axis: pauli_matrix(d_deriv(kx, ky, axis))
+            fused = lambda kx, ky: tuple(pauli_matrix(d) for d in (
+                d_func(kx, ky), d_deriv(kx, ky, 0), d_deriv(kx, ky, 1)))
         return cls(2, lambda kx, ky: pauli_matrix(d_func(kx, ky)),
-                   derivative=dh, fd_step=fd_step, label="pseudospin")
+                   fused=fused, fd_step=fd_step, label="pseudospin")
 
     @classmethod
     def constant(cls, matrix):
@@ -257,12 +266,11 @@ class BlochModel:
                                  np.asarray(ky, dtype=float)).shape
             return np.broadcast_to(m, shape + m.shape).copy()
 
-        def dham(kx, ky, axis, m=m):
-            shape = np.broadcast(np.asarray(kx, dtype=float),
-                                 np.asarray(ky, dtype=float)).shape
-            return np.zeros(shape + m.shape, dtype=complex)
+        def fused(kx, ky):
+            h = ham(kx, ky)
+            return h, np.zeros_like(h), np.zeros_like(h)
 
-        return cls(m.shape[0], ham, derivative=dham, label="constant")
+        return cls(m.shape[0], ham, fused=fused, label="constant")
 
 
 def model_from_config(cfg: dict) -> BlochModel:

@@ -136,7 +136,7 @@ def finite_difference_qgt(model: BlochModel, kx, ky, band=0, pair="lr",
 
     Accuracy is O(h^2); used only to validate the gauge-invariant formulas.
     """
-    center, shifted = locked_stencil(model, kx, ky, h)
+    center, shifted, _ = locked_stencil(model, kx, ky, h)
     n = band
     out = np.empty(np.shape(np.asarray(kx, dtype=float)) + (2, 2), dtype=complex)
 
@@ -177,7 +177,7 @@ def finite_difference_qgt(model: BlochModel, kx, ky, band=0, pair="lr",
 def finite_difference_connection(model: BlochModel, kx, ky, band=0, side="R",
                                  h=ORACLE_STEP):
     """Oracle for the anomalous connection: same-family minus mixed connection."""
-    center, shifted = locked_stencil(model, kx, ky, h)
+    center, shifted, _ = locked_stencil(model, kx, ky, h)
     dr, dl = _vector_derivatives(shifted, h)
     n = band
     r = center.right[..., n, :]

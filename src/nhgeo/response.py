@@ -138,20 +138,18 @@ def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
         raise ValueError("interband coefficients implemented for two bands")
     shape = np.broadcast(kx, ky).shape
     kx, ky = (np.broadcast_to(np.asarray(k, dtype=float), shape).reshape(-1) for k in (kx, ky))
-    center, shifted = locked_stencil(model, kx, ky, h, gauge=gauge)
-
-    def velocities(eig, akx, aky):
-        return velocity_matrices(eig, model.derivative(akx, aky, 0),
-                                 model.derivative(akx, aky, 1))
+    center, shifted, dh = locked_stencil(model, kx, ky, h, gauge=gauge)
 
     def mixed(eig, v, n):
         """g_nu = <L_m|d_nu psiR_n> = V_nu[m, n] / (e_n - e_m), closed form."""
         de = eig.energies[..., n] - eig.energies[..., 1 - n]
         return v[..., 1 - n, n] / de[..., None]
 
-    v = velocities(center, kx, ky)
+    # each set's d_x H, d_y H are dropped as soon as its velocities are formed
+    v = velocity_matrices(center, *dh.pop("center"))
     vel = v[..., (0, 1), (0, 1)]  # band velocities, (..., mu, band)
-    stencil = {key: (eig, velocities(eig, *k)) for key, (k, eig) in shifted.items()}
+    stencil = {key: (eig, velocity_matrices(eig, *dh.pop(key)))
+               for key, (_, eig) in shifted.items()}
     d_right = [(shifted[(ax, 1.0)][1].right - shifted[(ax, -1.0)][1].right) / (2.0 * h)
                for ax in (0, 1)]
 
@@ -191,16 +189,16 @@ def drude_coefficient(model: BlochModel, kx, ky, band=0, h=1e-4):
     """Second momentum derivative of the complex band energy (Drude weight).
 
     Computed but always excluded from the regular conductivity and the
-    optical weight.
+    optical weight.  ``kx`` and ``ky`` broadcast against each other;
+    the output has shape (*broadcast shape, 2, 2).
     """
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
+    kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
 
     def e(akx, aky):
         eig = eigensystem_two_band(model.hamiltonian(akx, aky), ordering="branch")
         return eig.energies[..., band]
 
-    out = np.empty(kx.shape + (2, 2), dtype=complex) if kx.shape else np.empty((2, 2), dtype=complex)
+    out = np.empty(kx.shape + (2, 2), dtype=complex)
     e0 = e(kx, ky)
     out[..., 0, 0] = (e(kx + h, ky) - 2 * e0 + e(kx - h, ky)) / h**2
     out[..., 1, 1] = (e(kx, ky + h) - 2 * e0 + e(kx, ky - h)) / h**2

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (BoundViolationError, LinkCollapseError,
                      NonIntegerResidueError, NonRealCurvatureError)
 from .models import BlochModel, bz_mesh
-from .spectra import gauge_rescale
+from .spectra import eigensystem_two_band, gauge_rescale
 from .geometry import GeometryGrid, scan_geometry, solve_mesh
 
 #: links with magnitude below this abort the plaquette sum
@@ -67,7 +67,10 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, flavor="lr",
         left, right = eig.left[..., band, :], eig.right[..., band, :]
         bra[rows], ket[rows] = (left, right) if flavor == "lr" else (right, left)
 
-    solve_mesh(model, kxg, kyg, store)
+    def solve(kxr, kyr):
+        return eigensystem_two_band(model.hamiltonian(kxr, kyr), ordering="branch")
+
+    solve_mesh(kxg, kyg, solve, store)
 
     u_x = np.einsum("ijk,ijk->ij", np.conj(bra), np.roll(ket, -1, axis=0))
     u_y = np.einsum("ijk,ijk->ij", np.conj(bra), np.roll(ket, -1, axis=1))

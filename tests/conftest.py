@@ -33,6 +33,24 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+def count_model_calls(monkeypatch, model):
+    """Record every ``hamiltonian``/``derivative`` call on ``model`` as
+    (method, derivatives flag); returns the (thread-safe) list."""
+    calls = []
+
+    def counting(name):
+        method = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs.get("derivatives", False)))
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in ("hamiltonian", "derivative"):
+        monkeypatch.setattr(model, name, counting(name))
+    return calls
+
+
 #: exponents e of the near-EP sweep delta = 10^-e of :func:`near_ep_matrix`;
 #: the eigenvector route's validation rejects e >= 6 (overlap condition ~1e6)
 NEAR_EP_EXPONENTS = range(2, 18)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (NEAR_EP_EXPONENTS, NEAR_EP_REJECTED, hermitian_qgt,
+from conftest import (NEAR_EP_EXPONENTS, NEAR_EP_REJECTED, count_model_calls, hermitian_qgt,
                       locked_fd_qgt_general, locked_fd_ray_qgt_general, near_ep_matrix,
                       random_three_band_model, smooth_gauge)
 from nhgeo import geometry
@@ -220,6 +220,15 @@ def test_scan_deterministic_across_workers(rm_model):
     npt.assert_array_equal(a.norm_product, b.norm_product)
 
 
+def test_scan_one_model_pass_per_chunk(rm_model, monkeypatch):
+    # four kx rows per chunk: 8 chunks, whose first rows are cross-checked
+    # in 2 batches of 4; each is one hamiltonian(derivatives=True) call
+    monkeypatch.setattr(geometry, "CHUNK_POINTS", 64)
+    calls = count_model_calls(monkeypatch, rm_model)
+    scan_geometry(rm_model, nx=32, ny=16, workers=2)
+    assert calls == [("hamiltonian", True)] * 10
+
+
 def test_scan_chunks_match_full_mesh_for_any_workers(rm_model, monkeypatch):
     # two kx rows per chunk: six chunks on the 11 x 5 mesh, the last one row
     monkeypatch.setattr(geometry, "CHUNK_POINTS", 10)
@@ -299,8 +308,11 @@ def test_scan_non_finite_hamiltonian_is_typed(rm_model):
         h = rm_model.hamiltonian(kx, ky)
         return np.where(np.isclose(kx, 0.0)[..., None, None], np.nan, h)
 
+    def fused(kx, ky):
+        return (ham(kx, ky),) + rm_model.hamiltonian(kx, ky, derivatives=True)[1:]
+
     with pytest.raises(NonFiniteError):
-        scan_geometry(BlochModel(2, ham, rm_model.derivative), nx=8)
+        scan_geometry(BlochModel(2, ham, fused), nx=8)
 
 
 def test_scan_collects_exceptional_points(monkeypatch):

@@ -71,6 +71,98 @@ def test_analytic_vs_central_difference(rm_model, rng):
         assert np.max(np.abs(diff)) < 1e-8
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+#: a gapless point of each Rice-Mele variant: (parameters, k)
+GAPLESS = {"appendix": (dict(gamma=1.0), (0.0, np.arccos(-0.75))),
+           "supplemental": (dict(gamma=0.0, Delta=0.0), (-np.pi / 2, -np.pi))}
+
+
+def _rice_mele_case(variant, Gamma, analytic=True):
+    def case():
+        def model(analytic, **kw):
+            return BlochModel.rice_mele(RMParams(variant=variant, Gamma=Gamma, **kw),
+                                        analytic=analytic)
+
+        params, k = GAPLESS[variant]
+        return model(analytic, gamma=0.7), model(not analytic, gamma=0.7), \
+            (model(analytic, **params), k)
+    return case
+
+
+def _pseudospin_case():
+    p = RMParams(gamma=0.7, Gamma=0.0)
+
+    def d_func(kx, ky):
+        return rm_d_vector(kx, ky, p)
+
+    def d_deriv(kx, ky, axis):
+        return rm_d_vector(kx, ky, p, derivatives=True)[1 + axis]
+
+    return BlochModel.pseudospin(d_func, d_deriv), BlochModel.pseudospin(d_func), None
+
+
+def _constant_case():
+    m = BlochModel.constant(np.array([[1.0, 0.2 + 0.1j], [0.1, -2.0j]]))
+    return m, BlochModel(2, m.hamiltonian), None
+
+
+#: (model, its central-difference (or analytic) twin, gapless (model, k) or
+#: None: the pseudospin and constant models carry no gapless guard)
+FUSED_CASES = {
+    "supplemental-Gamma0": _rice_mele_case("supplemental", 0.0),
+    "supplemental-Gamma": _rice_mele_case("supplemental", 0.6),
+    "appendix-Gamma0": _rice_mele_case("appendix", 0.0),
+    "appendix-Gamma": _rice_mele_case("appendix", 0.6),
+    "central": _rice_mele_case("supplemental", 0.6, analytic=False),
+    "pseudospin": _pseudospin_case,
+    "constant": _constant_case,
+}
+
+
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_fused_pass(case, rng):
+    model, twin, gapless = FUSED_CASES[case]()
+    kx, ky = rng.uniform(-np.pi, np.pi, size=(2, 6, 5))
+    if case.startswith("appendix"):
+        # keep away from the gapless manifold of this variant
+        kx = 0.5 * kx + 1.5
+    h, dhx, dhy = model.hamiltonian(kx, ky, derivatives=True)
+    assert _same_bits(h, model.hamiltonian(kx, ky))
+    assert _same_bits(dhx, model.derivative(kx, ky, 0))
+    assert _same_bits(dhy, model.derivative(kx, ky, 1))
+    # a scalar k gives the same bits as that point of a mesh
+    for i, j in [(0, 0), (2, 3), (5, 4)]:
+        point = model.hamiltonian(float(kx[i, j]), float(ky[i, j]), derivatives=True)
+        for got, mesh in zip(point, (h, dhx, dhy)):
+            assert _same_bits(got, mesh[i, j])
+    # analytic and central-difference (step 1e-5) derivatives agree
+    for got, ref in zip((dhx, dhy), twin.hamiltonian(kx, ky, derivatives=True)[1:]):
+        assert np.max(np.abs(got - ref)) < 1e-8
+    if gapless is not None:
+        gapless_model, k = gapless
+        with pytest.raises(DegeneratePointError):
+            gapless_model.hamiltonian(*k, derivatives=True)
+
+
+def test_fused_pass_broadcasts_momenta():
+    m = BlochModel.rice_mele(RMParams(gamma=0.7, Gamma=0.6))
+    kx, ky = np.linspace(-3.0, 3.0, 4), np.linspace(-2.0, 2.0, 3)
+    out = m.hamiltonian(kx[:, None], ky[None, :], derivatives=True)
+    full = m.hamiltonian(*np.meshgrid(kx, ky, indexing="ij"), derivatives=True)
+    for got, want in zip(out, full):
+        assert got.shape == (4, 3, 2, 2)
+        assert _same_bits(got, want)
+
+
+def test_derivative_axis_checked(rm_model):
+    with pytest.raises(ValueError):
+        rm_model.derivative(0.1, 0.2, 2)
+
+
 def test_derivative_richardson_scaling(rm_model):
     # central-difference truncation error must drop as h^2
     kx, ky = 0.9, -0.7

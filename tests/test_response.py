@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from scipy import integrate
 
-from conftest import hermitian_kubo_sigma, hermitian_qgt, smooth_gauge
+from conftest import count_model_calls, hermitian_kubo_sigma, hermitian_qgt, smooth_gauge
 from nhgeo.errors import BranchViolationError, PoleOnAxisError
 from nhgeo.geometry import anomalous_connection, qgt_rr, velocity_matrices
 from nhgeo.models import BlochModel, RMParams, bz_mesh
@@ -225,6 +225,21 @@ def test_drude_coefficient_matches_velocity_derivative(rm_model):
     d2xy = (vel(kx, ky + step, 0) - vel(kx, ky - step, 0)) / (2 * step)
     npt.assert_allclose(dd[0, 0], d2xx, atol=1e-5)
     npt.assert_allclose(dd[0, 1], d2xy, atol=1e-5)
+
+
+def test_drude_coefficient_broadcasts_momenta(rm_model):
+    ky = np.array([0.1, 0.2])
+    got = drude_coefficient(rm_model, 0.3, ky)
+    assert got.shape == (2, 2, 2)
+    npt.assert_array_equal(got, drude_coefficient(rm_model, np.full(2, 0.3), ky))
+
+
+def test_interband_fh_one_model_pass_per_stencil_set(rm_model, monkeypatch):
+    # the center and the four shifted k sets: one hamiltonian(derivatives=True) call each
+    calls = count_model_calls(monkeypatch, rm_model)
+    kx, ky = bz_mesh(6, 6)
+    interband_fh(rm_model, kx, ky)
+    assert calls == [("hamiltonian", True)] * 5
 
 
 # -- optical weights ----------------------------------------------------------
