@@ -2,7 +2,7 @@
 
 from .models import BlochModel, RMParams, bz_mesh, rm_d_vector, wrap_k
 from .spectra import (Eigensystem, eigensystem, eigensystem_general,
-                      eigensystem_two_band, gauge_rescale, overlap_matrices)
+                      eigensystem_two_band, gauge_rescale)
 from .geometry import GeometryGrid, berry_curvature_lr, compute_geometry, scan_geometry
 from .topology import ChernResult, chern_from_curvature, chern_plaquette, compute_chern
 from .response import (OpticalWeightResult, absorptive_part, lehmann_correlator,
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochModel", "RMParams", "bz_mesh", "rm_d_vector", "wrap_k",
     "Eigensystem", "eigensystem", "eigensystem_general",
-    "eigensystem_two_band", "gauge_rescale", "overlap_matrices",
+    "eigensystem_two_band", "gauge_rescale",
     "GeometryGrid", "berry_curvature_lr", "compute_geometry", "scan_geometry",
     "ChernResult", "chern_from_curvature", "chern_plaquette", "compute_chern",
     "OpticalWeightResult", "absorptive_part", "lehmann_correlator",

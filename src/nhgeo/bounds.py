@@ -3,9 +3,9 @@
 Every checker is a pure function returning a :class:`BoundReport` whose
 per-point left/right sides are stored verbatim, so a failed report can be
 audited.  Margins are normalized by the local magnitude scale before the
-pass/fail decision; the default tolerance -1e-9 separates genuine
-violations from floating-point noise.  A NaN or infinite margin is a
-numerical failure (NonFiniteError), not a FAIL.
+pass/fail decision; the default tolerances (:mod:`nhgeo.tolerances`)
+separate genuine violations from floating-point noise.  A NaN or infinite
+margin is a numerical failure (NonFiniteError), not a FAIL.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import BranchViolationError, NonFiniteError, NonHermitianInputError
 from .geometry import GeometryGrid
+from .tolerances import ABSORPTIVE_PSD_TOL, BOUND_TOL, BRANCH_TOL, HERM_TOL, PSD_TOL, QGT_TOL
 from .topology import ChernResult
-
-DEFAULT_TOL = 1e-9
 
 #: the BZ-frame lines used for the saturation diagnostic: boundary lines of
 #: the [-pi, pi) and [0, 2 pi) plotting frames (mesh pixels within 1.5 cells
@@ -68,7 +67,7 @@ def _grid_labels(grid: GeometryGrid):
     return np.stack([grid.kx.ravel(), grid.ky.ravel()], axis=-1)
 
 
-def check_local_curvature_bound(grid: GeometryGrid, tolerance=DEFAULT_TOL):
+def check_local_curvature_bound(grid: GeometryGrid, tolerance=BOUND_TOL):
     """|F| <= |Q^RL_xy| + |Q^RL_yx| at every mesh point.
 
     ``extra`` carries the saturation diagnostics: the bound saturates
@@ -94,7 +93,7 @@ def check_local_curvature_bound(grid: GeometryGrid, tolerance=DEFAULT_TOL):
                    tolerance, extra)
 
 
-def check_qgt_inequality(grid: GeometryGrid, ablation=False, tolerance=1e-10):
+def check_qgt_inequality(grid: GeometryGrid, ablation=False, tolerance=QGT_TOL):
     """|Q^RL_{mu nu}|^2 <= N (Q^RR_mumu + |Q^R_mu|^2)(Q^LL_nunu + |Q^L_nu|^2)
     for all four index pairs, N the norm product ||R||^2 ||L||^2.
 
@@ -124,16 +123,16 @@ def check_qgt_inequality(grid: GeometryGrid, ablation=False, tolerance=1e-10):
     return _finish(name, np.concatenate(labels), lhs, rhs, scale, tolerance)
 
 
-def hermitian_min_eigenvalue(q, herm_tol=1e-10):
+def hermitian_min_eigenvalue(q):
     """Closed-form smallest eigenvalue of Hermitian 2x2 matrices (batched).
 
     Raises NonHermitianInputError if the anti-Hermitian residue exceeds
-    herm_tol relative to the matrix scale.
+    HERM_TOL relative to the matrix scale.
     """
     q = np.asarray(q, dtype=complex)
     resid = np.max(np.abs(q - np.conj(np.swapaxes(q, -1, -2))))
     scale = max(float(np.max(np.abs(q))), 1e-300)
-    if resid > herm_tol * scale:
+    if resid > HERM_TOL * scale:
         raise NonHermitianInputError(f"anti-Hermitian residue {resid:.2e}")
     a = np.real(q[..., 0, 0])
     c = np.real(q[..., 1, 1])
@@ -143,7 +142,7 @@ def hermitian_min_eigenvalue(q, herm_tol=1e-10):
     return half - rad
 
 
-def check_psd(q, name="PSD", tolerance=1e-12):
+def check_psd(q, name="PSD", tolerance=PSD_TOL):
     """Positive semidefiniteness of Hermitian 2x2 tensors (batched stack).
 
     Margin is the smallest eigenvalue; the pass criterion is
@@ -157,7 +156,7 @@ def check_psd(q, name="PSD", tolerance=1e-12):
                    np.maximum(tr, 1e-300), tolerance)
 
 
-def check_chern_chain(result: ChernResult, tolerance=DEFAULT_TOL):
+def check_chern_chain(result: ChernResult, tolerance=BOUND_TOL):
     """2 pi |C| <= int|F| <= int(|Q^RL_xy| + |Q^RL_yx|), both links."""
     lhs = np.array([2 * np.pi * abs(result.chern_plaquette),
                     result.curvature_abs_integral])
@@ -168,7 +167,7 @@ def check_chern_chain(result: ChernResult, tolerance=DEFAULT_TOL):
                    tolerance)
 
 
-def check_absorptive_psd(omegas, pi_abs, tolerance=1e-10):
+def check_absorptive_psd(omegas, pi_abs, tolerance=ABSORPTIVE_PSD_TOL):
     """Positive semidefiniteness of the absorptive response at each omega.
 
     ``extra["re_minus_abs_im"]`` records Re Pi^abs_01 - |Im Pi^abs_01| per
@@ -187,14 +186,14 @@ def check_absorptive_psd(omegas, pi_abs, tolerance=1e-10):
 
 
 def check_optical_weight_bound(weight_trace, chern, arg_infimum,
-                               tolerance=DEFAULT_TOL):
+                               tolerance=BOUND_TOL):
     """Topological lower bound on the optical weight trace.
 
     Checks (pi + arg_infimum) |C| <= weight_trace / 2 pi, stored as
     (lhs, rhs) in that order; arg_infimum must lie in [-pi, 0]
     (BranchViolationError otherwise).
     """
-    if not (-np.pi - 1e-9 <= arg_infimum <= 1e-9):
+    if not (-np.pi - BRANCH_TOL <= arg_infimum <= BRANCH_TOL):
         raise BranchViolationError(
             f"argument infimum {arg_infimum} outside [-pi, 0]")
     lhs = np.array([(np.pi + arg_infimum) * abs(chern)])

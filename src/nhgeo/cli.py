@@ -19,8 +19,8 @@ import numpy as np
 import yaml
 
 from . import bounds as bounds_mod
-from . import lindblad, response, serialize, topology
-from .errors import ConfigError, NHGeoError, NonIntegrableError
+from . import lindblad, response, serialize, tolerances as tols, topology
+from .errors import BoundViolationError, ConfigError, NHGeoError, NonIntegrableError
 from .geometry import scan_geometry
 from .models import BlochModel, bz_mesh, model_from_config
 
@@ -36,7 +36,7 @@ DEFAULT_CONFIG = {
                  "k_samples": 16, "beta": None},
     "sweep": {"Gamma": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]},
     "chern": {"curvature_grid": 201},
-    "tolerances": {"bound": 1e-9, "psd": 1e-12, "qgt": 1e-10},
+    "tolerances": {"bound": tols.BOUND_TOL, "psd": tols.PSD_TOL, "qgt": tols.QGT_TOL},
 }
 
 
@@ -215,7 +215,7 @@ def cmd_chern(cfg):
     result = topology.compute_chern(
         model, band=cfg["band"], n_plaquette=cfg["grid"]["nx"],
         n_curvature=cfg["chern"]["curvature_grid"], workers=cfg["threads"])
-    chain = bounds_mod.check_chern_chain(result)
+    chain = bounds_mod.check_chern_chain(result, tolerance=cfg["tolerances"]["bound"])
     serialize.write_report_json(
         os.path.join(out, "chern.json"),
         {
@@ -287,13 +287,13 @@ def cmd_bounds(cfg):
 
     chern = topology.compute_chern(model, band=cfg["band"],
                                    n_plaquette=cfg["grid"]["nx"], grid=grid)
-    reports.append(bounds_mod.check_chern_chain(chern))
+    reports.append(bounds_mod.check_chern_chain(chern, tolerance=tol["bound"]))
 
     weight = response.optical_weight_bz(model, band="slowest",
                                         n_grid=min(cfg["grid"]["nx"], 48),
                                         eta=cfg["response"]["eta"])
     reports.append(bounds_mod.check_optical_weight_bound(
-        weight.bound_trace, chern.chern_plaquette, weight.arg_infimum))
+        weight.bound_trace, chern.chern_plaquette, weight.arg_infimum, tolerance=tol["bound"]))
 
     omegas, pi_abs = _absorptive_stack(cfg, model)
     reports.append(bounds_mod.check_absorptive_psd(omegas, pi_abs))
@@ -334,8 +334,8 @@ def cmd_optical_weight(cfg, quadrature=False):
         res = response.optical_weight_bz(model, band="slowest", n_grid=n_grid,
                                          eta=eta)
         chern = topology.chern_plaquette(model, band=0, n_grid=max(32, n_grid // 2))
-        rep = bounds_mod.check_optical_weight_bound(res.bound_trace, chern,
-                                                    res.arg_infimum)
+        rep = bounds_mod.check_optical_weight_bound(res.bound_trace, chern, res.arg_infimum,
+                                                    tolerance=cfg["tolerances"]["bound"])
         all_pass &= rep.passed and rep.margin[0] > 0
         row = [g_val, res.bz_trace, res.closed_trace, res.bound_trace,
                res.bound_trace / (2 * np.pi),
@@ -363,7 +363,7 @@ def cmd_lindblad_check(cfg):
     out = _ensure_outdir(cfg)
     h0 = model.hamiltonian(0.0, 0.0)
     anti = 0.5 * (h0 - h0.conj().T)
-    if float(np.max(np.abs(anti))) < 1e-14:
+    if float(np.max(np.abs(anti))) < tols.HERMITIAN_MODEL_TOL:
         print("Hermitian model; nothing to check")
         serialize.write_report_json(
             os.path.join(out, "lindblad.json"),
@@ -385,14 +385,15 @@ def cmd_lindblad_check(cfg):
     omegas = np.linspace(rsp["omega_min"], rsp["omega_max"], rsp["omega_count"])
     gamma = float(cfg["model"].get("gamma", 1.0)) or 1.0
     evals = np.linalg.eigvalsh(h_sym)
-    if abs(0.5 * gamma) < 1e-14 * max(1.0, float(np.max(np.abs(evals - 0.5j * gamma)))):
+    levels = evals - 0.5j * gamma
+    if abs(0.5 * gamma) < tols.UNDAMPED_RTOL * max(1.0, float(np.max(np.abs(levels)))):
         raise NonIntegrableError("level m must decay or grow: Im eps_m = 0")
     # inverted bath: Keldysh noise flips sign at fixed (decaying) spectra
     noise_sign = -1.0 if rsp.get("invert_bath") else 1.0
     q = noise_sign * 2.0 * np.pi**2 * response.lorentzian_kernel(
         evals[None, :] - evals[:, None], 0.0, abs(gamma), omegas[:, None, None])
-    bad_omegas = sorted(set(omegas[np.any(q < -1e-10, axis=(1, 2))].tolist()))
-    passed = residual < 1e-12 and not bad_omegas
+    bad_omegas = sorted(set(omegas[np.any(q < -tols.BUBBLE_POSITIVITY_TOL, axis=(1, 2))].tolist()))
+    passed = residual < tols.ROUNDTRIP_TOL and not bad_omegas
 
     print(f"jump count: {len(spec.jumps)}; roundtrip residual: {residual:.2e}")
     with np.printoptions(precision=6, suppress=True):
@@ -458,12 +459,12 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NHGeoError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        points = getattr(exc, "points", None)
-        if points:
-            for pt in list(points)[:20]:
-                print(f"  at k = {pt}", file=sys.stderr)
-        return 3
+        violation = isinstance(exc, BoundViolationError)
+        print(f"{'bound violation' if violation else 'numerical error'}: {exc}",
+              file=sys.stderr)
+        for pt in list(getattr(exc, "points", ()))[:20]:  # a list or an index array
+            print(f"  at k = {pt}", file=sys.stderr)
+        return 4 if violation else 3
     return 2
 
 

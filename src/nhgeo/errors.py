@@ -38,7 +38,7 @@ class ProportionalityError(NHGeoError):
 
 
 class IllConditionedError(NHGeoError):
-    """Overlap matrix condition number too large (near-exceptional point)."""
+    """Norm product ||R||^2 ||L||^2 too large (near-exceptional point)."""
 
 
 class GaugeLockError(NHGeoError):

@@ -41,26 +41,11 @@ from .errors import (ConfigError, ExceptionalPointError, GaugeLockError,
 from .models import BlochModel, bz_mesh
 from .spectra import (Eigensystem, eigensystem_two_band, gauge_rescale, matrix_elements,
                       pseudospin_split)
-
-#: minimum |<psi(k)|psi(k')>| for a finite-difference gauge lock
-LOCK_MIN_OVERLAP = 0.5
-
-CURVATURE_IMAG_TOL = 1e-9
+from .tolerances import CROSS_CHECK_RTOL, CURVATURE_IMAG_TOL, LOCK_MIN_OVERLAP, NORM_PRODUCT_LIMIT
 
 #: mesh points per batched chunk of :func:`solve_mesh` (whole kx rows);
 #: small enough that a chunk's temporaries stay a few MB
 CHUNK_POINTS = 2048
-
-#: largest norm product ||R||^2 ||L||^2 (Petermann factor) the pseudospin
-#: kernel serves.  The eigenvector route's Gram inverse carries a roundoff
-#: of about 1.1e-16 N^2, which its validation rejects above 1e-9 (from
-#: N ~ 3e3); beyond this limit neither route can be cross-checked to
-#: CROSS_CHECK_RTOL.
-NORM_PRODUCT_LIMIT = 1e3
-
-#: largest relative disagreement between the pseudospin kernel and the
-#: eigenvector route on a chunk's cross-check row
-CROSS_CHECK_RTOL = 1e-10
 
 #: GeometryGrid fields in the order both routes return them
 FIELDS = ("qgt_lr", "qgt_rl", "qgt_rr", "qgt_ll", "anomalous_r", "anomalous_l",

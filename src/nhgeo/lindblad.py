@@ -23,8 +23,7 @@ from .errors import (NonHermitianTargetError, NonIntegrableError,
                      ProportionalityError)
 from .models import pauli_decompose
 from .response import lehmann_correlator
-
-_HERM_TOL = 1e-10
+from .tolerances import HERM_TOL, UNDAMPED_RTOL
 
 
 def m_matrix(alpha, beta):
@@ -79,7 +78,7 @@ def decompose_antihermitian(d):
     d = np.asarray(d, dtype=complex)
     if d.shape != (2, 2):
         raise NonHermitianTargetError("decomposition implemented for 2x2 targets")
-    if np.max(np.abs(d - d.conj().T)) > _HERM_TOL * max(1.0, float(np.max(np.abs(d)))):
+    if np.max(np.abs(d - d.conj().T)) > HERM_TOL * max(1.0, float(np.max(np.abs(d)))):
         raise NonHermitianTargetError("target matrix is not Hermitian")
     vec, c = pauli_decompose(2.0 * d)
     vec = np.real(vec)
@@ -189,7 +188,7 @@ def bubble_h(eps_n, eps_m, omega, side="A", sigma_k_m=None):
     Raises NonIntegrableError when level m has no decay (G^K not integrable).
     """
     eps_n, eps_m = complex(eps_n), complex(eps_m)
-    if abs(np.imag(eps_m)) < 1e-14 * max(1.0, abs(eps_m)):
+    if abs(np.imag(eps_m)) < UNDAMPED_RTOL * max(1.0, abs(eps_m)):
         raise NonIntegrableError("level m must decay or grow: Im eps_m = 0")
     if sigma_k_m is None:
         sigma_k_m = 2j * np.imag(eps_m)

@@ -13,15 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegeneratePointError
+from .tolerances import DEGENERACY_RTOL
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-#: tolerance on |d.d|, relative to max(|d|^2, parameter scale^2), at or below
-#: which a Rice-Mele point counts as gapless
-DEGENERACY_RTOL = 1e-10
 
 #: default central-difference step in momentum
 DEFAULT_FD_STEP = 1e-5

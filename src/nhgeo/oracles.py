@@ -18,6 +18,7 @@ from .geometry import locked_stencil
 from .models import BlochModel
 from .response import _sigma_regular_from_fh, band_coefficients
 from .spectra import braket
+from .tolerances import QUADRATURE_DAMPING_RTOL
 
 #: default finite-difference oracle step in momentum
 ORACLE_STEP = 1e-4
@@ -39,7 +40,7 @@ def optical_weight_quadrature(model: BlochModel, kx, ky, band="slowest", eta=1e-
     out = np.empty(np.shape(c.z))
     for idx in np.ndindex(out.shape):
         f, hc, z = c.f[idx], c.h_coef[idx], complex(c.z[idx])
-        if abs(np.imag(z)) < 1e-12 * abs(z):
+        if abs(np.imag(z)) < QUADRATURE_DAMPING_RTOL * abs(z):
             raise PoleOnAxisError("undamped transition: quadrature needs Im z != 0")
         w_max = 50.0 * float(e_max[idx]) if omega_max is None else omega_max
 

@@ -26,6 +26,7 @@ from .errors import BranchViolationError, PoleOnAxisError
 from .models import BlochModel, bz_mesh
 from .spectra import Eigensystem, braket, decays_slower, eigensystem_two_band
 from .geometry import locked_stencil, qgt_rr, velocity_matrices
+from .tolerances import BRANCH_TOL, RESONANCE_TOL, RHO_TRACE_TOL
 
 FD_STEP = 1e-5
 
@@ -64,7 +65,7 @@ def lehmann_correlator(energies, operators, rho, omega, volume=1.0):
     if operators.ndim < 3 or operators.shape[-2:] != (n, n):
         raise ValueError("operator matrices must match the level count")
     if rho.shape[-1:] != (n,) or np.any(rho < 0) \
-            or np.any(np.abs(rho.sum(axis=-1) - 1.0) > 1e-12):
+            or np.any(np.abs(rho.sum(axis=-1) - 1.0) > RHO_TRACE_TOL):
         raise ValueError("rho must be nonnegative diagonal weights with trace 1")
     omega = np.asarray(omega, dtype=float)
     e = np.real(energies)
@@ -72,7 +73,7 @@ def lehmann_correlator(energies, operators, rho, omega, volume=1.0):
     e_nm = (e[..., :, None] - e[..., None, :])[..., None, :, :]
     s_nm = (s[..., :, None] + s[..., None, :])[..., None, :, :]
     denom = omega.reshape(-1)[:, None, None] + e_nm - 1j * s_nm
-    if np.any((s_nm == 0.0) & (np.abs(np.real(denom)) < 1e-12)):
+    if np.any((s_nm == 0.0) & (np.abs(np.real(denom)) < RESONANCE_TOL)):
         raise PoleOnAxisError(
             "undamped transition on resonance; an explicit i0+ prescription is required")
     # rho_n O^i_nm O^j_mn, contracted over (n, m) without an omega axis
@@ -273,14 +274,14 @@ def conductivity_wavepacket(model: BlochModel, kx, ky, band=0, omega=0.0):
     return _sigma_regular_from_fh(c.f, c.h_coef, c.z, omega)
 
 
-def lower_branch_arg(z, tol=1e-9):
+def lower_branch_arg(z):
     """arg(z) on the branch [-pi, 0]: real-negative z maps to -pi.
 
-    Raises BranchViolationError when Im z > tol * |z| (the closed weight
+    Raises BranchViolationError when Im z > BRANCH_TOL * |z| (the closed weight
     form presumes transitions out of the slowest-decaying band).
     """
     z = np.asarray(z, dtype=complex)
-    if np.any(np.imag(z) > tol * np.maximum(np.abs(z), 1e-300)):
+    if np.any(np.imag(z) > BRANCH_TOL * np.maximum(np.abs(z), 1e-300)):
         raise BranchViolationError("energy difference in the upper half-plane")
     ang = np.angle(z)
     ang = np.where((np.imag(z) >= 0) & (np.real(z) < 0), -np.pi, np.minimum(ang, 0.0))

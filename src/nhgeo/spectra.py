@@ -16,18 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ExceptionalPointError, IllConditionedError,
-                     NonConvergenceError)
-from .models import pauli_decompose
-
-#: relative eigenvalue gap below which a point counts as exceptional
-GAP_RTOL = 1e-8
-
-#: overlap condition number treated as near-exceptional
-COND_LIMIT = 1e12
-
-_BIORTHO_TOL = 1e-10
-_RECON_TOL = 1e-9
+from .errors import ExceptionalPointError, NonConvergenceError
+from .models import _sum3, pauli_decompose
+from .tolerances import (BIORTHO_TOL, DEFECTIVE_OVERLAP_TOL, GAP_RTOL, PAIRING_RTOL,
+                         PHASE_COMPONENT_TOL, RECON_TOL, SORT_ATOL, SORT_RTOL)
 
 
 def braket(a, b):
@@ -108,23 +100,23 @@ class Eigensystem:
         left_h = np.conj(self.left)
         right_t = np.swapaxes(self.right, -1, -2)
         err = np.max(np.abs(mm(left_h, right_t) - eye))
-        if not err <= _BIORTHO_TOL:
+        if not err <= BIORTHO_TOL:
             raise NonConvergenceError(f"biorthonormality residual {err:.2e}")
         err = np.max(np.abs(mm(right_t, left_h) - eye))
-        if not err <= _BIORTHO_TOL:
+        if not err <= BIORTHO_TOL:
             raise NonConvergenceError(f"completeness residual {err:.2e}")
         err = np.max(np.abs(mm(self.overlap_left, self.overlap_right) - eye))
-        if not err <= _RECON_TOL * max(1.0, float(np.max(np.abs(self.overlap_right)))):
+        if not err <= RECON_TOL * max(1.0, float(np.max(np.abs(self.overlap_right)))):
             raise NonConvergenceError(f"overlap inverse residual {err:.2e}")
         if h is not None:
             recon = mm(right_t, self.energies[..., :, None] * left_h)
             scale = np.max(np.abs(h)) or 1.0
             err = np.max(np.abs(recon - h)) / scale
-            if not err <= _RECON_TOL:
+            if not err <= RECON_TOL:
                 raise NonConvergenceError(f"reconstruction residual {err:.2e}")
         if check_order:
             key = np.diff(np.imag(self.energies), axis=-1)
-            if np.any(key > 1e-30 + 1e-15 * np.max(np.abs(self.energies))):
+            if np.any(key > SORT_ATOL + SORT_RTOL * np.max(np.abs(self.energies))):
                 raise NonConvergenceError("bands not sorted by descending Im(e)")
         return self
 
@@ -134,7 +126,7 @@ def _fix_phase(v):
     n = v.shape[-1]
     comp = v[..., 0]
     for i in range(1, n):
-        comp = np.where(np.abs(comp) > 1e-12, comp, v[..., i])
+        comp = np.where(np.abs(comp) > PHASE_COMPONENT_TOL, comp, v[..., i])
     mag = np.abs(comp)
     phase = np.where(mag > 0, comp / np.where(mag > 0, mag, 1.0), 1.0)
     return v * np.conj(phase)[..., None]
@@ -159,24 +151,24 @@ def _dual_two_band(right):
     return np.stack([l0, l1], axis=-2)
 
 
-def pseudospin_split(h, gap_rtol=GAP_RTOL):
+def pseudospin_split(h):
     """(d, c, s) of 2x2 matrices h = c + d.sigma, batched, with s = sqrt(d.d)
     on the principal branch: the branch energies are c + s and c - s.
 
     Raises
     ------
     ExceptionalPointError
-        where |e_+ - e_-| < gap_rtol * max|e_+-|, with the batch indices of
+        where |e_+ - e_-| < GAP_RTOL * max|e_+-|, with the batch indices of
         those points.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape[-2:] != (2, 2):
         raise ValueError("two-band routines expect (..., 2, 2) input")
     d, c = pauli_decompose(h)
-    s = np.sqrt(np.sum(d * d, axis=-1))
+    s = np.sqrt(_sum3(d * d))
     e_plus, e_minus = c + s, c - s
     scale = np.maximum(np.abs(e_plus), np.abs(e_minus))
-    bad = np.abs(e_plus - e_minus) < gap_rtol * np.maximum(scale, 1e-300)
+    bad = np.abs(e_plus - e_minus) < GAP_RTOL * np.maximum(scale, 1e-300)
     if np.any(bad):
         raise ExceptionalPointError(
             f"two-band gap below tolerance at {int(np.count_nonzero(bad))} point(s)",
@@ -184,7 +176,7 @@ def pseudospin_split(h, gap_rtol=GAP_RTOL):
     return d, c, s
 
 
-def eigensystem_two_band(h, gap_rtol=GAP_RTOL, validate=True, ordering="im"):
+def eigensystem_two_band(h, validate=True, ordering="im"):
     """Closed-form biorthogonal eigensystem of 2x2 matrices, batched.
 
     Eigenvectors come from the pseudospin decomposition h = d.sigma + c;
@@ -205,9 +197,9 @@ def eigensystem_two_band(h, gap_rtol=GAP_RTOL, validate=True, ordering="im"):
     Raises
     ------
     ExceptionalPointError
-        where |e_1 - e_0| < gap_rtol * max|e|.
+        where |e_1 - e_0| < GAP_RTOL * max|e|.
     """
-    d, c, s = pseudospin_split(h, gap_rtol)
+    d, c, s = pseudospin_split(h)
     e_plus, e_minus = c + s, c - s
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     off = dx - 1j * dy
@@ -242,7 +234,7 @@ def eigensystem_two_band(h, gap_rtol=GAP_RTOL, validate=True, ordering="im"):
     return eig
 
 
-def eigensystem_general(h, gap_rtol=GAP_RTOL, validate=True):
+def eigensystem_general(h, validate=True):
     """Dense biorthogonal eigensystem of a single N x N matrix.
 
     Right vectors come from the LAPACK nonsymmetric solver, left vectors
@@ -261,9 +253,9 @@ def eigensystem_general(h, gap_rtol=GAP_RTOL, validate=True):
 
     scale = max(float(np.max(np.abs(w))), 1e-300)
     diff = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(n, np.inf))
-    if diff.min() < gap_rtol * scale:
+    if diff.min() < GAP_RTOL * scale:
         raise ExceptionalPointError(
-            f"eigenvalue gap {diff.min():.2e} below {gap_rtol:.1e}*{scale:.2e}")
+            f"eigenvalue gap {diff.min():.2e} below {GAP_RTOL:.1e}*{scale:.2e}")
 
     # pair adjoint eigenvalues: conj(wl_j) ~ w_i, bijectively
     cost = np.abs(np.conj(wl)[None, :] - w[:, None])
@@ -274,7 +266,7 @@ def eigensystem_general(h, gap_rtol=GAP_RTOL, validate=True):
         j = int(np.argmin(row))
         order[i] = j
         taken[j] = True
-        if row[j] > 1e-6 * scale:
+        if row[j] > PAIRING_RTOL * scale:
             raise NonConvergenceError("left/right eigenvalue pairing failed")
 
     idx = np.lexsort((np.real(w), -np.imag(w)))
@@ -284,7 +276,7 @@ def eigensystem_general(h, gap_rtol=GAP_RTOL, validate=True):
     right = _fix_phase(right)
     left = u.T[order][idx]
     s = np.sum(np.conj(left) * right, axis=-1)
-    if np.any(np.abs(s) < 1e-12):
+    if np.any(np.abs(s) < DEFECTIVE_OVERLAP_TOL):
         raise ExceptionalPointError("left/right pairing degenerate (defective?)")
     left = left / np.conj(s)[:, None]
 
@@ -295,33 +287,14 @@ def eigensystem_general(h, gap_rtol=GAP_RTOL, validate=True):
     return eig
 
 
-def eigensystem(h, gap_rtol=GAP_RTOL, validate=True):
+def eigensystem(h, validate=True):
     """Dispatch to the closed-form two-band or the dense general solver."""
     h = np.asarray(h, dtype=complex)
     if h.shape[-1] == 2:
-        return eigensystem_two_band(h, gap_rtol=gap_rtol, validate=validate)
+        return eigensystem_two_band(h, validate=validate)
     if h.ndim == 2:
-        return eigensystem_general(h, gap_rtol=gap_rtol, validate=validate)
+        return eigensystem_general(h, validate=validate)
     raise ValueError("batched input is only supported for two-band matrices")
-
-
-def overlap_matrices(eig: Eigensystem):
-    """(I, I^-1) with I_nm = <R_n|R_m>; the inverse is the left Gram matrix.
-
-    The stored left Gram matrix is verified against direct inversion of I.
-    """
-    i_right = eig.overlap_right
-    evals = np.linalg.eigvalsh(i_right)
-    cond = np.max(evals, axis=-1) / np.maximum(np.min(evals, axis=-1), 1e-300)
-    if np.any(cond > COND_LIMIT):
-        raise IllConditionedError(
-            f"overlap condition number up to {float(np.max(cond)):.2e} exceeds {COND_LIMIT:.0e}")
-    direct = np.linalg.inv(i_right)
-    err = np.max(np.abs(direct - eig.overlap_left))
-    if err > _RECON_TOL * max(1.0, float(np.max(np.abs(direct)))):
-        raise NonConvergenceError(
-            f"left Gram matrix deviates from inv(I) by {err:.2e}")
-    return i_right, eig.overlap_left
 
 
 def gauge_rescale(eig: Eigensystem, c):

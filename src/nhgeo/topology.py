@@ -17,12 +17,7 @@ from .errors import (BoundViolationError, LinkCollapseError,
 from .models import BlochModel, bz_mesh
 from .spectra import eigensystem_two_band, gauge_rescale
 from .geometry import GeometryGrid, scan_geometry, solve_mesh
-
-#: links with magnitude below this abort the plaquette sum
-LINK_TOL = 1e-6
-
-#: maximum allowed distance of the phase sum from 2*pi*integer
-RESIDUE_TOL = 1e-3
+from .tolerances import BOUND_TOL, CURVATURE_SUM_IMAG_TOL, LINK_TOL, RESIDUE_TOL
 
 
 @dataclass
@@ -52,8 +47,8 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, flavor="lr",
     the selected band's bra and ket vectors; exceptional points of every
     chunk are raised once as sorted (kx, ky) pairs.
 
-    Raises LinkCollapseError when any |U| < 1e-6 and
-    NonIntegerResidueError when the rounding residue exceeds 1e-3.
+    Raises LinkCollapseError when any |U| < LINK_TOL and
+    NonIntegerResidueError when the rounding residue exceeds RESIDUE_TOL.
     """
     if flavor not in ("lr", "rl"):
         raise ValueError("flavor must be 'lr' or 'rl'")
@@ -99,21 +94,21 @@ def chern_from_curvature(grid: GeometryGrid):
     real (NonRealCurvatureError otherwise) and converges to the integer.
     """
     total = np.sum(grid.curvature_lr) * grid.cell_area() / (2.0 * np.pi)
-    if abs(np.imag(total)) > 1e-3 * max(1.0, abs(total)):
+    if abs(np.imag(total)) > CURVATURE_SUM_IMAG_TOL * max(1.0, abs(total)):
         raise NonRealCurvatureError(
             f"BZ-integrated curvature has imaginary part {np.imag(total):.2e}")
     return float(np.real(total))
 
 
-def bound_integrals(grid: GeometryGrid, tol_scale=1e-9):
+def bound_integrals(grid: GeometryGrid):
     """(int |F|, int (|Q^RL_xy| + |Q^RL_yx|)) with the local chain asserted.
 
-    Local violations beyond tol_scale * local magnitude raise
+    Local violations beyond BOUND_TOL * local magnitude raise
     BoundViolationError carrying the offending k-points.
     """
     lhs = np.abs(grid.curvature_lr)
     rhs = np.abs(grid.qgt_rl[..., 0, 1]) + np.abs(grid.qgt_rl[..., 1, 0])
-    bad = lhs - rhs > tol_scale * np.maximum(rhs, 1.0)
+    bad = lhs - rhs > BOUND_TOL * np.maximum(rhs, 1.0)
     if np.any(bad):
         pts = [(float(grid.kx[i, j]), float(grid.ky[i, j]))
                for i, j in np.argwhere(bad)]

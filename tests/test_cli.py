@@ -8,9 +8,9 @@ import pytest
 import yaml
 
 from conftest import NEAR_EP_REJECTED, near_ep_matrix
-from nhgeo import cli, geometry, topology
+from nhgeo import bounds, cli, geometry, topology
 from nhgeo.cli import load_config, main
-from nhgeo.errors import ConfigError
+from nhgeo.errors import BoundViolationError, ConfigError
 from nhgeo.models import bz_mesh, model_from_config
 from nhgeo.response import response_spectrum
 
@@ -165,6 +165,17 @@ def test_cli_scan_exceptional_exit_3(tmp_path):
     assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_cli_optical_weight_exceptional_exit_3(tmp_path, capsys):
+    # the stencil's eigensolve reports batch indices, an array, not a list
+    cfg = _write(tmp_path, "ep.yaml",
+                 {"model": {"family": "constant",
+                            "matrix": [[0.0, 1.0], [0.0, 0.0]]},
+                  "grid": {"nx": 8, "ny": 8}})
+    assert main(["optical-weight", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "at k = " in err
+
+
 @pytest.mark.parametrize("exponent", NEAR_EP_REJECTED)
 def test_cli_scan_near_ep_exit_3(tmp_path, capsys, exponent):
     # every near-EP matrix the eigenvector route's validation rejects
@@ -272,6 +283,45 @@ def test_cli_bounds_tolerance_override(tmp_path):
                                         "response": {"k_samples": 4,
                                                      "omega_count": 11}})
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+
+def test_cli_tolerances_reach_every_report(tmp_path, monkeypatch):
+    tol = {"bound": 0.25, "psd": 0.125, "qgt": 0.0625}
+    cfg = _write(tmp_path, "tol.yaml", {"tolerances": tol, "sweep": {"Gamma": [0.5]}})
+    out = tmp_path / "o"
+    for command in ("bounds", "chern"):
+        assert main([command, "--config", cfg, "--grid", "16", "--out", str(out)]) == 0
+    reports = json.loads((out / "bounds.json").read_text())["reports"]
+    assert {r["name"]: r["tolerance"] for r in reports} == {
+        "LocalCurvature": 0.25, "ChernChain": 0.25, "OpticalWeight": 0.25,
+        "QGTInequality": 0.0625, "PSD_RR": 0.125, "PSD_LL": 0.125,
+        "AbsorptivePSD": 1e-10}
+    assert json.loads((out / "chern.json").read_text())["chain"]["tolerance"] == 0.25
+    # the optical-weight sweep reports no tolerance; watch its verdicts instead
+    verdicts = []
+    check = bounds.check_optical_weight_bound
+
+    def watched(*args, **kwargs):
+        verdicts.append(check(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(bounds, "check_optical_weight_bound", watched)
+    assert main(["optical-weight", "--config", cfg, "--grid", "16", "--out", str(out)]) == 0
+    assert [rep.tolerance for rep in verdicts] == [0.25]
+
+
+@pytest.mark.parametrize("command", ["chern", "bounds"])
+def test_cli_bound_violation_exit_4(tmp_path, capsys, monkeypatch, command):
+    def violated(grid):
+        raise BoundViolationError("local curvature bound violated at 1 point(s)",
+                                  points=[(0.5, -1.0)])
+
+    monkeypatch.setattr(topology, "bound_integrals", violated)
+    cfg = _write(tmp_path, "v.yaml", {"chern": {"curvature_grid": 16},
+                                      "response": {"k_samples": 4, "omega_count": 11}})
+    assert main([command, "--config", cfg, "--grid", "16", "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "bound violation" in err and "at k = (0.5, -1.0)" in err
 
 
 def test_cli_bounds_thermal_occupation_low_temperature(tmp_path):

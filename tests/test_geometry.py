@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 from conftest import (NEAR_EP_EXPONENTS, NEAR_EP_REJECTED, count_model_calls, hermitian_qgt,
                       locked_fd_qgt_general, locked_fd_ray_qgt_general, near_ep_matrix,
                       random_three_band_model, smooth_gauge)
-from nhgeo import geometry
+from nhgeo import geometry, tolerances
 from nhgeo.errors import (ConfigError, ExceptionalPointError, IllConditionedError,
                           NHGeoError, NonConvergenceError, NonFiniteError)
 from nhgeo.models import BlochModel, bz_mesh, pauli_matrix
@@ -281,7 +281,7 @@ def test_near_ep_sweep_typed_error_where_eigenvector_route_rejects(exponent):
     if exponent in NEAR_EP_REJECTED:
         with pytest.raises(NHGeoError):
             eigensystem_two_band(h)
-    if 10.0 ** exponent / 4 > geometry.NORM_PRODUCT_LIMIT:  # norm product ~1/(4 delta)
+    if 10.0 ** exponent / 4 > tolerances.NORM_PRODUCT_LIMIT:  # norm product ~1/(4 delta)
         with pytest.raises(IllConditionedError, match="norm product"):
             scan_geometry(model, nx=4)
     else:

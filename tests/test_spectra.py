@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as npst
 
-from nhgeo.errors import (ExceptionalPointError, IllConditionedError,
-                          NonConvergenceError)
+from nhgeo.errors import ExceptionalPointError, NonConvergenceError
 from nhgeo.models import SIGMA_X, rm_d_vector
 from nhgeo.spectra import (Eigensystem, eigensystem, eigensystem_general,
-                           eigensystem_two_band, gauge_rescale, mm,
-                           overlap_matrices)
+                           eigensystem_two_band, gauge_rescale, mm)
 
 
 def _random_nh(rng, n=2, scale=0.4):
@@ -91,7 +89,7 @@ def test_branch_ordering_is_smooth(rm_model):
 def test_overlap_matrices(rm_model, rng):
     kx, ky = 0.7, -2.1
     eig = eigensystem_two_band(rm_model.hamiltonian(kx, ky))
-    gram, gram_inv = overlap_matrices(eig)
+    gram, gram_inv = eig.overlap_right, eig.overlap_left
     assert abs(gram[0, 1]) > 1e-3  # right basis genuinely non-orthogonal
     npt.assert_allclose(gram_inv @ gram, np.eye(2), atol=1e-9)
     # left Gram equals the inverse of the right Gram
@@ -101,17 +99,8 @@ def test_overlap_matrices(rm_model, rng):
 
 def test_overlap_hermitian_is_identity(hermitian_model):
     eig = eigensystem_two_band(hermitian_model.hamiltonian(0.4, 1.0))
-    gram, _ = overlap_matrices(eig)
-    npt.assert_allclose(gram, np.eye(2), atol=1e-12)
-
-
-def test_overlap_ill_conditioned():
-    # near-exceptional: dual construction loses precision, so skip validation
-    eps = 3e-7
-    h = np.array([[0.0, 1.0], [eps**2, 0.0]], dtype=complex)
-    eig = eigensystem_two_band(h, validate=False)
-    with pytest.raises(IllConditionedError):
-        overlap_matrices(eig)
+    npt.assert_allclose(eig.overlap_right, np.eye(2), atol=1e-12)
+    npt.assert_allclose(eig.overlap_left, np.eye(2), atol=1e-12)
 
 
 def test_gauge_rescale_preserves_biorthonormality(rm_model, rng):
