@@ -1,10 +1,9 @@
 """Command-line front end: config parsing, BZ sweeps, report generation.
 
 Commands: scan | chern | bounds | optical-weight | lindblad-check.
-Configuration comes from a YAML file; --grid/--band/--threads/--out and
-the NHGEO_* environment variables override individual entries.  Exit
-codes: 0 ok, 2 configuration, 3 numerical (exceptional points or
-non-convergence), 4 bound violation.
+Configuration comes from a YAML file; --grid/--band/--threads/--out
+override individual entries.  Exit codes: 0 ok, 2 configuration, 3
+numerical (exceptional points or non-convergence), 4 bound violation.
 """
 
 from __future__ import annotations
@@ -62,16 +61,6 @@ def load_config(path=None, cli_overrides=None):
         if not isinstance(user, dict):
             raise ConfigError("config root must be a mapping")
         _deep_update(cfg, user)
-
-    env_grid = os.environ.get("NHGEO_GRID")
-    if env_grid:
-        cfg["grid"] = _parse_grid(env_grid)
-    if os.environ.get("NHGEO_THREADS"):
-        cfg["threads"] = os.environ["NHGEO_THREADS"]
-    if os.environ.get("NHGEO_BAND"):
-        cfg["band"] = os.environ["NHGEO_BAND"]
-    if os.environ.get("NHGEO_OUT"):
-        cfg["output"]["dir"] = os.environ["NHGEO_OUT"]
 
     for key, val in (cli_overrides or {}).items():
         if val is None:
@@ -188,9 +177,9 @@ def cmd_scan(cfg):
     out = _ensure_outdir(cfg)
     grid = scan_geometry(model, band=cfg["band"], nx=cfg["grid"]["nx"],
                          ny=cfg["grid"]["ny"], workers=cfg["threads"])
+    chern_cv = topology.chern_from_curvature(grid)  # raises before any file is written
     csv_path = os.path.join(out, "geometry.csv")
     serialize.write_geometry_csv(csv_path, grid)
-    chern_cv = float(np.real(np.sum(grid.curvature_lr)) * grid.cell_area() / (2 * np.pi))
     serialize.write_report_json(
         os.path.join(out, "geometry.json"),
         {

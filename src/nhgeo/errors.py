@@ -16,8 +16,8 @@ class DegeneratePointError(NHGeoError):
 class ExceptionalPointError(NHGeoError):
     """Eigenvalue gap below tolerance; 1/(e_n - e_m) formulas are invalid.
 
-    ``points`` optionally carries the offending (kx, ky) pairs when the
-    error was aggregated over a grid.
+    ``points`` holds the batch indices of a batched eigensolve; mesh and
+    stencil callers re-raise it with the sorted (kx, ky) pairs.
     """
 
     def __init__(self, msg, points=None):

@@ -36,16 +36,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import (ConfigError, ExceptionalPointError, GaugeLockError,
-                     IllConditionedError, NonConvergenceError, NonFiniteError,
-                     NonRealCurvatureError)
+                     IllConditionedError, NonConvergenceError, NonFiniteError)
 from .models import BlochModel, bz_mesh
 from .spectra import (Eigensystem, eigensystem_two_band, gauge_rescale, matrix_elements,
                       pseudospin_split)
-from .tolerances import CROSS_CHECK_RTOL, CURVATURE_IMAG_TOL, LOCK_MIN_OVERLAP, NORM_PRODUCT_LIMIT
+from .tolerances import CROSS_CHECK_RTOL, LOCK_MIN_OVERLAP, NORM_PRODUCT_LIMIT
 
 #: mesh points per batched chunk of :func:`solve_mesh` (whole kx rows);
 #: small enough that a chunk's temporaries stay a few MB
 CHUNK_POINTS = 2048
+
+#: central step of :func:`anomalous_divergence_integral`'s divergence
+DIVERGENCE_STEP = 1e-2
 
 #: GeometryGrid fields in the order both routes return them
 FIELDS = ("qgt_lr", "qgt_rl", "qgt_rr", "qgt_ll", "anomalous_r", "anomalous_l",
@@ -152,24 +154,15 @@ def anomalous_connection(eig: Eigensystem, v, band=0, side="R"):
     return 1j * np.sum(ratio[..., None, :] * elem, axis=-1)
 
 
-def berry_curvature_lr(q_lr, strict=False):
+def berry_curvature_lr(q_lr):
     """Mixed Berry curvature F = i (Q^{LR}_xy - Q^{LR}_yx).
 
     The projector pieces of the mixed tensor cancel in the
     antisymmetrization, so this equals the curl of the mixed connection.
     Pointwise F is generically complex for non-Hermitian models; only its
-    BZ integral is real (2*pi*C).  With ``strict=True`` the imaginary part
-    must vanish pointwise (Hermitian-limit contract).
+    BZ integral is real (2*pi*C).
     """
-    f = 1j * (q_lr[..., 0, 1] - q_lr[..., 1, 0])
-    if strict:
-        scale = max(float(np.max(np.abs(f))), 1.0)
-        resid = float(np.max(np.abs(np.imag(f))))
-        if resid > CURVATURE_IMAG_TOL * scale:
-            raise NonRealCurvatureError(
-                f"pointwise curvature imaginary residue {resid:.2e}")
-        return np.real(f)
-    return f
+    return 1j * (q_lr[..., 0, 1] - q_lr[..., 1, 0])
 
 
 @dataclass
@@ -351,6 +344,12 @@ def _cross_check(model: BlochModel, kx, ky, values, band):
                 f"{err[row]:.2e} at scale {scale[row]:.2e} (limit {CROSS_CHECK_RTOL:.0e} relative)")
 
 
+def _k_points(exc: ExceptionalPointError, kx, ky):
+    """The (kx, ky) pairs at the batch indices that ``exc`` carries."""
+    kx, ky = np.broadcast_arrays(kx, ky)
+    return [(float(kx[tuple(i)]), float(ky[tuple(i)])) for i in exc.points]
+
+
 def _chunk_rows(ny):
     """kx rows per chunk of a mesh with ``ny`` points per row."""
     return max(1, CHUNK_POINTS // ny)
@@ -376,7 +375,7 @@ def solve_mesh(kxg, kyg, solve, store, mapper=map):
         try:
             result = solve(kxr, kyr)
         except ExceptionalPointError as exc:
-            return [(float(kxr[i, j]), float(kyr[i, j])) for i, j in exc.points]
+            return _k_points(exc, kxr, kyr)
         store(rng, kxr, kyr, result)
         return []
 
@@ -406,8 +405,9 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
     ny = nx if ny is None else ny
     kxg, kyg = bz_mesh(nx, ny)
     tails = ((2, 2),) * 4 + ((2,),) * 2 + ((),)
-    out = GeometryGrid(kx=kxg, ky=kyg, band=band, norm_product=np.full((nx, ny), np.nan),
-                       **{name: np.full((nx, ny) + tail, np.nan, dtype=complex)
+    # every element is written by a chunk, or the scan raises
+    out = GeometryGrid(kx=kxg, ky=kyg, band=band, norm_product=np.empty((nx, ny)),
+                       **{name: np.empty((nx, ny) + tail, dtype=complex)
                           for name, tail in zip(FIELDS, tails)})
 
     def solve(kxr, kyr):
@@ -439,7 +439,8 @@ def locked_stencil(model: BlochModel, kx, ky, h, gauge=None):
     positive); branch labels keep the stencil on one smooth band.
     ``gauge`` injects a test rescaling c(k) at every point, which the lock
     must cancel.  Raises GaugeLockError when any normalized overlap
-    magnitude drops below LOCK_MIN_OVERLAP.
+    magnitude drops below LOCK_MIN_OVERLAP, and ExceptionalPointError
+    with the sorted (kx, ky) pairs of the first k set that has any.
 
     Each k set is solved from one ``model.hamiltonian(..., derivatives=True)``
     pass; ``dh`` maps ``"center"`` and every (axis, sign) key to that set's
@@ -449,7 +450,11 @@ def locked_stencil(model: BlochModel, kx, ky, h, gauge=None):
 
     def solve(key, akx, aky):
         ham, *dh[key] = model.hamiltonian(akx, aky, derivatives=True)
-        eig = eigensystem_two_band(ham, ordering="branch")
+        try:
+            eig = eigensystem_two_band(ham, ordering="branch")
+        except ExceptionalPointError as exc:
+            raise ExceptionalPointError(str(exc), points=sorted(_k_points(exc, akx, aky))) \
+                from exc
         return eig if gauge is None else gauge_rescale(eig, gauge(akx, aky))
 
     kx = np.asarray(kx, dtype=float)
@@ -470,23 +475,23 @@ def locked_stencil(model: BlochModel, kx, ky, h, gauge=None):
     return center, shifted, dh
 
 
-def anomalous_divergence_integral(model: BlochModel, band=0, n_grid=64,
-                                  h=1e-2, side="R"):
-    """BZ Riemann sum of the discrete divergence of the anomalous one-form.
+def anomalous_divergence_integral(model: BlochModel, band=0, n_grid=64):
+    """BZ Riemann sum of the discrete divergence of the right anomalous one-form.
 
     The connection is gauge invariant, so its divergence integrates to zero
     over the torus; the Riemann sum converges to zero with grid refinement.
-    The divergence uses a mesh-independent central step ``h``: the shifted
-    torus integrals cancel exactly for any step, so ``h`` only sets the
-    cancellation-noise floor (larger steps keep it below the quadrature
-    error on fine meshes).
+    The divergence uses the mesh-independent central step
+    :data:`DIVERGENCE_STEP`: the shifted torus integrals cancel exactly for
+    any step, so the step only sets the cancellation-noise floor (larger
+    steps keep it below the quadrature error on fine meshes).
     """
     kxg, kyg = bz_mesh(n_grid, n_grid)
+    h = DIVERGENCE_STEP
 
     def q_at(kx, ky):
-        h, dhx, dhy = model.hamiltonian(kx, ky, derivatives=True)
-        eig = eigensystem_two_band(h, ordering="branch")
-        return anomalous_connection(eig, velocity_matrices(eig, dhx, dhy), band=band, side=side)
+        ham, dhx, dhy = model.hamiltonian(kx, ky, derivatives=True)
+        eig = eigensystem_two_band(ham, ordering="branch")
+        return anomalous_connection(eig, velocity_matrices(eig, dhx, dhy), band=band)
 
     div = (q_at(kxg + h, kyg)[..., 0] - q_at(kxg - h, kyg)[..., 0]) / (2 * h) \
         + (q_at(kxg, kyg + h)[..., 1] - q_at(kxg, kyg - h)[..., 1]) / (2 * h)

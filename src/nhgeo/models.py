@@ -202,16 +202,14 @@ class BlochModel:
     """
 
     def __init__(self, dimension, hamiltonian, fused=None,
-                 fd_step=DEFAULT_FD_STEP, label="custom", params=None):
+                 fd_step=DEFAULT_FD_STEP, params=None):
         self.dimension = int(dimension)
         if self.dimension < 2:
             raise ConfigError("model dimension must be >= 2")
         self._h = hamiltonian
         self._fused = fused
         self.fd_step = float(fd_step)
-        self.label = label
         self.params = params
-        self.derivative_kind = "analytic" if fused is not None else "central"
 
     def hamiltonian(self, kx, ky, derivatives=False):
         if not derivatives:
@@ -235,21 +233,19 @@ class BlochModel:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def rice_mele(cls, params: RMParams, analytic=True, fd_step=DEFAULT_FD_STEP):
-        fused = (lambda kx, ky, p=params: rm_hamiltonian(kx, ky, p, derivatives=True)) \
-            if analytic else None
+    def rice_mele(cls, params: RMParams):
         return cls(2, lambda kx, ky, p=params: rm_hamiltonian(kx, ky, p),
-                   fused=fused, fd_step=fd_step, label="rice_mele", params=params)
+                   fused=lambda kx, ky, p=params: rm_hamiltonian(kx, ky, p, derivatives=True),
+                   params=params)
 
     @classmethod
-    def pseudospin(cls, d_func, d_deriv=None, fd_step=DEFAULT_FD_STEP):
+    def pseudospin(cls, d_func, d_deriv=None):
         """Generic two-band model from a complex d-vector function."""
         fused = None
         if d_deriv is not None:
             fused = lambda kx, ky: tuple(pauli_matrix(d) for d in (
                 d_func(kx, ky), d_deriv(kx, ky, 0), d_deriv(kx, ky, 1)))
-        return cls(2, lambda kx, ky: pauli_matrix(d_func(kx, ky)),
-                   fused=fused, fd_step=fd_step, label="pseudospin")
+        return cls(2, lambda kx, ky: pauli_matrix(d_func(kx, ky)), fused=fused)
 
     @classmethod
     def constant(cls, matrix):
@@ -267,19 +263,23 @@ class BlochModel:
             h = ham(kx, ky)
             return h, np.zeros_like(h), np.zeros_like(h)
 
-        return cls(m.shape[0], ham, fused=fused, label="constant")
+        return cls(m.shape[0], ham, fused=fused)
+
+
+#: the ``model:`` keys some family reads; any other key is a ConfigError
+MODEL_KEYS = ("family", "t", "delta", "Delta", "gamma", "Gamma", "variant", "dz_offset",
+              "matrix")
 
 
 def model_from_config(cfg: dict) -> BlochModel:
     """Build a model from the ``model:`` section of a run config."""
     if not isinstance(cfg, dict):
         raise ConfigError("model section must be a mapping")
+    unknown = sorted(str(key) for key in cfg if key not in MODEL_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown model key(s) {', '.join(unknown)}; "
+                          f"known: {', '.join(MODEL_KEYS)}")
     family = cfg.get("family")
-    deriv = cfg.get("derivative", {}) or {}
-    kind = deriv.get("kind", "analytic")
-    step = float(deriv.get("step", DEFAULT_FD_STEP))
-    if kind not in ("analytic", "central"):
-        raise ConfigError(f"unknown derivative kind {kind!r}")
 
     if family == "rice_mele":
         try:
@@ -294,7 +294,7 @@ def model_from_config(cfg: dict) -> BlochModel:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad rice_mele parameters: {exc}") from exc
-        return BlochModel.rice_mele(params, analytic=(kind == "analytic"), fd_step=step)
+        return BlochModel.rice_mele(params)
 
     if family == "constant":
         raw = cfg.get("matrix")

@@ -28,7 +28,10 @@ from .spectra import Eigensystem, braket, decays_slower, eigensystem_two_band
 from .geometry import locked_stencil, qgt_rr, velocity_matrices
 from .tolerances import BRANCH_TOL, RESONANCE_TOL, RHO_TRACE_TOL
 
+#: central step of :func:`interband_fh`'s phase-locked stencil
 FD_STEP = 1e-5
+#: central step of :func:`drude_coefficient`'s second differences
+DRUDE_STEP = 1e-4
 
 
 # -- Lorentzians and Lehmann correlators --------------------------------------
@@ -42,11 +45,11 @@ def lorentzian_kernel(e_nm, sigma_p, sigma_pp, omega):
     return sigma_pp / (np.pi * (d * d + sigma_pp**2))
 
 
-def lehmann_correlator(energies, operators, rho, omega, volume=1.0):
+def lehmann_correlator(energies, operators, rho, omega):
     """Correlator matrices Pi_ij(omega) from the dressed-level resolvent sum.
 
     The package's only evaluation of the resolvent sum
-    Pi_ij(omega) = sum_nm rho_n O^i_nm O^j_mn / (omega + E_nm - i S''_nm) / volume
+    Pi_ij(omega) = sum_nm rho_n O^i_nm O^j_mn / (omega + E_nm - i S''_nm)
     with E_nm = E_n - E_m and S''_nm = S''_n + S''_m, batched over leading
     axes: ``energies`` (..., N) holds the complex levels e_n = E_n - i S''_n,
     ``operators`` (..., n_ops, N, N) the operator matrices in the level
@@ -80,7 +83,6 @@ def lehmann_correlator(energies, operators, rho, omega, volume=1.0):
     num = (rho[..., None, None, :, None] * operators[..., :, None, :, :]
            * np.swapaxes(operators, -1, -2)[..., None, :, :, :])
     out = np.einsum("...wnm,...ijnm->...wij", np.reciprocal(denom, out=denom), num)
-    out /= volume
     return out.reshape(out.shape[:-3] + omega.shape + out.shape[-2:])
 
 
@@ -108,24 +110,24 @@ class ResponseSpectrum:
             raise ValueError("pi_abs must equal (pi - pi^dagger)/2i exactly")
 
 
-def response_spectrum(energies, operators, rho, omegas, volume=1.0):
+def response_spectrum(energies, operators, rho, omegas):
     """Sampled correlator over a frequency grid (batched like the kernel)."""
     omegas = np.asarray(omegas, dtype=float)
-    pi = lehmann_correlator(energies, operators, rho, omegas, volume=volume)
+    pi = lehmann_correlator(energies, operators, rho, omegas)
     return ResponseSpectrum(omegas=omegas, pi=pi, pi_abs=absorptive_part(pi))
 
 
 # -- interband coefficients of the wave-packet conductivity -------------------
 
-def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
+def interband_fh(model: BlochModel, kx, ky, gauge=None):
     """Coefficients f_{mu nu} and h_{mu nu} of the interband response, batched.
 
     Two-band only.  All inner products are evaluated from the resolvent
     identities; the derivative of the mixed element <L_m|d_nu psiR_n> and
     the band-diagonal connections come from one phase-locked central
-    stencil of step ``h`` that serves both bands.  Both outputs are gauge
-    invariant; ``gauge`` injects a test rescaling that the phase lock must
-    cancel.
+    stencil of step :data:`FD_STEP` that serves both bands.  Both outputs
+    are gauge invariant; ``gauge`` injects a test rescaling that the phase
+    lock must cancel.
 
     Returns (f, h_coef, center, v): f and h_coef of shape (..., 2, 2, 2) in
     (band n, mu, nu), the other band m = 1 - n being the transition partner,
@@ -139,6 +141,7 @@ def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
         raise ValueError("interband coefficients implemented for two bands")
     shape = np.broadcast(kx, ky).shape
     kx, ky = (np.broadcast_to(np.asarray(k, dtype=float), shape).reshape(-1) for k in (kx, ky))
+    h = FD_STEP
     center, shifted, dh = locked_stencil(model, kx, ky, h, gauge=gauge)
 
     def mixed(eig, v, n):
@@ -186,14 +189,16 @@ def interband_fh(model: BlochModel, kx, ky, h=FD_STEP, gauge=None):
     return unflat(f), unflat(h_coef), center, unflat(v)
 
 
-def drude_coefficient(model: BlochModel, kx, ky, band=0, h=1e-4):
-    """Second momentum derivative of the complex band energy (Drude weight).
+def drude_coefficient(model: BlochModel, kx, ky, band=0):
+    """Second momentum derivative of the complex band energy (Drude weight),
+    by central second differences of step :data:`DRUDE_STEP`.
 
     Computed but always excluded from the regular conductivity and the
     optical weight.  ``kx`` and ``ky`` broadcast against each other;
     the output has shape (*broadcast shape, 2, 2).
     """
     kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
+    h = DRUDE_STEP
 
     def e(akx, aky):
         eig = eigensystem_two_band(model.hamiltonian(akx, aky), ordering="branch")

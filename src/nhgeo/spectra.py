@@ -176,7 +176,7 @@ def pseudospin_split(h):
     return d, c, s
 
 
-def eigensystem_two_band(h, validate=True, ordering="im"):
+def eigensystem_two_band(h, ordering="im"):
     """Closed-form biorthogonal eigensystem of 2x2 matrices, batched.
 
     Eigenvectors come from the pseudospin decomposition h = d.sigma + c;
@@ -198,6 +198,8 @@ def eigensystem_two_band(h, validate=True, ordering="im"):
     ------
     ExceptionalPointError
         where |e_1 - e_0| < GAP_RTOL * max|e|.
+    NonConvergenceError
+        from :meth:`Eigensystem.validate`, which every result passes.
     """
     d, c, s = pseudospin_split(h)
     e_plus, e_minus = c + s, c - s
@@ -228,18 +230,17 @@ def eigensystem_two_band(h, validate=True, ordering="im"):
     right = _fix_phase(right)
     left = _dual_two_band(right)
     i_right, i_left = _grams(right, left)
-    eig = Eigensystem(energies, right, left, i_right, i_left)
-    if validate:
-        eig.validate(h, check_order=(ordering == "im"))
-    return eig
+    return Eigensystem(energies, right, left, i_right, i_left).validate(
+        h, check_order=(ordering == "im"))
 
 
-def eigensystem_general(h, validate=True):
+def eigensystem_general(h):
     """Dense biorthogonal eigensystem of a single N x N matrix.
 
     Right vectors come from the LAPACK nonsymmetric solver, left vectors
     from the adjoint eigenproblem paired by eigenvalue and rescaled to
-    <L_n|R_n> = 1 (never by inverting the eigenvector matrix).
+    <L_n|R_n> = 1 (never by inverting the eigenvector matrix).  The
+    result is validated against ``h`` (:meth:`Eigensystem.validate`).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -281,19 +282,16 @@ def eigensystem_general(h, validate=True):
     left = left / np.conj(s)[:, None]
 
     i_right, i_left = _grams(right, left)
-    eig = Eigensystem(energies, right, left, i_right, i_left)
-    if validate:
-        eig.validate(h)
-    return eig
+    return Eigensystem(energies, right, left, i_right, i_left).validate(h)
 
 
-def eigensystem(h, validate=True):
+def eigensystem(h):
     """Dispatch to the closed-form two-band or the dense general solver."""
     h = np.asarray(h, dtype=complex)
     if h.shape[-1] == 2:
-        return eigensystem_two_band(h, validate=validate)
+        return eigensystem_two_band(h)
     if h.ndim == 2:
-        return eigensystem_general(h, validate=validate)
+        return eigensystem_general(h)
     raise ValueError("batched input is only supported for two-band matrices")
 
 

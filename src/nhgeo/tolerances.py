@@ -17,7 +17,6 @@ DEFECTIVE_OVERLAP_TOL = 1e-12  # |<L_n|R_n>| of a defective dense pair
 DEGENERACY_RTOL = 1e-10
 
 LOCK_MIN_OVERLAP = 0.5    # min |<psi(k)|psi(k')>| of a finite-difference gauge lock
-CURVATURE_IMAG_TOL = 1e-9  # pointwise Im F, relative to max|F|, of the strict curvature
 #: largest norm product ||R||^2 ||L||^2 the pseudospin kernel serves: the
 #: eigenvector route's Gram inverse loses ~1.1e-16 N^2, so its validation
 #: (RECON_TOL) rejects from N ~ 3e3 and cannot cross-check beyond this limit

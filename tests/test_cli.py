@@ -27,17 +27,15 @@ def test_load_config_defaults():
     assert cfg["grid"] == {"nx": 64, "ny": 64}
 
 
-def test_load_config_overrides(tmp_path, monkeypatch):
+def test_load_config_overrides(tmp_path):
     path = _write(tmp_path, "run.yaml", {"model": {"gamma": 0.5},
-                                         "grid": {"nx": 16, "ny": 24}})
+                                         "grid": {"nx": 16, "ny": 24}, "threads": 2})
     cfg = load_config(path, {"grid": "32x40", "threads": 3})
     assert cfg["model"]["gamma"] == 0.5
     assert cfg["grid"] == {"nx": 32, "ny": 40}
     assert cfg["threads"] == 3
-    monkeypatch.setenv("NHGEO_GRID", "12")
-    monkeypatch.setenv("NHGEO_THREADS", "2")
-    cfg = load_config(path, {})
-    assert cfg["grid"] == {"nx": 12, "ny": 12}
+    cfg = load_config(path, {"grid": None, "threads": None})
+    assert cfg["grid"] == {"nx": 16, "ny": 24}
     assert cfg["threads"] == 2
 
 
@@ -61,28 +59,29 @@ THREE_BAND = {"family": "constant",
 COMMANDS = ["scan", "chern", "bounds", "optical-weight", "lindblad-check"]
 
 
-@pytest.mark.parametrize("command, env, config", [
-    ("scan", {"NHGEO_THREADS": "x"}, {}),
-    ("scan", {"NHGEO_BAND": "2.5"}, {}),
-    ("scan", {}, {"response": {"eta": "abc"}}),
-    ("scan", {}, {"model": {"gamma": float("nan")}}),
-    ("scan", {}, {"model": THREE_BAND}),
-    ("lindblad-check", {}, {"response": {"omega_count": "abc"}}),
-    ("lindblad-check", {}, {"response": {"omega_max": float("inf")}}),
-    ("bounds", {}, {"response": {"k_samples": 0}}),
-    ("bounds", {}, {"response": {"beta": "hot"}}),
-    ("chern", {}, {"chern": {"curvature_grid": "abc"}}),
-    ("chern", {}, {"chern": {"curvature_grid": 4}}),
-    ("bounds", {}, {"tolerances": {"psd": "abc"}}),
-    ("bounds", {}, {"tolerances": {"bound": float("nan")}}),
-    ("bounds", {}, {"tolerances": {"qgt": -1e-10}}),
-], ids=["threads_env", "band_env", "eta_text", "gamma_nan", "three_band_constant",
+@pytest.mark.parametrize("command, config", [
+    ("scan", {"threads": "x"}),
+    ("scan", {"band": 2.5}),
+    ("scan", {"response": {"eta": "abc"}}),
+    ("scan", {"model": {"gamma": float("nan")}}),
+    ("scan", {"model": THREE_BAND}),
+    ("scan", {"model": {"derivative": {"kind": "central", "step": 1.0}}}),
+    ("chern", {"model": {"gama": 0.5}}),
+    ("lindblad-check", {"response": {"omega_count": "abc"}}),
+    ("lindblad-check", {"response": {"omega_max": float("inf")}}),
+    ("bounds", {"response": {"k_samples": 0}}),
+    ("bounds", {"response": {"beta": "hot"}}),
+    ("chern", {"chern": {"curvature_grid": "abc"}}),
+    ("chern", {"chern": {"curvature_grid": 4}}),
+    ("bounds", {"tolerances": {"psd": "abc"}}),
+    ("bounds", {"tolerances": {"bound": float("nan")}}),
+    ("bounds", {"tolerances": {"qgt": -1e-10}}),
+], ids=["threads_text", "band_fraction", "eta_text", "gamma_nan", "three_band_constant",
+        "model_derivative_key", "model_key_typo",
         "lindblad_omega_count_text", "lindblad_omega_max_inf", "bounds_k_samples_zero",
         "bounds_beta_text", "chern_curvature_grid_text", "chern_curvature_grid_small",
         "bounds_psd_text", "bounds_bound_nan", "bounds_qgt_negative"])
-def test_cli_scan_bad_input_exit_2(tmp_path, monkeypatch, command, env, config):
-    for key, val in env.items():
-        monkeypatch.setenv(key, val)
+def test_cli_scan_bad_input_exit_2(tmp_path, command, config):
     cfg = _write(tmp_path, "bad.yaml", dict(config, grid={"nx": 8, "ny": 8}))
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -166,14 +165,30 @@ def test_cli_scan_exceptional_exit_3(tmp_path):
 
 
 def test_cli_optical_weight_exceptional_exit_3(tmp_path, capsys):
-    # the stencil's eigensolve reports batch indices, an array, not a list
     cfg = _write(tmp_path, "ep.yaml",
                  {"model": {"family": "constant",
                             "matrix": [[0.0, 1.0], [0.0, 0.0]]},
                   "grid": {"nx": 8, "ny": 8}})
     assert main(["optical-weight", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert "numerical error" in err and "at k = " in err
+    assert "numerical error" in err
+    # the stencil path lists the sorted (kx, ky) pairs of its 8x8 weight mesh,
+    # as scan does, not the indices of its flat batch
+    listed = [line.split("at k = ", 1)[1] for line in err.splitlines() if "at k = " in line]
+    kx, ky = bz_mesh(8, 8)
+    want = sorted(zip(kx.ravel().tolist(), ky.ravel().tolist()))[:20]
+    assert listed == [str(pt) for pt in want]
+
+
+def test_cli_scan_non_real_curvature_sum_exit_3(tmp_path, capsys):
+    # gamma = 1, dz_offset = 1: the bands braid, so the curvature sum is not
+    # real (Im = -2.1e-3 at 64^2); scan reports it as a numerical failure
+    cfg = _write(tmp_path, "braid.yaml", {"model": {"gamma": 1.0, "dz_offset": 1.0},
+                                          "grid": {"nx": 64, "ny": 64}})
+    out = tmp_path / "o"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
+    assert "imaginary part" in capsys.readouterr().err
+    assert not (out / "geometry.csv").exists()
 
 
 @pytest.mark.parametrize("exponent", NEAR_EP_REJECTED)

@@ -328,6 +328,18 @@ def test_scan_collects_exceptional_points(monkeypatch):
     assert err.value.points == [(float(k), 0.0) for k in kx[:, 0]]
 
 
+def test_stencil_exceptional_points_are_k_of_the_failing_set():
+    # d.d = 0 exactly from kx = 0.5 on: the center and the -x set pass, and the
+    # +x set of the middle point fails; its k pair is reported, not its index
+    m = BlochModel.pseudospin(
+        lambda kx, ky: np.stack(np.broadcast_arrays(
+            1.0 + 0j, 1j * np.where(kx >= 0.5, 1.0, 0.3), 0j * ky), axis=-1))
+    kx, ky, h = np.array([0.1, 0.49999, 0.2]), np.array([0.3, -0.4, 0.5]), 2e-5
+    with pytest.raises(ExceptionalPointError) as err:
+        geometry.locked_stencil(m, kx, ky, h)
+    assert err.value.points == [(float(kx[1] + h), -0.4)]
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_scan_rejects_workers_below_one(rm_model, workers):
     with pytest.raises(ConfigError, match="workers"):

@@ -64,7 +64,7 @@ def test_constant_model_derivative_vanishes():
 
 
 def test_analytic_vs_central_difference(rm_model, rng):
-    numeric = BlochModel.rice_mele(rm_model.params, analytic=False, fd_step=1e-5)
+    numeric = BlochModel(2, rm_model.hamiltonian, fd_step=1e-5)
     kx, ky = rng.uniform(-np.pi, np.pi, size=(2, 10))
     for axis in (0, 1):
         diff = rm_model.derivative(kx, ky, axis) - numeric.derivative(kx, ky, axis)
@@ -84,8 +84,8 @@ GAPLESS = {"appendix": (dict(gamma=1.0), (0.0, np.arccos(-0.75))),
 def _rice_mele_case(variant, Gamma, analytic=True):
     def case():
         def model(analytic, **kw):
-            return BlochModel.rice_mele(RMParams(variant=variant, Gamma=Gamma, **kw),
-                                        analytic=analytic)
+            m = BlochModel.rice_mele(RMParams(variant=variant, Gamma=Gamma, **kw))
+            return m if analytic else BlochModel(2, m.hamiltonian)
 
         params, k = GAPLESS[variant]
         return model(analytic, gamma=0.7), model(not analytic, gamma=0.7), \
@@ -169,7 +169,7 @@ def test_derivative_richardson_scaling(rm_model):
     exact = rm_model.derivative(kx, ky, 0)
     errs = []
     for h in (2e-3, 1e-3):
-        numeric = BlochModel.rice_mele(rm_model.params, analytic=False, fd_step=h)
+        numeric = BlochModel(2, rm_model.hamiltonian, fd_step=h)
         errs.append(np.max(np.abs(numeric.derivative(kx, ky, 0) - exact)))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0
@@ -236,10 +236,12 @@ def test_params_validation():
 
 
 def test_model_from_config_rice_mele():
-    m = model_from_config({"family": "rice_mele", "gamma": 0.5,
-                           "derivative": {"kind": "central", "step": 1e-4}})
-    assert m.derivative_kind == "central"
-    assert m.params.gamma == 0.5
+    m = model_from_config({"family": "rice_mele", "gamma": 0.5, "dz_offset": 0.25})
+    assert m.params == RMParams(gamma=0.5, dz_offset=0.25)
+    # a key no family reads is a ConfigError (exit 2), not silently ignored
+    for key, val in (("derivative", {"kind": "central", "step": 1e-4}), ("gama", 0.5)):
+        with pytest.raises(ConfigError, match=key):
+            model_from_config({"family": "rice_mele", key: val})
 
 
 def test_model_from_config_constant_and_errors():

@@ -212,7 +212,7 @@ def test_conductivity_large_omega_decay(rm_model):
 def test_drude_coefficient_matches_velocity_derivative(rm_model):
     # second derivative of e vs first finite difference of the band velocity
     kx, ky = 0.7, -1.3
-    dd = drude_coefficient(rm_model, kx, ky, band=0, h=1e-4)
+    dd = drude_coefficient(rm_model, kx, ky, band=0)
 
     def vel(akx, aky, axis):
         kxa, kya = np.asarray(akx), np.asarray(aky)
