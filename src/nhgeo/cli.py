@@ -2,8 +2,10 @@
 
 Commands: scan | chern | bounds | optical-weight | lindblad-check.
 Configuration comes from a YAML file; --grid/--band/--threads/--out
-override individual entries.  Exit codes: 0 ok, 2 configuration, 3
-numerical (exceptional points or non-convergence), 4 bound violation.
+override individual entries.  ``threads`` is validated (an integer >= 1)
+and echoed in the reports, and has no effect: every mesh is solved
+serially.  Exit codes: 0 ok, 2 configuration, 3 numerical (exceptional
+points or non-convergence), 4 bound violation.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def cmd_scan(cfg):
     model = _model(cfg["model"])
     out = _ensure_outdir(cfg)
     grid = scan_geometry(model, band=cfg["band"], nx=cfg["grid"]["nx"],
-                         ny=cfg["grid"]["ny"], workers=cfg["threads"])
+                         ny=cfg["grid"]["ny"])
     chern_cv = topology.chern_from_curvature(grid)  # raises before any file is written
     csv_path = os.path.join(out, "geometry.csv")
     serialize.write_geometry_csv(csv_path, grid)
@@ -203,7 +205,7 @@ def cmd_chern(cfg):
     t0 = time.monotonic()
     result = topology.compute_chern(
         model, band=cfg["band"], n_plaquette=cfg["grid"]["nx"],
-        n_curvature=cfg["chern"]["curvature_grid"], workers=cfg["threads"])
+        n_curvature=cfg["chern"]["curvature_grid"])
     chain = bounds_mod.check_chern_chain(result, tolerance=cfg["tolerances"]["bound"])
     serialize.write_report_json(
         os.path.join(out, "chern.json"),
@@ -268,7 +270,7 @@ def cmd_bounds(cfg):
     reports = []
 
     grid = scan_geometry(model, band=cfg["band"], nx=cfg["grid"]["nx"],
-                         ny=cfg["grid"]["ny"], workers=cfg["threads"])
+                         ny=cfg["grid"]["ny"])
     reports.append(bounds_mod.check_local_curvature_bound(grid, tolerance=tol["bound"]))
     reports.append(bounds_mod.check_qgt_inequality(grid, tolerance=tol["qgt"]))
     reports.append(bounds_mod.check_psd(grid.qgt_rr, name="PSD_RR", tolerance=tol["psd"]))
@@ -420,7 +422,8 @@ def main(argv=None):
     parser.add_argument("--config", help="YAML run configuration")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--grid", help="grid size, e.g. 64x64 or 64")
-    parser.add_argument("--threads", type=int, help="mesh-chunk worker threads")
+    parser.add_argument("--threads", type=int,
+                        help="accepted and validated (>= 1); no effect, meshes are solved serially")
     parser.add_argument("--band", type=int, help="band index")
     parser.add_argument("--quadrature", action="store_true",
                         help="add the slow adaptive-quadrature column to the sweep")

@@ -33,10 +33,6 @@ class NonFiniteError(NHGeoError):
     """A computed quantity is NaN or infinite."""
 
 
-class ProportionalityError(NHGeoError):
-    """Keldysh self-energy outside its declared proportionality class."""
-
-
 class IllConditionedError(NHGeoError):
     """Norm product ||R||^2 ||L||^2 too large (near-exceptional point)."""
 

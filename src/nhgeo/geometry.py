@@ -31,7 +31,6 @@ All quantities are gauge invariant under |R_n> -> c(k)|R_n>,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -350,53 +349,59 @@ def _k_points(exc: ExceptionalPointError, kx, ky):
     return [(float(kx[tuple(i)]), float(ky[tuple(i)])) for i in exc.points]
 
 
+def _branch_eigensystem(h, kx, ky):
+    """``eigensystem_two_band(h, ordering="branch")`` of the matrices at
+    (kx, ky); exceptional points are raised as sorted (kx, ky) pairs."""
+    try:
+        return eigensystem_two_band(h, ordering="branch")
+    except ExceptionalPointError as exc:
+        raise ExceptionalPointError(str(exc), points=sorted(_k_points(exc, kx, ky))) from exc
+
+
 def _chunk_rows(ny):
     """kx rows per chunk of a mesh with ``ny`` points per row."""
     return max(1, CHUNK_POINTS // ny)
 
 
-def solve_mesh(kxg, kyg, solve, store, mapper=map):
-    """Solve a (nx, ny) mesh in fixed chunks of whole kx rows.
+def solve_mesh(kxg, kyg, solve, store):
+    """Solve a (nx, ny) mesh in fixed chunks of whole kx rows, one after the other.
 
     Each chunk of about CHUNK_POINTS points is one ``solve(kx, ky)`` call
     (one batched model pass and what is built from it), handed on as
     ``store(rows, kx, ky, result)`` with ``rows`` the chunk's kx-row slice.
-    ``mapper`` runs the chunks (``map`` serially, an executor's ``map`` on
-    threads).  Chunk bounds depend on the mesh shape only.  The
-    exceptional points of every chunk are mapped to (kx, ky), sorted and
-    raised once after the last chunk.
+    Chunk bounds depend on the mesh shape only.  The exceptional points of
+    every chunk are mapped to (kx, ky), sorted and raised once after the
+    last chunk.
     """
     nx, ny = kxg.shape
     rows = _chunk_rows(ny)
-
-    def do_chunk(i0):
+    bad_points = []
+    for i0 in range(0, nx, rows):
         rng = slice(i0, i0 + rows)
         kxr, kyr = kxg[rng], kyg[rng]
         try:
             result = solve(kxr, kyr)
         except ExceptionalPointError as exc:
-            return _k_points(exc, kxr, kyr)
+            bad_points += _k_points(exc, kxr, kyr)
+            continue
         store(rng, kxr, kyr, result)
-        return []
-
-    bad_points = sorted(pt for pts in mapper(do_chunk, range(0, nx, rows)) for pt in pts)
     if bad_points:
         raise ExceptionalPointError(
-            f"{len(bad_points)} exceptional point(s) on the mesh", points=bad_points)
+            f"{len(bad_points)} exceptional point(s) on the mesh", points=sorted(bad_points))
 
 
 def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
     """GeometryGrid of branch band ``band`` over the uniform [-pi, pi)^2 mesh.
 
-    :func:`solve_mesh` cuts the mesh into chunks of whole kx rows;
-    ``workers`` threads each hand one chunk's H, d_x H and d_y H (one
-    model pass) to :func:`pseudospin_geometry` and write the fields into
-    preallocated arrays.  The kernel is elementwise, so the result is identical for any
-    ``workers``.  The first kx row of every chunk is then recomputed
-    through the validated eigenvector route, batched like the chunks
+    :func:`solve_mesh` cuts the mesh into chunks of whole kx rows; each
+    chunk's H, d_x H and d_y H (one model pass) go to
+    :func:`pseudospin_geometry`, whose fields are written into preallocated
+    arrays.  The first kx row of every chunk is then recomputed through the
+    validated eigenvector route, batched like the chunks
     (:func:`_cross_check`).  Bands carry the k-smooth branch labels
     (integer topology requires a labeling that is continuous across the
-    zone).
+    zone).  ``workers`` (>= 1) is accepted for the callers that pass a
+    thread count and has no effect: the scan is serial.
     """
     if model.dimension != 2:
         raise ConfigError("grid scans support two-band models only")
@@ -417,8 +422,7 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
         for name, value in zip(FIELDS, values):
             getattr(out, name)[rng] = value
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        solve_mesh(kxg, kyg, solve, store, mapper=pool.map)
+    solve_mesh(kxg, kyg, solve, store)
     rows = _chunk_rows(ny)
     firsts = np.arange(0, nx, rows)  # the first kx row of every chunk
     for i in range(0, len(firsts), rows):
@@ -450,11 +454,7 @@ def locked_stencil(model: BlochModel, kx, ky, h, gauge=None):
 
     def solve(key, akx, aky):
         ham, *dh[key] = model.hamiltonian(akx, aky, derivatives=True)
-        try:
-            eig = eigensystem_two_band(ham, ordering="branch")
-        except ExceptionalPointError as exc:
-            raise ExceptionalPointError(str(exc), points=sorted(_k_points(exc, akx, aky))) \
-                from exc
+        eig = _branch_eigensystem(ham, akx, aky)
         return eig if gauge is None else gauge_rescale(eig, gauge(akx, aky))
 
     kx = np.asarray(kx, dtype=float)
@@ -483,14 +483,16 @@ def anomalous_divergence_integral(model: BlochModel, band=0, n_grid=64):
     The divergence uses the mesh-independent central step
     :data:`DIVERGENCE_STEP`: the shifted torus integrals cancel exactly for
     any step, so the step only sets the cancellation-noise floor (larger
-    steps keep it below the quadrature error on fine meshes).
+    steps keep it below the quadrature error on fine meshes).  Exceptional
+    points are raised as the sorted (kx, ky) pairs of the first shifted mesh
+    that has any.
     """
     kxg, kyg = bz_mesh(n_grid, n_grid)
     h = DIVERGENCE_STEP
 
     def q_at(kx, ky):
         ham, dhx, dhy = model.hamiltonian(kx, ky, derivatives=True)
-        eig = eigensystem_two_band(ham, ordering="branch")
+        eig = _branch_eigensystem(ham, kx, ky)
         return anomalous_connection(eig, velocity_matrices(eig, dhx, dhy), band=band)
 
     div = (q_at(kxg + h, kyg)[..., 0] - q_at(kxg - h, kyg)[..., 0]) / (2 * h) \

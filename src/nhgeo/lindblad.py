@@ -19,16 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonHermitianTargetError, NonIntegrableError,
-                     ProportionalityError)
+from .errors import NonHermitianTargetError, NonIntegrableError
 from .models import pauli_decompose
 from .response import lehmann_correlator
 from .tolerances import HERM_TOL, UNDAMPED_RTOL
-
-
-def m_matrix(alpha, beta):
-    """Rank-one decay matrix [[|a|^2, a* b], [a b*, |b|^2]] of one 2-mode jump."""
-    return m_matrix_from_vector(np.array([alpha, beta], dtype=complex))
 
 
 def m_matrix_from_vector(a):
@@ -121,23 +115,12 @@ class KeldyshSet:
     ``sigma_r`` is the Hermitian decay matrix D (the target Hamiltonian is
     h - i D); for pure-loss vector jumps sigma_k = -2i sigma_r exactly
     (class "minus_two_i"); the inverted-bath variant flips the sign
-    ("plus_two_i").
+    ("plus_two_i").  :func:`keldysh_sigma` builds both classes exactly.
     """
 
     sigma_k: np.ndarray
     sigma_r: np.ndarray
     proportionality: str = "minus_two_i"
-
-    def check(self):
-        """Raise ProportionalityError unless sigma_k = -+2i sigma_r as declared."""
-        factor = {"minus_two_i": -2j, "plus_two_i": 2j}.get(self.proportionality)
-        if factor is None:
-            raise ProportionalityError(
-                f"unknown proportionality class {self.proportionality!r}")
-        if not np.allclose(self.sigma_k, factor * self.sigma_r):
-            raise ProportionalityError(
-                f"sigma_k and sigma_r violate their class {self.proportionality}")
-        return self
 
 
 def keldysh_sigma(spec: JumpSpec, inverted=False):
@@ -152,18 +135,6 @@ def keldysh_sigma(spec: JumpSpec, inverted=False):
     sign = 1.0 if not inverted else -1.0
     return KeldyshSet(sigma_k=-2j * sign * d, sigma_r=d,
                       proportionality="minus_two_i" if not inverted else "plus_two_i")
-
-
-def keldysh_green(h_eff, sigma_k, omega):
-    """G^K(omega) = G^R Sigma^K G^A with G^R = (omega - H)^-1, G^A = (G^R)^dagger.
-
-    One matrix inverse serves any H and Sigma^K; no commutation [H, Sigma^K]
-    = 0 is assumed.  G^K is anti-Hermitian whenever Sigma^K is.
-    """
-    h_eff = np.asarray(h_eff, dtype=complex)
-    n = h_eff.shape[0]
-    g_r = np.linalg.inv(omega * np.eye(n) - h_eff)
-    return g_r @ np.asarray(sigma_k, dtype=complex) @ g_r.conj().T
 
 
 def _pair_integral(p, q):

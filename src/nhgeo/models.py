@@ -26,11 +26,6 @@ DEFAULT_FD_STEP = 1e-5
 VARIANTS = ("appendix", "supplemental")
 
 
-def wrap_k(k):
-    """Reduce momenta to the fundamental zone [-pi, pi)."""
-    return np.mod(np.asarray(k, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-
-
 def bz_mesh(nx, ny):
     """Uniform mesh over [-pi, pi)^2; returns (KX, KY) with shape (nx, ny).
 

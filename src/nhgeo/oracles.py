@@ -1,7 +1,8 @@
 """Reference implementations the closed forms are checked against.
 
 Adaptive quadrature of the frequency integrals (optical weight, Keldysh
-bubble, polarization bubble) and phase-locked finite differences of the
+bubble, polarization bubble) with the regular conductivity that the weight
+quadrature integrates, and phase-locked finite differences of the
 eigenvectors (QGTs, anomalous connection).  They are slow by design and
 serve tests and the ``--quadrature`` column of ``nhgeo optical-weight``;
 this is the only module that imports scipy, and nothing on the path that
@@ -16,7 +17,7 @@ from scipy import integrate
 from .errors import PoleOnAxisError
 from .geometry import locked_stencil
 from .models import BlochModel
-from .response import _sigma_regular_from_fh, band_coefficients
+from .response import band_coefficients
 from .spectra import braket
 from .tolerances import QUADRATURE_DAMPING_RTOL
 
@@ -25,6 +26,18 @@ ORACLE_STEP = 1e-4
 
 
 # -- frequency quadratures ----------------------------------------------------
+
+def sigma_regular_from_fh(f, h_coef, z, omega):
+    """Regular part of the wave-packet conductivity sigma^reg_{mu nu}(omega)
+    from the stored coefficients of :func:`nhgeo.response.band_coefficients`
+    (the Drude piece excluded); ``omega`` broadcasts against the k axes of
+    ``z``.  :func:`optical_weight_quadrature` integrates Re tr sigma/omega."""
+    om = np.asarray(omega, dtype=float)[..., None, None]
+    zc = np.asarray(z)[..., None, None]
+    t_f = -1j * zc * f / (zc - om) + np.conj(-1j * zc * f / (zc + om))
+    t_h = 1j * om * (h_coef / (zc - om) ** 2 + np.conj(h_coef / (zc + om) ** 2))
+    return t_f + t_h
+
 
 def optical_weight_quadrature(model: BlochModel, kx, ky, band="slowest", eta=1e-3,
                               omega_max=None):
@@ -45,7 +58,7 @@ def optical_weight_quadrature(model: BlochModel, kx, ky, band="slowest", eta=1e-
         w_max = 50.0 * float(e_max[idx]) if omega_max is None else omega_max
 
         def integrand(w):
-            s = _sigma_regular_from_fh(f, hc, z, w)
+            s = sigma_regular_from_fh(f, hc, z, w)
             return np.real(s[..., 0, 0] + s[..., 1, 1]) / w
 
         points = [p for p in (abs(np.real(z)), abs(z)) if eta < p < w_max]

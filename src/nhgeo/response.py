@@ -1,12 +1,15 @@
-"""Lehmann correlators, wave-packet conductivity and optical weights.
+"""Lehmann correlators and the optical weights of the wave-packet conductivity.
 
 The frequency-resolved pieces (Lorentzian kernels, correlators, absorptive
-parts) work for any set of dressed levels.  The conductivity/weight pieces
-are two-band: the interband coefficients f and h are assembled from the
-gauge-invariant resolvent identities plus a phase-locked finite-difference
-stencil for the one genuinely derivative-valued term, and the frequency
-integral of Re sigma/omega is carried out in closed form with the infrared
-cutoff eta kept explicit (its coefficient is returned separately).
+parts) work for any set of dressed levels.  The weight pieces are
+two-band: the interband coefficients f and h of the regular conductivity
+are assembled from the gauge-invariant resolvent identities plus a
+phase-locked finite-difference stencil for the one genuinely
+derivative-valued term, and the frequency integral of Re sigma/omega is
+carried out in closed form with the infrared cutoff eta kept explicit (its
+coefficient is returned separately).  The Drude piece never enters the
+weight, and the conductivity itself is evaluated only by the quadrature
+oracle (:mod:`nhgeo.oracles`).
 
 Band labels: weight routines accept ``band="slowest"`` to select, at each
 k separately, the smooth branch band that decays slowest
@@ -24,14 +27,12 @@ import numpy as np
 
 from .errors import BranchViolationError, PoleOnAxisError
 from .models import BlochModel, bz_mesh
-from .spectra import Eigensystem, braket, decays_slower, eigensystem_two_band
+from .spectra import Eigensystem, braket, decays_slower
 from .geometry import locked_stencil, qgt_rr, velocity_matrices
 from .tolerances import BRANCH_TOL, RESONANCE_TOL, RHO_TRACE_TOL
 
 #: central step of :func:`interband_fh`'s phase-locked stencil
 FD_STEP = 1e-5
-#: central step of :func:`drude_coefficient`'s second differences
-DRUDE_STEP = 1e-4
 
 
 # -- Lorentzians and Lehmann correlators --------------------------------------
@@ -189,32 +190,6 @@ def interband_fh(model: BlochModel, kx, ky, gauge=None):
     return unflat(f), unflat(h_coef), center, unflat(v)
 
 
-def drude_coefficient(model: BlochModel, kx, ky, band=0):
-    """Second momentum derivative of the complex band energy (Drude weight),
-    by central second differences of step :data:`DRUDE_STEP`.
-
-    Computed but always excluded from the regular conductivity and the
-    optical weight.  ``kx`` and ``ky`` broadcast against each other;
-    the output has shape (*broadcast shape, 2, 2).
-    """
-    kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
-    h = DRUDE_STEP
-
-    def e(akx, aky):
-        eig = eigensystem_two_band(model.hamiltonian(akx, aky), ordering="branch")
-        return eig.energies[..., band]
-
-    out = np.empty(kx.shape + (2, 2), dtype=complex)
-    e0 = e(kx, ky)
-    out[..., 0, 0] = (e(kx + h, ky) - 2 * e0 + e(kx - h, ky)) / h**2
-    out[..., 1, 1] = (e(kx, ky + h) - 2 * e0 + e(kx, ky - h)) / h**2
-    cross = (e(kx + h, ky + h) - e(kx + h, ky - h)
-             - e(kx - h, ky + h) + e(kx - h, ky - h)) / (4 * h**2)
-    out[..., 0, 1] = cross
-    out[..., 1, 0] = cross
-    return out
-
-
 class BandCoefficients(NamedTuple):
     """Interband coefficients of one selected branch band, batched over k."""
 
@@ -226,7 +201,7 @@ class BandCoefficients(NamedTuple):
 
 
 def band_coefficients(model: BlochModel, kx, ky, band="slowest"):
-    """The one band selection of the conductivity and weight routines.
+    """The one band selection of the weight routines and the quadrature oracle.
 
     One :func:`interband_fh` call supplies f and h of both branch bands,
     and its center eigensystem and velocity matrices give z and tr G^RR.
@@ -257,26 +232,6 @@ def band_coefficients(model: BlochModel, kx, ky, band="slowest"):
                             pick(e[:, 1] - e[:, 0], e[:, 0] - e[:, 1]),
                             pick(*(np.real(q[:, 0, 0] + q[:, 1, 1]) for q in trg)),
                             e.reshape(shape + (2,)))
-
-
-def _sigma_regular_from_fh(f, h_coef, z, omega):
-    """Regular conductivity matrices from stored coefficients; ``omega``
-    broadcasts against the k axes of ``z``."""
-    om = np.asarray(omega, dtype=float)[..., None, None]
-    zc = np.asarray(z)[..., None, None]
-    t_f = -1j * zc * f / (zc - om) + np.conj(-1j * zc * f / (zc + om))
-    t_h = 1j * om * (h_coef / (zc - om) ** 2 + np.conj(h_coef / (zc + om) ** 2))
-    return t_f + t_h
-
-
-def conductivity_wavepacket(model: BlochModel, kx, ky, band=0, omega=0.0):
-    """Regular part of the wave-packet conductivity sigma^reg_{mu nu}(omega, k).
-
-    Batched over k (shape (..., 2, 2)).  The Drude piece (principal value
-    1/omega times d2e) is excluded; use :func:`drude_coefficient` for it.
-    """
-    c = band_coefficients(model, kx, ky, band)
-    return _sigma_regular_from_fh(c.f, c.h_coef, c.z, omega)
 
 
 def lower_branch_arg(z):

@@ -94,7 +94,10 @@ class Eigensystem:
         """Check the biorthogonality, completeness and reconstruction identities.
 
         Every comparison fails on NaN, so a non-finite eigensystem raises
-        NonConvergenceError.
+        NonConvergenceError.  ``check_order`` also asserts the descending
+        Im(e) band order that :func:`eigensystem_general` sorts into (and
+        that ``ordering="im"`` of :func:`eigensystem_two_band` promises);
+        the branch labels of every mesh path skip it.
         """
         eye = np.eye(self.nbands)
         left_h = np.conj(self.left)
@@ -283,16 +286,6 @@ def eigensystem_general(h):
 
     i_right, i_left = _grams(right, left)
     return Eigensystem(energies, right, left, i_right, i_left).validate(h)
-
-
-def eigensystem(h):
-    """Dispatch to the closed-form two-band or the dense general solver."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape[-1] == 2:
-        return eigensystem_two_band(h)
-    if h.ndim == 2:
-        return eigensystem_general(h)
-    raise ValueError("batched input is only supported for two-band matrices")
 
 
 def gauge_rescale(eig: Eigensystem, c):

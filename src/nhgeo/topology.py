@@ -34,24 +34,21 @@ class ChernResult:
     plaquette_residue: float
 
 
-def chern_plaquette(model: BlochModel, band=0, n_grid=64, flavor="lr",
-                    gauge=None, return_residue=False):
+def chern_plaquette(model: BlochModel, band=0, n_grid=64, gauge=None,
+                    return_residue=False):
     """Integer Chern number from biorthogonal plaquette link phases.
 
-    Links are U_mu(k) = <L(k)|R(k + delta e_mu)> (``flavor="lr"``) or with
-    left/right swapped (``flavor="rl"``); plaquette phases need no gauge
-    fixing, and the total phase sum is an exact multiple of 2*pi up to
-    roundoff.  ``gauge`` injects per-band rescalings c(k) for invariance
+    Links are U_mu(k) = <L(k)|R(k + delta e_mu)>; plaquette phases need no
+    gauge fixing, and the total phase sum is an exact multiple of 2*pi up
+    to roundoff.  ``gauge`` injects per-band rescalings c(k) for invariance
     tests.  The mesh is solved in the fixed kx-row chunks of
-    :func:`~nhgeo.geometry.solve_mesh`, one after the other, keeping only
-    the selected band's bra and ket vectors; exceptional points of every
-    chunk are raised once as sorted (kx, ky) pairs.
+    :func:`~nhgeo.geometry.solve_mesh`, keeping only the selected band's
+    bra and ket vectors; exceptional points of every chunk are raised once
+    as sorted (kx, ky) pairs.
 
     Raises LinkCollapseError when any |U| < LINK_TOL and
     NonIntegerResidueError when the rounding residue exceeds RESIDUE_TOL.
     """
-    if flavor not in ("lr", "rl"):
-        raise ValueError("flavor must be 'lr' or 'rl'")
     kxg, kyg = bz_mesh(n_grid, n_grid)
     bra = np.empty((n_grid, n_grid, 2), dtype=complex)
     ket = np.empty_like(bra)
@@ -59,8 +56,7 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, flavor="lr",
     def store(rows, kxr, kyr, eig):
         if gauge is not None:
             eig = gauge_rescale(eig, gauge(kxr, kyr))
-        left, right = eig.left[..., band, :], eig.right[..., band, :]
-        bra[rows], ket[rows] = (left, right) if flavor == "lr" else (right, left)
+        bra[rows], ket[rows] = eig.left[..., band, :], eig.right[..., band, :]
 
     def solve(kxr, kyr):
         return eigensystem_two_band(model.hamiltonian(kxr, kyr), ordering="branch")
@@ -118,8 +114,7 @@ def bound_integrals(grid: GeometryGrid):
     return float(np.sum(lhs) * area), float(np.sum(rhs) * area)
 
 
-def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201,
-                  workers=1, grid=None):
+def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201, grid=None):
     """ChernResult combining the plaquette integer, the curvature sum and
     the integrated bound chain 2*pi*|C| <= int|F| <= int(|Q|+|Q|).
 
@@ -129,7 +124,7 @@ def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201,
     c_pl, residue = chern_plaquette(model, band=band, n_grid=n_plaquette,
                                     return_residue=True)
     if grid is None:
-        grid = scan_geometry(model, band=band, nx=n_curvature, workers=workers)
+        grid = scan_geometry(model, band=band, nx=n_curvature)
     c_cv = chern_from_curvature(grid)
     abs_f, qgt_b = bound_integrals(grid)
     return ChernResult(

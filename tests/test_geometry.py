@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,8 +7,9 @@ from conftest import (NEAR_EP_EXPONENTS, NEAR_EP_REJECTED, count_model_calls, he
                       locked_fd_qgt_general, locked_fd_ray_qgt_general, near_ep_matrix,
                       random_three_band_model, smooth_gauge)
 from nhgeo import geometry, tolerances
-from nhgeo.errors import (ConfigError, ExceptionalPointError, IllConditionedError,
-                          NHGeoError, NonConvergenceError, NonFiniteError)
+from nhgeo.errors import (ConfigError, ExceptionalPointError, GaugeLockError,
+                          IllConditionedError, NHGeoError, NonConvergenceError,
+                          NonFiniteError)
 from nhgeo.models import BlochModel, bz_mesh, pauli_matrix
 from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
                             berry_curvature_lr, compute_geometry, pseudospin_geometry,
@@ -225,25 +224,19 @@ def test_scan_one_model_pass_per_chunk(rm_model, monkeypatch):
     # in 2 batches of 4; each is one hamiltonian(derivatives=True) call
     monkeypatch.setattr(geometry, "CHUNK_POINTS", 64)
     calls = count_model_calls(monkeypatch, rm_model)
-    scan_geometry(rm_model, nx=32, ny=16, workers=2)
+    scan_geometry(rm_model, nx=32, ny=16)
     assert calls == [("hamiltonian", True)] * 10
 
 
-def test_scan_chunks_match_full_mesh_for_any_workers(rm_model, monkeypatch):
+def test_scan_chunks_match_full_mesh(rm_model, monkeypatch):
     # two kx rows per chunk: six chunks on the 11 x 5 mesh, the last one row
     monkeypatch.setattr(geometry, "CHUNK_POINTS", 10)
     kx, ky = bz_mesh(11, 5)
     full = pseudospin_geometry(rm_model.hamiltonian(kx, ky), rm_model.derivative(kx, ky, 0),
                                rm_model.derivative(kx, ky, 1))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the chunk threads as often as possible
-    try:
-        grids = [scan_geometry(rm_model, nx=11, ny=5, workers=w) for w in (1, 2, 3)]
-    finally:
-        sys.setswitchinterval(interval)
-    for grid in grids:
-        for name, ref in zip(geometry.FIELDS, full):
-            npt.assert_array_equal(getattr(grid, name), ref)
+    grid = scan_geometry(rm_model, nx=11, ny=5)
+    for name, ref in zip(geometry.FIELDS, full):
+        npt.assert_array_equal(getattr(grid, name), ref)
 
 
 _PART = st.floats(-2.0, 2.0).map(lambda v: round(v, 3))
@@ -323,7 +316,7 @@ def test_scan_collects_exceptional_points(monkeypatch):
         lambda kx, ky: np.stack([np.sin(kx) + 0j, 1j * np.sin(kx),
                                  1.0 - np.cos(ky) + 0j], axis=-1))
     with pytest.raises(ExceptionalPointError) as err:
-        scan_geometry(m, nx=8, workers=2)
+        scan_geometry(m, nx=8)
     kx, _ = bz_mesh(8, 8)
     assert err.value.points == [(float(k), 0.0) for k in kx[:, 0]]
 
@@ -338,6 +331,28 @@ def test_stencil_exceptional_points_are_k_of_the_failing_set():
     with pytest.raises(ExceptionalPointError) as err:
         geometry.locked_stencil(m, kx, ky, h)
     assert err.value.points == [(float(kx[1] + h), -0.4)]
+
+
+def test_stencil_gauge_lock_fails_at_a_large_step():
+    # d = (cos kx, sin kx, 0): |<R(k)|R(k + h e_x)>| = |cos(h/2)| for both bands
+    m = BlochModel.pseudospin(
+        lambda kx, ky: np.stack(np.broadcast_arrays(np.cos(kx) + 0j, np.sin(kx) + 0j,
+                                                    0j * ky), axis=-1))
+    small, large = 1e-3, 2.5
+    assert abs(np.cos(large / 2)) < tolerances.LOCK_MIN_OVERLAP < abs(np.cos(small / 2))
+    geometry.locked_stencil(m, 0.3, 0.2, small)
+    with pytest.raises(GaugeLockError, match="stencil overlap"):
+        geometry.locked_stencil(m, 0.3, 0.2, large)
+
+
+def test_divergence_integral_exceptional_points_are_k():
+    # a Jordan block at every k: the first shifted mesh, k + h e_x, fails
+    # whole, and its sorted (kx, ky) pairs are reported, not batch indices
+    kx, ky = bz_mesh(4, 4)
+    with pytest.raises(ExceptionalPointError) as err:
+        anomalous_divergence_integral(BlochModel.constant([[0, 1], [0, 0]]), n_grid=4)
+    assert err.value.points == sorted(zip((kx + geometry.DIVERGENCE_STEP).ravel().tolist(),
+                                          ky.ravel().tolist()))
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -5,7 +5,7 @@ import pytest
 from nhgeo.errors import ConfigError, DegeneratePointError
 from nhgeo.models import (BlochModel, RMParams, SIGMA_X, SIGMA_Z, bz_mesh,
                           model_from_config, pauli_decompose, pauli_matrix,
-                          rm_d_vector, rm_hamiltonian, wrap_k)
+                          rm_d_vector, rm_hamiltonian)
 
 
 def test_d_vector_appendix_origin():
@@ -212,12 +212,6 @@ def test_pauli_roundtrip(rng):
     d2, c2 = pauli_decompose(h)
     npt.assert_allclose(d2, d, atol=1e-14)
     npt.assert_allclose(c2, c, atol=1e-14)
-
-
-def test_wrap_k():
-    npt.assert_allclose(wrap_k(np.pi), -np.pi)
-    npt.assert_allclose(wrap_k(3 * np.pi / 2), -np.pi / 2)
-    npt.assert_allclose(wrap_k(-0.3), -0.3)
 
 
 def test_bz_mesh_covers_fundamental_zone():

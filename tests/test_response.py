@@ -7,12 +7,11 @@ from conftest import count_model_calls, hermitian_kubo_sigma, hermitian_qgt, smo
 from nhgeo.errors import BranchViolationError, PoleOnAxisError
 from nhgeo.geometry import anomalous_connection, qgt_rr, velocity_matrices
 from nhgeo.models import BlochModel, RMParams, bz_mesh
-from nhgeo.oracles import optical_weight_quadrature
-from nhgeo.response import (absorptive_part, conductivity_wavepacket,
-                            drude_coefficient, interband_fh, lehmann_correlator,
-                            lorentzian_kernel, lower_branch_arg, optical_weight_bz,
-                            optical_weight_numeric)
-from nhgeo.spectra import eigensystem_two_band, matrix_elements
+from nhgeo.oracles import optical_weight_quadrature, sigma_regular_from_fh
+from nhgeo.response import (absorptive_part, band_coefficients, interband_fh,
+                            lehmann_correlator, lorentzian_kernel, lower_branch_arg,
+                            optical_weight_bz, optical_weight_numeric)
+from nhgeo.spectra import eigensystem_two_band
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -190,11 +189,16 @@ def test_f_reduces_to_hermitian_qgt(hermitian_model):
 
 # -- conductivity -------------------------------------------------------------
 
+def conductivity(model, kx, ky, band, omega):
+    """Regular wave-packet conductivity of the quadrature oracle at (kx, ky)."""
+    c = band_coefficients(model, kx, ky, band)
+    return sigma_regular_from_fh(c.f, c.h_coef, c.z, omega)
+
+
 def test_conductivity_hermitian_matches_kubo(hermitian_model):
     for omega in (0.37, 1.9):
         for kx, ky in [(0.7, -1.3), (2.2, 0.9)]:
-            sig = conductivity_wavepacket(hermitian_model, kx, ky, band=0,
-                                          omega=omega)
+            sig = conductivity(hermitian_model, kx, ky, band=0, omega=omega)
             ref = hermitian_kubo_sigma(hermitian_model.hamiltonian(kx, ky),
                                        hermitian_model.derivative(kx, ky, 0),
                                        hermitian_model.derivative(kx, ky, 1),
@@ -203,35 +207,10 @@ def test_conductivity_hermitian_matches_kubo(hermitian_model):
 
 
 def test_conductivity_large_omega_decay(rm_model):
-    s1 = conductivity_wavepacket(rm_model, 0.7, -1.3, band=0, omega=50.0)
-    s2 = conductivity_wavepacket(rm_model, 0.7, -1.3, band=0, omega=100.0)
+    s1 = conductivity(rm_model, 0.7, -1.3, band=0, omega=50.0)
+    s2 = conductivity(rm_model, 0.7, -1.3, band=0, omega=100.0)
     ratio = np.max(np.abs(s2)) / np.max(np.abs(s1))
     assert abs(ratio - 0.5) < 0.1
-
-
-def test_drude_coefficient_matches_velocity_derivative(rm_model):
-    # second derivative of e vs first finite difference of the band velocity
-    kx, ky = 0.7, -1.3
-    dd = drude_coefficient(rm_model, kx, ky, band=0)
-
-    def vel(akx, aky, axis):
-        kxa, kya = np.asarray(akx), np.asarray(aky)
-        eig = eigensystem_two_band(rm_model.hamiltonian(kxa, kya), ordering="branch")
-        v = matrix_elements(eig.left, rm_model.derivative(kxa, kya, axis), eig.right)
-        return v[0, 0]
-
-    step = 1e-4
-    d2xx = (vel(kx + step, ky, 0) - vel(kx - step, ky, 0)) / (2 * step)
-    d2xy = (vel(kx, ky + step, 0) - vel(kx, ky - step, 0)) / (2 * step)
-    npt.assert_allclose(dd[0, 0], d2xx, atol=1e-5)
-    npt.assert_allclose(dd[0, 1], d2xy, atol=1e-5)
-
-
-def test_drude_coefficient_broadcasts_momenta(rm_model):
-    ky = np.array([0.1, 0.2])
-    got = drude_coefficient(rm_model, 0.3, ky)
-    assert got.shape == (2, 2, 2)
-    npt.assert_array_equal(got, drude_coefficient(rm_model, np.full(2, 0.3), ky))
 
 
 def test_interband_fh_one_model_pass_per_stencil_set(rm_model, monkeypatch):
@@ -257,12 +236,12 @@ def test_weight_and_conductivity_batch_equal_scalar_calls(rng):
     model = BlochModel.rice_mele(RMParams(gamma=1.0, Gamma=0.7, variant="supplemental"))
     kx, ky = rng.uniform(-np.pi, np.pi, size=(2, 3, 4))
     w, coeff = optical_weight_numeric(model, kx, ky, eta=1e-3)
-    sig = conductivity_wavepacket(model, kx, ky, band="slowest", omega=0.8)
+    sig = conductivity(model, kx, ky, band="slowest", omega=0.8)
     assert w.shape == coeff.shape == kx.shape and sig.shape == kx.shape + (2, 2)
     for idx in np.ndindex(kx.shape):
         w1, c1 = optical_weight_numeric(model, kx[idx], ky[idx], eta=1e-3)
         assert w1 == w[idx] and c1 == coeff[idx]
-        s1 = conductivity_wavepacket(model, kx[idx], ky[idx], band="slowest", omega=0.8)
+        s1 = conductivity(model, kx[idx], ky[idx], band="slowest", omega=0.8)
         assert np.array_equal(s1, sig[idx])
 
 

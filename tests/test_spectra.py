@@ -6,8 +6,8 @@ from hypothesis.extra import numpy as npst
 
 from nhgeo.errors import ExceptionalPointError, NonConvergenceError
 from nhgeo.models import SIGMA_X, rm_d_vector
-from nhgeo.spectra import (Eigensystem, eigensystem, eigensystem_general,
-                           eigensystem_two_band, gauge_rescale, mm)
+from nhgeo.spectra import (Eigensystem, eigensystem_general, eigensystem_two_band,
+                           gauge_rescale, mm)
 
 
 def _random_nh(rng, n=2, scale=0.4):
@@ -169,15 +169,6 @@ def test_exceptional_point_two_band():
 def test_exceptional_point_general():
     with pytest.raises(ExceptionalPointError):
         eigensystem_general(np.diag([1.0 + 0j, 1.0 + 1e-12j, 2.0 + 0j]))
-
-
-def test_dispatcher(rng):
-    h2 = _random_nh(rng, 2)
-    h3 = _random_nh(rng, 3)
-    assert eigensystem(h2).nbands == 2
-    assert eigensystem(h3).nbands == 3
-    with pytest.raises(ValueError):
-        eigensystem(np.zeros((4, 3, 3)))
 
 
 def test_general_matches_two_band(rng):

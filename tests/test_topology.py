@@ -3,7 +3,8 @@ import pytest
 
 from conftest import smooth_gauge
 from nhgeo import geometry
-from nhgeo.errors import BoundViolationError, ExceptionalPointError, LinkCollapseError
+from nhgeo.errors import (BoundViolationError, ExceptionalPointError, LinkCollapseError,
+                          NonRealCurvatureError)
 from nhgeo.geometry import scan_geometry
 from nhgeo.models import BlochModel, RMParams, bz_mesh
 from nhgeo.oracles import finite_difference_qgt
@@ -50,18 +51,10 @@ def test_plaquette_gauge_invariance(rm_model):
     assert abs(res0 - res1) < 1e-10
 
 
-def test_plaquette_lr_equals_rl(rm_model):
-    assert chern_plaquette(rm_model, band=0, n_grid=48, flavor="lr") == \
-        chern_plaquette(rm_model, band=0, n_grid=48, flavor="rl")
-
-
-@pytest.mark.parametrize("flavor, gauge", [("lr", None), ("rl", None),
-                                           ("lr", smooth_gauge(seed=5))],
-                         ids=["lr", "rl", "lr_gauge"])
-def test_chern_plaquette_chunks_match_full_mesh(rm_model, monkeypatch, flavor, gauge):
+@pytest.mark.parametrize("gauge", [None, smooth_gauge(seed=5)], ids=["lr", "lr_gauge"])
+def test_chern_plaquette_chunks_match_full_mesh(rm_model, monkeypatch, gauge):
     def run():
-        return chern_plaquette(rm_model, n_grid=11, flavor=flavor, gauge=gauge,
-                               return_residue=True)
+        return chern_plaquette(rm_model, n_grid=11, gauge=gauge, return_residue=True)
 
     full = run()  # 121 points: one chunk
     # two kx rows per chunk: six chunks on the 11 x 11 mesh, the last one row
@@ -167,6 +160,16 @@ def test_bound_violation_on_tampered_grid(rm_model):
     with pytest.raises(BoundViolationError) as err:
         bound_integrals(grid)
     assert len(err.value.points) > 0
+
+
+def test_non_real_curvature_on_tampered_grid(rm_model):
+    grid = scan_geometry(rm_model, band=0, nx=12)
+    assert abs(chern_from_curvature(grid) - 1.0) < 0.1
+    # the sum is (area 4 pi^2 / 2 pi) * mean F: 1e-2 i / 2 pi per point adds
+    # 1e-2 i, above CURVATURE_SUM_IMAG_TOL
+    grid.curvature_lr = grid.curvature_lr + 1e-2j / (2 * np.pi)
+    with pytest.raises(NonRealCurvatureError, match="imaginary part"):
+        chern_from_curvature(grid)
 
 
 def test_compute_chern_bundle(rm_model):
