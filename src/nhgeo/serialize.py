@@ -2,15 +2,22 @@
 
 CSV files carry a mandatory header row, comma separators, LF line endings
 and floats at 17 significant digits, so identical runs produce identical
-bytes.  JSON reports are schema-versioned and embed the configuration that
-produced them.
+bytes, whatever the number of formatting processes.  JSON reports are
+schema-versioned and embed the configuration that produced them.  An
+``OSError`` while writing any output becomes a ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import signal
+import tempfile
 
 import numpy as np
+
+from .errors import ConfigError
 
 SCHEMA_VERSION = 1
 
@@ -18,21 +25,95 @@ SCHEMA_VERSION = 1
 _CSV_BLOCK = 2048
 
 
-def write_csv(path, header, table):
+def csv_parts(workers, cpus, blocks):
+    """Processes that format one CSV, the caller included: at most the
+    requested ``workers``, the usable ``cpus`` and the whole row ``blocks``,
+    and at least 1."""
+    return max(1, min(workers, cpus, blocks))
+
+
+def _usable_cpus():
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _write_rows(fh, line, table):
+    """Append the rows of ``table`` to the binary file ``fh``, one string
+    operation per ``_CSV_BLOCK`` rows."""
+    for i in range(0, table.shape[0], _CSV_BLOCK):
+        block = table[i:i + _CSV_BLOCK]
+        fh.write(((line * block.shape[0]) % tuple(block.ravel().tolist())).encode())
+
+
+def _write_parts(fh, line, parts, tmpdir):
+    """Append ``parts`` (row slices) to ``fh`` in order.  The caller formats
+    the first; each other one is formatted by a forked child into an unlinked
+    temporary file in ``tmpdir``, which is copied in once the child has
+    exited with status 0.  On any exception every child still running is
+    killed and reaped."""
+    children = []  # [temporary file, pid or None once reaped]
+    try:
+        for part in parts[1:]:
+            tmp = tempfile.TemporaryFile(dir=tmpdir)
+            children.append([tmp, None])
+            pid = os.fork()
+            if pid == 0:
+                # the child never returns into the caller: no atexit handler,
+                # no flush of a buffer it inherited
+                code = 1
+                try:
+                    _write_rows(tmp, line, part)
+                    tmp.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[-1][1] = pid
+        _write_rows(fh, line, parts[0])
+        for child in children:
+            tmp, pid = child
+            _, status = os.waitpid(pid, 0)
+            child[1] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise ChildProcessError(f"a CSV formatting process exited with status {code}")
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh, 1 << 20)
+    finally:
+        for tmp, pid in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            tmp.close()
+
+
+def write_csv(path, header, table, workers=1):
     """Write a 2-D float table with a header; deterministic byte output.
 
     Each value is printed "%.17g" (the bytes of f"{x:.17g}"), one string
-    operation per block of rows.
+    operation per block of rows.  The rows are cut into
+    ``csv_parts(workers, usable CPUs, rows // _CSV_BLOCK)`` contiguous parts,
+    all but the first formatted in forked processes; the bytes do not depend
+    on ``workers``.  Raises ``ConfigError`` when the file cannot be written.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"table shape {table.shape} does not fit {len(header)} columns")
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(0, table.shape[0], _CSV_BLOCK):
-            block = table[i:i + _CSV_BLOCK]
-            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+    rows = table.shape[0]
+    n_parts = csv_parts(workers, _usable_cpus(), rows // _CSV_BLOCK)
+    edges = [rows * p // n_parts for p in range(n_parts + 1)]
+    try:
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            _write_parts(fh, line, [table[a:b] for a, b in zip(edges, edges[1:])],
+                         os.path.dirname(os.path.abspath(path)))
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def geometry_csv_header():
@@ -48,7 +129,7 @@ def geometry_csv_header():
     return header
 
 
-def write_geometry_csv(path, grid):
+def write_geometry_csv(path, grid, workers=1):
     """Row-major (kx, ky) rows with Re/Im of every tensor component."""
     n = grid.kx.size
     cols = [grid.kx, grid.ky, grid.qgt_lr, grid.qgt_rl, grid.qgt_rr, grid.qgt_ll,
@@ -56,16 +137,16 @@ def write_geometry_csv(path, grid):
     # a complex array viewed as float interleaves (re, im) per component
     table = np.concatenate([np.ascontiguousarray(c).view(float).reshape(n, -1)
                             for c in cols], axis=1)
-    write_csv(path, geometry_csv_header(), table)
+    write_csv(path, geometry_csv_header(), table, workers)
 
 
-def write_bound_csv(path, report):
+def write_bound_csv(path, report, workers=1):
     """Per-point margin table of one bound report."""
     n = report.lhs.shape[0]
     labels = np.asarray(report.labels, dtype=float).reshape(n, -1)
     header = [f"label{i}" for i in range(labels.shape[1])] + ["lhs", "rhs", "margin"]
     write_csv(path, header, np.column_stack([labels, report.lhs, report.rhs,
-                                             report.margin]))
+                                             report.margin]), workers)
 
 
 def _to_jsonable(obj):
@@ -94,9 +175,12 @@ def write_report_json(path, payload, config=None):
     if config is not None:
         doc["config"] = _to_jsonable(config)
     doc.update(_to_jsonable(payload))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def bound_report_summary(report):

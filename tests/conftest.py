@@ -5,10 +5,13 @@ machinery: they work from numpy.linalg.eigh output only, so agreement with
 them is an independent check, not a tautology.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from nhgeo import serialize
 from nhgeo.models import BlochModel, RMParams
 
 # property tests draw the same examples on every run: tier-1 and CI are
@@ -31,6 +34,45 @@ def hermitian_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def csv_forks(monkeypatch):
+    """CSV blocks of 3 rows and 8 usable CPUs, so that small tables are
+    formatted in forked processes on any machine; returns the list to which
+    every fork of the CSV writer appends its child's pid."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(serialize, "_CSV_BLOCK", 3)
+    monkeypatch.setattr(serialize, "_usable_cpus", lambda: 8)
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+def fail_in_child(monkeypatch):
+    """Make every forked CSV formatting process raise before it writes."""
+    parent, write_rows = os.getpid(), serialize._write_rows
+
+    def failing(fh, line, table):
+        if os.getpid() != parent:
+            raise MemoryError("formatting process fails")
+        write_rows(fh, line, table)
+
+    monkeypatch.setattr(serialize, "_write_rows", failing)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def count_model_calls(monkeypatch, model):

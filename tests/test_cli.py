@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import NEAR_EP_REJECTED, near_ep_matrix
+from conftest import NEAR_EP_REJECTED, assert_no_child_left, fail_in_child, near_ep_matrix
 from nhgeo import bounds, cli, geometry, topology
 from nhgeo.cli import load_config, main
 from nhgeo.errors import BoundViolationError, ConfigError
@@ -125,6 +125,47 @@ def test_cli_scan_deterministic(tmp_path):
             assert d1 == d2
         else:
             assert b1 == b2
+
+
+def test_cli_csv_bytes_identical_across_forking_threads(tmp_path, csv_forks):
+    # 3-row CSV blocks: the 16^2 scan and the bounds tables really fork
+    cfg = _write(tmp_path, "t.yaml", {"response": {"k_samples": 4, "omega_count": 11}})
+    outs = []
+    for threads in (1, 2, 4):
+        out = tmp_path / f"t{threads}"
+        del csv_forks[:]
+        for command in ("scan", "bounds"):
+            assert main([command, "--config", cfg, "--grid", "16", "--out", str(out),
+                         "--threads", str(threads)]) == 0
+        assert bool(csv_forks) == (threads > 1)
+        outs.append(out)
+    names = sorted(f for f in os.listdir(outs[0]) if f.endswith(".csv"))
+    assert names == ["geometry.csv"] + sorted(
+        f"margins_{r}.csv" for r in ("absorptivepsd", "chernchain", "localcurvature",
+                                     "opticalweight", "psd_ll", "psd_rr", "qgtinequality"))
+    for out in outs[1:]:
+        assert sorted(os.listdir(out)) == sorted(os.listdir(outs[0]))
+        for name in names:
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["out_is_a_file", "csv_is_a_directory", "worker_fails"])
+def test_cli_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, request, case):
+    out = tmp_path / "o"
+    if case == "out_is_a_file":
+        out.write_text("")
+    elif case == "csv_is_a_directory":
+        (out / "geometry.csv").mkdir(parents=True)
+    else:
+        csv_forks = request.getfixturevalue("csv_forks")
+        fail_in_child(monkeypatch)
+    assert main(["scan", "--grid", "16", "--threads", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write output {out}")
+    if case == "worker_fails":
+        assert len(csv_forks) == 3
+        assert os.listdir(out) == ["geometry.csv"]  # no temporary file is left
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("command, report", [("chern", "chern.json"),

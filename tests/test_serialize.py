@@ -1,10 +1,17 @@
+import os
+import time
+
 import numpy as np
 import pytest
+import yaml
 
+from conftest import assert_no_child_left, fail_in_child
 from nhgeo import serialize
 from nhgeo.bounds import check_optical_weight_bound, check_psd, check_qgt_inequality
+from nhgeo.cli import load_config
+from nhgeo.errors import ConfigError
 from nhgeo.geometry import scan_geometry
-from nhgeo.serialize import write_bound_csv, write_csv, write_geometry_csv
+from nhgeo.serialize import csv_parts, write_bound_csv, write_csv, write_geometry_csv
 
 # -0.0, a subnormal, the smallest normal, non-finite values and digits that
 # need all 17 significant places
@@ -30,6 +37,65 @@ def test_write_csv_matches_per_element_rule(tmp_path, monkeypatch):
     header = ["a", "b", "c"]
     write_csv(tmp_path / "t.csv", header, table)
     assert _read(tmp_path / "t.csv") == _per_element_csv(header, table)
+
+
+@pytest.mark.parametrize("rows", [10, 7, 12, 0],
+                         ids=["partial_last_block", "fewer_blocks_than_workers",
+                              "whole_blocks", "no_rows"])
+def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, csv_forks, rows):
+    # blocks of 3 rows: 10 rows make 3 whole blocks and a partial one, 7 rows
+    # only 2 whole blocks, so 3 and 4 workers still use 2 processes
+    table = np.resize(np.array(SPECIAL), (rows, 3))
+    header = ["a", "b", "c"]
+    expected = _per_element_csv(header, table)
+    for workers in (1, 2, 3, 4):
+        del csv_forks[:]
+        write_csv(tmp_path / f"w{workers}.csv", header, table, workers=workers)
+        assert _read(tmp_path / f"w{workers}.csv") == expected
+        assert len(csv_forks) == csv_parts(workers, 8, rows // 3) - 1
+    assert sorted(os.listdir(tmp_path)) == [f"w{w}.csv" for w in (1, 2, 3, 4)]
+    assert_no_child_left()
+
+
+def test_csv_parts_caps_workers(tmp_path, monkeypatch):
+    # an extreme thread count is checked on the pure function: no process starts
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"threads": 1000000}))
+    workers = load_config(str(path), {})["threads"]
+    assert csv_parts(workers, 2, 3) == 2
+    assert csv_parts(workers, 1, 3) == 1
+    assert csv_parts(workers, 2, 0) == 1
+    assert csv_parts(1, 8, 3) == 1
+
+    def no_fork():
+        raise AssertionError("a table of fewer than two blocks must not fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_csv(tmp_path / "t.csv", ["a"], np.zeros((2 * serialize._CSV_BLOCK - 1, 1)),
+              workers=workers)
+
+
+@pytest.mark.parametrize("side, error", [("child", "exited with status 1"),
+                                         ("parent", "No space left")])
+def test_write_csv_failure_reaps_every_child(tmp_path, csv_forks, monkeypatch, side, error):
+    if side == "child":
+        fail_in_child(monkeypatch)
+    else:  # the parent fails while its children are still formatting
+        parent = os.getpid()
+
+        def full_disk(fh, line, table):
+            if os.getpid() != parent:
+                time.sleep(60)  # only a kill ends the child in time
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(serialize, "_write_rows", full_disk)
+    t0 = time.monotonic()
+    with pytest.raises(ConfigError, match=f"cannot write output .*{error}"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], np.ones((12, 2)), workers=4)
+    assert time.monotonic() - t0 < 30
+    assert len(csv_forks) == 3
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert_no_child_left()
 
 
 def test_write_csv_rejects_mismatched_table(tmp_path):
