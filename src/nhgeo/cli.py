@@ -2,12 +2,13 @@
 
 Commands: scan | chern | bounds | optical-weight | lindblad-check.
 Configuration comes from a YAML file; --grid/--band/--threads/--out
-override individual entries.  ``threads`` (an integer >= 1) is the number
-of processes that format each ``scan`` and ``bounds`` CSV, capped at the
-usable CPUs and the CSV's row blocks; the bytes do not depend on it, and
-every mesh is solved serially.  Exit codes: 0 ok, 2 configuration (an
-output that cannot be written included), 3 numerical (exceptional points
-or non-convergence), 4 bound violation.
+override individual entries.  ``threads`` (an integer >= 1, by default
+the usable CPUs) is the number of processes that format each ``scan`` and
+``bounds`` CSV and solve the ``optical-weight`` sweep rows, capped at the
+usable CPUs, the CSV's row blocks and the sweep's length; the bytes do not
+depend on it, and every mesh is solved serially.  Exit codes: 0 ok,
+2 configuration (an output that cannot be written included), 3 numerical
+(exceptional points or non-convergence), 4 bound violation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ DEFAULT_CONFIG = {
               "gamma": 1.0, "Gamma": 0.0, "variant": "supplemental"},
     "grid": {"nx": 64, "ny": 64},
     "band": 0,
-    "threads": 1,
+    "threads": None,  # the usable CPUs
     "output": {"dir": "out"},
     "response": {"eta": 1.0e-3, "omega_min": 0.0, "omega_max": 10.0,
                  "omega_count": 81, "invert_bath": False,
@@ -138,7 +139,8 @@ def _validate(cfg):
         rsp[key] = _integer(rsp.get(key), f"response.{key}")
         if rsp[key] < 1:
             raise ConfigError(f"response.{key} must be >= 1")
-    cfg["threads"] = _integer(cfg.get("threads", 1), "threads")
+    threads = cfg.get("threads")
+    cfg["threads"] = serialize._usable_cpus() if threads is None else _integer(threads, "threads")
     if cfg["threads"] < 1:
         raise ConfigError("threads must be >= 1")
     cfg["band"] = _integer(cfg.get("band", 0), "band")
@@ -311,48 +313,71 @@ def cmd_bounds(cfg):
     return 0 if all(r.passed for r in reports) else 4
 
 
+def _sweep_row(model, n_grid, eta, tolerance, quadrature):
+    """The optical-weight columns of one sweep value after Gamma."""
+    res = response.optical_weight_bz(model, band="slowest", n_grid=n_grid, eta=eta)
+    chern = topology.chern_plaquette(model, band=0, n_grid=max(32, n_grid // 2))
+    rep = bounds_mod.check_optical_weight_bound(res.bound_trace, chern, res.arg_infimum,
+                                                tolerance=tolerance)
+    row = [res.bz_trace, res.closed_trace, res.bound_trace,
+           res.bound_trace / (2 * np.pi),
+           (np.pi + res.arg_infimum) * abs(chern),
+           rep.margin[0], res.arg_infimum, res.ln_eta_coefficient]
+    if quadrature:
+        from . import oracles  # the slow oracle module loads only for this column
+        per_k = oracles.optical_weight_quadrature(model, *bz_mesh(n_grid, n_grid), eta=eta)
+        row.append(np.sum(per_k) * (2 * np.pi / n_grid) ** 2)
+    return row
+
+
 def cmd_optical_weight(cfg, quadrature=False):
+    """The sweep is cut into at most ``threads`` (and usable CPUs) contiguous
+    parts; the first is solved here, each other one in a forked process that
+    returns its rows as float64 bytes.  A part whose process fails is solved
+    here again, so every run prints, writes and raises as the serial one."""
     sweep = cfg["sweep"].get("Gamma") or []
     if not sweep:
         raise ConfigError("sweep.Gamma must be a nonempty list")
     models = [_model(dict(cfg["model"], Gamma=g_val)) for g_val in sweep]
     out = _ensure_outdir(cfg)
-    eta = cfg["response"]["eta"]
-    n_grid = min(cfg["grid"]["nx"], 48)
-    rows = []
+    args = (min(cfg["grid"]["nx"], 48), cfg["response"]["eta"],
+            cfg["tolerances"]["bound"], quadrature)
     header = ["Gamma", "weight_numeric", "weight_closed", "weight_bound_form",
               "bound_lhs", "bound_rhs", "margin", "arg_infimum",
-              "ln_eta_coefficient"]
-    if quadrature:
-        from . import oracles  # the slow oracle module loads only for this column
-        header.append("weight_quadrature")
-    all_pass = True
-    for g_val, model in zip(sweep, models):
-        res = response.optical_weight_bz(model, band="slowest", n_grid=n_grid,
-                                         eta=eta)
-        chern = topology.chern_plaquette(model, band=0, n_grid=max(32, n_grid // 2))
-        rep = bounds_mod.check_optical_weight_bound(res.bound_trace, chern, res.arg_infimum,
-                                                    tolerance=cfg["tolerances"]["bound"])
-        all_pass &= rep.passed and rep.margin[0] > 0
-        row = [g_val, res.bz_trace, res.closed_trace, res.bound_trace,
-               res.bound_trace / (2 * np.pi),
-               (np.pi + res.arg_infimum) * abs(chern),
-               rep.margin[0], res.arg_infimum, res.ln_eta_coefficient]
-        if quadrature:
-            per_k = oracles.optical_weight_quadrature(model, *bz_mesh(n_grid, n_grid),
-                                                      eta=eta)
-            row.append(np.sum(per_k) * (2 * np.pi / n_grid) ** 2)
-        rows.append(row)
-        print(f"Gamma={g_val}: weight/2pi={res.bound_trace/(2*np.pi):+.6f} "
-              f"bound={(np.pi+res.arg_infimum)*abs(chern):+.6f} "
-              f"margin={rep.margin[0]:+.6f}")
+              "ln_eta_coefficient"] + (["weight_quadrature"] if quadrature else [])
+    n_parts = min(cfg["threads"], serialize._usable_cpus(), len(sweep))
+    edges = [len(sweep) * p // n_parts for p in range(n_parts + 1)]
+    parts = [range(a, b) for a, b in zip(edges, edges[1:])]
+    rows = []
+
+    def emit(i, row):
+        rows.append([sweep[i], *row])
+        print(f"Gamma={sweep[i]}: weight/2pi={row[3]:+.6f} bound={row[4]:+.6f} "
+              f"margin={row[5]:+.6f}")
+
+    def solve(part):
+        for i in part:
+            emit(i, _sweep_row(models[i], *args))
+
+    def solve_bytes(fh, part):
+        fh.write(np.array([_sweep_row(models[i], *args) for i in part]).tobytes())
+
+    with serialize.fork_parts(solve_bytes, parts[1:], out) as done:
+        solve(parts[0])
+        for part, (code, fh) in zip(parts[1:], done):
+            if code != 0:
+                solve(part)
+                continue
+            for i, row in zip(part, np.frombuffer(fh.read()).reshape(len(part), -1)):
+                emit(i, row.tolist())
     table = np.array(rows, dtype=float)
     serialize.write_csv(os.path.join(out, "optical_weight.csv"), header, table)
     serialize.write_report_json(
         os.path.join(out, "optical_weight.json"),
         {"kind": "optical_weight_sweep", "columns": header, "rows": table.tolist()},
         config=cfg)
-    return 0 if all_pass else 4
+    # a positive margin passes at every tolerance >= 0
+    return 0 if np.all(table[:, header.index("margin")] > 0) else 4
 
 
 def cmd_lindblad_check(cfg):
@@ -429,8 +454,9 @@ def main(argv=None):
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--grid", help="grid size, e.g. 64x64 or 64")
     parser.add_argument("--threads", type=int,
-                        help="CSV formatting processes (>= 1), capped at the usable CPUs and "
-                             "the row blocks; the bytes do not depend on it")
+                        help="processes (>= 1) that format the scan/bounds CSVs and solve the "
+                             "optical-weight sweep rows; default: the usable CPUs, to which it "
+                             "is capped; the bytes do not depend on it")
     parser.add_argument("--band", type=int, help="band index")
     parser.add_argument("--quadrature", action="store_true",
                         help="add the slow adaptive-quadrature column to the sweep")

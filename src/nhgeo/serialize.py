@@ -9,6 +9,7 @@ schema-versioned and embed the configuration that produced them.  An
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -50,15 +51,26 @@ def _write_rows(fh, line, table):
         fh.write(((line * block.shape[0]) % tuple(block.ravel().tolist())).encode())
 
 
-def _write_parts(fh, line, parts, tmpdir):
-    """Append ``parts`` (row slices) to ``fh`` in order.  The caller formats
-    the first; each other one is formatted by a forked child into an unlinked
-    temporary file in ``tmpdir``, which is copied in once the child has
-    exited with status 0.  On any exception every child still running is
-    killed and reaped."""
+@contextlib.contextmanager
+def fork_parts(work, parts, tmpdir):
+    """Run ``work(fh, part)`` for each of ``parts`` in its own forked child,
+    which writes into an unlinked temporary file in ``tmpdir`` and exits
+    with status 0 once ``work`` has returned.  The block receives an
+    iterator that reaps the children in order and yields, per part, the
+    child's exit code and its file, rewound.  On leaving the block every
+    child still running is killed and reaped, and every file closed."""
     children = []  # [temporary file, pid or None once reaped]
+
+    def reap():
+        for child in children:
+            tmp, pid = child
+            _, status = os.waitpid(pid, 0)
+            child[1] = None
+            tmp.seek(0)
+            yield os.waitstatus_to_exitcode(status), tmp
+
     try:
-        for part in parts[1:]:
+        for part in parts:
             tmp = tempfile.TemporaryFile(dir=tmpdir)
             children.append([tmp, None])
             pid = os.fork()
@@ -67,22 +79,13 @@ def _write_parts(fh, line, parts, tmpdir):
                 # no flush of a buffer it inherited
                 code = 1
                 try:
-                    _write_rows(tmp, line, part)
+                    work(tmp, part)
                     tmp.flush()
                     code = 0
                 finally:
                     os._exit(code)
             children[-1][1] = pid
-        _write_rows(fh, line, parts[0])
-        for child in children:
-            tmp, pid = child
-            _, status = os.waitpid(pid, 0)
-            child[1] = None
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                raise ChildProcessError(f"a CSV formatting process exited with status {code}")
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh, 1 << 20)
+        yield reap()
     finally:
         for tmp, pid in children:
             if pid is not None:
@@ -97,8 +100,11 @@ def write_csv(path, header, table, workers=1):
     Each value is printed "%.17g" (the bytes of f"{x:.17g}"), one string
     operation per block of rows.  The rows are cut into
     ``csv_parts(workers, usable CPUs, rows // _CSV_BLOCK)`` contiguous parts,
-    all but the first formatted in forked processes; the bytes do not depend
-    on ``workers``.  Raises ``ConfigError`` when the file cannot be written.
+    all but the first formatted in forked processes (:func:`fork_parts`);
+    the bytes do not depend on ``workers``.  The file is written under a
+    temporary name in the same directory and renamed to ``path`` once
+    complete, so a failed write leaves no partial file behind.  Raises
+    ``ConfigError`` when the file cannot be written.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != len(header):
@@ -107,13 +113,29 @@ def write_csv(path, header, table, workers=1):
     rows = table.shape[0]
     n_parts = csv_parts(workers, _usable_cpus(), rows // _CSV_BLOCK)
     edges = [rows * p // n_parts for p in range(n_parts + 1)]
+    parts = [table[a:b] for a, b in zip(edges, edges[1:])]
+    partial = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(partial, "wb") as fh, fork_parts(
+                lambda tmp, part: _write_rows(tmp, line, part), parts[1:],
+                os.path.dirname(os.path.abspath(path))) as done:
             fh.write((",".join(header) + "\n").encode())
-            _write_parts(fh, line, [table[a:b] for a, b in zip(edges, edges[1:])],
-                         os.path.dirname(os.path.abspath(path)))
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+            _write_rows(fh, line, parts[0])
+            for code, tmp in done:
+                if code != 0:
+                    raise ChildProcessError(f"a CSV formatting process exited with status {code}")
+                shutil.copyfileobj(tmp, fh, 1 << 20)
+        # a rename over an existing file would make ext4 (auto_da_alloc) start
+        # writing the new one out at once, inside the rename
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.rename(partial, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(partial)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output {path}: {exc}") from exc
+        raise
 
 
 def geometry_csv_header():

@@ -292,12 +292,15 @@ def gauge_rescale(eig: Eigensystem, c):
     """Rescale |R_n> -> c_n |R_n>, |L_n> -> |L_n>/conj(c_n).
 
     Biorthonormality is preserved for any nonzero complex c (shape
-    broadcastable to the band axis); used by gauge-invariance checks.
+    broadcastable to the band axis); used by gauge-invariance checks and
+    the stencil's phase lock.  The Gram matrices are transformed, not
+    recomputed: I^R_nm -> conj(c_n) c_m I^R_nm, I^L_nm -> I^L_nm / (c_n conj(c_m)).
     """
     c = np.asarray(c, dtype=complex)
     if np.any(np.abs(c) == 0.0):
         raise ValueError("gauge factors must be nonzero")
     right = eig.right * c[..., None]
     left = eig.left / np.conj(c)[..., None]
-    i_right, i_left = _grams(right, left)
-    return Eigensystem(eig.energies.copy(), right, left, i_right, i_left)
+    cc = np.conj(c)[..., :, None] * c[..., None, :]  # conj(c_n) c_m
+    return Eigensystem(eig.energies.copy(), right, left, eig.overlap_right * cc,
+                       eig.overlap_left / np.conj(cc))

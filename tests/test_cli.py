@@ -8,9 +8,9 @@ import pytest
 import yaml
 
 from conftest import NEAR_EP_REJECTED, assert_no_child_left, fail_in_child, near_ep_matrix
-from nhgeo import bounds, cli, geometry, topology
+from nhgeo import bounds, cli, geometry, response, serialize, topology
 from nhgeo.cli import load_config, main
-from nhgeo.errors import BoundViolationError, ConfigError
+from nhgeo.errors import BoundViolationError, ConfigError, ExceptionalPointError
 from nhgeo.models import bz_mesh, model_from_config
 from nhgeo.response import response_spectrum
 
@@ -21,10 +21,12 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
-def test_load_config_defaults():
+def test_load_config_defaults(monkeypatch):
+    monkeypatch.setattr(serialize, "_usable_cpus", lambda: 6)
     cfg = load_config(None, {})
     assert cfg["model"]["family"] == "rice_mele"
     assert cfg["grid"] == {"nx": 64, "ny": 64}
+    assert cfg["threads"] == 6  # resolved per run, not at import
 
 
 def test_load_config_overrides(tmp_path):
@@ -162,14 +164,18 @@ def test_cli_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, request, ca
         fail_in_child(monkeypatch)
     assert main(["scan", "--grid", "16", "--threads", "4", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: cannot write output {out}")
+    # neither a truncated CSV nor a temporary file is left
     if case == "worker_fails":
         assert len(csv_forks) == 3
-        assert os.listdir(out) == ["geometry.csv"]  # no temporary file is left
+        assert os.listdir(out) == []
+    elif case == "csv_is_a_directory":
+        assert os.listdir(out) == ["geometry.csv"] and not os.listdir(out / "geometry.csv")
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("command, report", [("chern", "chern.json"),
-                                             ("bounds", "bounds.json")])
+                                             ("bounds", "bounds.json"),
+                                             ("optical-weight", "optical_weight.json")])
 def test_cli_report_values_identical_across_threads(tmp_path, command, report):
     cfg = _write(tmp_path, "t.yaml", {"grid": {"nx": 16, "ny": 16},
                                       "chern": {"curvature_grid": 40},
@@ -180,7 +186,7 @@ def test_cli_report_values_identical_across_threads(tmp_path, command, report):
         assert main([command, "--config", cfg, "--out", str(out),
                      "--threads", str(threads)]) == 0
         doc = json.loads((out / report).read_text())
-        doc.pop("timing_seconds")
+        doc.pop("timing_seconds", None)
         assert doc["config"].pop("threads") == threads
         assert doc["config"].pop("output") == {"dir": str(out)}
         docs.append(doc)
@@ -409,6 +415,79 @@ def test_cli_optical_weight(tmp_path):
     row = dict(zip(header, (float(x) for x in lines[1].split(","))))
     assert row["Gamma"] == 0.0
     assert row["margin"] > 0
+
+
+SWEEP = [0.0, 0.5, 1.0, 1.5]
+
+
+def _sweep_runs(tmp_path, capsys, forks, tag, threads_list=(1, 2, 4)):
+    """(exit code, stdout, stderr, output files) of a 4-value optical-weight
+    sweep at each thread count; asserts the sweep's forks and that no process
+    is left.  The output directory is masked in the streams."""
+    cfg = _write(tmp_path, "sweep.yaml", {"grid": {"nx": 16, "ny": 16},
+                                          "sweep": {"Gamma": SWEEP}})
+    runs = []
+    for threads in threads_list:
+        out = tmp_path / f"{tag}{threads}"
+        del forks[:]
+        code = main(["optical-weight", "--config", cfg, "--out", str(out),
+                     "--threads", str(threads)])
+        streams = capsys.readouterr()
+        assert len(forks) == min(threads, serialize._usable_cpus(), len(SWEEP)) - 1
+        files = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+        if "optical_weight.json" in files:  # the echoed thread count differs
+            files["optical_weight.json"] = json.loads(files["optical_weight.json"])["rows"]
+        runs.append((code, streams.out.replace(str(out), "OUT"),
+                     streams.err.replace(str(out), "OUT"), files))
+        assert_no_child_left()
+    return runs
+
+
+def test_cli_optical_weight_sweep_forks_and_keeps_bytes(tmp_path, capsys, monkeypatch,
+                                                       csv_forks):
+    # 8 usable CPUs: --threads 2 and 4 solve 1 and 3 parts of the sweep in
+    # forked processes; the CSV, the JSON rows and stdout do not change
+    runs = _sweep_runs(tmp_path, capsys, csv_forks, "t")
+    assert runs[0][0] == 0 and len(runs[0][1].splitlines()) == len(SWEEP)
+    assert sorted(runs[0][3]) == ["optical_weight.csv", "optical_weight.json"]
+    assert runs[0] == runs[1] == runs[2]
+    # 2 usable CPUs cap --threads 4 at one forked part
+    monkeypatch.setattr(serialize, "_usable_cpus", lambda: 2)
+    assert _sweep_runs(tmp_path, capsys, csv_forks, "c", threads_list=(4,)) == runs[:1]
+
+
+def test_cli_optical_weight_error_in_forked_part(tmp_path, capsys, monkeypatch, csv_forks):
+    # Gamma = 1.0 is the first row of a forked part at --threads 2 and the
+    # third part at --threads 4; its error reaches the parent as at --threads 1
+    solve = response.optical_weight_bz
+
+    def exceptional(model, **kwargs):
+        if model.params.Gamma == 1.0:
+            raise ExceptionalPointError("gap closes", points=[(0.25, -1.5)])
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(response, "optical_weight_bz", exceptional)
+    runs = _sweep_runs(tmp_path, capsys, csv_forks, "e")
+    code, out, err, files = runs[0]
+    assert code == 3 and len(out.splitlines()) == 2 and files == {}
+    assert err == "numerical error: gap closes\n  at k = (0.25, -1.5)\n"
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_cli_optical_weight_forked_part_dies(tmp_path, capsys, monkeypatch, csv_forks):
+    # every forked process dies; the parent solves their parts itself
+    parent, solve = os.getpid(), response.optical_weight_bz
+
+    def dying(model, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError("sweep process dies")
+        return solve(model, **kwargs)
+
+    reference = _sweep_runs(tmp_path, capsys, csv_forks, "r", threads_list=(1,))
+    monkeypatch.setattr(response, "optical_weight_bz", dying)
+    runs = _sweep_runs(tmp_path, capsys, csv_forks, "d", threads_list=(2, 4))
+    assert reference[0][0] == 0
+    assert runs[0] == runs[1] == reference[0]
 
 
 def test_cli_optical_weight_empty_sweep(tmp_path):

@@ -94,7 +94,19 @@ def test_write_csv_failure_reaps_every_child(tmp_path, csv_forks, monkeypatch, s
         write_csv(tmp_path / "t.csv", ["a", "b"], np.ones((12, 2)), workers=4)
     assert time.monotonic() - t0 < 30
     assert len(csv_forks) == 3
-    assert os.listdir(tmp_path) == ["t.csv"]
+    assert os.listdir(tmp_path) == []  # neither a truncated CSV nor a temporary file
+    assert_no_child_left()
+
+
+def test_write_csv_failure_keeps_previous_file(tmp_path, csv_forks, monkeypatch):
+    # the new file replaces the old one only once it is complete
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a"], np.zeros((1, 1)))
+    before = _read(path)
+    fail_in_child(monkeypatch)
+    with pytest.raises(ConfigError, match="cannot write output"):
+        write_csv(path, ["a"], np.ones((12, 1)), workers=4)
+    assert os.listdir(tmp_path) == ["t.csv"] and _read(path) == before
     assert_no_child_left()
 
 

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as npst
 
 from nhgeo.errors import ExceptionalPointError, NonConvergenceError
 from nhgeo.models import SIGMA_X, rm_d_vector
-from nhgeo.spectra import (Eigensystem, eigensystem_general, eigensystem_two_band,
+from nhgeo.spectra import (Eigensystem, _grams, eigensystem_general, eigensystem_two_band,
                            gauge_rescale, mm)
 
 
@@ -109,6 +109,23 @@ def test_gauge_rescale_preserves_biorthonormality(rm_model, rng):
     scaled = gauge_rescale(eig, c)
     cross = np.einsum("ni,mi->nm", np.conj(scaled.left), scaled.right)
     npt.assert_allclose(cross, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("bands", [2, 4])
+def test_gauge_rescale_transforms_grams(rm_model, rng, bands):
+    # the transformed Grams equal those recomputed from the rescaled vectors
+    if bands == 2:
+        kx, ky = rng.uniform(-np.pi, np.pi, size=(2, 64))
+        eig = eigensystem_two_band(rm_model.hamiltonian(kx, ky))
+    else:
+        eig = eigensystem_general(_random_nh(rng, n=4))
+    c = rng.uniform(0.2, 5.0, size=eig.energies.shape) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, size=eig.energies.shape))
+    scaled = gauge_rescale(eig, c)
+    for got, want in zip((scaled.overlap_right, scaled.overlap_left),
+                         _grams(scaled.right, scaled.left)):
+        scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-14
 
 
 def test_validate_rejects_nan(rm_model):
