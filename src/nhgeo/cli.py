@@ -345,15 +345,14 @@ def cmd_optical_weight(cfg, quadrature=False):
     header = ["Gamma", "weight_numeric", "weight_closed", "weight_bound_form",
               "bound_lhs", "bound_rhs", "margin", "arg_infimum",
               "ln_eta_coefficient"] + (["weight_quadrature"] if quadrature else [])
-    n_parts = min(cfg["threads"], serialize._usable_cpus(), len(sweep))
-    edges = [len(sweep) * p // n_parts for p in range(n_parts + 1)]
-    parts = [range(a, b) for a, b in zip(edges, edges[1:])]
+    parts = serialize.split_parts(range(len(sweep)), cfg["threads"], len(sweep))
     rows = []
 
     def emit(i, row):
         rows.append([sweep[i], *row])
-        print(f"Gamma={sweep[i]}: weight/2pi={row[3]:+.6f} bound={row[4]:+.6f} "
-              f"margin={row[5]:+.6f}")
+        col = dict(zip(header, rows[-1]))
+        print(f"Gamma={sweep[i]}: weight/2pi={col['bound_lhs']:+.6f} "
+              f"bound={col['bound_rhs']:+.6f} margin={col['margin']:+.6f}")
 
     def solve(part):
         for i in part:

@@ -27,10 +27,19 @@ _CSV_BLOCK = 2048
 
 
 def csv_parts(workers, cpus, blocks):
-    """Processes that format one CSV, the caller included: at most the
-    requested ``workers``, the usable ``cpus`` and the whole row ``blocks``,
-    and at least 1."""
+    """Processes that share one job, the caller included: at most the
+    requested ``workers``, the usable ``cpus`` and the ``blocks`` the job
+    divides into, and at least 1."""
     return max(1, min(workers, cpus, blocks))
+
+
+def split_parts(seq, workers, cap):
+    """``seq`` cut into ``csv_parts(workers, usable CPUs, cap)`` contiguous
+    slices, in order; the first is the caller's, the others go to
+    :func:`fork_parts`."""
+    n_parts = csv_parts(workers, _usable_cpus(), cap)
+    edges = [len(seq) * p // n_parts for p in range(n_parts + 1)]
+    return [seq[a:b] for a, b in zip(edges, edges[1:])]
 
 
 def _usable_cpus():
@@ -99,21 +108,18 @@ def write_csv(path, header, table, workers=1):
 
     Each value is printed "%.17g" (the bytes of f"{x:.17g}"), one string
     operation per block of rows.  The rows are cut into
-    ``csv_parts(workers, usable CPUs, rows // _CSV_BLOCK)`` contiguous parts,
-    all but the first formatted in forked processes (:func:`fork_parts`);
-    the bytes do not depend on ``workers``.  The file is written under a
-    temporary name in the same directory and renamed to ``path`` once
-    complete, so a failed write leaves no partial file behind.  Raises
+    ``split_parts(table, workers, rows // _CSV_BLOCK)``, all but the first
+    formatted in forked processes (:func:`fork_parts`); the bytes do not
+    depend on ``workers``.  The file is written under a temporary name in
+    the same directory and atomically replaces ``path`` once complete, so a
+    failed write leaves the previous file, if any, and no partial one.  Raises
     ``ConfigError`` when the file cannot be written.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"table shape {table.shape} does not fit {len(header)} columns")
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    rows = table.shape[0]
-    n_parts = csv_parts(workers, _usable_cpus(), rows // _CSV_BLOCK)
-    edges = [rows * p // n_parts for p in range(n_parts + 1)]
-    parts = [table[a:b] for a, b in zip(edges, edges[1:])]
+    parts = split_parts(table, workers, table.shape[0] // _CSV_BLOCK)
     partial = f"{path}.{os.getpid()}.tmp"
     try:
         with open(partial, "wb") as fh, fork_parts(
@@ -125,11 +131,7 @@ def write_csv(path, header, table, workers=1):
                 if code != 0:
                     raise ChildProcessError(f"a CSV formatting process exited with status {code}")
                 shutil.copyfileobj(tmp, fh, 1 << 20)
-        # a rename over an existing file would make ext4 (auto_da_alloc) start
-        # writing the new one out at once, inside the rename
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(path)
-        os.rename(partial, path)
+        os.replace(partial, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(partial)

@@ -186,7 +186,8 @@ def test_cli_report_values_identical_across_threads(tmp_path, command, report):
         assert main([command, "--config", cfg, "--out", str(out),
                      "--threads", str(threads)]) == 0
         doc = json.loads((out / report).read_text())
-        doc.pop("timing_seconds", None)
+        if command != "optical-weight":  # the sweep report carries no timing
+            doc.pop("timing_seconds")
         assert doc["config"].pop("threads") == threads
         assert doc["config"].pop("output") == {"dir": str(out)}
         docs.append(doc)
@@ -402,12 +403,13 @@ def test_cli_bounds_gain_flip_exit_4(tmp_path):
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
 
-def test_cli_optical_weight(tmp_path):
+def test_cli_optical_weight(tmp_path, capsys):
     out = str(tmp_path / "w")
     cfg = _write(tmp_path, "w.yaml", {"grid": {"nx": 16, "ny": 16},
                                       "sweep": {"Gamma": [0.0, 1.5]}})
     assert main(["optical-weight", "--config", cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "optical_weight.csv")).read().splitlines()
+    printed = capsys.readouterr().out.splitlines()
+    lines = (tmp_path / "w" / "optical_weight.csv").read_text().splitlines()
     assert len(lines) == 3
     header = lines[0].split(",")
     assert header[0] == "Gamma"
@@ -415,6 +417,11 @@ def test_cli_optical_weight(tmp_path):
     row = dict(zip(header, (float(x) for x in lines[1].split(","))))
     assert row["Gamma"] == 0.0
     assert row["margin"] > 0
+    # each printed line shows the CSV columns of its row
+    for line, printed_line in zip(lines[1:], printed, strict=True):
+        row = dict(zip(header, (float(x) for x in line.split(","))))
+        assert printed_line == (f"Gamma={row['Gamma']}: weight/2pi={row['bound_lhs']:+.6f} "
+                                f"bound={row['bound_rhs']:+.6f} margin={row['margin']:+.6f}")
 
 
 SWEEP = [0.0, 0.5, 1.0, 1.5]

@@ -11,7 +11,8 @@ from nhgeo.bounds import check_optical_weight_bound, check_psd, check_qgt_inequa
 from nhgeo.cli import load_config
 from nhgeo.errors import ConfigError
 from nhgeo.geometry import scan_geometry
-from nhgeo.serialize import csv_parts, write_bound_csv, write_csv, write_geometry_csv
+from nhgeo.serialize import (csv_parts, split_parts, write_bound_csv, write_csv,
+                             write_geometry_csv)
 
 # -0.0, a subnormal, the smallest normal, non-finite values and digits that
 # need all 17 significant places
@@ -55,6 +56,19 @@ def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, csv_forks, rows):
         assert len(csv_forks) == csv_parts(workers, 8, rows // 3) - 1
     assert sorted(os.listdir(tmp_path)) == [f"w{w}.csv" for w in (1, 2, 3, 4)]
     assert_no_child_left()
+
+
+def test_split_parts_contiguous_and_capped(monkeypatch):
+    # the cut both the CSV writer and the optical-weight sweep use
+    monkeypatch.setattr(serialize, "_usable_cpus", lambda: 3)
+    assert split_parts(range(13), 2, 13) == [range(0, 6), range(6, 13)]
+    assert split_parts(range(13), 8, 13) == [range(0, 4), range(4, 8), range(8, 13)]
+    assert split_parts(range(2), 8, 2) == [range(0, 1), range(1, 2)]
+    assert split_parts(range(13), 8, 1) == [range(13)]
+    assert split_parts(range(0), 4, 0) == [range(0)]
+    table = np.arange(20.0).reshape(10, 2)
+    parts = split_parts(table, 4, 10 // 3)
+    assert len(parts) == 3 and np.array_equal(np.concatenate(parts), table)
 
 
 def test_csv_parts_caps_workers(tmp_path, monkeypatch):
