@@ -10,20 +10,32 @@ schema-versioned and embed the configuration that produced them.  An
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import shutil
 import signal
 import tempfile
+import types
 
 import numpy as np
 
 from .errors import ConfigError
+from .tolerances import FORMAT_HALF_BAND, FORMAT_RANGE
 
 SCHEMA_VERSION = 1
 
-#: rows formatted per string operation; bounds the transient text to a few MB
-_CSV_BLOCK = 2048
+#: values formatted per block: bounds the transient arrays to ~4 MB
+_CSV_BLOCK = 16384
+
+#: fewest values per formatting process: on 2 vCPUs a forked part of 2^17
+#: values (~40 ms of formatting) costs more than it saves, 2^18 breaks even
+_CSV_PART = 1 << 18
+
+#: the format tables cover decades |e| < _E_MAX; |x| < FORMAT_RANGE keeps
+#: e within +-283.  Layouts per sign: 23 notations (fixed for e in -4..16,
+#: or an exponent of 2 or 3 digits) times 1-17 significant digits
+_E_MAX, _LAYOUTS = 290, 23 * 17
 
 
 def csv_parts(workers, cpus, blocks):
@@ -52,12 +64,142 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _write_rows(fh, line, table):
-    """Append the rows of ``table`` to the binary file ``fh``, one string
-    operation per ``_CSV_BLOCK`` rows."""
-    for i in range(0, table.shape[0], _CSV_BLOCK):
-        block = table[i:i + _CSV_BLOCK]
-        fh.write(((line * block.shape[0]) % tuple(block.ravel().tolist())).encode())
+def _write_rows(fh, table):
+    """Append the rows of ``table`` to the binary file ``fh``, formatted by
+    :func:`_format_block` in blocks of ``_CSV_BLOCK`` values."""
+    rows = max(1, _CSV_BLOCK // max(1, table.shape[1]))
+    for i in range(0, table.shape[0], rows):
+        fh.write(_format_block(table[i:i + rows]))
+
+
+@functools.cache
+def _format_tables():
+    """The constant tables of :func:`_format_block`, built on first use."""
+    decades = range(-_E_MAX, _E_MAX)
+    # 10^(16-e) = num/den as hi + lo, the nearest double and the nearest to
+    # the rest: Python's int division and int-to-float conversion round exactly
+    hi, lo = np.empty(len(decades)), np.empty(len(decades))
+    for i, e in enumerate(decades):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi[i] = num / den
+        hnum, hden = hi[i].as_integer_ratio()
+        lo[i] = (num * hden - hnum * den) / (den * hden)
+    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    digits4 = quads.astype(np.uint8).view(np.uint32).ravel()
+    sig4 = 4 - sum(np.arange(10000) % 10 ** j == 0 for j in range(1, 5))
+    exp_chars = np.frombuffer("".join(f"{e:+04d}" for e in decades).encode(), np.uint32)
+    notation = np.array([e + 4 if -4 <= e < 17 else 21 + (abs(e) >= 100) for e in decades])
+    # plan: the columns of a _chars row that a layout prints: 0-2 "-.0", 3-19
+    # the 17 digits, 20-23 the exponent's sign and 3 digits, 24 "e", 25 ",\n"
+    plans = []
+    for neg, mode, k in np.ndindex(2, 23, 17):
+        e, k, plan = mode - 4, k + 1, [0] * neg
+        if mode > 20:  # d.ddde+XX
+            plan += [3] + ([1] + list(range(4, 3 + k)) if k > 1 else [])
+            plan += [24, 20] + [21] * (mode == 22) + [22, 23]
+        elif e >= 0:  # ddd.ddd, the integer part padded with zeros
+            plan += list(range(3, 4 + e))
+            plan += [1] + list(range(4 + e, 3 + k)) if k > e + 1 else []
+        else:  # 0.000ddd
+            plan += [2, 1] + [2] * (-e - 1) + list(range(3, 3 + k))
+        plans.append(plan + [25])
+    plans += [list(range(n)) + [25] for n in range(1, 25)]  # "%.17g" strings
+    width = max(map(len, plans))
+    return types.SimpleNamespace(
+        hi=hi, lo=lo, digits4=digits4, sig4=sig4, exp_chars=exp_chars, notation=notation * 17,
+        plans=np.array([p + [0] * (width - len(p)) for p in plans]),
+        masks=np.arange(width) < np.array([len(p) for p in plans])[:, None])
+
+
+def _scaled(a, e):
+    """a 10^(16-e) as p + s: p the rounded product of a with hi, s its exact
+    error (a Dekker two-product) plus the rounded product of a with lo."""
+    tables = _format_tables()
+    h, l = tables.hi[e + _E_MAX], tables.lo[e + _E_MAX]
+    p = a * h
+    ca, ch = 134217729.0 * a, 134217729.0 * h  # Veltkamp split into 26-bit halves
+    a1, h1 = ca - (ca - a), ch - (ch - h)
+    a2, h2 = a - a1, h - h1
+    return p, (((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * l
+
+
+def _decimal(x):
+    """(N, e, exact) per value of the 1-D float64 ``x``: for ``exact``
+    values, |x| rounded to 17 significant digits is N 10^(e-16), with
+    10^16 <= N < 10^17, or N = 0 for a zero.
+
+    In range, e = floor(log10|x|) and p + s (:func:`_scaled`) is within
+    4e-15 of |x| 10^(16-e): p is an integer, |s| < 20 rounds twice by at
+    most 1.8e-15 and 0.9e-15, and lo is off by at most 2^-106 p = 1.3e-15.
+    The decade is decided on the unrounded p + s: 1e16 - 0.04 <= p + s <
+    1e17, whose low edge rounds to 10^16 at either decade.  Values within
+    FORMAT_HALF_BAND of a half (exact ties among them), decades still
+    moving after two corrections and nonzero values out of range are not
+    ``exact``.
+    """
+    a = np.abs(x)
+    exact = (a > 1 / FORMAT_RANGE) & (a < FORMAT_RANGE)
+    a[~exact] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    p, s = _scaled(a, e)
+    for fix in range(3):  # log10 puts e at most one decade off
+        step = ((p - 1e17) + s >= 0).astype(np.intp) - ((p - 1e16) + s < -0.04)
+        moved = np.flatnonzero(step)
+        if fix == 2 or not moved.size:
+            break
+        e[moved] += step[moved]
+        p[moved], s[moved] = _scaled(a[moved], e[moved])
+    exact[moved] = False
+    whole = np.floor(s)
+    frac = s - whole
+    exact &= np.abs(frac - 0.5) > FORMAT_HALF_BAND
+    n = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    e += carry
+    n[x == 0] = 0
+    return n, e, exact | (x == 0)
+
+
+def _chars(block):
+    """(chars, layout) of the values of the 2-D float64 ``block``: per
+    value a row of the columns that a plan of _format_tables picks from,
+    and the index of that plan."""
+    tables = _format_tables()
+    x = block.ravel()
+    n, e, exact = _decimal(x)
+    lead, groups = n, [None] * 4  # N as its first digit and four 4-digit groups
+    for i in (3, 2, 1, 0):
+        lead, groups[i] = np.divmod(lead, 10000)
+    k = 1 + tables.sig4[groups[0]]  # significant digits, up to the last nonzero one
+    for i in (1, 2, 3):
+        k = np.where(groups[i], 1 + 4 * i + tables.sig4[groups[i]], k)
+    chars = np.empty((x.size, 28), np.uint8)
+    chars[:, :3] = np.frombuffer(b"-.0", np.uint8)
+    chars[:, 3] = lead + ord("0")
+    words = chars.view(np.uint32)
+    words[:, 1:5] = tables.digits4[np.stack(groups, axis=1)]
+    words[:, 5] = tables.exp_chars[e + _E_MAX]
+    chars[:, 24] = ord("e")
+    chars[:, 25] = np.where((np.arange(x.size) + 1) % block.shape[1], ord(","), ord("\n"))
+    layout = tables.notation[e + _E_MAX] + _LAYOUTS * np.signbit(x) + (k - 1)
+    for i in np.flatnonzero(~exact):
+        text = ("%.17g" % x[i]).encode()
+        chars[i, :len(text)] = np.frombuffer(text, np.uint8)
+        layout[i] = 2 * _LAYOUTS + len(text) - 1
+    return chars, layout
+
+
+def _format_block(block):
+    """The bytes of f"{x:.17g}" for each value x of the 2-D float64
+    ``block``, joined by "," and ending each row in "\\n"."""
+    tables = _format_tables()
+    chars, layout = _chars(block)
+    # the digit arrays die with _chars, before the pick (200 bytes per value)
+    # is made: a block's transient memory peaks at ~280 bytes per value
+    pick = tables.plans.take(layout, axis=0)
+    pick += np.arange(0, chars.size, chars.shape[1])[:, None]
+    return chars.ravel().take(pick)[tables.masks.take(layout, axis=0)].tobytes()
 
 
 @contextlib.contextmanager
@@ -106,11 +248,11 @@ def fork_parts(work, parts, tmpdir):
 def write_csv(path, header, table, workers=1):
     """Write a 2-D float table with a header; deterministic byte output.
 
-    Each value is printed "%.17g" (the bytes of f"{x:.17g}"), one string
-    operation per block of rows.  The rows are cut into
-    ``split_parts(table, workers, rows // _CSV_BLOCK)``, all but the first
-    formatted in forked processes (:func:`fork_parts`); the bytes do not
-    depend on ``workers``.  The file is written under a temporary name in
+    Each value is printed as "%.17g" prints it (the bytes of f"{x:.17g}"),
+    by the vectorised :func:`_format_block`.  The rows are cut into
+    ``split_parts(table, workers, table.size // _CSV_PART)``, all but the
+    first formatted in forked processes (:func:`fork_parts`); the bytes do
+    not depend on ``workers``.  The file is written under a temporary name in
     the same directory and atomically replaces ``path`` once complete, so a
     failed write leaves the previous file, if any, and no partial one.  Raises
     ``ConfigError`` when the file cannot be written.
@@ -118,15 +260,14 @@ def write_csv(path, header, table, workers=1):
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"table shape {table.shape} does not fit {len(header)} columns")
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    parts = split_parts(table, workers, table.shape[0] // _CSV_BLOCK)
+    parts = split_parts(table, workers, table.size // _CSV_PART)
+    _format_tables()  # built here, so that no forked part builds its own
     partial = f"{path}.{os.getpid()}.tmp"
     try:
         with open(partial, "wb") as fh, fork_parts(
-                lambda tmp, part: _write_rows(tmp, line, part), parts[1:],
-                os.path.dirname(os.path.abspath(path))) as done:
+                _write_rows, parts[1:], os.path.dirname(os.path.abspath(path))) as done:
             fh.write((",".join(header) + "\n").encode())
-            _write_rows(fh, line, parts[0])
+            _write_rows(fh, parts[0])
             for code, tmp in done:
                 if code != 0:
                     raise ChildProcessError(f"a CSV formatting process exited with status {code}")

@@ -44,3 +44,8 @@ UNDAMPED_RTOL = 1e-14     # |Im e| / max(1, |e|) of an undamped level
 HERMITIAN_MODEL_TOL = 1e-14   # anti-Hermitian part of a Hermitian model
 ROUNDTRIP_TOL = 1e-12     # Lindblad roundtrip residual of a passing check
 BUBBLE_POSITIVITY_TOL = 1e-10  # negative bubble value forgiven as roundoff
+
+#: the CSV formatter's own route serves 1/FORMAT_RANGE < |x| < FORMAT_RANGE and
+#: leaves to "%.17g" digits within FORMAT_HALF_BAND of a half (error <= 4e-15)
+FORMAT_RANGE = 1e280
+FORMAT_HALF_BAND = 1e-13

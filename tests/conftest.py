@@ -38,11 +38,13 @@ def rng():
 
 @pytest.fixture
 def csv_forks(monkeypatch):
-    """CSV blocks of 3 rows and 8 usable CPUs, so that small tables are
-    formatted in forked processes on any machine; returns the list to which
-    every fork of the CSV writer appends its child's pid."""
+    """CSV parts of at least 9 values, formatting blocks of 3 values and 8
+    usable CPUs, so that small tables are formatted in forked processes on
+    any machine; returns the list to which every fork of the CSV writer
+    appends its child's pid."""
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(serialize, "_CSV_PART", 9)
     monkeypatch.setattr(serialize, "_CSV_BLOCK", 3)
     monkeypatch.setattr(serialize, "_usable_cpus", lambda: 8)
     forks = []
@@ -62,10 +64,10 @@ def fail_in_child(monkeypatch):
     """Make every forked CSV formatting process raise before it writes."""
     parent, write_rows = os.getpid(), serialize._write_rows
 
-    def failing(fh, line, table):
+    def failing(fh, table):
         if os.getpid() != parent:
             raise MemoryError("formatting process fails")
-        write_rows(fh, line, table)
+        write_rows(fh, table)
 
     monkeypatch.setattr(serialize, "_write_rows", failing)
 

@@ -286,6 +286,6 @@ def test_c12_scan_determinism(tmp_path):
         code = cli_main(["scan", "--grid", "48", "--out", str(out),
                          "--threads", str(threads)])
         assert code == 0
-        outputs.append(open(out / "geometry.csv", "rb").read())
+        outputs.append((out / "geometry.csv").read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
     _ok(12, "scan output byte-identical across --threads {1, 4, 8} (48^2)")

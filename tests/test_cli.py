@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -116,8 +117,8 @@ def test_cli_scan_deterministic(tmp_path):
     assert main(["scan", "--grid", "12", "--out", out1]) == 0
     assert main(["scan", "--grid", "12", "--out", out2, "--threads", "4"]) == 0
     for name in ("geometry.csv", "geometry.json"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = pathlib.Path(out1, name).read_bytes()
+        b2 = pathlib.Path(out2, name).read_bytes()
         # config echo differs in the thread count only; strip before diffing
         if name.endswith(".json"):
             # config echo reflects the differing out dir and thread count
@@ -197,7 +198,7 @@ def test_cli_report_values_identical_across_threads(tmp_path, command, report):
 def test_cli_scan_csv_shape(tmp_path):
     out = str(tmp_path / "scan")
     assert main(["scan", "--grid", "8", "--out", out]) == 0
-    lines = open(os.path.join(out, "geometry.csv")).read().splitlines()
+    lines = pathlib.Path(out, "geometry.csv").read_text().splitlines()
     assert len(lines) == 1 + 64
     header = lines[0].split(",")
     assert header[:2] == ["kx", "ky"]
@@ -269,7 +270,7 @@ def test_cli_chern(tmp_path, capsys):
     assert main(["chern", "--config", cfg, "--grid", "32", "--out", out]) == 0
     captured = capsys.readouterr().out
     assert "C_NH = 1" in captured
-    doc = json.loads(open(os.path.join(out, "chern.json")).read())
+    doc = json.loads(pathlib.Path(out, "chern.json").read_text())
     assert doc["chern_plaquette"] == 1
     assert doc["schema_version"] == 1
 
@@ -289,7 +290,7 @@ def test_cli_bounds_pass_and_outputs(tmp_path):
                                       "response": {"k_samples": 4,
                                                    "omega_count": 21}})
     assert main(["bounds", "--config", cfg, "--out", out]) == 0
-    doc = json.loads(open(os.path.join(out, "bounds.json")).read())
+    doc = json.loads(pathlib.Path(out, "bounds.json").read_text())
     names = {r["name"] for r in doc["reports"]}
     assert {"LocalCurvature", "QGTInequality", "PSD_RR", "PSD_LL",
             "ChernChain", "OpticalWeight", "AbsorptivePSD"} <= names
@@ -509,7 +510,7 @@ def test_cli_optical_weight_quadrature_column(tmp_path):
                                        "sweep": {"Gamma": [1.5]}})
     assert main(["optical-weight", "--config", cfg, "--out", out,
                  "--quadrature"]) == 0
-    lines = open(os.path.join(out, "optical_weight.csv")).read().splitlines()
+    lines = pathlib.Path(out, "optical_weight.csv").read_text().splitlines()
     header = lines[0].split(",")
     row = dict(zip(header, (float(x) for x in lines[1].split(","))))
     assert abs(row["weight_quadrature"] - row["weight_numeric"]) \
@@ -522,7 +523,7 @@ def test_cli_lindblad_check(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "roundtrip residual" in text
     assert "positivity: pass" in text
-    doc = json.loads(open(os.path.join(out, "lindblad.json")).read())
+    doc = json.loads(pathlib.Path(out, "lindblad.json").read_text())
     assert doc["roundtrip_residual"] < 1e-12
     # Sigma^K = i gamma sigma_y for the dissipative family at gamma = 1
     sk = np.array(doc["sigma_k"]["re"]) + 1j * np.array(doc["sigma_k"]["im"])

@@ -1,5 +1,6 @@
 import os
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from nhgeo.serialize import (csv_parts, split_parts, write_bound_csv, write_csv,
                              write_geometry_csv)
 
 # -0.0, a subnormal, the smallest normal, non-finite values and digits that
-# need all 17 significant places
+# need all 17 significant places; a value whose 17 digits round up into the
+# next decade, one whose log10 lands a decade low, a half-even tie, and the
+# edges of fixed notation (1e-05, 0.0001; 1e16, 1e17)
 SPECIAL = [-0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf,
-           0.1, 1.0 / 3.0, -1.2345678901234567e300, 7.0]
+           0.1, 1.0 / 3.0, -1.2345678901234567e300, 7.0,
+           9.9999999999999997e-278, 1e20, 1234567890123456.25,
+           1e-05, 0.0001, 1e16, 1e17]
 
 
 def _per_element_csv(header, rows):
@@ -32,20 +37,83 @@ def _read(path):
 
 
 def test_write_csv_matches_per_element_rule(tmp_path, monkeypatch):
-    # three rows per block: the ten rows span four formatting blocks
-    monkeypatch.setattr(serialize, "_CSV_BLOCK", 3)
-    table = np.array(SPECIAL * 3).reshape(10, 3)
+    # three rows of 3 values per block: the 17 rows span six formatting blocks
+    monkeypatch.setattr(serialize, "_CSV_BLOCK", 9)
+    table = np.array(SPECIAL * 3).reshape(17, 3)
     header = ["a", "b", "c"]
     write_csv(tmp_path / "t.csv", header, table)
     assert _read(tmp_path / "t.csv") == _per_element_csv(header, table)
+
+
+def _decade_neighbours(rng):
+    # 10^k +- 3 ulp, where floor(log10|x|) can land a decade off
+    powers = np.array([float(f"1e{k}") for k in range(-307, 309)]).view(np.int64)
+    near = (powers[:, None] + np.arange(-3, 4)).view(np.float64).ravel()
+    return np.concatenate([near, -near])
+
+
+def _scaled_17_digit_integers(rng):
+    digits = rng.integers(10**16, 10**17, 4000).tolist()
+    return np.array([float(f"{m}e{e}") for m, e in zip(digits, rng.integers(-340, 292, 4000))])
+
+
+FORMAT_CASES = {
+    "random_bits": lambda rng: rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64),
+    "decade_neighbours": _decade_neighbours,
+    "dyadic": lambda rng: np.ldexp(rng.integers(1, 2**53, 8000).astype(float),
+                                   rng.integers(-70, 20, 8000)),
+    "scaled_17_digit_integers": _scaled_17_digit_integers,
+    # m + 1/2 over 2^j: 17-digit half-even ties among them
+    "halves": lambda rng: ((rng.integers(0, 2**52, 8000) + 0.5)
+                           * 2.0 ** -rng.integers(0, 30, 8000)),
+    "specials": lambda rng: np.array(SPECIAL + [1e280, -1e-280, 1e300, 1.7976931348623157e308,
+                                                -5e-324, -np.nan, 0.5, 2.5, 100.0]),
+}
+
+
+@pytest.mark.parametrize("case", FORMAT_CASES)
+def test_formatter_matches_per_element_rule(tmp_path, case):
+    values = FORMAT_CASES[case](np.random.default_rng(20261019))
+    table = np.resize(values, (-(-values.size // 7), 7))
+    header = [f"c{i}" for i in range(7)]
+    write_csv(tmp_path / "t.csv", header, table)
+    assert _read(tmp_path / "t.csv") == _per_element_csv(header, table)
+
+
+def test_formatter_defers_only_ties_and_the_out_of_range():
+    # the vectorised route serves every value but half-even ties, non-finite
+    # values, subnormals and magnitudes beyond 1e280; zeros stay on it
+    served = [0.0, -0.0, 0.1, -2.5, 1e-05, 1e20, 9.9999999999999997e-278, 1e17,
+              1.2345678901234567e279, 4.9406564584124654e-280]
+    deferred = [1234567890123456.25, -1234567890123456.75, np.nan, np.inf, 5e-324, 1e-300,
+                -1e300]
+    exact = serialize._decimal(np.array(served + deferred))[2]
+    assert exact.tolist() == [True] * len(served) + [False] * len(deferred)
+    # in range, only exact ties are deferred: |x| 10^(16-e) is m + 1/2
+    bits = np.random.default_rng(7).integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+    bits = bits[(np.abs(bits) > 1e-280) & (np.abs(bits) < 1e280)]
+    _, decade, exact = serialize._decimal(bits)
+    for x, e in zip(bits[~exact].tolist(), decade[~exact].tolist()):
+        assert (abs(Fraction(x)) * Fraction(10) ** (16 - e)) % 1 == Fraction(1, 2)
+    assert 0 < (~exact).sum() < 20
+
+
+def test_geometry_csv_of_a_64x64_scan_matches_per_element_rule(tmp_path, rm_model):
+    grid = scan_geometry(rm_model, nx=64, ny=64)
+    cols = [grid.kx, grid.ky, grid.qgt_lr, grid.qgt_rl, grid.qgt_rr, grid.qgt_ll,
+            grid.anomalous_r, grid.anomalous_l, grid.curvature_lr, grid.norm_product]
+    table = np.concatenate([np.asarray(c).view(float).reshape(64 * 64, -1) for c in cols], axis=1)
+    write_geometry_csv(tmp_path / "g.csv", grid)
+    assert _read(tmp_path / "g.csv") == _per_element_csv(serialize.geometry_csv_header(), table)
 
 
 @pytest.mark.parametrize("rows", [10, 7, 12, 0],
                          ids=["partial_last_block", "fewer_blocks_than_workers",
                               "whole_blocks", "no_rows"])
 def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, csv_forks, rows):
-    # blocks of 3 rows: 10 rows make 3 whole blocks and a partial one, 7 rows
-    # only 2 whole blocks, so 3 and 4 workers still use 2 processes
+    # parts of at least 9 values, 3 rows: 10 rows make 3 whole parts and a
+    # partial one, 7 rows only 2 whole parts, so 3 and 4 workers still use 2
+    # processes
     table = np.resize(np.array(SPECIAL), (rows, 3))
     header = ["a", "b", "c"]
     expected = _per_element_csv(header, table)
@@ -53,7 +121,7 @@ def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, csv_forks, rows):
         del csv_forks[:]
         write_csv(tmp_path / f"w{workers}.csv", header, table, workers=workers)
         assert _read(tmp_path / f"w{workers}.csv") == expected
-        assert len(csv_forks) == csv_parts(workers, 8, rows // 3) - 1
+        assert len(csv_forks) == csv_parts(workers, 8, table.size // 9) - 1
     assert sorted(os.listdir(tmp_path)) == [f"w{w}.csv" for w in (1, 2, 3, 4)]
     assert_no_child_left()
 
@@ -82,10 +150,11 @@ def test_csv_parts_caps_workers(tmp_path, monkeypatch):
     assert csv_parts(1, 8, 3) == 1
 
     def no_fork():
-        raise AssertionError("a table of fewer than two blocks must not fork")
+        raise AssertionError("a table of fewer than two parts must not fork")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    write_csv(tmp_path / "t.csv", ["a"], np.zeros((2 * serialize._CSV_BLOCK - 1, 1)),
+    monkeypatch.setattr(serialize, "_CSV_PART", 4)
+    write_csv(tmp_path / "t.csv", ["a"], np.zeros((2 * serialize._CSV_PART - 1, 1)),
               workers=workers)
 
 
@@ -97,7 +166,7 @@ def test_write_csv_failure_reaps_every_child(tmp_path, csv_forks, monkeypatch, s
     else:  # the parent fails while its children are still formatting
         parent = os.getpid()
 
-        def full_disk(fh, line, table):
+        def full_disk(fh, table):
             if os.getpid() != parent:
                 time.sleep(60)  # only a kill ends the child in time
             raise OSError(28, "No space left on device")
@@ -105,7 +174,7 @@ def test_write_csv_failure_reaps_every_child(tmp_path, csv_forks, monkeypatch, s
         monkeypatch.setattr(serialize, "_write_rows", full_disk)
     t0 = time.monotonic()
     with pytest.raises(ConfigError, match=f"cannot write output .*{error}"):
-        write_csv(tmp_path / "t.csv", ["a", "b"], np.ones((12, 2)), workers=4)
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], np.ones((12, 3)), workers=4)
     assert time.monotonic() - t0 < 30
     assert len(csv_forks) == 3
     assert os.listdir(tmp_path) == []  # neither a truncated CSV nor a temporary file
@@ -119,7 +188,7 @@ def test_write_csv_failure_keeps_previous_file(tmp_path, csv_forks, monkeypatch)
     before = _read(path)
     fail_in_child(monkeypatch)
     with pytest.raises(ConfigError, match="cannot write output"):
-        write_csv(path, ["a"], np.ones((12, 1)), workers=4)
+        write_csv(path, ["a", "b", "c"], np.ones((12, 3)), workers=4)
     assert os.listdir(tmp_path) == ["t.csv"] and _read(path) == before
     assert_no_child_left()
 
