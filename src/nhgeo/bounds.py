@@ -167,8 +167,9 @@ def check_chern_chain(result: ChernResult, tolerance=BOUND_TOL):
                    tolerance)
 
 
-def check_absorptive_psd(omegas, pi_abs, tolerance=ABSORPTIVE_PSD_TOL):
-    """Positive semidefiniteness of the absorptive response at each omega.
+def check_absorptive_psd(omegas, pi_abs):
+    """Positive semidefiniteness of the absorptive response at each omega,
+    with min eig >= -ABSORPTIVE_PSD_TOL * scale.
 
     ``extra["re_minus_abs_im"]`` records Re Pi^abs_01 - |Im Pi^abs_01| per
     omega (off-diagonal real-vs-imaginary comparison); its sign is reported
@@ -182,7 +183,7 @@ def check_absorptive_psd(omegas, pi_abs, tolerance=ABSORPTIVE_PSD_TOL):
     scale = np.maximum(np.abs(tr), np.max(np.abs(pi_abs), axis=(-2, -1)))
     extra = {"re_minus_abs_im": np.real(pi_abs[..., 0, 1]) - np.abs(np.imag(pi_abs[..., 0, 1]))}
     return _finish("AbsorptivePSD", omegas, -lam, np.zeros_like(lam),
-                   np.maximum(scale, 1e-300), tolerance, extra)
+                   np.maximum(scale, 1e-300), ABSORPTIVE_PSD_TOL, extra)
 
 
 def check_optical_weight_bound(weight_trace, chern, arg_infimum,

@@ -329,7 +329,7 @@ def _cross_check(model: BlochModel, kx, ky, values, band):
     CROSS_CHECK_RTOL.
     """
     h, dhx, dhy = model.hamiltonian(kx, ky, derivatives=True)
-    eig = eigensystem_two_band(h, ordering="branch")
+    eig = eigensystem_two_band(h)
     ref = compute_geometry(eig, dhx, dhy, band=band) + (eig.norm_product(band),)
     tensor = np.max([_row_max(v) for v in ref[:4]], axis=0)
     floors = (tensor,) * 4 + (np.sqrt(tensor),) * 2 + (tensor, 1.0)
@@ -350,10 +350,10 @@ def _k_points(exc: ExceptionalPointError, kx, ky):
 
 
 def _branch_eigensystem(h, kx, ky):
-    """``eigensystem_two_band(h, ordering="branch")`` of the matrices at
-    (kx, ky); exceptional points are raised as sorted (kx, ky) pairs."""
+    """``eigensystem_two_band(h)`` of the matrices at (kx, ky); exceptional
+    points are raised as sorted (kx, ky) pairs."""
     try:
-        return eigensystem_two_band(h, ordering="branch")
+        return eigensystem_two_band(h)
     except ExceptionalPointError as exc:
         raise ExceptionalPointError(str(exc), points=sorted(_k_points(exc, kx, ky))) from exc
 
@@ -434,17 +434,16 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
 
 # -- phase-locked stencil -----------------------------------------------------
 
-def locked_stencil(model: BlochModel, kx, ky, h, gauge=None):
+def locked_stencil(model: BlochModel, kx, ky, h):
     """Center eigensystem plus the 4-point stencil locked to the center gauge.
 
     Returns (center, {(axis, sign): ((kx', ky'), eigensystem)}, dh) with the
     shifted momenta k' = k + sign * h e_axis.  Each stencil eigensystem's
     per-band phase is aligned with the center band (overlap made real
-    positive); branch labels keep the stencil on one smooth band.
-    ``gauge`` injects a test rescaling c(k) at every point, which the lock
-    must cancel.  Raises GaugeLockError when any normalized overlap
-    magnitude drops below LOCK_MIN_OVERLAP, and ExceptionalPointError
-    with the sorted (kx, ky) pairs of the first k set that has any.
+    positive); branch labels keep the stencil on one smooth band.  Raises
+    GaugeLockError when any normalized overlap magnitude drops below
+    LOCK_MIN_OVERLAP, and ExceptionalPointError with the sorted (kx, ky)
+    pairs of the first k set that has any.
 
     Each k set is solved from one ``model.hamiltonian(..., derivatives=True)``
     pass; ``dh`` maps ``"center"`` and every (axis, sign) key to that set's
@@ -454,8 +453,7 @@ def locked_stencil(model: BlochModel, kx, ky, h, gauge=None):
 
     def solve(key, akx, aky):
         ham, *dh[key] = model.hamiltonian(akx, aky, derivatives=True)
-        eig = _branch_eigensystem(ham, akx, aky)
-        return eig if gauge is None else gauge_rescale(eig, gauge(akx, aky))
+        return _branch_eigensystem(ham, akx, aky)
 
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)

@@ -11,9 +11,10 @@ coefficient is returned separately).  The Drude piece never enters the
 weight, and the conductivity itself is evaluated only by the quadrature
 oracle (:mod:`nhgeo.oracles`).
 
-Band labels: weight routines accept ``band="slowest"`` to select, at each
-k separately, the smooth branch band that decays slowest
-(:func:`nhgeo.spectra.decays_slower`).  That pointwise
+Band labels: the two-band routines work on the branch labels of
+:func:`nhgeo.spectra.eigensystem_two_band`, and weight routines accept
+``band="slowest"`` to select, at each k separately, the branch band that
+decays slowest (:func:`nhgeo.spectra.decays_slower`).  That pointwise
 selection keeps arg(e_other - e_band) in [-pi, 0] as the closed forms
 require, while each branch field stays differentiable in k.
 """
@@ -120,15 +121,15 @@ def response_spectrum(energies, operators, rho, omegas):
 
 # -- interband coefficients of the wave-packet conductivity -------------------
 
-def interband_fh(model: BlochModel, kx, ky, gauge=None):
+def interband_fh(model: BlochModel, kx, ky):
     """Coefficients f_{mu nu} and h_{mu nu} of the interband response, batched.
 
     Two-band only.  All inner products are evaluated from the resolvent
     identities; the derivative of the mixed element <L_m|d_nu psiR_n> and
     the band-diagonal connections come from one phase-locked central
-    stencil of step :data:`FD_STEP` that serves both bands.  Both outputs
-    are gauge invariant; ``gauge`` injects a test rescaling that the phase
-    lock must cancel.
+    stencil of step :data:`FD_STEP` that serves both bands, on the branch
+    labels of :func:`~nhgeo.spectra.eigensystem_two_band`.  Both outputs
+    are gauge invariant: the phase lock cancels any rescaling c(k).
 
     Returns (f, h_coef, center, v): f and h_coef of shape (..., 2, 2, 2) in
     (band n, mu, nu), the other band m = 1 - n being the transition partner,
@@ -143,7 +144,7 @@ def interband_fh(model: BlochModel, kx, ky, gauge=None):
     shape = np.broadcast(kx, ky).shape
     kx, ky = (np.broadcast_to(np.asarray(k, dtype=float), shape).reshape(-1) for k in (kx, ky))
     h = FD_STEP
-    center, shifted, dh = locked_stencil(model, kx, ky, h, gauge=gauge)
+    center, shifted, dh = locked_stencil(model, kx, ky, h)
 
     def mixed(eig, v, n):
         """g_nu = <L_m|d_nu psiR_n> = V_nu[m, n] / (e_n - e_m), closed form."""

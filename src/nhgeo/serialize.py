@@ -38,18 +38,12 @@ _CSV_PART = 1 << 18
 _E_MAX, _LAYOUTS = 290, 23 * 17
 
 
-def csv_parts(workers, cpus, blocks):
-    """Processes that share one job, the caller included: at most the
-    requested ``workers``, the usable ``cpus`` and the ``blocks`` the job
-    divides into, and at least 1."""
-    return max(1, min(workers, cpus, blocks))
-
-
 def split_parts(seq, workers, cap):
-    """``seq`` cut into ``csv_parts(workers, usable CPUs, cap)`` contiguous
-    slices, in order; the first is the caller's, the others go to
-    :func:`fork_parts`."""
-    n_parts = csv_parts(workers, _usable_cpus(), cap)
+    """``seq`` cut into contiguous slices, in order, one per process that
+    shares the job: at most the requested ``workers``, the usable CPUs and
+    ``cap``, and at least 1.  The first slice is the caller's, the others
+    go to :func:`fork_parts`."""
+    n_parts = max(1, min(workers, _usable_cpus(), cap))
     edges = [len(seq) * p // n_parts for p in range(n_parts + 1)]
     return [seq[a:b] for a, b in zip(edges, edges[1:])]
 
@@ -334,11 +328,9 @@ def _to_jsonable(obj):
     return obj
 
 
-def write_report_json(path, payload, config=None):
+def write_report_json(path, payload, config):
     """Schema-versioned JSON document with the config echoed back."""
-    doc = {"schema_version": SCHEMA_VERSION}
-    if config is not None:
-        doc["config"] = _to_jsonable(config)
+    doc = {"schema_version": SCHEMA_VERSION, "config": _to_jsonable(config)}
     doc.update(_to_jsonable(payload))
     try:
         with open(path, "w") as fh:

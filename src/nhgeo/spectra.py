@@ -6,8 +6,11 @@ delta_nm.  Right vectors are unit norm with the first non-vanishing
 component real positive; every reported quantity downstream is gauge
 invariant, so the convention only serves determinism.
 
-Bands are sorted by descending Im(e) (band 0 decays slowest), ties broken
-by ascending Re(e); :func:`decays_slower` is that rule for one pair.
+Two-band eigensystems carry the k-smooth branch labels: band 0 has energy
+c + sqrt(d.d), band 1 c - sqrt(d.d), with h = c + d.sigma and the principal
+square root.  :func:`eigensystem_general` sorts its bands by descending
+Im(e), ties by ascending Re(e); :func:`decays_slower` is that rule for one
+pair.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .errors import ExceptionalPointError, NonConvergenceError
 from .models import _sum3, pauli_decompose
 from .tolerances import (BIORTHO_TOL, DEFECTIVE_OVERLAP_TOL, GAP_RTOL, PAIRING_RTOL,
-                         PHASE_COMPONENT_TOL, RECON_TOL, SORT_ATOL, SORT_RTOL)
+                         PHASE_COMPONENT_TOL, RECON_TOL)
 
 
 def braket(a, b):
@@ -54,7 +57,8 @@ def matrix_elements(left, op, right):
 def decays_slower(e_a, e_b):
     """True where level a sorts before level b: larger Im(e), ties by smaller Re(e).
 
-    The slowest-band rule of ``ordering="im"`` and of the response routines.
+    The band order of :func:`eigensystem_general` and the ``band="slowest"``
+    selection of the response routines.
     """
     im_a, im_b = np.imag(e_a), np.imag(e_b)
     return (im_a > im_b) | ((im_a == im_b) & (np.real(e_a) < np.real(e_b)))
@@ -90,14 +94,12 @@ class Eigensystem:
         """Gauge-invariant ||R_n||^2 ||L_n||^2 (>= 1, = 1 iff left = right)."""
         return self.norms_right_sq()[..., band] * self.norms_left_sq()[..., band]
 
-    def validate(self, h=None, check_order=True):
-        """Check the biorthogonality, completeness and reconstruction identities.
+    def validate(self, h):
+        """Check the biorthogonality, completeness and overlap-inverse identities
+        and the reconstruction of the matrices ``h``.
 
         Every comparison fails on NaN, so a non-finite eigensystem raises
-        NonConvergenceError.  ``check_order`` also asserts the descending
-        Im(e) band order that :func:`eigensystem_general` sorts into (and
-        that ``ordering="im"`` of :func:`eigensystem_two_band` promises);
-        the branch labels of every mesh path skip it.
+        NonConvergenceError.  The band labels are not checked.
         """
         eye = np.eye(self.nbands)
         left_h = np.conj(self.left)
@@ -111,16 +113,11 @@ class Eigensystem:
         err = np.max(np.abs(mm(self.overlap_left, self.overlap_right) - eye))
         if not err <= RECON_TOL * max(1.0, float(np.max(np.abs(self.overlap_right)))):
             raise NonConvergenceError(f"overlap inverse residual {err:.2e}")
-        if h is not None:
-            recon = mm(right_t, self.energies[..., :, None] * left_h)
-            scale = np.max(np.abs(h)) or 1.0
-            err = np.max(np.abs(recon - h)) / scale
-            if not err <= RECON_TOL:
-                raise NonConvergenceError(f"reconstruction residual {err:.2e}")
-        if check_order:
-            key = np.diff(np.imag(self.energies), axis=-1)
-            if np.any(key > SORT_ATOL + SORT_RTOL * np.max(np.abs(self.energies))):
-                raise NonConvergenceError("bands not sorted by descending Im(e)")
+        recon = mm(right_t, self.energies[..., :, None] * left_h)
+        scale = np.max(np.abs(h)) or 1.0
+        err = np.max(np.abs(recon - h)) / scale
+        if not err <= RECON_TOL:
+            raise NonConvergenceError(f"reconstruction residual {err:.2e}")
         return self
 
 
@@ -179,23 +176,17 @@ def pseudospin_split(h):
     return d, c, s
 
 
-def eigensystem_two_band(h, ordering="im"):
+def eigensystem_two_band(h):
     """Closed-form biorthogonal eigensystem of 2x2 matrices, batched.
 
     Eigenvectors come from the pseudospin decomposition h = d.sigma + c;
     left vectors from the dual-basis projection of the two right vectors.
-
-    ``ordering`` selects the band labels:
-
-    * ``"im"`` (default): descending Im(e) pointwise, ties by ascending
-      Re(e).  Band 0 is the slowest-decaying band at each k separately;
-      this labeling is not k-smooth when Im(e_0 - e_1) changes sign.
-    * ``"branch"``: band 0 = c + sqrt(d.d), band 1 = c - sqrt(d.d) with
-      the principal branch.  For models whose d.d avoids the negative
-      real half-line this is the k-smooth labeling required by topology
-      scans; band 0 is the zero-dissipation limit of the slowest-decaying
-      band of the Rice-Mele family (whose uniform-loss term shifts the
-      two branch energies by +-i*Gamma/2).
+    Band 0 = c + sqrt(d.d), band 1 = c - sqrt(d.d) with the principal
+    branch: for models whose d.d avoids the negative real half-line these
+    are the k-smooth labels that topology scans and k derivatives need.
+    Band 0 is the zero-dissipation limit of the slowest-decaying band of
+    the Rice-Mele family (whose uniform-loss term shifts the two branch
+    energies by +-i*Gamma/2).
 
     Raises
     ------
@@ -205,7 +196,6 @@ def eigensystem_two_band(h, ordering="im"):
         from :meth:`Eigensystem.validate`, which every result passes.
     """
     d, c, s = pseudospin_split(h)
-    e_plus, e_minus = c + s, c - s
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     off = dx - 1j * dy
 
@@ -217,24 +207,11 @@ def eigensystem_two_band(h, ordering="im"):
         v = np.where((na >= nb)[..., None], va, vb)
         return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))[..., None]
 
-    v_plus, v_minus = eigvec(1.0), eigvec(-1.0)
-
-    if ordering == "im":
-        plus_first = decays_slower(e_plus, e_minus)
-    elif ordering == "branch":
-        plus_first = np.ones(np.shape(e_plus), dtype=bool)
-    else:
-        raise ValueError("ordering must be 'im' or 'branch'")
-    energies = np.where(plus_first, e_plus, e_minus)
-    energies = np.stack([energies, np.where(plus_first, e_minus, e_plus)], axis=-1)
-    sel = plus_first[..., None]
-    right = np.stack([np.where(sel, v_plus, v_minus),
-                      np.where(sel, v_minus, v_plus)], axis=-2)
-    right = _fix_phase(right)
+    energies = np.stack([c + s, c - s], axis=-1)
+    right = _fix_phase(np.stack([eigvec(1.0), eigvec(-1.0)], axis=-2))
     left = _dual_two_band(right)
     i_right, i_left = _grams(right, left)
-    return Eigensystem(energies, right, left, i_right, i_left).validate(
-        h, check_order=(ordering == "im"))
+    return Eigensystem(energies, right, left, i_right, i_left).validate(h)
 
 
 def eigensystem_general(h):

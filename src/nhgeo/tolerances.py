@@ -6,8 +6,6 @@ difference steps and the 1e-300 division floors stay with their code."""
 GAP_RTOL = 1e-8
 BIORTHO_TOL = 1e-10       # biorthonormality and completeness
 RECON_TOL = 1e-9          # overlap inverse and reconstruction, relative
-SORT_ATOL = 1e-30         # rise of Im e along the bands forgiven by the order
-SORT_RTOL = 1e-15         # check: SORT_ATOL + SORT_RTOL * max|e|
 PHASE_COMPONENT_TOL = 1e-12   # |component| the phase convention skips
 PAIRING_RTOL = 1e-6       # adjoint eigenvalue pairing distance, relative
 DEFECTIVE_OVERLAP_TOL = 1e-12  # |<L_n|R_n>| of a defective dense pair

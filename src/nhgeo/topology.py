@@ -2,8 +2,10 @@
 
 Two independent routes: biorthogonal plaquette link phases (integer by
 construction) and the Riemann sum of the mixed Berry curvature.  Both use
-the k-smooth branch band labeling; the plaquette loop orientation is fixed
-so that it matches the curvature convention F = i (Q_xy - Q_yx).
+the branch labels of :func:`~nhgeo.spectra.eigensystem_two_band` (band 0 =
+c + sqrt(d.d)), k-smooth wherever d.d avoids the negative real half-line;
+the plaquette loop orientation is fixed so that it matches the curvature
+convention F = i (Q_xy - Q_yx).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from .errors import (BoundViolationError, LinkCollapseError,
                      NonIntegerResidueError, NonRealCurvatureError)
 from .models import BlochModel, bz_mesh
-from .spectra import eigensystem_two_band, gauge_rescale
+from .spectra import eigensystem_two_band
 from .geometry import GeometryGrid, scan_geometry, solve_mesh
 from .tolerances import BOUND_TOL, CURVATURE_SUM_IMAG_TOL, LINK_TOL, RESIDUE_TOL
 
@@ -34,14 +36,13 @@ class ChernResult:
     plaquette_residue: float
 
 
-def chern_plaquette(model: BlochModel, band=0, n_grid=64, gauge=None,
-                    return_residue=False):
-    """Integer Chern number from biorthogonal plaquette link phases.
+def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
+    """Integer Chern number from biorthogonal plaquette link phases of
+    branch band ``band``.
 
     Links are U_mu(k) = <L(k)|R(k + delta e_mu)>; plaquette phases need no
     gauge fixing, and the total phase sum is an exact multiple of 2*pi up
-    to roundoff.  ``gauge`` injects per-band rescalings c(k) for invariance
-    tests.  The mesh is solved in the fixed kx-row chunks of
+    to roundoff.  The mesh is solved in the fixed kx-row chunks of
     :func:`~nhgeo.geometry.solve_mesh`, keeping only the selected band's
     bra and ket vectors; exceptional points of every chunk are raised once
     as sorted (kx, ky) pairs.
@@ -54,12 +55,10 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, gauge=None,
     ket = np.empty_like(bra)
 
     def store(rows, kxr, kyr, eig):
-        if gauge is not None:
-            eig = gauge_rescale(eig, gauge(kxr, kyr))
         bra[rows], ket[rows] = eig.left[..., band, :], eig.right[..., band, :]
 
     def solve(kxr, kyr):
-        return eigensystem_two_band(model.hamiltonian(kxr, kyr), ordering="branch")
+        return eigensystem_two_band(model.hamiltonian(kxr, kyr))
 
     solve_mesh(kxg, kyg, solve, store)
 

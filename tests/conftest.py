@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 from nhgeo import serialize
-from nhgeo.models import BlochModel, RMParams
+from nhgeo.models import BlochModel, RMParams, pauli_decompose
 
 # property tests draw the same examples on every run: tier-1 and CI are
 # deterministic, and no example database is written
@@ -127,6 +127,21 @@ def smooth_gauge(amp=0.4, seed=0):
                      + a[band, 3] * np.cos(ky + ph[band, 3]))
             out[..., band] = np.exp(w + 1j * phase)
         return out
+
+    return gauge
+
+
+def pauli_gauge(amp=0.4, seed=0):
+    """Random smooth nonvanishing per-band gauge factor c(h) of 2x2 matrices,
+    built from the Pauli components d of h = c + d.sigma: smooth in k
+    wherever h(k) is, for callers that see only the matrices."""
+    gen = np.random.default_rng(seed)
+    a = gen.uniform(-amp, amp, size=(2, 2, 3))
+
+    def gauge(h):
+        d, _ = pauli_decompose(np.asarray(h, dtype=complex))
+        return np.stack([np.exp(np.sum((a[band, 0] + 1j * a[band, 1]) * (d.real + d.imag),
+                                       axis=-1)) for band in range(2)], axis=-1)
 
     return gauge
 

@@ -171,8 +171,7 @@ def test_c07_oracle_equivalence():
     rng = np.random.default_rng(42)
     worst = 0.0
     for kx, ky in rng.uniform(-np.pi, np.pi, size=(25, 2)):
-        eig = eigensystem_two_band(model.hamiltonian(np.asarray(kx), np.asarray(ky)),
-                                   ordering="branch")
+        eig = eigensystem_two_band(model.hamiltonian(np.asarray(kx), np.asarray(ky)))
         dhx = model.derivative(np.asarray(kx), np.asarray(ky), 0)
         dhy = model.derivative(np.asarray(kx), np.asarray(ky), 1)
         closed = qgt_lr(eig, velocity_matrices(eig, dhx, dhy), band=0)
@@ -182,8 +181,7 @@ def test_c07_oracle_equivalence():
 
     # second-order error scaling under step refinement
     kx, ky = 0.7, -1.3
-    eig = eigensystem_two_band(model.hamiltonian(np.asarray(kx), np.asarray(ky)),
-                               ordering="branch")
+    eig = eigensystem_two_band(model.hamiltonian(np.asarray(kx), np.asarray(ky)))
     v = velocity_matrices(eig, model.derivative(np.asarray(kx), np.asarray(ky), 0),
                           model.derivative(np.asarray(kx), np.asarray(ky), 1))
     closed = qgt_lr(eig, v, band=0)
@@ -197,7 +195,7 @@ def test_c07_oracle_equivalence():
 def test_c08_gauge_invariance():
     model = _model()
     kxg, kyg = bz_mesh(32, 32)
-    eig = eigensystem_two_band(model.hamiltonian(kxg, kyg), ordering="branch")
+    eig = eigensystem_two_band(model.hamiltonian(kxg, kyg))
     dhx = model.derivative(kxg, kyg, 0)
     dhy = model.derivative(kxg, kyg, 1)
     base = compute_geometry(eig, dhx, dhy, band=0) + (eig.norm_product(0),)

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import (NEAR_EP_EXPONENTS, NEAR_EP_REJECTED, count_model_calls, hermitian_qgt,
                       locked_fd_qgt_general, locked_fd_ray_qgt_general, near_ep_matrix,
@@ -23,10 +23,10 @@ from nhgeo.topology import chern_plaquette
 SAMPLE_K = [(np.pi / 2, np.pi / 2), (0.7, -1.3), (-2.1, 0.4), (1.9, 2.5)]
 
 
-def _eig_v(model, kx, ky, ordering="branch"):
+def _eig_v(model, kx, ky):
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
-    eig = eigensystem_two_band(model.hamiltonian(kx, ky), ordering=ordering)
+    eig = eigensystem_two_band(model.hamiltonian(kx, ky))
     return eig, velocity_matrices(eig, model.derivative(kx, ky, 0),
                                   model.derivative(kx, ky, 1))
 
@@ -35,16 +35,16 @@ def _eig_v(model, kx, ky, ordering="branch"):
 
 def test_all_qgts_coincide_hermitian(hermitian_model, rng):
     for kx, ky in SAMPLE_K:
-        # im-ordering ties break by ascending Re, matching eigh band order
-        eig, v = _eig_v(hermitian_model, kx, ky, ordering="im")
+        # branch band 1 (c - |d|) is the lower band, eigh's band 0
+        eig, v = _eig_v(hermitian_model, kx, ky)
         ref = hermitian_qgt(hermitian_model.hamiltonian(kx, ky),
                             hermitian_model.derivative(kx, ky, 0),
                             hermitian_model.derivative(kx, ky, 1), band=0)
-        q_lr = qgt_lr(eig, v, band=0)
+        q_lr = qgt_lr(eig, v, band=1)
         npt.assert_allclose(q_lr, ref, atol=1e-10)
         npt.assert_allclose(qgt_rl_from_lr(q_lr), ref, atol=1e-10)
-        npt.assert_allclose(qgt_rr(eig, v, band=0), ref, atol=1e-10)
-        npt.assert_allclose(qgt_ll(eig, v, band=0), ref, atol=1e-10)
+        npt.assert_allclose(qgt_rr(eig, v, band=1), ref, atol=1e-10)
+        npt.assert_allclose(qgt_ll(eig, v, band=1), ref, atol=1e-10)
 
 
 def test_anomalous_vanishes_hermitian(hermitian_model):
@@ -179,8 +179,7 @@ def test_flat_model_zero_curvature():
 
 def test_geometry_gauge_invariance(rm_model):
     kxg, kyg = bz_mesh(16, 16)
-    eig, dhx, dhy = (eigensystem_two_band(rm_model.hamiltonian(kxg, kyg),
-                                          ordering="branch"),
+    eig, dhx, dhy = (eigensystem_two_band(rm_model.hamiltonian(kxg, kyg)),
                      rm_model.derivative(kxg, kyg, 0),
                      rm_model.derivative(kxg, kyg, 1))
     gauged = gauge_rescale(eig, smooth_gauge(seed=3)(kxg, kyg))
@@ -195,7 +194,7 @@ def test_geometry_gauge_invariance(rm_model):
 
 def test_norm_product_at_least_one(rm_model, hermitian_model):
     kxg, kyg = bz_mesh(16, 16)
-    eig = eigensystem_two_band(rm_model.hamiltonian(kxg, kyg), ordering="branch")
+    eig = eigensystem_two_band(rm_model.hamiltonian(kxg, kyg))
     assert np.min(eig.norm_product(0)) >= 1.0 - 1e-12
     eig_h = eigensystem_two_band(hermitian_model.hamiltonian(kxg, kyg))
     npt.assert_allclose(eig_h.norm_product(0), 1.0, atol=1e-12)
@@ -245,6 +244,9 @@ _VEC = st.tuples(*[st.builds(complex, _PART, _PART)] * 3)
 
 @given(d=_VEC, a_x=_VEC, a_y=_VEC, c=st.builds(complex, _PART, _PART),
        dc=st.builds(complex, _PART, _PART), band=st.sampled_from([0, 1]))
+# a_x parallel to d: every tensor and connection is roundoff (~1e-32, ~1e-16)
+@example(d=(1 + 0j, 1 + 0j, 0j), a_x=(1 + 1j, 1 + 1j, 0j), a_y=(0j, 0j, 0j), c=0j, dc=0j,
+         band=0)
 def test_pseudospin_kernel_matches_eigenvector_route(d, a_x, a_y, c, dc, band):
     d = np.array(d)
     # away from exceptional points: both routes lose ~1e-16 N^2 near them
@@ -253,12 +255,15 @@ def test_pseudospin_kernel_matches_eigenvector_route(d, a_x, a_y, c, dc, band):
     dhx = (pauli_matrix(np.array(a_x)) + dc * np.eye(2))[None]
     dhy = pauli_matrix(np.array(a_y))[None]
     fields = pseudospin_geometry(h, dhx, dhy, band=band)
-    eig = eigensystem_two_band(h, ordering="branch")
+    eig = eigensystem_two_band(h)
     ref = compute_geometry(eig, dhx, dhy, band=band) + (eig.norm_product(band),)
     # relative to each array's max; the connections and the curvature are
-    # floored at the tensor scale, since for a real d they are pure roundoff
-    tensor = max(np.max(np.abs(q)) for q in ref[:4])
-    floors = (0.0,) * 4 + (np.sqrt(tensor),) * 2 + (tensor, 0.0)
+    # floored at the tensor scale, since for a real d they are pure roundoff,
+    # and every field at the scale |a|^2 / |d.d| of the inputs, since where
+    # a is parallel to d the tensors are pure roundoff too
+    unit = max(np.linalg.norm(a_x), np.linalg.norm(a_y)) ** 2 / abs(d @ d)
+    tensor = max(max(np.max(np.abs(q)) for q in ref[:4]), unit)
+    floors = (unit,) * 4 + (np.sqrt(tensor),) * 2 + (tensor, 0.0)
     for name, value, want, floor in zip(geometry.FIELDS, fields, ref, floors):
         assert value.shape == want.shape, name
         assert np.max(np.abs(value - want)) <= 1e-12 * max(np.max(np.abs(want)), floor), name

@@ -12,7 +12,7 @@ from nhgeo.bounds import check_optical_weight_bound, check_psd, check_qgt_inequa
 from nhgeo.cli import load_config
 from nhgeo.errors import ConfigError
 from nhgeo.geometry import scan_geometry
-from nhgeo.serialize import (csv_parts, split_parts, write_bound_csv, write_csv,
+from nhgeo.serialize import (split_parts, write_bound_csv, write_csv,
                              write_geometry_csv)
 
 # -0.0, a subnormal, the smallest normal, non-finite values and digits that
@@ -121,7 +121,7 @@ def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, csv_forks, rows):
         del csv_forks[:]
         write_csv(tmp_path / f"w{workers}.csv", header, table, workers=workers)
         assert _read(tmp_path / f"w{workers}.csv") == expected
-        assert len(csv_forks) == csv_parts(workers, 8, table.size // 9) - 1
+        assert len(csv_forks) == len(split_parts(table, workers, table.size // 9)) - 1
     assert sorted(os.listdir(tmp_path)) == [f"w{w}.csv" for w in (1, 2, 3, 4)]
     assert_no_child_left()
 
@@ -139,15 +139,15 @@ def test_split_parts_contiguous_and_capped(monkeypatch):
     assert len(parts) == 3 and np.array_equal(np.concatenate(parts), table)
 
 
-def test_csv_parts_caps_workers(tmp_path, monkeypatch):
-    # an extreme thread count is checked on the pure function: no process starts
+def test_split_parts_caps_workers(tmp_path, monkeypatch):
+    # an extreme thread count is checked on the split alone: no process starts
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump({"threads": 1000000}))
     workers = load_config(str(path), {})["threads"]
-    assert csv_parts(workers, 2, 3) == 2
-    assert csv_parts(workers, 1, 3) == 1
-    assert csv_parts(workers, 2, 0) == 1
-    assert csv_parts(1, 8, 3) == 1
+    for wanted, cpus, cap, parts in [(workers, 2, 3, 2), (workers, 1, 3, 1),
+                                     (workers, 2, 0, 1), (1, 8, 3, 1)]:
+        monkeypatch.setattr(serialize, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert len(split_parts(range(3), wanted, cap)) == parts
 
     def no_fork():
         raise AssertionError("a table of fewer than two parts must not fork")

@@ -17,8 +17,8 @@ def _random_nh(rng, n=2, scale=0.4):
 
 def test_hermitian_sigma_x():
     eig = eigensystem_two_band(4.0 * SIGMA_X)
-    # equal decay -> ties broken by ascending Re: band 0 is -4
-    npt.assert_allclose(eig.energies, [-4.0, 4.0], atol=1e-14)
+    # branch labels: band 0 is c + sqrt(d.d) = +4
+    npt.assert_allclose(eig.energies, [4.0, -4.0], atol=1e-14)
     npt.assert_allclose(eig.right, eig.left, atol=1e-14)
     root2 = 1.0 / np.sqrt(2.0)
     npt.assert_allclose(np.abs(eig.right), root2, atol=1e-14)
@@ -71,17 +71,10 @@ def test_rm_energies_match_pseudospin(rm_model, rng):
                             sorted([s, -s], key=np.real), atol=1e-12)
 
 
-def test_im_ordering(rm_model, rng):
-    kx, ky = rng.uniform(-np.pi, np.pi, size=(2, 30))
-    eig = eigensystem_two_band(rm_model.hamiltonian(kx, ky))
-    assert np.all(np.imag(eig.energies[..., 0]) >= np.imag(eig.energies[..., 1]) - 1e-14)
-
-
 def test_branch_ordering_is_smooth(rm_model):
     # branch labels follow the analytic sqrt: energies continuous along a path
     kxs = np.linspace(-np.pi, np.pi, 200)
-    eig = eigensystem_two_band(rm_model.hamiltonian(kxs, 0.3 * np.ones_like(kxs)),
-                               ordering="branch")
+    eig = eigensystem_two_band(rm_model.hamiltonian(kxs, 0.3 * np.ones_like(kxs)))
     jumps = np.abs(np.diff(eig.energies[:, 0]))
     assert np.max(jumps) < 0.2
 
@@ -155,12 +148,10 @@ def test_validate_rejects_each_broken_identity(rm_model, field, message):
     bad[field].flat[0] += 1e-6
     with pytest.raises(NonConvergenceError, match=message):
         Eigensystem(**bad).validate(h)
-    # the band order: every identity holds for the swapped labels
+    # the labels are not checked: every identity holds for the swapped bands
     swapped = Eigensystem(eig.energies[::-1], eig.right[::-1], eig.left[::-1],
                           eig.overlap_right[::-1, ::-1], eig.overlap_left[::-1, ::-1])
-    swapped.validate(h, check_order=False)
-    with pytest.raises(NonConvergenceError, match="not sorted"):
-        swapped.validate(h)
+    swapped.validate(h)
 
 
 @given(shapes=npst.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
@@ -192,9 +183,12 @@ def test_general_matches_two_band(rng):
     h = _random_nh(rng, 2)
     a = eigensystem_two_band(h)
     b = eigensystem_general(h)
-    npt.assert_allclose(a.energies, b.energies, atol=1e-10)
+    # branch labels against descending Im(e): pair each band by its energy
+    order = [int(np.argmin(np.abs(a.energies - e))) for e in b.energies]
+    assert sorted(order) == [0, 1]
+    npt.assert_allclose(a.energies[order], b.energies, atol=1e-10)
     # gauge-invariant comparison: projectors |R_n><L_n|
-    for n in range(2):
-        pa = np.outer(a.right[n], np.conj(a.left[n]))
+    for n, m in enumerate(order):
+        pa = np.outer(a.right[m], np.conj(a.left[m]))
         pb = np.outer(b.right[n], np.conj(b.left[n]))
         npt.assert_allclose(pa, pb, atol=1e-9)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import smooth_gauge
-from nhgeo import geometry
+from conftest import pauli_gauge
+from nhgeo import geometry, topology
 from nhgeo.errors import (BoundViolationError, ExceptionalPointError, LinkCollapseError,
                           NonRealCurvatureError)
 from nhgeo.geometry import scan_geometry
 from nhgeo.models import BlochModel, RMParams, bz_mesh
 from nhgeo.oracles import finite_difference_qgt
+from nhgeo.spectra import gauge_rescale
 from nhgeo.topology import (bound_integrals, chern_from_curvature,
                             chern_plaquette, compute_chern)
 
@@ -43,18 +44,28 @@ def test_plaquette_residue_small(rm_model):
     assert residue < 1e-6
 
 
-def test_plaquette_gauge_invariance(rm_model):
+def _rescale_plaquette_eigensystems(monkeypatch):
+    """Rescale every eigensystem the plaquette sum solves by a smooth gauge."""
+    solve, gauge = topology.eigensystem_two_band, pauli_gauge(seed=5)
+    monkeypatch.setattr(topology, "eigensystem_two_band",
+                        lambda h: gauge_rescale(solve(h), gauge(h)))
+
+
+def test_plaquette_gauge_invariance(rm_model, monkeypatch):
     base, res0 = chern_plaquette(rm_model, band=0, n_grid=32, return_residue=True)
-    mod, res1 = chern_plaquette(rm_model, band=0, n_grid=32,
-                                gauge=smooth_gauge(seed=5), return_residue=True)
+    _rescale_plaquette_eigensystems(monkeypatch)
+    mod, res1 = chern_plaquette(rm_model, band=0, n_grid=32, return_residue=True)
     assert base == mod
     assert abs(res0 - res1) < 1e-10
 
 
-@pytest.mark.parametrize("gauge", [None, smooth_gauge(seed=5)], ids=["lr", "lr_gauge"])
-def test_chern_plaquette_chunks_match_full_mesh(rm_model, monkeypatch, gauge):
+@pytest.mark.parametrize("gauged", [False, True], ids=["lr", "lr_gauge"])
+def test_chern_plaquette_chunks_match_full_mesh(rm_model, monkeypatch, gauged):
+    if gauged:
+        _rescale_plaquette_eigensystems(monkeypatch)
+
     def run():
-        return chern_plaquette(rm_model, n_grid=11, gauge=gauge, return_residue=True)
+        return chern_plaquette(rm_model, n_grid=11, return_residue=True)
 
     full = run()  # 121 points: one chunk
     # two kx rows per chunk: six chunks on the 11 x 11 mesh, the last one row
@@ -76,14 +87,13 @@ def test_chern_plaquette_collects_exceptional_points(monkeypatch):
 
 
 def test_link_collapse():
-    def crushing_gauge(kx, ky):
-        out = np.ones(np.broadcast(kx, ky).shape + (2,), dtype=complex)
-        out[..., 0] = np.where(kx > 0, 1e-9, 1.0)
-        return out
-
-    with pytest.raises(LinkCollapseError):
-        chern_plaquette(BlochModel.rice_mele(RMParams(gamma=1.0)), band=0,
-                        n_grid=16, gauge=crushing_gauge)
+    # d = (0, 0, cos 8kx) flips sign between adjacent kx of the 16-point mesh,
+    # so the band-0 ket alternates between (1, 0) and (0, 1): every x link is 0
+    m = BlochModel.pseudospin(
+        lambda kx, ky: np.stack(np.broadcast_arrays(0j * kx, 0j * ky, np.cos(8 * kx) + 0j),
+                                axis=-1))
+    with pytest.raises(LinkCollapseError, match="link magnitude 0.00e"):
+        chern_plaquette(m, band=0, n_grid=16)
 
 
 def test_chern_from_curvature(rm_model):
@@ -100,7 +110,7 @@ def test_plaquette_phases_track_local_curvature(rm_model):
 
     n = 64
     kxg, kyg = bz_mesh(n, n)
-    eig = eigensystem_two_band(rm_model.hamiltonian(kxg, kyg), ordering="branch")
+    eig = eigensystem_two_band(rm_model.hamiltonian(kxg, kyg))
     left = eig.left[..., 0, :]
     right = eig.right[..., 0, :]
     u_x = np.einsum("ijk,ijk->ij", np.conj(left), np.roll(right, -1, axis=0))
