@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BranchViolationError, NonFiniteError, NonHermitianInputError
 from .geometry import GeometryGrid
 from .tolerances import ABSORPTIVE_PSD_TOL, BOUND_TOL, BRANCH_TOL, HERM_TOL, PSD_TOL, QGT_TOL
-from .topology import ChernResult
+from .topology import ChernResult, local_bound_sides
 
 #: the BZ-frame lines used for the saturation diagnostic: boundary lines of
 #: the [-pi, pi) and [0, 2 pi) plotting frames (mesh pixels within 1.5 cells
@@ -75,8 +75,7 @@ def check_local_curvature_bound(grid: GeometryGrid, tolerance=BOUND_TOL):
     and the ratio climbs past two in the edge pixels next to them;
     ``max_ratio_edge`` takes the maximum over that frame neighborhood.
     """
-    lhs = np.abs(grid.curvature_lr).ravel()
-    rhs = (np.abs(grid.qgt_rl[..., 0, 1]) + np.abs(grid.qgt_rl[..., 1, 0])).ravel()
+    lhs, rhs = (side.ravel() for side in local_bound_sides(grid))
     scale = np.maximum(rhs, lhs)
     ratio = rhs / np.maximum(lhs, 1e-300)
     nx, ny = grid.shape
@@ -96,6 +95,7 @@ def check_local_curvature_bound(grid: GeometryGrid, tolerance=BOUND_TOL):
 def check_qgt_inequality(grid: GeometryGrid, ablation=False, tolerance=QGT_TOL):
     """|Q^RL_{mu nu}|^2 <= N (Q^RR_mumu + |Q^R_mu|^2)(Q^LL_nunu + |Q^L_nu|^2)
     for all four index pairs, N the norm product ||R||^2 ||L||^2.
+    |Q^RL_{mu nu}| is read as |Q^LR_{nu mu}|, its adjoint entry.
 
     ``ablation=True`` drops the N factor: for two-band systems the ablated
     relation is exactly saturated analytically, so its computed margins
@@ -111,7 +111,7 @@ def check_qgt_inequality(grid: GeometryGrid, ablation=False, tolerance=QGT_TOL):
     base = _grid_labels(grid)
     for mu in range(2):
         for nu in range(2):
-            lhs_list.append(np.abs(grid.qgt_rl[..., mu, nu]).ravel() ** 2)
+            lhs_list.append(np.abs(grid.qgt_lr[..., nu, mu]).ravel() ** 2)
             rhs_list.append((n_fac * (rr[..., mu] + ar2[..., mu])
                              * (ll[..., nu] + al2[..., nu])).ravel())
             pair = np.full((base.shape[0], 1), 2 * mu + nu, dtype=float)

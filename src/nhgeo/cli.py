@@ -8,7 +8,7 @@ the usable CPUs) is the number of processes that format each ``scan`` and
 usable CPUs, the CSV's row blocks and the sweep's length; the bytes do not
 depend on it, and every mesh is solved serially.  Exit codes: 0 ok,
 2 configuration (an output that cannot be written included), 3 numerical
-(exceptional points or non-convergence), 4 bound violation.
+(exceptional points or non-convergence), 4 a failed bound report.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import yaml
 
 from . import bounds as bounds_mod
 from . import lindblad, response, serialize, tolerances as tols, topology
-from .errors import BoundViolationError, ConfigError, NHGeoError, NonIntegrableError
+from .errors import ConfigError, NHGeoError, NonIntegrableError
 from .geometry import scan_geometry
 from .models import BlochModel, bz_mesh, model_from_config
 
@@ -73,7 +73,7 @@ def load_config(path=None, cli_overrides=None):
         if key == "grid":
             cfg["grid"] = _parse_grid(val)
         elif key == "out":
-            cfg["output"]["dir"] = val
+            _mapping(cfg, "output")["dir"] = val
         else:
             cfg[key] = val
 
@@ -115,20 +115,31 @@ def _number(value, name):
     return out
 
 
+def _mapping(cfg, key):
+    """The section ``cfg[key]``; ConfigError unless it is a mapping."""
+    section = cfg.get(key)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a mapping, got {section!r}")
+    return section
+
+
 def _validate(cfg):
-    """Check the entries the commands read; grid, threads, band, the
-    response counts and chern.curvature_grid become ints, the other
-    response entries and the tolerances floats."""
-    grid = cfg.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("grid must be a mapping with nx and ny")
+    """Check the entries the commands read: every section is a mapping,
+    output.dir a string and sweep.Gamma a nonempty list; grid, threads,
+    band, the response counts and chern.curvature_grid become ints, the
+    other response entries and the tolerances floats."""
+    _mapping(cfg, "model")  # its entries are checked where the model is built
+    if not isinstance(_mapping(cfg, "output").get("dir"), str):
+        raise ConfigError(f"output.dir must be a string, got {cfg['output'].get('dir')!r}")
+    gammas = _mapping(cfg, "sweep").get("Gamma")
+    if not isinstance(gammas, list) or not gammas:
+        raise ConfigError(f"sweep.Gamma must be a nonempty list, got {gammas!r}")
+    grid = _mapping(cfg, "grid")
     grid["nx"] = _integer(grid.get("nx", 0), "grid.nx")
     grid["ny"] = _integer(grid.get("ny", 0), "grid.ny")
     if grid["nx"] < 8 or grid["ny"] < 8:
         raise ConfigError("grid must be at least 8x8")
-    rsp = cfg.get("response")
-    if not isinstance(rsp, dict):
-        raise ConfigError("response must be a mapping")
+    rsp = _mapping(cfg, "response")
     for key in ("eta", "omega_min", "omega_max"):
         rsp[key] = _number(rsp.get(key), f"response.{key}")
     if not rsp["eta"] > 0.0:
@@ -146,16 +157,12 @@ def _validate(cfg):
     cfg["band"] = _integer(cfg.get("band", 0), "band")
     if cfg["band"] not in (0, 1):
         raise ConfigError("band must be 0 or 1")
-    chern = cfg.get("chern")
-    if not isinstance(chern, dict):
-        raise ConfigError("chern must be a mapping")
+    chern = _mapping(cfg, "chern")
     chern["curvature_grid"] = _integer(chern.get("curvature_grid"),
                                        "chern.curvature_grid")
     if chern["curvature_grid"] < 8:
         raise ConfigError("chern.curvature_grid must be at least 8")
-    tol = cfg.get("tolerances")
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances must be a mapping")
+    tol = _mapping(cfg, "tolerances")
     for key in ("bound", "psd", "qgt"):
         tol[key] = _number(tol.get(key), f"tolerances.{key}")
         if tol[key] < 0.0:
@@ -335,9 +342,7 @@ def cmd_optical_weight(cfg, quadrature=False):
     parts; the first is solved here, each other one in a forked process that
     returns its rows as float64 bytes.  A part whose process fails is solved
     here again, so every run prints, writes and raises as the serial one."""
-    sweep = cfg["sweep"].get("Gamma") or []
-    if not sweep:
-        raise ConfigError("sweep.Gamma must be a nonempty list")
+    sweep = cfg["sweep"]["Gamma"]
     models = [_model(dict(cfg["model"], Gamma=g_val)) for g_val in sweep]
     out = _ensure_outdir(cfg)
     args = (min(cfg["grid"]["nx"], 48), cfg["response"]["eta"],
@@ -483,12 +488,10 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NHGeoError as exc:
-        violation = isinstance(exc, BoundViolationError)
-        print(f"{'bound violation' if violation else 'numerical error'}: {exc}",
-              file=sys.stderr)
+        print(f"numerical error: {exc}", file=sys.stderr)
         for pt in list(getattr(exc, "points", ()))[:20]:  # a list or an index array
             print(f"  at k = {pt}", file=sys.stderr)
-        return 4 if violation else 3
+        return 3
     return 2
 
 

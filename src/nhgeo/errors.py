@@ -53,14 +53,6 @@ class NonIntegerResidueError(NHGeoError):
     """Plaquette phase sum does not round cleanly to 2*pi*integer."""
 
 
-class BoundViolationError(NHGeoError):
-    """A local inequality failed beyond floating-point tolerance."""
-
-    def __init__(self, msg, points=None):
-        super().__init__(msg)
-        self.points = points if points is not None else []
-
-
 class BranchViolationError(NHGeoError):
     """A complex energy difference crossed the chosen logarithm branch."""
 

@@ -48,9 +48,9 @@ CHUNK_POINTS = 2048
 #: central step of :func:`anomalous_divergence_integral`'s divergence
 DIVERGENCE_STEP = 1e-2
 
-#: GeometryGrid fields in the order both routes return them
-FIELDS = ("qgt_lr", "qgt_rl", "qgt_rr", "qgt_ll", "anomalous_r", "anomalous_l",
-          "curvature_lr", "norm_product")
+#: the stored GeometryGrid fields (besides the mesh), in the order both
+#: routes return them
+FIELDS = ("qgt_lr", "qgt_rr", "qgt_ll", "anomalous_r", "anomalous_l", "norm_product")
 
 
 def velocity_matrices(eig: Eigensystem, dhx, dhy):
@@ -169,24 +169,32 @@ class GeometryGrid:
     """All geometric quantities of one band on a uniform BZ mesh.
 
     Arrays are struct-of-arrays with the mesh in the two leading axes,
-    row-major in (kx index, ky index).
+    row-major in (kx index, ky index).  Only the :data:`FIELDS` are stored;
+    ``qgt_rl`` and ``curvature_lr`` are read-only functions of ``qgt_lr``.
     """
 
     kx: np.ndarray
     ky: np.ndarray
-    band: int
     qgt_lr: np.ndarray       # (nx, ny, 2, 2)
-    qgt_rl: np.ndarray
     qgt_rr: np.ndarray
     qgt_ll: np.ndarray
     anomalous_r: np.ndarray  # (nx, ny, 2)
     anomalous_l: np.ndarray
-    curvature_lr: np.ndarray  # (nx, ny) complex
     norm_product: np.ndarray  # (nx, ny) real
 
     @property
+    def qgt_rl(self):
+        """(nx, ny, 2, 2), :func:`qgt_rl_from_lr` of ``qgt_lr``."""
+        return qgt_rl_from_lr(self.qgt_lr)
+
+    @property
+    def curvature_lr(self):
+        """(nx, ny) complex, :func:`berry_curvature_lr` of ``qgt_lr``."""
+        return berry_curvature_lr(self.qgt_lr)
+
+    @property
     def shape(self):
-        return self.curvature_lr.shape
+        return self.norm_product.shape
 
     def cell_area(self):
         nx, ny = self.shape
@@ -194,17 +202,16 @@ class GeometryGrid:
 
 
 def compute_geometry(eig: Eigensystem, dhx, dhy, band=0):
-    """All per-point geometric objects from one eigensystem (batched).
+    """The :data:`FIELDS` of one band from one eigensystem (batched).
 
     The derivatives enter once, through :func:`velocity_matrices`.
     """
     v = velocity_matrices(eig, dhx, dhy)
-    q_lr = qgt_lr(eig, v, band=band)
-    return (q_lr, qgt_rl_from_lr(q_lr), qgt_rr(eig, v, band=band),
+    return (qgt_lr(eig, v, band=band), qgt_rr(eig, v, band=band),
             qgt_ll(eig, v, band=band),
             anomalous_connection(eig, v, band=band, side="R"),
             anomalous_connection(eig, v, band=band, side="L"),
-            berry_curvature_lr(q_lr))
+            eig.norm_product(band))
 
 
 def _cross(u, v, out):
@@ -217,8 +224,8 @@ def _cross(u, v, out):
 
 
 def pseudospin_geometry(h, dhx, dhy, band=0):
-    """The eight :class:`GeometryGrid` fields of branch band ``band`` of
-    two-band matrices, in :data:`FIELDS` order, without eigenvectors.
+    """The :data:`FIELDS` of branch band ``band`` of two-band matrices,
+    without eigenvectors.
 
     With h = c + d.sigma, s = sqrt(d.d) (branch energies c +- s), n = d/s
     and a_mu the Pauli part of d_mu h, the band projectors are
@@ -295,7 +302,6 @@ def pseudospin_geometry(h, dhx, dhy, band=0):
         q[upper[::-1]] = np.conj(q[upper])
     q_r = (hv * r).sum(axis=1) * ((0.125j * sig) * inv_s)
     q_l = (np.conj(g) * l).sum(axis=1) * ((0.125j * sig) * np.conj(inv_s))
-    curv = 1j * (q_lr[0, 1] - q_lr[1, 0])
 
     # one sum sees every NaN or infinity (and overflow, which is as fatal)
     if not np.isfinite(sum(np.sum(v) for v in (q_lr, q_rr, q_ll, q_r, q_l, norm))):
@@ -307,9 +313,8 @@ def pseudospin_geometry(h, dhx, dhy, band=0):
         order = tuple(range(k, k + batch)) + tuple(range(k))
         return q.reshape(q.shape[:k] + shape).transpose(order)
 
-    lr = trailing(q_lr, 2)
-    return (lr, qgt_rl_from_lr(lr), trailing(q_rr, 2), trailing(q_ll, 2),
-            trailing(q_r, 1), trailing(q_l, 1), curv.reshape(shape), norm.reshape(shape))
+    return (trailing(q_lr, 2), trailing(q_rr, 2), trailing(q_ll, 2),
+            trailing(q_r, 1), trailing(q_l, 1), norm.reshape(shape))
 
 
 def _row_max(x):
@@ -329,10 +334,9 @@ def _cross_check(model: BlochModel, kx, ky, values, band):
     CROSS_CHECK_RTOL.
     """
     h, dhx, dhy = model.hamiltonian(kx, ky, derivatives=True)
-    eig = eigensystem_two_band(h)
-    ref = compute_geometry(eig, dhx, dhy, band=band) + (eig.norm_product(band),)
-    tensor = np.max([_row_max(v) for v in ref[:4]], axis=0)
-    floors = (tensor,) * 4 + (np.sqrt(tensor),) * 2 + (tensor, 1.0)
+    ref = compute_geometry(eigensystem_two_band(h), dhx, dhy, band=band)
+    tensor = np.max([_row_max(v) for v in ref[:3]], axis=0)
+    floors = (tensor,) * 3 + (np.sqrt(tensor),) * 2 + (1.0,)
     for name, value, want, floor in zip(FIELDS, values, ref, floors):
         err, scale = _row_max(value - want), np.maximum(_row_max(want), floor)
         ok = err <= CROSS_CHECK_RTOL * scale
@@ -409,9 +413,9 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
         raise ConfigError(f"workers must be >= 1, got {workers}")
     ny = nx if ny is None else ny
     kxg, kyg = bz_mesh(nx, ny)
-    tails = ((2, 2),) * 4 + ((2,),) * 2 + ((),)
+    tails = ((2, 2),) * 3 + ((2,),) * 2
     # every element is written by a chunk, or the scan raises
-    out = GeometryGrid(kx=kxg, ky=kyg, band=band, norm_product=np.empty((nx, ny)),
+    out = GeometryGrid(kx=kxg, ky=kyg, norm_product=np.empty((nx, ny)),
                        **{name: np.empty((nx, ny) + tail, dtype=complex)
                           for name, tail in zip(FIELDS, tails)})
 

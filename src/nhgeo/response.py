@@ -292,12 +292,10 @@ class OpticalWeightResult:
 
     per_k: np.ndarray            # weight-trace integrand on the mesh
     bz_trace: float              # sum_mu int_BZ d2k W^{mu mu}
-    eta_used: float
     ln_eta_coefficient: float    # BZ integral of the per-k ln(eta) coefficient
     arg_infimum: float           # min_k arg(e_other - e_band) on the branch [-pi, 0]
     closed_trace: float          # int tr G^RR (pi + 2 arg) d2k
     bound_trace: float           # int tr G^RR (pi + arg) d2k
-    trg_per_k: np.ndarray
     arg_per_k: np.ndarray
 
 
@@ -320,11 +318,9 @@ def optical_weight_bz(model: BlochModel, band="slowest", n_grid=48, eta=1e-3):
     return OpticalWeightResult(
         per_k=w_tr,
         bz_trace=float(np.sum(w_tr) * area),
-        eta_used=float(eta),
         ln_eta_coefficient=float(np.sum(tr_coeff) * area),
         arg_infimum=float(np.min(arg)),
         closed_trace=float(np.sum(c.trg * (np.pi + 2.0 * arg)) * area),
         bound_trace=float(np.sum(c.trg * (np.pi + arg)) * area),
-        trg_per_k=c.trg,
         arg_per_k=arg,
     )

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundViolationError, LinkCollapseError,
-                     NonIntegerResidueError, NonRealCurvatureError)
+from .errors import LinkCollapseError, NonIntegerResidueError, NonRealCurvatureError
 from .models import BlochModel, bz_mesh
 from .spectra import eigensystem_two_band
 from .geometry import GeometryGrid, scan_geometry, solve_mesh
-from .tolerances import BOUND_TOL, CURVATURE_SUM_IMAG_TOL, LINK_TOL, RESIDUE_TOL
+from .tolerances import CURVATURE_SUM_IMAG_TOL, LINK_TOL, RESIDUE_TOL
 
 
 @dataclass
@@ -32,7 +31,6 @@ class ChernResult:
     qgt_bound_integral: float       # int (|Q^RL_xy| + |Q^RL_yx|) d2k
     grid_plaquette: int
     grid_curvature: int
-    band: int
     plaquette_residue: float
 
 
@@ -95,30 +93,34 @@ def chern_from_curvature(grid: GeometryGrid):
     return float(np.real(total))
 
 
-def bound_integrals(grid: GeometryGrid):
-    """(int |F|, int (|Q^RL_xy| + |Q^RL_yx|)) with the local chain asserted.
+def local_bound_sides(grid: GeometryGrid):
+    """(|F|, |Q^RL_xy| + |Q^RL_yx|) per mesh point, shape (nx, ny) each.
 
-    Local violations beyond BOUND_TOL * local magnitude raise
-    BoundViolationError carrying the offending k-points.
+    |Q^RL_mu,nu| is read as |Q^LR_nu,mu| (Q^RL is the adjoint of Q^LR), so
+    no copy of the tensor is built.  The local bound |F| <= rhs is the
+    triangle inequality on F = i (Q^LR_xy - Q^LR_yx).
     """
-    lhs = np.abs(grid.curvature_lr)
-    rhs = np.abs(grid.qgt_rl[..., 0, 1]) + np.abs(grid.qgt_rl[..., 1, 0])
-    bad = lhs - rhs > BOUND_TOL * np.maximum(rhs, 1.0)
-    if np.any(bad):
-        pts = [(float(grid.kx[i, j]), float(grid.ky[i, j]))
-               for i, j in np.argwhere(bad)]
-        raise BoundViolationError(
-            f"local curvature bound violated at {len(pts)} point(s)", points=pts)
+    q = grid.qgt_lr
+    return np.abs(grid.curvature_lr), np.abs(q[..., 1, 0]) + np.abs(q[..., 0, 1])
+
+
+def bound_integrals(grid: GeometryGrid):
+    """(int |F|, int (|Q^RL_xy| + |Q^RL_yx|)), the Riemann sums of
+    :func:`local_bound_sides`; the pointwise inequality itself is checked
+    by :func:`~nhgeo.bounds.check_local_curvature_bound`."""
+    lhs, rhs = local_bound_sides(grid)
     area = grid.cell_area()
     return float(np.sum(lhs) * area), float(np.sum(rhs) * area)
 
 
 def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201, grid=None):
     """ChernResult combining the plaquette integer, the curvature sum and
-    the integrated bound chain 2*pi*|C| <= int|F| <= int(|Q|+|Q|).
+    the two integrals of the bound chain 2*pi*|C| <= int|F| <= int(|Q|+|Q|),
+    which :func:`~nhgeo.bounds.check_chern_chain` checks.
 
     ``grid``, an already scanned GeometryGrid of ``band``, replaces the
-    n_curvature^2 scan.
+    n_curvature^2 scan.  Of the grid only three sums are kept: the
+    curvature and the two :func:`bound_integrals`.
     """
     c_pl, residue = chern_plaquette(model, band=band, n_grid=n_plaquette,
                                     return_residue=True)
@@ -133,6 +135,5 @@ def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201, gr
         qgt_bound_integral=qgt_b,
         grid_plaquette=n_plaquette,
         grid_curvature=grid.shape[0],
-        band=band,
         plaquette_residue=residue,
     )

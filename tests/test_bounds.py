@@ -8,8 +8,9 @@ from nhgeo.bounds import (check_absorptive_psd, check_chern_chain,
                           check_psd, check_qgt_inequality,
                           hermitian_min_eigenvalue)
 from nhgeo.errors import BranchViolationError, NonFiniteError, NonHermitianInputError
-from nhgeo.geometry import (anomalous_connection, qgt_ll, qgt_lr, qgt_rl_from_lr,
-                            qgt_rr, scan_geometry, velocity_matrices)
+from nhgeo.geometry import (GeometryGrid, anomalous_connection, berry_curvature_lr, qgt_ll,
+                            qgt_lr, qgt_rl_from_lr, qgt_rr, scan_geometry,
+                            velocity_matrices)
 from nhgeo.models import BlochModel, RMParams
 from nhgeo.response import absorptive_part, lehmann_correlator
 from nhgeo.spectra import eigensystem_general
@@ -37,11 +38,11 @@ def test_local_curvature_hermitian(hermitian_model):
     assert rep.passed
 
 
-def test_local_curvature_negative_control(rm_grid):
-    import copy
-    bad = copy.copy(rm_grid)
-    bad.curvature_lr = rm_grid.curvature_lr * 3.0
-    rep = check_local_curvature_bound(bad)
+def test_local_curvature_negative_control(rm_grid, monkeypatch):
+    # the curvature is a read-only function of qgt_lr: triple it on the class
+    monkeypatch.setattr(GeometryGrid, "curvature_lr",
+                        property(lambda grid: 3.0 * berry_curvature_lr(grid.qgt_lr)))
+    rep = check_local_curvature_bound(rm_grid)
     assert not rep.passed
 
 

@@ -11,7 +11,7 @@ import yaml
 from conftest import NEAR_EP_REJECTED, assert_no_child_left, fail_in_child, near_ep_matrix
 from nhgeo import bounds, cli, geometry, response, serialize, topology
 from nhgeo.cli import load_config, main
-from nhgeo.errors import BoundViolationError, ConfigError, ExceptionalPointError
+from nhgeo.errors import ConfigError, ExceptionalPointError
 from nhgeo.models import bz_mesh, model_from_config
 from nhgeo.response import response_spectrum
 
@@ -48,6 +48,24 @@ def test_load_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, "bad2.yaml",
                            {"response": {"eta": -1.0}}), {})
+
+
+@pytest.mark.parametrize("command, section, flags", [
+    ("optical-weight", {"sweep": 3}, []),
+    ("optical-weight", {"sweep": [0.5, 1.0]}, []),
+    ("optical-weight", {"sweep": {"Gamma": 5}}, []),
+    ("optical-weight", {"model": 3}, []),
+    *((command, section, []) for command in ("scan", "chern", "bounds", "optical-weight",
+                                             "lindblad-check")
+      for section in ({"output": 3}, {"output": {"dir": 3}})),
+    ("scan", {"output": 3}, ["--out", "o"]),  # the flag sets a key of a non-mapping
+])
+def test_cli_malformed_section_exit_2(tmp_path, capsys, monkeypatch, command, section, flags):
+    # a section of the wrong type is a config error before any work
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", _write(tmp_path, "m.yaml", section), *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert os.listdir(tmp_path) == ["m.yaml"]
 
 
 def test_cli_bad_config_exit_2(tmp_path):
@@ -372,20 +390,6 @@ def test_cli_tolerances_reach_every_report(tmp_path, monkeypatch):
     monkeypatch.setattr(bounds, "check_optical_weight_bound", watched)
     assert main(["optical-weight", "--config", cfg, "--grid", "16", "--out", str(out)]) == 0
     assert [rep.tolerance for rep in verdicts] == [0.25]
-
-
-@pytest.mark.parametrize("command", ["chern", "bounds"])
-def test_cli_bound_violation_exit_4(tmp_path, capsys, monkeypatch, command):
-    def violated(grid):
-        raise BoundViolationError("local curvature bound violated at 1 point(s)",
-                                  points=[(0.5, -1.0)])
-
-    monkeypatch.setattr(topology, "bound_integrals", violated)
-    cfg = _write(tmp_path, "v.yaml", {"chern": {"curvature_grid": 16},
-                                      "response": {"k_samples": 4, "omega_count": 11}})
-    assert main([command, "--config", cfg, "--grid", "16", "--out", str(tmp_path / "o")]) == 4
-    err = capsys.readouterr().err
-    assert "bound violation" in err and "at k = (0.5, -1.0)" in err
 
 
 def test_cli_bounds_thermal_occupation_low_temperature(tmp_path):

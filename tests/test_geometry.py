@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -206,8 +208,20 @@ def test_scan_geometry_single_point(rm_model):
     grid = scan_geometry(rm_model, nx=1, ny=1)
     assert grid.shape == (1, 1)
     assert np.isfinite(grid.curvature_lr[0, 0])
-    assert grid.kx[0, 0] == -np.pi and grid.band == 0
+    assert grid.kx[0, 0] == -np.pi
     assert grid.norm_product[0, 0] >= 1.0
+
+
+def test_scan_stores_six_fields_per_point(rm_model):
+    # Q^RL and the curvature are read-only functions of Q^LR, not arrays
+    grid = scan_geometry(rm_model, nx=12, ny=10)
+    assert [f.name for f in dataclasses.fields(grid)] == ["kx", "ky", *geometry.FIELDS]
+    assert sum(getattr(grid, name).nbytes for name in geometry.FIELDS) == 264 * 12 * 10
+    npt.assert_array_equal(grid.qgt_rl, qgt_rl_from_lr(grid.qgt_lr))
+    npt.assert_array_equal(grid.curvature_lr, berry_curvature_lr(grid.qgt_lr))
+    for name in ("qgt_rl", "curvature_lr"):
+        with pytest.raises(AttributeError):
+            setattr(grid, name, np.zeros(grid.shape))
 
 
 def test_scan_deterministic_across_workers(rm_model):
@@ -255,19 +269,19 @@ def test_pseudospin_kernel_matches_eigenvector_route(d, a_x, a_y, c, dc, band):
     dhx = (pauli_matrix(np.array(a_x)) + dc * np.eye(2))[None]
     dhy = pauli_matrix(np.array(a_y))[None]
     fields = pseudospin_geometry(h, dhx, dhy, band=band)
-    eig = eigensystem_two_band(h)
-    ref = compute_geometry(eig, dhx, dhy, band=band) + (eig.norm_product(band),)
-    # relative to each array's max; the connections and the curvature are
-    # floored at the tensor scale, since for a real d they are pure roundoff,
-    # and every field at the scale |a|^2 / |d.d| of the inputs, since where
-    # a is parallel to d the tensors are pure roundoff too
+    ref = compute_geometry(eigensystem_two_band(h), dhx, dhy, band=band)
+    # relative to each array's max; the connections are floored at the
+    # tensor scale, since for a real d they are pure roundoff, and every
+    # field at the scale |a|^2 / |d.d| of the inputs, since where a is
+    # parallel to d the tensors are pure roundoff too
     unit = max(np.linalg.norm(a_x), np.linalg.norm(a_y)) ** 2 / abs(d @ d)
-    tensor = max(max(np.max(np.abs(q)) for q in ref[:4]), unit)
-    floors = (unit,) * 4 + (np.sqrt(tensor),) * 2 + (tensor, 0.0)
+    tensor = max(max(np.max(np.abs(q)) for q in ref[:3]), unit)
+    floors = (unit,) * 3 + (np.sqrt(tensor),) * 2 + (0.0,)
+    assert len(fields) == len(ref) == len(geometry.FIELDS)
     for name, value, want, floor in zip(geometry.FIELDS, fields, ref, floors):
         assert value.shape == want.shape, name
         assert np.max(np.abs(value - want)) <= 1e-12 * max(np.max(np.abs(want)), floor), name
-    for q in fields[2:4]:
+    for q in fields[1:3]:
         assert np.array_equal(q, np.conj(np.swapaxes(q, -1, -2)))
 
 
@@ -292,7 +306,7 @@ def test_scan_cross_check_catches_a_kernel_error(rm_model, monkeypatch):
 
     def skewed(h, dhx, dhy, band=0):
         fields = kernel(h, dhx, dhy, band=band)
-        fields[2][0, 3] *= 1.0 + 1e-9  # one point of the chunk's first kx row
+        fields[1][0, 3] *= 1.0 + 1e-9  # one point of the chunk's first kx row
         return fields
 
     monkeypatch.setattr(geometry, "pseudospin_geometry", skewed)

@@ -9,7 +9,8 @@ SRC = pathlib.Path(nhgeo.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: public names that nothing in the package, the benchmark or c01-c12 calls,
-#: and defaulted parameters ``name(param=)`` that none of them sets
+#: defaulted parameters ``name(param=)`` that none of them sets, and result
+#: fields ``Class.field`` that none of them reads
 KEEP = {
     "BlochModel.pseudospin": "tests build custom two-band models from a d-vector",
     "BlochModel.pseudospin(d_deriv=)": "tests build a custom model with analytic d "
@@ -20,6 +21,10 @@ KEEP = {
                             "tests check against its direct sum",
     "optical_weight_numeric(band=)": "tests check its per-k weight of every band "
                                      "selection against optical_weight_bz(band=)",
+    "OpticalWeightResult.per_k": "tests tie optical_weight_numeric on the mesh to "
+                                 "optical_weight_bz through it",
+    "ResponseSpectrum.omegas": "the frequency axis of the sampled matrices, which "
+                               "the container test reads back",
 }
 
 
@@ -142,11 +147,50 @@ def _unset_parameters():
     return found
 
 
+def _record(node):
+    """Whether class ``node`` is a dataclass or a NamedTuple."""
+    def name(expr):
+        expr = expr.func if isinstance(expr, ast.Call) else expr
+        return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+
+    return ("dataclass" in map(name, node.decorator_list)
+            or "NamedTuple" in map(name, node.bases))
+
+
+def _fields():
+    """``Class.field`` of every field of the package's dataclasses and
+    NamedTuples (the oracles' excepted), with the bare field name."""
+    for module, tree in _trees().items():
+        if module == "oracles.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _record(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _reads(tree):
+    """Attribute names that ``tree`` reads; an assignment, a constructor
+    keyword or an option read off the CLI's argparse namespace ``args`` (its
+    ``args.band`` is no field) does not count."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")}
+
+
+def _unread_fields():
+    reads = set().union(*map(_reads, _trees().values()), _reads(_acceptance()))
+    bench = _bench_text()
+    return [qualname for qualname, name in _fields()
+            if name not in reads and not re.search(rf"\.{name}\b", bench)]
+
+
 def test_every_public_name_has_a_caller():
     # a public function, class or method that only unit tests call is dead
     # weight: delete it with its tests, or name the reason in KEEP
     found = _unreferenced()
-    names = {key for key in KEEP if "(" not in key}
+    names = {key for key in KEEP if "(" not in key} - {q for q, _ in _fields()}
     assert sorted(set(found) - names) == []
     # every KEEP entry is still defined and still needs its reason
     assert sorted(names - set(found)) == []
@@ -160,3 +204,13 @@ def test_every_default_is_set_by_a_caller():
     params = {key for key in KEEP if "(" in key}
     assert sorted(set(found) - params) == []
     assert sorted(params - set(found)) == []
+
+
+def test_every_result_field_is_read():
+    # a dataclass or NamedTuple field that nothing in the package, the
+    # benchmark or c01-c12 reads is carried for no one: drop it, or name the
+    # reason in KEEP
+    found = _unread_fields()
+    fields = {key for key in KEEP if key in {q for q, _ in _fields()}}
+    assert sorted(set(found) - fields) == []
+    assert sorted(fields - set(found)) == []

@@ -124,6 +124,7 @@ def test_response_spectrum_container():
     omegas = np.linspace(-2.0, 2.0, 11)
     spec = response_spectrum(TOY_ENERGIES, TOY_OPS, np.array([1.0, 0.0]), omegas)
     npt.assert_array_equal(spec.pi_abs, absorptive_part(spec.pi))
+    npt.assert_array_equal(spec.omegas, omegas)
     with pytest.raises(ValueError):
         ResponseSpectrum(omegas=omegas, pi=spec.pi, pi_abs=spec.pi_abs + 1e-3)
 

@@ -102,7 +102,9 @@ def test_geometry_csv_of_a_64x64_scan_matches_per_element_rule(tmp_path, rm_mode
     grid = scan_geometry(rm_model, nx=64, ny=64)
     cols = [grid.kx, grid.ky, grid.qgt_lr, grid.qgt_rl, grid.qgt_rr, grid.qgt_ll,
             grid.anomalous_r, grid.anomalous_l, grid.curvature_lr, grid.norm_product]
-    table = np.concatenate([np.asarray(c).view(float).reshape(64 * 64, -1) for c in cols], axis=1)
+    # qgt_rl is a conjugated transposed view of qgt_lr: copy it row-major first
+    table = np.concatenate([np.ascontiguousarray(c).view(float).reshape(64 * 64, -1)
+                            for c in cols], axis=1)
     write_geometry_csv(tmp_path / "g.csv", grid)
     assert _read(tmp_path / "g.csv") == _per_element_csv(serialize.geometry_csv_header(), table)
 

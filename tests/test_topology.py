@@ -3,7 +3,7 @@ import pytest
 
 from conftest import pauli_gauge
 from nhgeo import geometry, topology
-from nhgeo.errors import (BoundViolationError, ExceptionalPointError, LinkCollapseError,
+from nhgeo.errors import (ExceptionalPointError, LinkCollapseError,
                           NonRealCurvatureError)
 from nhgeo.geometry import scan_geometry
 from nhgeo.models import BlochModel, RMParams, bz_mesh
@@ -164,20 +164,14 @@ def test_bound_margins_match_oracle(rm_model):
         assert abs(rhs - closed_rhs) < 1e-6
 
 
-def test_bound_violation_on_tampered_grid(rm_model):
-    grid = scan_geometry(rm_model, band=0, nx=12)
-    grid.curvature_lr = grid.curvature_lr * 3.0
-    with pytest.raises(BoundViolationError) as err:
-        bound_integrals(grid)
-    assert len(err.value.points) > 0
-
-
 def test_non_real_curvature_on_tampered_grid(rm_model):
     grid = scan_geometry(rm_model, band=0, nx=12)
     assert abs(chern_from_curvature(grid) - 1.0) < 0.1
     # the sum is (area 4 pi^2 / 2 pi) * mean F: 1e-2 i / 2 pi per point adds
-    # 1e-2 i, above CURVATURE_SUM_IMAG_TOL
-    grid.curvature_lr = grid.curvature_lr + 1e-2j / (2 * np.pi)
+    # 1e-2 i, above CURVATURE_SUM_IMAG_TOL; F = i (Q_xy - Q_yx) takes it from
+    # an antisymmetric shift of Q^LR
+    grid.qgt_lr[..., 0, 1] += 0.5e-2 / (2 * np.pi)
+    grid.qgt_lr[..., 1, 0] -= 0.5e-2 / (2 * np.pi)
     with pytest.raises(NonRealCurvatureError, match="imaginary part"):
         chern_from_curvature(grid)
 
