@@ -2,8 +2,10 @@
 
 Commands: scan | chern | bounds | optical-weight | lindblad-check.
 Configuration comes from a YAML file; --grid/--band/--threads/--out
-override individual entries.  ``threads`` (an integer >= 1, by default
-the usable CPUs) is the number of processes that format each ``scan`` and
+override individual entries.  ``CONFIG_KEYS`` names every key with its
+default and its parser; any other key, outside ``model:`` (which the model
+family checks), is a configuration error.  ``threads`` (an integer >= 1, by
+default the usable CPUs) is the number of processes that format each ``scan`` and
 ``bounds`` CSV and solve the ``optical-weight`` sweep rows, capped at the
 usable CPUs, the CSV's row blocks and the sweep's length; the bytes do not
 depend on it, and every mesh is solved serially.  Exit codes: 0 ok,
@@ -14,7 +16,6 @@ depend on it, and every mesh is solved serially.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import copy
 import os
 import sys
 import time
@@ -28,33 +29,92 @@ from .errors import ConfigError, NHGeoError, NonIntegrableError
 from .geometry import scan_geometry
 from .models import BlochModel, bz_mesh, model_from_config
 
-DEFAULT_CONFIG = {
-    "model": {"family": "rice_mele", "t": 1.0, "delta": 1.0, "Delta": 1.0,
-              "gamma": 1.0, "Gamma": 0.0, "variant": "supplemental"},
-    "grid": {"nx": 64, "ny": 64},
-    "band": 0,
-    "threads": None,  # the usable CPUs
-    "output": {"dir": "out"},
-    "response": {"eta": 1.0e-3, "omega_min": 0.0, "omega_max": 10.0,
-                 "omega_count": 81, "invert_bath": False,
-                 "k_samples": 16, "beta": None},
-    "sweep": {"Gamma": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]},
-    "chern": {"curvature_grid": 201},
-    "tolerances": {"bound": tols.BOUND_TOL, "psd": tols.PSD_TOL, "qgt": tols.QGT_TOL},
+
+def _number(kind, low=-np.inf, high=np.inf):
+    """Parser of a finite number in [low, high] made by ``kind``: float, or
+    int, which takes integral input only (3, 3.0, "3")."""
+    def parse(value, name):
+        try:
+            out = kind(value)
+            valid = out == float(value) and np.isfinite(out) and low <= out <= high
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ConfigError(f"{name} must be a finite {kind.__name__} in [{low}, {high}], "
+                              f"got {value!r}")
+        return out
+    return parse
+
+
+def _typed(kind, what):
+    """Parser of a value of type ``kind`` (``what`` in its error), kept as given."""
+    def parse(value, name):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+    return parse
+
+
+def _optional(parse):
+    """Parser of None or of what ``parse`` accepts."""
+    return lambda value, name: None if value is None else parse(value, name)
+
+
+def _nonempty_list(value, name):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
+    return list(value)
+
+
+def _as_given(value, name):
+    """A model: entry; model_from_config checks it against the family."""
+    return value
+
+
+#: every config key, "section.key" or a top-level "key": its default and the
+#: parser that checks a value and returns the one the commands read.  Only
+#: model: takes keys the table does not name: which are allowed depends on
+#: the family, so model_from_config checks them.  threads: null stands for
+#: the usable CPUs.
+CONFIG_KEYS = {
+    "model.family": ("rice_mele", _as_given),
+    "model.t": (1.0, _as_given),
+    "model.delta": (1.0, _as_given),
+    "model.Delta": (1.0, _as_given),
+    "model.gamma": (1.0, _as_given),
+    "model.Gamma": (0.0, _as_given),
+    "model.variant": ("supplemental", _as_given),
+    "grid.nx": (64, _number(int, 8)),
+    "grid.ny": (64, _number(int, 8)),
+    "band": (0, _number(int, 0, 1)),
+    "threads": (None, _optional(_number(int, 1))),
+    "output.dir": ("out", _typed(str, "a string")),
+    "response.eta": (1.0e-3, _number(float, 5e-324)),  # > 0
+    "response.omega_min": (0.0, _number(float)),
+    "response.omega_max": (10.0, _number(float)),
+    "response.omega_count": (81, _number(int, 1)),
+    "response.invert_bath": (False, _typed(bool, "true or false")),
+    "response.k_samples": (16, _number(int, 1)),
+    "response.beta": (None, _optional(_number(float))),
+    "sweep.Gamma": ([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], _nonempty_list),
+    "chern.curvature_grid": (201, _number(int, 8)),
+    "tolerances.bound": (tols.BOUND_TOL, _number(float, 0.0)),
+    "tolerances.psd": (tols.PSD_TOL, _number(float, 0.0)),
+    "tolerances.qgt": (tols.QGT_TOL, _number(float, 0.0)),
 }
-
-
-def _deep_update(base, other):
-    for key, val in (other or {}).items():
-        if isinstance(val, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], val)
-        else:
-            base[key] = val
-    return base
+#: (section, key) of each CONFIG_KEYS name; section "" is the top level
+_PLACES = {tuple(name.rpartition(".")[::2]): name for name in CONFIG_KEYS}
+_SECTIONS = dict.fromkeys(section for section, _ in _PLACES if section)
 
 
 def load_config(path=None, cli_overrides=None):
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    """The run configuration: the top-level keys and one mapping per section.
+
+    Each CONFIG_KEYS entry takes its non-None CLI flag (``grid``, ``out``,
+    ``threads``, ``band``), else its value in the YAML file at ``path``, else
+    its default, and passes it through its parser.  A key the table does not
+    name is a ConfigError that names it, in every section but model:."""
+    given = {place: CONFIG_KEYS[name][0] for place, name in _PLACES.items()}
     if path is not None:
         try:
             with open(path) as fh:
@@ -65,108 +125,31 @@ def load_config(path=None, cli_overrides=None):
             raise ConfigError(f"malformed config: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a mapping")
-        _deep_update(cfg, user)
+        for name, value in user.items():
+            if name not in _SECTIONS:
+                given["", name] = value
+            elif isinstance(value, dict):
+                given.update(((name, key), val) for key, val in value.items())
+            else:
+                raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    for flag, value in (cli_overrides or {}).items():
+        if value is not None and flag == "grid":  # "64x48" or "64"
+            nx, x, ny = str(value).partition("x")
+            given["grid", "nx"], given["grid", "ny"] = nx, ny if x else nx
+        elif value is not None:
+            given[("output", "dir") if flag == "out" else ("", flag)] = value
 
-    for key, val in (cli_overrides or {}).items():
-        if val is None:
-            continue
-        if key == "grid":
-            cfg["grid"] = _parse_grid(val)
-        elif key == "out":
-            _mapping(cfg, "output")["dir"] = val
-        else:
-            cfg[key] = val
-
-    _validate(cfg)
+    cfg = {section: {} for section in _SECTIONS}
+    for (section, key), value in given.items():
+        name = _PLACES.get((section, key))
+        if name is not None:
+            value = CONFIG_KEYS[name][1](value, name)
+        elif section != "model":
+            raise ConfigError(f"unknown config key {section + '.' if section else ''}{key}")
+        (cfg[section] if section else cfg)[key] = value
+    if cfg["threads"] is None:
+        cfg["threads"] = serialize._usable_cpus()
     return cfg
-
-
-def _parse_grid(text):
-    try:
-        if "x" in str(text):
-            nx, ny = (int(p) for p in str(text).lower().split("x"))
-        else:
-            nx = ny = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad grid spec {text!r}") from exc
-    return {"nx": nx, "ny": ny}
-
-
-def _integer(value, name):
-    """int(value) for integral input (3, 3.0, "3"); ConfigError otherwise."""
-    try:
-        out = int(value)
-        integral = out == float(value)
-    except (TypeError, ValueError):
-        integral = False
-    if not integral:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return out
-
-
-def _number(value, name):
-    """float(value) for finite numeric input; ConfigError otherwise."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        out = np.nan
-    if not np.isfinite(out):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return out
-
-
-def _mapping(cfg, key):
-    """The section ``cfg[key]``; ConfigError unless it is a mapping."""
-    section = cfg.get(key)
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be a mapping, got {section!r}")
-    return section
-
-
-def _validate(cfg):
-    """Check the entries the commands read: every section is a mapping,
-    output.dir a string and sweep.Gamma a nonempty list; grid, threads,
-    band, the response counts and chern.curvature_grid become ints, the
-    other response entries and the tolerances floats."""
-    _mapping(cfg, "model")  # its entries are checked where the model is built
-    if not isinstance(_mapping(cfg, "output").get("dir"), str):
-        raise ConfigError(f"output.dir must be a string, got {cfg['output'].get('dir')!r}")
-    gammas = _mapping(cfg, "sweep").get("Gamma")
-    if not isinstance(gammas, list) or not gammas:
-        raise ConfigError(f"sweep.Gamma must be a nonempty list, got {gammas!r}")
-    grid = _mapping(cfg, "grid")
-    grid["nx"] = _integer(grid.get("nx", 0), "grid.nx")
-    grid["ny"] = _integer(grid.get("ny", 0), "grid.ny")
-    if grid["nx"] < 8 or grid["ny"] < 8:
-        raise ConfigError("grid must be at least 8x8")
-    rsp = _mapping(cfg, "response")
-    for key in ("eta", "omega_min", "omega_max"):
-        rsp[key] = _number(rsp.get(key), f"response.{key}")
-    if not rsp["eta"] > 0.0:
-        raise ConfigError("response.eta must be positive")
-    if rsp.get("beta") is not None:
-        rsp["beta"] = _number(rsp["beta"], "response.beta")
-    for key in ("omega_count", "k_samples"):
-        rsp[key] = _integer(rsp.get(key), f"response.{key}")
-        if rsp[key] < 1:
-            raise ConfigError(f"response.{key} must be >= 1")
-    threads = cfg.get("threads")
-    cfg["threads"] = serialize._usable_cpus() if threads is None else _integer(threads, "threads")
-    if cfg["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
-    cfg["band"] = _integer(cfg.get("band", 0), "band")
-    if cfg["band"] not in (0, 1):
-        raise ConfigError("band must be 0 or 1")
-    chern = _mapping(cfg, "chern")
-    chern["curvature_grid"] = _integer(chern.get("curvature_grid"),
-                                       "chern.curvature_grid")
-    if chern["curvature_grid"] < 8:
-        raise ConfigError("chern.curvature_grid must be at least 8")
-    tol = _mapping(cfg, "tolerances")
-    for key in ("bound", "psd", "qgt"):
-        tol[key] = _number(tol.get(key), f"tolerances.{key}")
-        if tol[key] < 0.0:
-            raise ConfigError(f"tolerances.{key} must be >= 0")
 
 
 def _ensure_outdir(cfg):
@@ -252,16 +235,16 @@ def _absorptive_stack(cfg, model):
     nx = min(cfg["grid"]["nx"], rsp["k_samples"])
     kxg, kyg = bz_mesh(nx, nx)
     omegas = np.linspace(rsp["omega_min"], rsp["omega_max"], rsp["omega_count"])
-    gamma = float(cfg["model"].get("gamma", 1.0)) or 1.0
+    gamma = float(cfg["model"]["gamma"]) or 1.0
     rate = 0.5 * gamma
-    if rsp.get("invert_bath"):
+    if rsp["invert_bath"]:
         rate = -rate
     h, *dh = model.hamiltonian(kxg, kyg, derivatives=True)
     evals, vecs = np.linalg.eigh(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))))
     vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
     ops = np.stack([vecs_h @ d @ vecs for d in dh], axis=-3)
     ops = 0.5 * (ops + np.conj(np.swapaxes(ops, -1, -2)))
-    if rsp.get("beta") is None:
+    if rsp["beta"] is None:
         rho = np.array([1.0, 0.0])
     else:
         x = -rsp["beta"] * evals
@@ -402,20 +385,20 @@ def cmd_lindblad_check(cfg):
     recon = 0.5 * (h_eff - h_eff.conj().T) - spec.identity_shift * np.eye(2)
     residual = float(np.max(np.abs(recon - (-1j) * target)))
     rsp = cfg["response"]
-    kel = lindblad.keldysh_sigma(spec, inverted=bool(rsp.get("invert_bath")))
+    kel = lindblad.keldysh_sigma(spec, inverted=rsp["invert_bath"])
 
     # positivity scan of the Keldysh bubbles on the levels e = E - i gamma/2.
     # With Sigma^K_m = noise_sign 2i Im(e_m), both sides of
     # bubble_positivity(e_n, e_m, omega) equal one Lorentzian of width
     # |S_n + S_m| = |gamma|: noise_sign 2 pi^2 L(E_m - E_n, 0, |gamma|, omega)
     omegas = np.linspace(rsp["omega_min"], rsp["omega_max"], rsp["omega_count"])
-    gamma = float(cfg["model"].get("gamma", 1.0)) or 1.0
+    gamma = float(cfg["model"]["gamma"]) or 1.0
     evals = np.linalg.eigvalsh(h_sym)
     levels = evals - 0.5j * gamma
     if abs(0.5 * gamma) < tols.UNDAMPED_RTOL * max(1.0, float(np.max(np.abs(levels)))):
         raise NonIntegrableError("level m must decay or grow: Im eps_m = 0")
     # inverted bath: Keldysh noise flips sign at fixed (decaying) spectra
-    noise_sign = -1.0 if rsp.get("invert_bath") else 1.0
+    noise_sign = -1.0 if rsp["invert_bath"] else 1.0
     q = noise_sign * 2.0 * np.pi**2 * response.lorentzian_kernel(
         evals[None, :] - evals[:, None], 0.0, abs(gamma), omegas[:, None, None])
     bad_omegas = sorted(set(omegas[np.any(q < -tols.BUBBLE_POSITIVITY_TOL, axis=(1, 2))].tolist()))

@@ -8,7 +8,7 @@ evaluated concurrently without synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,9 @@ class RMParams:
             raise ConfigError("Gamma must be >= 0 (decay, not gain)")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
+        if not np.isfinite(_scale_floor(self)):
+            raise ConfigError("the parameter scale |t| + |delta| + |Delta| + gamma/2 + "
+                              "|dz_offset| must be below 1.3e154: its square overflows")
 
 
 def rm_d_vector(kx, ky, p: RMParams, derivatives=False):
@@ -132,6 +135,16 @@ def _sum3(q):
     return q[..., 0] + q[..., 1] + q[..., 2]
 
 
+def _scale_floor(p: RMParams):
+    """P^2 with P = |t| + |delta| + |Delta| + gamma/2 + |dz_offset| the
+    parameter scale; inf where the square overflows."""
+    try:
+        return float(abs(p.t) + abs(p.delta) + abs(p.Delta) + 0.5 * p.gamma
+                     + abs(p.dz_offset)) ** 2
+    except OverflowError:
+        return np.inf
+
+
 def _rm_scale(d, p: RMParams):
     """Principal sqrt(d.d) with the gapless-point guard.
 
@@ -142,8 +155,7 @@ def _rm_scale(d, p: RMParams):
     exact +-i*Gamma/2 shift of the two band energies.
     """
     dd = _sum3(d * d)
-    floor = (abs(p.t) + abs(p.delta) + abs(p.Delta) + 0.5 * p.gamma
-             + abs(p.dz_offset)) ** 2
+    floor = _scale_floor(p)
     scale2 = np.maximum(_sum3(np.abs(d) ** 2), floor)
     bad = np.abs(dd) <= DEGENERACY_RTOL * scale2
     if np.any(bad):
@@ -262,8 +274,7 @@ class BlochModel:
 
 
 #: the ``model:`` keys some family reads; any other key is a ConfigError
-MODEL_KEYS = ("family", "t", "delta", "Delta", "gamma", "Gamma", "variant", "dz_offset",
-              "matrix")
+MODEL_KEYS = ("family", *(f.name for f in fields(RMParams)), "matrix")
 
 
 def model_from_config(cfg: dict) -> BlochModel:
@@ -277,17 +288,10 @@ def model_from_config(cfg: dict) -> BlochModel:
     family = cfg.get("family")
 
     if family == "rice_mele":
-        try:
-            params = RMParams(
-                t=float(cfg.get("t", 1.0)),
-                delta=float(cfg.get("delta", 1.0)),
-                Delta=float(cfg.get("Delta", 1.0)),
-                gamma=float(cfg.get("gamma", 0.0)),
-                Gamma=float(cfg.get("Gamma", 0.0)),
-                variant=cfg.get("variant", "supplemental"),
-                dz_offset=float(cfg.get("dz_offset", 0.0)),
-            )
-        except (TypeError, ValueError) as exc:
+        try:  # a key the section leaves out takes the RMParams default
+            params = RMParams(**{f.name: float(cfg[f.name]) if isinstance(f.default, float)
+                                 else cfg[f.name] for f in fields(RMParams) if f.name in cfg})
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad rice_mele parameters: {exc}") from exc
         return BlochModel.rice_mele(params)
 

@@ -239,33 +239,16 @@ def fork_parts(work, parts, tmpdir):
             tmp.close()
 
 
-def write_csv(path, header, table, workers=1):
-    """Write a 2-D float table with a header; deterministic byte output.
-
-    Each value is printed as "%.17g" prints it (the bytes of f"{x:.17g}"),
-    by the vectorised :func:`_format_block`.  The rows are cut into
-    ``split_parts(table, workers, table.size // _CSV_PART)``, all but the
-    first formatted in forked processes (:func:`fork_parts`); the bytes do
-    not depend on ``workers``.  The file is written under a temporary name in
-    the same directory and atomically replaces ``path`` once complete, so a
-    failed write leaves the previous file, if any, and no partial one.  Raises
-    ``ConfigError`` when the file cannot be written.
-    """
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2 or table.shape[1] != len(header):
-        raise ValueError(f"table shape {table.shape} does not fit {len(header)} columns")
-    parts = split_parts(table, workers, table.size // _CSV_PART)
-    _format_tables()  # built here, so that no forked part builds its own
+@contextlib.contextmanager
+def _replacing(path, mode):
+    """The file opened in ``mode`` under a temporary name in the directory of
+    ``path``, which atomically replaces ``path`` once the block completes.  A
+    failure removes it and leaves the previous file, if any; an ``OSError``
+    becomes a ``ConfigError``."""
     partial = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(partial, "wb") as fh, fork_parts(
-                _write_rows, parts[1:], os.path.dirname(os.path.abspath(path))) as done:
-            fh.write((",".join(header) + "\n").encode())
-            _write_rows(fh, parts[0])
-            for code, tmp in done:
-                if code != 0:
-                    raise ChildProcessError(f"a CSV formatting process exited with status {code}")
-                shutil.copyfileobj(tmp, fh, 1 << 20)
+        with open(partial, mode) as fh:
+            yield fh
         os.replace(partial, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
@@ -273,6 +256,32 @@ def write_csv(path, header, table, workers=1):
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write output {path}: {exc}") from exc
         raise
+
+
+def write_csv(path, header, table, workers=1):
+    """Write a 2-D float table with a header; deterministic byte output.
+
+    Each value is printed as "%.17g" prints it (the bytes of f"{x:.17g}"),
+    by the vectorised :func:`_format_block`.  The rows are cut into
+    ``split_parts(table, workers, table.size // _CSV_PART)``, all but the
+    first formatted in forked processes (:func:`fork_parts`); the bytes do
+    not depend on ``workers``.  The file is written through :func:`_replacing`,
+    so a failed write leaves the previous file, if any, and no partial one.
+    Raises ``ConfigError`` when the file cannot be written.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"table shape {table.shape} does not fit {len(header)} columns")
+    parts = split_parts(table, workers, table.size // _CSV_PART)
+    _format_tables()  # built here, so that no forked part builds its own
+    with _replacing(path, "wb") as fh, fork_parts(
+            _write_rows, parts[1:], os.path.dirname(os.path.abspath(path))) as done:
+        fh.write((",".join(header) + "\n").encode())
+        _write_rows(fh, parts[0])
+        for code, tmp in done:
+            if code != 0:
+                raise ChildProcessError(f"a CSV formatting process exited with status {code}")
+            shutil.copyfileobj(tmp, fh, 1 << 20)
 
 
 def geometry_csv_header():
@@ -329,15 +338,13 @@ def _to_jsonable(obj):
 
 
 def write_report_json(path, payload, config):
-    """Schema-versioned JSON document with the config echoed back."""
+    """Schema-versioned JSON document with the config echoed back, written
+    through :func:`_replacing` as the CSVs are."""
     doc = {"schema_version": SCHEMA_VERSION, "config": _to_jsonable(config)}
     doc.update(_to_jsonable(payload))
-    try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+    with _replacing(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def bound_report_summary(report):

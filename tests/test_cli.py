@@ -12,7 +12,7 @@ from conftest import NEAR_EP_REJECTED, assert_no_child_left, fail_in_child, near
 from nhgeo import bounds, cli, geometry, response, serialize, topology
 from nhgeo.cli import load_config, main
 from nhgeo.errors import ConfigError, ExceptionalPointError
-from nhgeo.models import bz_mesh, model_from_config
+from nhgeo.models import MODEL_KEYS, bz_mesh, model_from_config
 from nhgeo.response import response_spectrum
 
 
@@ -82,6 +82,7 @@ COMMANDS = ["scan", "chern", "bounds", "optical-weight", "lindblad-check"]
 
 @pytest.mark.parametrize("command, config", [
     ("scan", {"threads": "x"}),
+    ("scan", {"threads": float("inf")}),
     ("scan", {"band": 2.5}),
     ("scan", {"response": {"eta": "abc"}}),
     ("scan", {"model": {"gamma": float("nan")}}),
@@ -94,13 +95,15 @@ COMMANDS = ["scan", "chern", "bounds", "optical-weight", "lindblad-check"]
     ("bounds", {"response": {"beta": "hot"}}),
     ("chern", {"chern": {"curvature_grid": "abc"}}),
     ("chern", {"chern": {"curvature_grid": 4}}),
+    ("chern", {"chern": {"curvature_grid": 10**400}}),
     ("bounds", {"tolerances": {"psd": "abc"}}),
     ("bounds", {"tolerances": {"bound": float("nan")}}),
     ("bounds", {"tolerances": {"qgt": -1e-10}}),
-], ids=["threads_text", "band_fraction", "eta_text", "gamma_nan", "three_band_constant",
+], ids=["threads_text", "threads_inf", "band_fraction", "eta_text", "gamma_nan", "three_band_constant",
         "model_derivative_key", "model_key_typo",
         "lindblad_omega_count_text", "lindblad_omega_max_inf", "bounds_k_samples_zero",
         "bounds_beta_text", "chern_curvature_grid_text", "chern_curvature_grid_small",
+        "chern_curvature_grid_overflow",
         "bounds_psd_text", "bounds_bound_nan", "bounds_qgt_negative"])
 def test_cli_scan_bad_input_exit_2(tmp_path, command, config):
     cfg = _write(tmp_path, "bad.yaml", dict(config, grid={"nx": 8, "ny": 8}))
@@ -117,6 +120,79 @@ def test_cli_three_band_model_exit_2(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "two-band" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("optical-weight", {"sweeps": {"Gamma": [0.5]}}, "sweeps"),
+    ("scan", {"gird": {"nx": 8, "ny": 8}}, "gird"),
+    ("lindblad-check", {"response": {"omega_cout": 11}}, "response.omega_cout"),
+    ("bounds", {"tolerances": {"bnd": 1e-9}}, "tolerances.bnd"),
+    ("chern", {"chern": {"grid": 33}}, "chern.grid"),
+])
+def test_cli_unknown_key_exit_2(tmp_path, capsys, monkeypatch, command, config, key):
+    # a misspelt key would otherwise run the defaults it meant to replace
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", _write(tmp_path, "typo.yaml", config)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
+    assert os.listdir(tmp_path) == ["typo.yaml"]
+
+
+@pytest.mark.parametrize("value, code", [(True, 4), (False, 0), ("no", 2), (1, 2), ("false", 2)])
+def test_cli_invert_bath_must_be_boolean(tmp_path, capsys, value, code):
+    # a quoted or numeric flag is not read by its truthiness
+    cfg = _write(tmp_path, "i.yaml", {"response": {"invert_bath": value, "omega_count": 21}})
+    out = tmp_path / "o"
+    assert main(["lindblad-check", "--config", cfg, "--out", str(out)]) == code
+    if code == 2:
+        assert "response.invert_bath must be true or false" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_parameter_scale_overflow_exit_2(tmp_path, capsys, command):
+    # (|t| + |delta| + |Delta| + gamma/2 + |dz_offset|)^2 overflows a float
+    cfg = _write(tmp_path, "big.yaml", {"model": {"t": 1.0e200}})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: the parameter scale")
+    assert not out.exists()
+
+
+def test_cli_failed_report_write_keeps_previous_report(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    assert main(["lindblad-check", "--out", str(out)]) == 0
+    before = (out / "lindblad.json").read_bytes()
+
+    def disk_full(doc, fh, **kwargs):
+        fh.write('{"config": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(serialize.json, "dump", disk_full)
+    cfg = _write(tmp_path, "l.yaml", {"response": {"omega_count": 11}})
+    assert main(["lindblad-check", "--config", cfg, "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert os.listdir(out) == ["lindblad.json"]
+    assert (out / "lindblad.json").read_bytes() == before
+
+
+def test_readme_example_config_matches_the_key_table(tmp_path):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Example configuration", 1)[1].split("```yaml\n", 1)[1]
+    path = tmp_path / "readme.yaml"
+    path.write_text(block.split("```", 1)[0])
+    cfg = load_config(str(path), {})
+    shown = {f"{name}.{key}" if isinstance(value, dict) else name: val
+             for name, value in yaml.safe_load(path.read_text()).items()
+             for key, val in (value.items() if isinstance(value, dict) else [(None, value)])}
+    table = {name for name in cli.CONFIG_KEYS if not name.startswith("model.")}
+    assert {name for name in shown if not name.startswith("model.")} == table
+    assert {name[len("model."):] for name in shown if name.startswith("model.")} \
+        <= set(MODEL_KEYS)
+    # every shown value but threads is the default, the model defaults included
+    for name in shown.keys() & cli.CONFIG_KEYS.keys() - {"threads"}:
+        section, _, key = name.rpartition(".")
+        default = cli.CONFIG_KEYS[name][0]
+        assert shown[name] == default == (cfg[section] if section else cfg)[key], name
 
 
 def test_import_cli_leaves_scipy_unloaded():

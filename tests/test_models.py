@@ -227,6 +227,8 @@ def test_params_validation():
         RMParams(Gamma=-1.0)
     with pytest.raises(ConfigError):
         RMParams(variant="nope")
+    with pytest.raises(ConfigError, match="overflows"):
+        RMParams(t=1.0e154, Delta=1.0e154)
 
 
 def test_model_from_config_rice_mele():
