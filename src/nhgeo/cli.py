@@ -32,11 +32,13 @@ from .models import BlochModel, bz_mesh, model_from_config
 
 def _number(kind, low=-np.inf, high=np.inf):
     """Parser of a finite number in [low, high] made by ``kind``: float, or
-    int, which takes integral input only (3, 3.0, "3")."""
+    int, which takes integral input only (3, 3.0, "3").  A bool (true/false)
+    is not a number here, though Python counts it as one."""
     def parse(value, name):
         try:
             out = kind(value)
-            valid = out == float(value) and np.isfinite(out) and low <= out <= high
+            valid = (not isinstance(value, bool) and out == float(value) and np.isfinite(out)
+                     and low <= out <= high)
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
@@ -60,9 +62,14 @@ def _optional(parse):
     return lambda value, name: None if value is None else parse(value, name)
 
 
-def _nonempty_list(value, name):
+def _number_list(value, name):
+    """Parser of a nonempty list of finite ints or floats, kept as given."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
+    for i, item in enumerate(value):
+        if not isinstance(item, (int, float)):
+            raise ConfigError(f"{name}[{i}] must be a number, got {item!r}")
+        _number(float)(item, f"{name}[{i}]")
     return list(value)
 
 
@@ -96,7 +103,7 @@ CONFIG_KEYS = {
     "response.invert_bath": (False, _typed(bool, "true or false")),
     "response.k_samples": (16, _number(int, 1)),
     "response.beta": (None, _optional(_number(float))),
-    "sweep.Gamma": ([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], _nonempty_list),
+    "sweep.Gamma": ([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], _number_list),
     "chern.curvature_grid": (201, _number(int, 8)),
     "tolerances.bound": (tols.BOUND_TOL, _number(float, 0.0)),
     "tolerances.psd": (tols.PSD_TOL, _number(float, 0.0)),
@@ -327,6 +334,10 @@ def cmd_optical_weight(cfg, quadrature=False):
     here again, so every run prints, writes and raises as the serial one."""
     sweep = cfg["sweep"]["Gamma"]
     models = [_model(dict(cfg["model"], Gamma=g_val)) for g_val in sweep]
+    family = cfg["model"]["family"]
+    if len(sweep) > 1 and family != "rice_mele":  # every row would be the same
+        raise ConfigError(f"sweep.Gamma has {len(sweep)} values, but the {family} family "
+                          "has no Gamma to sweep; give it one value")
     out = _ensure_outdir(cfg)
     args = (min(cfg["grid"]["nx"], 48), cfg["response"]["eta"],
             cfg["tolerances"]["bound"], quadrature)
@@ -358,7 +369,7 @@ def cmd_optical_weight(cfg, quadrature=False):
             for i, row in zip(part, np.frombuffer(fh.read()).reshape(len(part), -1)):
                 emit(i, row.tolist())
     table = np.array(rows, dtype=float)
-    serialize.write_csv(os.path.join(out, "optical_weight.csv"), header, table)
+    serialize.write_csv(os.path.join(out, "optical_weight.csv"), header, [table])
     serialize.write_report_json(
         os.path.join(out, "optical_weight.json"),
         {"kind": "optical_weight_sweep", "columns": header, "rows": table.tolist()},

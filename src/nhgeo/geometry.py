@@ -21,8 +21,8 @@ Two routes compute the same tensors, batched over leading axes:
   H = c + d.sigma, every tensor is a trace of products of the band
   projectors P_+- = (1 +- n.sigma)/2, n = d/sqrt(d.d), with the Pauli
   parts a_mu of d_mu H; no eigenvector is formed.  It serves
-  :func:`scan_geometry`, guarded per point and cross-checked against the
-  eigenvector route on one kx row of every chunk.
+  :func:`_scan_chunks`, the mesh pass of every scan, guarded per point and
+  cross-checked against the eigenvector route on one kx row of every chunk.
 
 All quantities are gauge invariant under |R_n> -> c(k)|R_n>,
 |L_n> -> |L_n>/conj(c(k)).
@@ -372,7 +372,7 @@ def solve_mesh(kxg, kyg, solve, store):
 
     Each chunk of about CHUNK_POINTS points is one ``solve(kx, ky)`` call
     (one batched model pass and what is built from it), handed on as
-    ``store(rows, kx, ky, result)`` with ``rows`` the chunk's kx-row slice.
+    ``store(rows, result)`` with ``rows`` the chunk's kx-row slice.
     Chunk bounds depend on the mesh shape only.  The exceptional points of
     every chunk are mapped to (kx, ky), sorted and raised once after the
     last chunk.
@@ -388,52 +388,56 @@ def solve_mesh(kxg, kyg, solve, store):
         except ExceptionalPointError as exc:
             bad_points += _k_points(exc, kxr, kyr)
             continue
-        store(rng, kxr, kyr, result)
+        store(rng, result)
     if bad_points:
         raise ExceptionalPointError(
             f"{len(bad_points)} exceptional point(s) on the mesh", points=sorted(bad_points))
 
 
-def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
-    """GeometryGrid of branch band ``band`` over the uniform [-pi, pi)^2 mesh.
+def _empty_fields(shape):
+    """Uninitialised arrays of the :data:`FIELDS` over a mesh of ``shape``."""
+    return [np.empty(shape + t, complex) for t in ((2, 2),) * 3 + ((2,),) * 2] + [np.empty(shape)]
 
-    :func:`solve_mesh` cuts the mesh into chunks of whole kx rows; each
-    chunk's H, d_x H and d_y H (one model pass) go to
-    :func:`pseudospin_geometry`, whose fields are written into preallocated
-    arrays.  The first kx row of every chunk is then recomputed through the
-    validated eigenvector route, batched like the chunks
-    (:func:`_cross_check`).  Bands carry the k-smooth branch labels
-    (integer topology requires a labeling that is continuous across the
-    zone).  ``workers`` (>= 1) is accepted for the callers that pass a
-    thread count and has no effect: the scan is serial.
-    """
+
+def _scan_chunks(model: BlochModel, band, kxg, kyg, store, firsts=None):
+    """Hand on the :data:`FIELDS` of each :func:`solve_mesh` chunk of the mesh
+    (kxg, kyg) as ``store(rows, values)``, then :func:`_cross_check` the first kx
+    row of every chunk, kept in ``firsts`` (or new arrays), a chunk's rows at a time."""
     if model.dimension != 2:
         raise ConfigError("grid scans support two-band models only")
+    rows = _chunk_rows(kxg.shape[1])
+    checked = np.arange(0, len(kxg), rows)  # the first kx row of every chunk
+    firsts = firsts or _empty_fields((len(checked), kxg.shape[1]))
+
+    def keep(rng, values):
+        for first, value in zip(firsts, values):
+            first[rng.start // rows] = value[0]
+        store(rng, values)
+
+    solve_mesh(kxg, kyg, lambda kxr, kyr: pseudospin_geometry(
+        *model.hamiltonian(kxr, kyr, derivatives=True), band=band), keep)
+    for i in range(0, len(checked), rows):
+        sel = checked[i:i + rows]
+        _cross_check(model, kxg[sel], kyg[sel], [first[i:i + rows] for first in firsts], band)
+
+
+def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
+    """GeometryGrid of branch band ``band`` over the uniform [-pi, pi)^2 mesh,
+    filled chunk by chunk by :func:`_scan_chunks`.  Bands carry the k-smooth
+    branch labels (integer topology requires a labeling that is continuous
+    across the zone).  ``workers`` (>= 1) is accepted for the callers that
+    pass a thread count and has no effect: the scan is serial."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    ny = nx if ny is None else ny
-    kxg, kyg = bz_mesh(nx, ny)
-    tails = ((2, 2),) * 3 + ((2,),) * 2
-    # every element is written by a chunk, or the scan raises
-    out = GeometryGrid(kx=kxg, ky=kyg, norm_product=np.empty((nx, ny)),
-                       **{name: np.empty((nx, ny) + tail, dtype=complex)
-                          for name, tail in zip(FIELDS, tails)})
+    kxg, kyg = bz_mesh(nx, nx if ny is None else ny)
+    fields = _empty_fields(kxg.shape)  # every element is written by a chunk, or the scan raises
 
-    def solve(kxr, kyr):
-        return pseudospin_geometry(*model.hamiltonian(kxr, kyr, derivatives=True), band=band)
+    def store(rng, values):
+        for field, value in zip(fields, values):
+            field[rng] = value
 
-    def store(rng, kxr, kyr, values):
-        for name, value in zip(FIELDS, values):
-            getattr(out, name)[rng] = value
-
-    solve_mesh(kxg, kyg, solve, store)
-    rows = _chunk_rows(ny)
-    firsts = np.arange(0, nx, rows)  # the first kx row of every chunk
-    for i in range(0, len(firsts), rows):
-        sel = firsts[i:i + rows]
-        _cross_check(model, kxg[sel], kyg[sel], [getattr(out, name)[sel] for name in FIELDS],
-                     band)
-    return out
+    _scan_chunks(model, band, kxg, kyg, store, [f[::_chunk_rows(kxg.shape[1])] for f in fields])
+    return GeometryGrid(kxg, kyg, *fields)
 
 
 # -- phase-locked stencil -----------------------------------------------------

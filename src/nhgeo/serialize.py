@@ -58,12 +58,12 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _write_rows(fh, table):
-    """Append the rows of ``table`` to the binary file ``fh``, formatted by
-    :func:`_format_block` in blocks of ``_CSV_BLOCK`` values."""
-    rows = max(1, _CSV_BLOCK // max(1, table.shape[1]))
-    for i in range(0, table.shape[0], rows):
-        fh.write(_format_block(table[i:i + rows]))
+def _write_rows(fh, blocks):
+    """Append the rows of the column ``blocks`` to the binary file ``fh``,
+    joined and formatted by :func:`_format_block` ``_CSV_BLOCK`` values at a time."""
+    rows = max(1, _CSV_BLOCK // max(1, sum(b.shape[1] for b in blocks)))
+    for i in range(0, len(blocks[0]), rows):
+        fh.write(_format_block(np.concatenate([b[i:i + rows] for b in blocks], axis=1)))
 
 
 @functools.cache
@@ -258,21 +258,24 @@ def _replacing(path, mode):
         raise
 
 
-def write_csv(path, header, table, workers=1):
-    """Write a 2-D float table with a header; deterministic byte output.
+def write_csv(path, header, columns, workers=1):
+    """Write a float table with a header; deterministic byte output.
 
-    Each value is printed as "%.17g" prints it (the bytes of f"{x:.17g}"),
-    by the vectorised :func:`_format_block`.  The rows are cut into
-    ``split_parts(table, workers, table.size // _CSV_PART)``, all but the
-    first formatted in forked processes (:func:`fork_parts`); the bytes do
-    not depend on ``workers``.  The file is written through :func:`_replacing`,
-    so a failed write leaves the previous file, if any, and no partial one.
-    Raises ``ConfigError`` when the file cannot be written.
-    """
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2 or table.shape[1] != len(header):
-        raise ValueError(f"table shape {table.shape} does not fit {len(header)} columns")
-    parts = split_parts(table, workers, table.size // _CSV_PART)
+    ``columns``, 2-D float arrays with one row count, are joined one row block
+    at a time, and each value printed as "%.17g" prints it (the bytes of
+    f"{x:.17g}") by the vectorised :func:`_format_block`.  The rows are cut
+    into ``split_parts(rows, workers, values // _CSV_PART)``, all but the first
+    formatted in forked processes (:func:`fork_parts`); the bytes do not
+    depend on ``workers``.  The file is written through :func:`_replacing`, so
+    a failed write leaves the previous file, if any, and no partial one.
+    Raises ``ConfigError`` when the file cannot be written."""
+    blocks = [np.asarray(c, dtype=float) for c in columns]
+    n = len(blocks[0])
+    if any(b.ndim != 2 or len(b) != n for b in blocks) or sum(
+            b.shape[1] for b in blocks) != len(header):
+        raise ValueError(f"column blocks {[b.shape for b in blocks]} do not fit the header")
+    parts = [[b[rows.start:rows.stop] for b in blocks]
+             for rows in split_parts(range(n), workers, n * len(header) // _CSV_PART)]
     _format_tables()  # built here, so that no forked part builds its own
     with _replacing(path, "wb") as fh, fork_parts(
             _write_rows, parts[1:], os.path.dirname(os.path.abspath(path))) as done:
@@ -299,13 +302,11 @@ def geometry_csv_header():
 
 def write_geometry_csv(path, grid, workers=1):
     """Row-major (kx, ky) rows with Re/Im of every tensor component."""
-    n = grid.kx.size
-    cols = [grid.kx, grid.ky, grid.qgt_lr, grid.qgt_rl, grid.qgt_rr, grid.qgt_ll,
-            grid.anomalous_r, grid.anomalous_l, grid.curvature_lr, grid.norm_product]
-    # a complex array viewed as float interleaves (re, im) per component
-    table = np.concatenate([np.ascontiguousarray(c).view(float).reshape(n, -1)
-                            for c in cols], axis=1)
-    write_csv(path, geometry_csv_header(), table, workers)
+    # complex arrays viewed as float interleave (re, im); qgt_rl is copied row-major
+    write_csv(path, geometry_csv_header(), [
+        np.ascontiguousarray(c).view(float).reshape(grid.kx.size, -1) for c in (
+            grid.kx, grid.ky, grid.qgt_lr, grid.qgt_rl, grid.qgt_rr, grid.qgt_ll,
+            grid.anomalous_r, grid.anomalous_l, grid.curvature_lr, grid.norm_product)], workers)
 
 
 def write_bound_csv(path, report, workers=1):
@@ -313,8 +314,8 @@ def write_bound_csv(path, report, workers=1):
     n = report.lhs.shape[0]
     labels = np.asarray(report.labels, dtype=float).reshape(n, -1)
     header = [f"label{i}" for i in range(labels.shape[1])] + ["lhs", "rhs", "margin"]
-    write_csv(path, header, np.column_stack([labels, report.lhs, report.rhs,
-                                             report.margin]), workers)
+    write_csv(path, header, [labels] + [v[:, None] for v in (report.lhs, report.rhs,
+                                                              report.margin)], workers)
 
 
 def _to_jsonable(obj):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import LinkCollapseError, NonIntegerResidueError, NonRealCurvatureError
 from .models import BlochModel, bz_mesh
 from .spectra import eigensystem_two_band
-from .geometry import GeometryGrid, scan_geometry, solve_mesh
+from .geometry import GeometryGrid, _scan_chunks, berry_curvature_lr, solve_mesh
 from .tolerances import CURVATURE_SUM_IMAG_TOL, LINK_TOL, RESIDUE_TOL
 
 
@@ -52,13 +52,11 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     bra = np.empty((n_grid, n_grid, 2), dtype=complex)
     ket = np.empty_like(bra)
 
-    def store(rows, kxr, kyr, eig):
+    def store(rows, eig):
         bra[rows], ket[rows] = eig.left[..., band, :], eig.right[..., band, :]
 
-    def solve(kxr, kyr):
-        return eigensystem_two_band(model.hamiltonian(kxr, kyr))
-
-    solve_mesh(kxg, kyg, solve, store)
+    solve_mesh(kxg, kyg, lambda kxr, kyr: eigensystem_two_band(model.hamiltonian(kxr, kyr)),
+               store)
 
     u_x = np.einsum("ijk,ijk->ij", np.conj(bra), np.roll(ket, -1, axis=0))
     u_y = np.einsum("ijk,ijk->ij", np.conj(bra), np.roll(ket, -1, axis=1))
@@ -80,19 +78,6 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     return chern
 
 
-def chern_from_curvature(grid: GeometryGrid):
-    """Riemann sum of the mixed curvature over the BZ, divided by 2*pi.
-
-    The pointwise curvature is generically complex; its BZ sum must be
-    real (NonRealCurvatureError otherwise) and converges to the integer.
-    """
-    total = np.sum(grid.curvature_lr) * grid.cell_area() / (2.0 * np.pi)
-    if abs(np.imag(total)) > CURVATURE_SUM_IMAG_TOL * max(1.0, abs(total)):
-        raise NonRealCurvatureError(
-            f"BZ-integrated curvature has imaginary part {np.imag(total):.2e}")
-    return float(np.real(total))
-
-
 def local_bound_sides(grid: GeometryGrid):
     """(|F|, |Q^RL_xy| + |Q^RL_yx|) per mesh point, shape (nx, ny) each.
 
@@ -104,13 +89,27 @@ def local_bound_sides(grid: GeometryGrid):
     return np.abs(grid.curvature_lr), np.abs(q[..., 1, 0]) + np.abs(q[..., 0, 1])
 
 
-def bound_integrals(grid: GeometryGrid):
-    """(int |F|, int (|Q^RL_xy| + |Q^RL_yx|)), the Riemann sums of
-    :func:`local_bound_sides`; the pointwise inequality itself is checked
-    by :func:`~nhgeo.bounds.check_local_curvature_bound`."""
-    lhs, rhs = local_bound_sides(grid)
-    area = grid.cell_area()
-    return float(np.sum(lhs) * area), float(np.sum(rhs) * area)
+def _chain_sums(q_lr):
+    """[sum F, sum |F|, sum (|Q^RL_xy| + |Q^RL_yx|)] over the Q^LR tensors ``q_lr``."""
+    f = berry_curvature_lr(q_lr)
+    return np.array([np.sum(f), np.sum(np.abs(f)),
+                     np.sum(np.abs(q_lr[..., 1, 0]) + np.abs(q_lr[..., 0, 1]))])
+
+
+def _chain_integrals(sums, area):
+    """(C, int |F|, int (|Q^RL_xy| + |Q^RL_yx|)) from :func:`_chain_sums` over cells
+    of ``area``; C, a sum of complex curvatures, must be real (NonRealCurvatureError)."""
+    total = sums[0] * area / (2.0 * np.pi)
+    if abs(np.imag(total)) > CURVATURE_SUM_IMAG_TOL * max(1.0, abs(total)):
+        raise NonRealCurvatureError(
+            f"BZ-integrated curvature has imaginary part {np.imag(total):.2e}")
+    return float(np.real(total)), float(sums[1].real * area), float(sums[2].real * area)
+
+
+def chern_from_curvature(grid: GeometryGrid):
+    """Riemann sum of the mixed curvature over the BZ, divided by 2*pi; it
+    converges to the integer (:func:`_chain_integrals`)."""
+    return _chain_integrals(_chain_sums(grid.qgt_lr), grid.cell_area())[0]
 
 
 def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201, grid=None):
@@ -118,22 +117,18 @@ def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201, gr
     the two integrals of the bound chain 2*pi*|C| <= int|F| <= int(|Q|+|Q|),
     which :func:`~nhgeo.bounds.check_chern_chain` checks.
 
-    ``grid``, an already scanned GeometryGrid of ``band``, replaces the
-    n_curvature^2 scan.  Of the grid only three sums are kept: the
-    curvature and the two :func:`bound_integrals`.
+    Only the three :func:`_chain_sums` are kept: added up chunk by chunk over
+    the n_curvature^2 mesh, which holds no GeometryGrid, or taken at once from
+    ``grid``, an already scanned GeometryGrid of ``band`` that replaces it.
     """
     c_pl, residue = chern_plaquette(model, band=band, n_grid=n_plaquette,
                                     return_residue=True)
     if grid is None:
-        grid = scan_geometry(model, band=band, nx=n_curvature)
-    c_cv = chern_from_curvature(grid)
-    abs_f, qgt_b = bound_integrals(grid)
-    return ChernResult(
-        chern_plaquette=c_pl,
-        chern_curvature=c_cv,
-        curvature_abs_integral=abs_f,
-        qgt_bound_integral=qgt_b,
-        grid_plaquette=n_plaquette,
-        grid_curvature=grid.shape[0],
-        plaquette_residue=residue,
-    )
+        chunks = []
+        _scan_chunks(model, band, *bz_mesh(n_curvature, n_curvature),
+                     lambda rows, values: chunks.append(_chain_sums(values[0])))
+        sums, area, n = np.sum(chunks, axis=0), (2.0 * np.pi / n_curvature) ** 2, n_curvature
+    else:
+        sums, area, n = _chain_sums(grid.qgt_lr), grid.cell_area(), grid.shape[0]
+    return ChernResult(c_pl, *_chain_integrals(sums, area), grid_plaquette=n_plaquette,
+                       grid_curvature=n, plaquette_residue=residue)

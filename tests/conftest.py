@@ -64,10 +64,10 @@ def fail_in_child(monkeypatch):
     """Make every forked CSV formatting process raise before it writes."""
     parent, write_rows = os.getpid(), serialize._write_rows
 
-    def failing(fh, table):
+    def failing(fh, blocks):
         if os.getpid() != parent:
             raise MemoryError("formatting process fails")
-        write_rows(fh, table)
+        write_rows(fh, blocks)
 
     monkeypatch.setattr(serialize, "_write_rows", failing)
 

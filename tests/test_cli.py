@@ -137,6 +137,49 @@ def test_cli_unknown_key_exit_2(tmp_path, capsys, monkeypatch, command, config, 
     assert os.listdir(tmp_path) == ["typo.yaml"]
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"band": True}, "band"),                 # an int, which true would make band 1
+    ({"response": {"eta": True}}, "response.eta"),  # a float, which true would make 1.0
+    ({"threads": True}, "threads"),           # an optional int, which true would make 1
+])
+def test_cli_number_rejects_a_boolean(tmp_path, capsys, monkeypatch, config, key):
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan", "--config", _write(tmp_path, "b.yaml", config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be a finite ")
+    assert os.listdir(tmp_path) == ["b.yaml"]
+
+
+@pytest.mark.parametrize("text, bad", [("[true, '0.5']", "sweep.Gamma[0]"),
+                                       ("[0.5, '0.5']", "sweep.Gamma[1]"),
+                                       ("[0.0, .nan]", "sweep.Gamma[1]"),
+                                       ("[0.0, [1.0]]", "sweep.Gamma[1]")])
+def test_cli_sweep_values_must_be_finite_numbers(tmp_path, capsys, monkeypatch, text, bad):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.yaml").write_text(f"sweep: {{Gamma: {text}}}\n")
+    assert main(["optical-weight", "--config", "s.yaml"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {bad} must be a ")
+    assert os.listdir(tmp_path) == ["s.yaml"]
+
+
+def test_cli_sweep_values_kept_as_given(tmp_path):
+    (tmp_path / "s.yaml").write_text("sweep: {Gamma: [0, 1.5, 2]}\n")
+    sweep = load_config(str(tmp_path / "s.yaml"), {})["sweep"]["Gamma"]
+    assert sweep == [0, 1.5, 2] and [type(g) for g in sweep] == [int, float, int]
+
+
+def test_cli_gamma_sweep_of_a_family_without_gamma_exit_2(tmp_path, capsys):
+    # every row of a constant model would be the same: refused before any is solved
+    cfg = _write(tmp_path, "c.yaml", {"model": {"family": "constant",
+                                                "matrix": [[1.0, 0.5], [0.2, -1.0]]},
+                                      "grid": {"nx": 8, "ny": 8},
+                                      "sweep": {"Gamma": [0.0, 2.0]}})
+    out = tmp_path / "o"
+    assert main(["optical-weight", "--config", cfg, "--out", str(out)]) == 2
+    streams = capsys.readouterr()
+    assert streams.out == "" and "constant family has no Gamma" in streams.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value, code", [(True, 4), (False, 0), ("no", 2), (1, 2), ("false", 2)])
 def test_cli_invert_bath_must_be_boolean(tmp_path, capsys, value, code):
     # a quoted or numeric flag is not read by its truthiness
@@ -308,10 +351,11 @@ def test_cli_scan_exceptional_exit_3(tmp_path):
 
 
 def test_cli_optical_weight_exceptional_exit_3(tmp_path, capsys):
+    # a constant model has no Gamma: its sweep takes one value
     cfg = _write(tmp_path, "ep.yaml",
                  {"model": {"family": "constant",
                             "matrix": [[0.0, 1.0], [0.0, 0.0]]},
-                  "grid": {"nx": 8, "ny": 8}})
+                  "grid": {"nx": 8, "ny": 8}, "sweep": {"Gamma": [0.0]}})
     assert main(["optical-weight", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "numerical error" in err
@@ -393,19 +437,21 @@ def test_cli_bounds_pass_and_outputs(tmp_path):
 
 
 def test_cli_bounds_scans_grid_once(tmp_path, monkeypatch):
-    # the curvature chain reuses the grid of the local checks
+    # the curvature chain reuses the grid of the local checks: the one
+    # pass that solves a geometry mesh runs once
     calls = []
+    scan_chunks = geometry._scan_chunks
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("nx"))
-        return geometry.scan_geometry(*args, **kwargs)
+    def counting(model, band, kxg, kyg, *rest):
+        calls.append(kxg.shape)
+        return scan_chunks(model, band, kxg, kyg, *rest)
 
-    monkeypatch.setattr(cli, "scan_geometry", counting)
-    monkeypatch.setattr(topology, "scan_geometry", counting)
+    monkeypatch.setattr(geometry, "_scan_chunks", counting)
+    monkeypatch.setattr(topology, "_scan_chunks", counting)
     cfg = _write(tmp_path, "b.yaml", {"grid": {"nx": 16, "ny": 16},
                                       "response": {"k_samples": 4, "omega_count": 11}})
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert calls == [16]
+    assert calls == [(16, 16)]
 
 
 @pytest.mark.parametrize("beta", [None, 2.0])

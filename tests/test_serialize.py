@@ -1,5 +1,7 @@
+import json
 import os
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ import yaml
 from conftest import assert_no_child_left, fail_in_child
 from nhgeo import serialize
 from nhgeo.bounds import check_optical_weight_bound, check_psd, check_qgt_inequality
-from nhgeo.cli import load_config
+from nhgeo.cli import load_config, main
 from nhgeo.errors import ConfigError
 from nhgeo.geometry import scan_geometry
 from nhgeo.serialize import (split_parts, write_bound_csv, write_csv,
@@ -41,7 +43,7 @@ def test_write_csv_matches_per_element_rule(tmp_path, monkeypatch):
     monkeypatch.setattr(serialize, "_CSV_BLOCK", 9)
     table = np.array(SPECIAL * 3).reshape(17, 3)
     header = ["a", "b", "c"]
-    write_csv(tmp_path / "t.csv", header, table)
+    write_csv(tmp_path / "t.csv", header, [table])
     assert _read(tmp_path / "t.csv") == _per_element_csv(header, table)
 
 
@@ -76,7 +78,7 @@ def test_formatter_matches_per_element_rule(tmp_path, case):
     values = FORMAT_CASES[case](np.random.default_rng(20261019))
     table = np.resize(values, (-(-values.size // 7), 7))
     header = [f"c{i}" for i in range(7)]
-    write_csv(tmp_path / "t.csv", header, table)
+    write_csv(tmp_path / "t.csv", header, [table])
     assert _read(tmp_path / "t.csv") == _per_element_csv(header, table)
 
 
@@ -121,7 +123,7 @@ def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, csv_forks, rows):
     expected = _per_element_csv(header, table)
     for workers in (1, 2, 3, 4):
         del csv_forks[:]
-        write_csv(tmp_path / f"w{workers}.csv", header, table, workers=workers)
+        write_csv(tmp_path / f"w{workers}.csv", header, [table], workers=workers)
         assert _read(tmp_path / f"w{workers}.csv") == expected
         assert len(csv_forks) == len(split_parts(table, workers, table.size // 9)) - 1
     assert sorted(os.listdir(tmp_path)) == [f"w{w}.csv" for w in (1, 2, 3, 4)]
@@ -156,7 +158,7 @@ def test_split_parts_caps_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(serialize, "_CSV_PART", 4)
-    write_csv(tmp_path / "t.csv", ["a"], np.zeros((2 * serialize._CSV_PART - 1, 1)),
+    write_csv(tmp_path / "t.csv", ["a"], [np.zeros((2 * serialize._CSV_PART - 1, 1))],
               workers=workers)
 
 
@@ -168,7 +170,7 @@ def test_write_csv_failure_reaps_every_child(tmp_path, csv_forks, monkeypatch, s
     else:  # the parent fails while its children are still formatting
         parent = os.getpid()
 
-        def full_disk(fh, table):
+        def full_disk(fh, blocks):
             if os.getpid() != parent:
                 time.sleep(60)  # only a kill ends the child in time
             raise OSError(28, "No space left on device")
@@ -176,7 +178,7 @@ def test_write_csv_failure_reaps_every_child(tmp_path, csv_forks, monkeypatch, s
         monkeypatch.setattr(serialize, "_write_rows", full_disk)
     t0 = time.monotonic()
     with pytest.raises(ConfigError, match=f"cannot write output .*{error}"):
-        write_csv(tmp_path / "t.csv", ["a", "b", "c"], np.ones((12, 3)), workers=4)
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], [np.ones((12, 3))], workers=4)
     assert time.monotonic() - t0 < 30
     assert len(csv_forks) == 3
     assert os.listdir(tmp_path) == []  # neither a truncated CSV nor a temporary file
@@ -186,18 +188,23 @@ def test_write_csv_failure_reaps_every_child(tmp_path, csv_forks, monkeypatch, s
 def test_write_csv_failure_keeps_previous_file(tmp_path, csv_forks, monkeypatch):
     # the new file replaces the old one only once it is complete
     path = tmp_path / "t.csv"
-    write_csv(path, ["a"], np.zeros((1, 1)))
+    write_csv(path, ["a"], [np.zeros((1, 1))])
     before = _read(path)
     fail_in_child(monkeypatch)
     with pytest.raises(ConfigError, match="cannot write output"):
-        write_csv(path, ["a", "b", "c"], np.ones((12, 3)), workers=4)
+        write_csv(path, ["a", "b", "c"], [np.ones((12, 3))], workers=4)
     assert os.listdir(tmp_path) == ["t.csv"] and _read(path) == before
     assert_no_child_left()
 
 
 def test_write_csv_rejects_mismatched_table(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", ["a", "b"], np.zeros((2, 3)))
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros((2, 3))])
+    with pytest.raises(ValueError):  # the column blocks must share their row count
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros((2, 1)), np.zeros((3, 1))])
+    with pytest.raises(ValueError):  # a bare table is a list of 1-D rows, not of blocks
+        write_csv(tmp_path / "t.csv", ["a", "b"], np.zeros((2, 2)))
+    assert os.listdir(tmp_path) == []
 
 
 def test_geometry_csv_matches_per_element_rule(tmp_path, rm_model):
@@ -237,3 +244,63 @@ def test_bound_csv_matches_per_element_rule(tmp_path, rm_model):
         write_bound_csv(tmp_path / f"b{k}.csv", rep)
         assert _read(tmp_path / f"b{k}.csv") == _per_element_csv(header, rows)
     assert _read(tmp_path / "b0.csv").startswith("label0,label1,label2,lhs,rhs,margin\n")
+
+
+def _formatted(header, table):
+    """The CSV bytes of a whole table, formatted as one block."""
+    return (",".join(header) + "\n").encode() + serialize._format_block(table)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_column_block_csvs_match_the_joined_table(tmp_path, rm_model, csv_forks, monkeypatch,
+                                                  workers):
+    # blocks of 100 values (2 geometry rows, 16 margin rows) and parts of at
+    # least 200: both tables span several blocks, and at 2 workers their
+    # second part starts inside a block
+    monkeypatch.setattr(serialize, "_CSV_BLOCK", 100)
+    monkeypatch.setattr(serialize, "_CSV_PART", 200)
+    grid = scan_geometry(rm_model, nx=5, ny=3)
+    cols = [grid.kx, grid.ky, grid.qgt_lr, grid.qgt_rl, grid.qgt_rr, grid.qgt_ll,
+            grid.anomalous_r, grid.anomalous_l, grid.curvature_lr, grid.norm_product]
+    table = np.concatenate([np.ascontiguousarray(c).view(float).reshape(15, -1)
+                            for c in cols], axis=1)
+    write_geometry_csv(tmp_path / "g.csv", grid, workers=workers)
+    assert (tmp_path / "g.csv").read_bytes() == _formatted(serialize.geometry_csv_header(),
+                                                           table)
+    rep = check_qgt_inequality(scan_geometry(rm_model, nx=7, ny=9))
+    table = np.concatenate([np.asarray(rep.labels, dtype=float), rep.lhs[:, None],
+                            rep.rhs[:, None], rep.margin[:, None]], axis=1)
+    write_bound_csv(tmp_path / "b.csv", rep, workers=workers)
+    header = ["label0", "label1", "label2", "lhs", "rhs", "margin"]
+    assert (tmp_path / "b.csv").read_bytes() == _formatted(header, table)
+    assert len(csv_forks) == 2 * (workers - 1)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_csv_matches_the_joined_table(tmp_path, capsys, csv_forks, threads):
+    cfg = tmp_path / "w.yaml"
+    cfg.write_text(yaml.safe_dump({"grid": {"nx": 8, "ny": 8}, "sweep": {"Gamma": [0.0, 1.0]}}))
+    assert main(["optical-weight", "--config", str(cfg), "--out", str(tmp_path / "w"),
+                 "--threads", threads]) == 0
+    doc = json.loads((tmp_path / "w" / "optical_weight.json").read_text())
+    # the swept Gamma column, then the solved columns (JSON floats round-trip)
+    table = np.concatenate([[[0.0], [1.0]], np.array(doc["rows"])[:, 1:]], axis=1)
+    assert (tmp_path / "w" / "optical_weight.csv").read_bytes() == _formatted(doc["columns"],
+                                                                              table)
+    assert len(csv_forks) == int(threads) - 1  # the sweep's own fork
+    assert_no_child_left()
+
+
+def test_geometry_csv_joins_no_whole_table(tmp_path, rm_model):
+    # the joined 45-column table of a 160^2 scan alone takes 9.2 MB; only the
+    # derived qgt_rl and curvature_lr and one block's formatting are new
+    grid = scan_geometry(rm_model, nx=160)
+    write_geometry_csv(tmp_path / "warm.csv", grid)
+    tracemalloc.start()
+    try:
+        write_geometry_csv(tmp_path / "g.csv", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 160 * 45 * 8

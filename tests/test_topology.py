@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,7 @@ from nhgeo.geometry import scan_geometry
 from nhgeo.models import BlochModel, RMParams, bz_mesh
 from nhgeo.oracles import finite_difference_qgt
 from nhgeo.spectra import gauge_rescale
-from nhgeo.topology import (bound_integrals, chern_from_curvature,
-                            chern_plaquette, compute_chern)
+from nhgeo.topology import chern_from_curvature, chern_plaquette, compute_chern
 
 
 def test_plaquette_topological_phase(rm_model):
@@ -135,17 +136,21 @@ def test_zero_curvature_model():
     assert chern_from_curvature(grid) == 0.0
 
 
+def _bound_integrals(model, n):
+    """(int |F|, int (|Q^RL_xy| + |Q^RL_yx|)) of an n x n scan."""
+    res = compute_chern(model, band=0, n_plaquette=16, grid=scan_geometry(model, band=0, nx=n))
+    return res.curvature_abs_integral, res.qgt_bound_integral
+
+
 def test_bound_integrals_chain(rm_model):
-    grid = scan_geometry(rm_model, band=0, nx=64)
-    abs_f, qgt_b = bound_integrals(grid)
+    abs_f, qgt_b = _bound_integrals(rm_model, 64)
     assert 2 * np.pi * 1.0 <= abs_f <= qgt_b
     assert abs_f > 2 * np.pi + 0.5  # strict margin in the topological phase
     assert qgt_b > abs_f + 0.5
 
 
 def test_bound_integrals_hermitian(hermitian_model):
-    grid = scan_geometry(hermitian_model, band=0, nx=48)
-    abs_f, qgt_b = bound_integrals(grid)
+    abs_f, qgt_b = _bound_integrals(hermitian_model, 48)
     assert 2 * np.pi <= abs_f + 1e-9 <= qgt_b + 1e-9
 
 
@@ -182,3 +187,66 @@ def test_compute_chern_bundle(rm_model):
     assert abs(res.chern_curvature - res.chern_plaquette) < 0.5
     assert 2 * np.pi * abs(res.chern_plaquette) <= res.curvature_abs_integral
     assert res.curvature_abs_integral <= res.qgt_bound_integral
+
+
+@pytest.mark.parametrize("n", [8, 45, 100, 301])
+def test_streamed_chain_sums_match_grid_path(rm_model, n):
+    # 8 and 45 are one chunk, 100 five of 20 rows, 301 fifty of 6 rows and a
+    # last one of a single row; only the order of the sums differs
+    assert (n % geometry._chunk_rows(n) == 1) == (n == 301)
+    streamed = compute_chern(rm_model, n_plaquette=16, n_curvature=n)
+    whole = compute_chern(rm_model, n_plaquette=16, grid=scan_geometry(rm_model, nx=n))
+    assert streamed.grid_curvature == whole.grid_curvature == n
+    for name in ("chern_curvature", "curvature_abs_integral", "qgt_bound_integral"):
+        a, b = getattr(streamed, name), getattr(whole, name)
+        assert abs(a - b) <= 1e-12 * abs(b), name
+
+
+def test_streamed_pass_cross_checks_the_rows_of_scan_geometry(rm_model, monkeypatch):
+    # the first kx row of every 6-row chunk of the 301 x 301 mesh, in
+    # batches of 6 rows, whichever path solves the mesh
+    batches = []
+    cross_check = geometry._cross_check
+
+    def recording(model, kx, ky, values, band):
+        batches.append(kx[:, 0].tolist())
+        return cross_check(model, kx, ky, values, band)
+
+    monkeypatch.setattr(geometry, "_cross_check", recording)
+    compute_chern(rm_model, n_plaquette=16, n_curvature=301)
+    streamed, batches[:] = batches[:], []
+    scan_geometry(rm_model, nx=301)
+    kx = bz_mesh(301, 301)[0][:, 0]
+    firsts = np.arange(0, 301, 6)
+    assert streamed == batches == [kx[firsts[i:i + 6]].tolist() for i in range(0, 51, 6)]
+
+
+def test_streamed_pass_collects_exceptional_points(monkeypatch):
+    # d.d = (1 - cos ky)^2 vanishes on the mesh line ky = 0 of the even
+    # curvature mesh, across its four two-row chunks; the odd plaquette mesh
+    # misses it
+    monkeypatch.setattr(geometry, "CHUNK_POINTS", 16)
+    m = BlochModel.pseudospin(
+        lambda kx, ky: np.stack([np.sin(kx) + 0j, 1j * np.sin(kx),
+                                 1.0 - np.cos(ky) + 0j], axis=-1))
+    errors = []
+    for run in (lambda: compute_chern(m, n_plaquette=9, n_curvature=8),
+                lambda: scan_geometry(m, nx=8)):
+        with pytest.raises(ExceptionalPointError) as err:
+            run()
+        errors.append(err.value.points)
+    kx, _ = bz_mesh(8, 8)
+    assert errors[0] == errors[1] == [(float(k), 0.0) for k in kx[:, 0]]
+
+
+def test_compute_chern_holds_no_grid(rm_model):
+    # the six fields of a 201^2 GeometryGrid alone take 10.7 MB; the streamed
+    # pass holds one chunk and the cross-checked rows
+    compute_chern(rm_model, n_plaquette=16, n_curvature=16)
+    tracemalloc.start()
+    try:
+        compute_chern(rm_model, n_curvature=201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
