@@ -226,7 +226,8 @@ def cmd_chern(cfg):
         config=cfg)
     print(f"C_NH = {result.chern_plaquette} "
           f"(plaquette {result.grid_plaquette}^2, residue {result.plaquette_residue:.2e}); "
-          f"curvature sum = {result.chern_curvature:.6f} ({result.grid_curvature}^2)")
+          f"curvature sum = {round(result.chern_curvature, 6) + 0.0:.6f} "  # not -0.000000
+          f"({result.grid_curvature}^2)")
     print(f"chain: 2pi|C| = {2*np.pi*abs(result.chern_plaquette):.6f} "
           f"<= int|F| = {result.curvature_abs_integral:.6f} "
           f"<= int(|Q|+|Q|) = {result.qgt_bound_integral:.6f}")

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (ConfigError, ExceptionalPointError, GaugeLockError,
                      IllConditionedError, NonConvergenceError, NonFiniteError)
 from .models import BlochModel, bz_mesh
-from .spectra import (Eigensystem, eigensystem_two_band, gauge_rescale, matrix_elements,
+from .spectra import (Eigensystem, _dot, eigensystem_two_band, matrix_elements,
                       pseudospin_split)
 from .tolerances import CROSS_CHECK_RTOL, LOCK_MIN_OVERLAP, NORM_PRODUCT_LIMIT
 
@@ -56,8 +56,8 @@ FIELDS = ("qgt_lr", "qgt_rr", "qgt_ll", "anomalous_r", "anomalous_l", "norm_prod
 def velocity_matrices(eig: Eigensystem, dhx, dhy):
     """V[..., mu, n, m] = <L_n|d_mu H|R_m>, shape (..., 2, N, N).
 
-    The only contraction of the Hamiltonian derivatives; every tensor
-    below is a function of V, the energies and the two Gram matrices.
+    The tensors' only contraction of the Hamiltonian derivatives; every
+    tensor below is a function of V, the energies and the two Gram matrices.
     """
     return np.stack([matrix_elements(eig.left, dh, eig.right) for dh in (dhx, dhy)],
                     axis=-3)
@@ -104,8 +104,7 @@ def _schur_weights(gram, band, others):
 
 def _schur_square(b, gram, band, others):
     """sum_{m, k != n} conj(B^mu_m) W_mk B^nu_k; Hermitian PSD in (mu, nu)."""
-    w = _schur_weights(gram, band, others)
-    return np.einsum("...am,...mk,...bk->...ab", np.conj(b), w, b)
+    return matrix_elements(b, _schur_weights(gram, band, others), b)
 
 
 def qgt_rr(eig: Eigensystem, v, band=0):
@@ -442,10 +441,19 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
 
 # -- phase-locked stencil -----------------------------------------------------
 
+@dataclass
+class LockedSet:
+    """A validated stencil eigensystem rephased to the center, without its Gram matrices."""
+
+    energies: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+
+
 def locked_stencil(model: BlochModel, kx, ky, h):
     """Center eigensystem plus the 4-point stencil locked to the center gauge.
 
-    Returns (center, {(axis, sign): ((kx', ky'), eigensystem)}, dh) with the
+    Returns (center, {(axis, sign): ((kx', ky'), LockedSet)}, dh) with the
     shifted momenta k' = k + sign * h e_axis.  Each stencil eigensystem's
     per-band phase is aligned with the center band (overlap made real
     positive); branch labels keep the stencil on one smooth band.  Raises
@@ -466,17 +474,20 @@ def locked_stencil(model: BlochModel, kx, ky, h):
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
     center = solve("center", kx, ky)
+    bra, center_sq = np.conj(center.right), center.norms_right_sq()
     shifted = {}
     for axis in (0, 1):
         for sign in (1.0, -1.0):
             k = (kx + sign * h, ky) if axis == 0 else (kx, ky + sign * h)
             eig = solve((axis, sign), *k)
-            ov = np.einsum("...ni,...ni->...n", np.conj(center.right), eig.right)
-            nrm = np.abs(ov) / np.sqrt(center.norms_right_sq() * eig.norms_right_sq())
+            ov = _dot(bra, eig.right)
+            nrm = np.abs(ov) / np.sqrt(center_sq * eig.norms_right_sq())
             if np.any(nrm < LOCK_MIN_OVERLAP):
                 raise GaugeLockError(
                     f"stencil overlap below {LOCK_MIN_OVERLAP} at step {h}")
-            shifted[(axis, sign)] = (k, gauge_rescale(eig, np.abs(ov) / ov))
+            c = np.abs(ov) / ov  # gauge_rescale's factor; its Gram transform is not needed
+            shifted[(axis, sign)] = (k, LockedSet(eig.energies, eig.right * c[..., None],
+                                                  eig.left / np.conj(c)[..., None]))
             del eig  # the unlocked copy is not held through the next solve
     return center, shifted, dh
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BranchViolationError, PoleOnAxisError
 from .models import BlochModel, bz_mesh
-from .spectra import Eigensystem, braket, decays_slower
+from .spectra import Eigensystem, braket, decays_slower, matrix_elements
 from .geometry import locked_stencil, qgt_rr, velocity_matrices
 from .tolerances import BRANCH_TOL, RESONANCE_TOL, RHO_TRACE_TOL
 
@@ -146,16 +146,18 @@ def interband_fh(model: BlochModel, kx, ky):
     h = FD_STEP
     center, shifted, dh = locked_stencil(model, kx, ky, h)
 
-    def mixed(eig, v, n):
-        """g_nu = <L_m|d_nu psiR_n> = V_nu[m, n] / (e_n - e_m), closed form."""
+    def mixed(eig, dhs, n):
+        """g_nu = <L_m|d_nu psiR_n> = V_nu[m, n] / (e_n - e_m) of a shifted set, closed
+        form; the only two velocity elements of the set that are formed."""
         de = eig.energies[..., n] - eig.energies[..., 1 - n]
-        return v[..., 1 - n, n] / de[..., None]
+        v_mn = [matrix_elements(eig.left[..., 1 - n:2 - n, :], d, eig.right[..., n:n + 1, :])
+                for d in dhs]
+        return np.concatenate(v_mn, axis=-1)[..., 0, :] / de[..., None]
 
-    # each set's d_x H, d_y H are dropped as soon as its velocities are formed
     v = velocity_matrices(center, *dh.pop("center"))
     vel = v[..., (0, 1), (0, 1)]  # band velocities, (..., mu, band)
-    stencil = {key: (eig, velocity_matrices(eig, *dh.pop(key)))
-               for key, (_, eig) in shifted.items()}
+    stencil = {(key, n): mixed(eig, dh[key], n)
+               for key, (_, eig) in shifted.items() for n in (0, 1)}
     d_right = [(shifted[(ax, 1.0)][1].right - shifted[(ax, -1.0)][1].right) / (2.0 * h)
                for ax in (0, 1)]
 
@@ -163,7 +165,7 @@ def interband_fh(model: BlochModel, kx, ky):
     h_coef = np.empty_like(f)
     for n in (0, 1):
         m = 1 - n
-        g = mixed(center, v, n)
+        g = v[..., m, n] / (center.energies[..., n] - center.energies[..., m])[..., None]
         r_n = center.right[..., n, :]
         r_m = center.right[..., m, :]
         i_nn = center.overlap_right[..., n, n]
@@ -173,8 +175,7 @@ def interband_fh(model: BlochModel, kx, ky):
             dr_m = d_right[mu][..., m, :]
             bracket = np.conj(braket(r_m, dr_n)) - braket(r_n, dr_m)
             a_rr = 1j * braket(r_n, dr_n) / i_nn
-            g_plus = mixed(*stencil[(mu, 1.0)], n)
-            g_minus = mixed(*stencil[(mu, -1.0)], n)
+            g_plus, g_minus = stencil[(mu, 1.0), n], stencil[(mu, -1.0), n]
             for nu in (0, 1):
                 dg = (g_plus[..., nu] - g_minus[..., nu]) / (2.0 * h)
                 f[..., n, mu, nu] = (g[..., nu] * bracket

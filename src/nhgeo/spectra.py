@@ -49,9 +49,41 @@ def mm(a, b):
     return out
 
 
+def _mul(a, b):
+    """a * b of complex arrays, broadcast, as (ar br - ai bi) + i (ar bi + ai br) in
+    real arithmetic: einsum's rounding, which numpy's complex multiply loop need not share."""
+    re = a.real * b.real
+    out = np.empty(re.shape, dtype=complex)
+    np.subtract(re, a.imag * b.imag, out=out.real)
+    np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
+    return out
+
+
+def _dot(a, b):
+    """sum_i a_i b_i over the last axis: the bits of ``np.einsum("...i,...i", a, b)``,
+    which, as ``sum`` does, starts at 0 and adds the :func:`_mul` terms left to right."""
+    return sum(_mul(a[..., i], b[..., i]) for i in range(a.shape[-1]))
+
+
+def _norms_sq(v):
+    """||v_n||^2 over the last axis: the bits of the real part of ``_dot(np.conj(v), v)``."""
+    re, im = v.real, v.imag
+    return sum(re[..., i] * re[..., i] + im[..., i] * im[..., i] for i in range(v.shape[-1]))
+
+
 def matrix_elements(left, op, right):
-    """M[n, m] = <L_n|op|R_m>, batched over leading axes."""
-    return np.einsum("...ni,...ij,...mj->...nm", np.conj(left), op, right)
+    """M[n, m] = <L_n|op|R_m>, batched, for any number of n and m.  The terms
+    (conj(L_ni) op_ij) R_mj, two :func:`_mul` each, summed over j, then over i, are for
+    N = 2 the bits of ``np.einsum("...ni,...ij,...mj->...nm", np.conj(left), op, right)``."""
+    bra, size = np.conj(left), op.shape[-1]
+    out = np.empty(np.broadcast_shapes(left.shape[:-2], op.shape[:-2], right.shape[:-2])
+                   + (left.shape[-2], right.shape[-2]), dtype=complex)
+    for n in range(left.shape[-2]):
+        row = [[_mul(bra[..., n, i], op[..., i, j]) for j in range(size)] for i in range(size)]
+        for m in range(right.shape[-2]):
+            out[..., n, m] = sum(sum(_mul(c, right[..., m, j]) for j, c in enumerate(cs))
+                                 for cs in row)
+    return out
 
 
 def decays_slower(e_a, e_b):
@@ -85,10 +117,10 @@ class Eigensystem:
 
     def norms_right_sq(self):
         """||R_n||^2 per band."""
-        return np.real(np.einsum("...ni,...ni->...n", np.conj(self.right), self.right))
+        return _norms_sq(self.right)
 
     def norms_left_sq(self):
-        return np.real(np.einsum("...ni,...ni->...n", np.conj(self.left), self.left))
+        return _norms_sq(self.left)
 
     def norm_product(self, band):
         """Gauge-invariant ||R_n||^2 ||L_n||^2 (>= 1, = 1 iff left = right)."""
@@ -132,10 +164,17 @@ def _fix_phase(v):
     return v * np.conj(phase)[..., None]
 
 
-def _grams(right, left):
-    i_right = np.einsum("...ni,...mi->...nm", np.conj(right), right)
-    i_left = np.einsum("...ni,...mi->...nm", np.conj(left), left)
-    return i_right, i_left
+def _gram(v):
+    """Gram matrix <v_n|v_m>, the bits of ``np.einsum("...ni,...mi->...nm", np.conj(v), v)``:
+    :func:`_norms_sq` on the diagonal (imaginary part exactly 0), :func:`_dot` above it and
+    the exact conj(I_nm) below it, + 0 giving a vanishing imaginary part einsum's +0."""
+    size, bra = v.shape[-2], np.conj(v)
+    out = np.empty(v.shape[:-1] + (size,), dtype=complex)
+    out[..., range(size), range(size)] = _norms_sq(v)
+    for n, m in zip(*np.triu_indices(size, 1)):
+        out[..., n, m] = _dot(bra[..., n, :], v[..., m, :])
+        out[..., m, n] = np.conj(out[..., n, m]) + 0
+    return out
 
 
 def _dual_two_band(right):
@@ -210,8 +249,7 @@ def eigensystem_two_band(h):
     energies = np.stack([c + s, c - s], axis=-1)
     right = _fix_phase(np.stack([eigvec(1.0), eigvec(-1.0)], axis=-2))
     left = _dual_two_band(right)
-    i_right, i_left = _grams(right, left)
-    return Eigensystem(energies, right, left, i_right, i_left).validate(h)
+    return Eigensystem(energies, right, left, _gram(right), _gram(left)).validate(h)
 
 
 def eigensystem_general(h):
@@ -261,17 +299,16 @@ def eigensystem_general(h):
         raise ExceptionalPointError("left/right pairing degenerate (defective?)")
     left = left / np.conj(s)[:, None]
 
-    i_right, i_left = _grams(right, left)
-    return Eigensystem(energies, right, left, i_right, i_left).validate(h)
+    return Eigensystem(energies, right, left, _gram(right), _gram(left)).validate(h)
 
 
 def gauge_rescale(eig: Eigensystem, c):
     """Rescale |R_n> -> c_n |R_n>, |L_n> -> |L_n>/conj(c_n).
 
     Biorthonormality is preserved for any nonzero complex c (shape
-    broadcastable to the band axis); used by gauge-invariance checks and
-    the stencil's phase lock.  The Gram matrices are transformed, not
-    recomputed: I^R_nm -> conj(c_n) c_m I^R_nm, I^L_nm -> I^L_nm / (c_n conj(c_m)).
+    broadcastable to the band axis); used by gauge-invariance checks.  The
+    Gram matrices are transformed, not recomputed:
+    I^R_nm -> conj(c_n) c_m I^R_nm, I^L_nm -> I^L_nm / (c_n conj(c_m)).
     """
     c = np.asarray(c, dtype=complex)
     if np.any(np.abs(c) == 0.0):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LinkCollapseError, NonIntegerResidueError, NonRealCurvatureError
 from .models import BlochModel, bz_mesh
-from .spectra import eigensystem_two_band
+from .spectra import _dot, eigensystem_two_band
 from .geometry import GeometryGrid, _scan_chunks, berry_curvature_lr, solve_mesh
 from .tolerances import CURVATURE_SUM_IMAG_TOL, LINK_TOL, RESIDUE_TOL
 
@@ -53,13 +53,13 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     ket = np.empty_like(bra)
 
     def store(rows, eig):
-        bra[rows], ket[rows] = eig.left[..., band, :], eig.right[..., band, :]
+        bra[rows], ket[rows] = np.conj(eig.left[..., band, :]), eig.right[..., band, :]
 
     solve_mesh(kxg, kyg, lambda kxr, kyr: eigensystem_two_band(model.hamiltonian(kxr, kyr)),
                store)
 
-    u_x = np.einsum("ijk,ijk->ij", np.conj(bra), np.roll(ket, -1, axis=0))
-    u_y = np.einsum("ijk,ijk->ij", np.conj(bra), np.roll(ket, -1, axis=1))
+    u_x = _dot(bra, np.roll(ket, -1, axis=0))
+    u_y = _dot(bra, np.roll(ket, -1, axis=1))
     small = min(float(np.min(np.abs(u_x))), float(np.min(np.abs(u_y))))
     if small < LINK_TOL:
         raise LinkCollapseError(f"plaquette link magnitude {small:.2e} below {LINK_TOL}")

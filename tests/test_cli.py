@@ -422,6 +422,15 @@ def test_cli_chern_trivial(tmp_path, capsys):
     assert "C_NH = 0" in capsys.readouterr().out
 
 
+def test_cli_chern_trivial_sum_prints_unsigned_zero(tmp_path, capsys):
+    # the 16^2 curvature sum of this trivial phase is -4.1e-7, which rounds to zero
+    cfg = _write(tmp_path, "t.yaml", {"model": {"family": "rice_mele",
+                                                "gamma": 0.5, "dz_offset": 3.5},
+                                      "chern": {"curvature_grid": 16}})
+    assert main(["chern", "--config", cfg, "--grid", "8", "--out", str(tmp_path / "o")]) == 0
+    assert "curvature sum = 0.000000 (16^2)" in capsys.readouterr().out
+
+
 def test_cli_bounds_pass_and_outputs(tmp_path):
     out = str(tmp_path / "bounds")
     cfg = _write(tmp_path, "b.yaml", {"grid": {"nx": 16, "ny": 16},

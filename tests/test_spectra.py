@@ -1,13 +1,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as npst
 
 from nhgeo.errors import ExceptionalPointError, NonConvergenceError
 from nhgeo.models import SIGMA_X, rm_d_vector
-from nhgeo.spectra import (Eigensystem, _grams, eigensystem_general, eigensystem_two_band,
+from nhgeo.spectra import (Eigensystem, _gram, eigensystem_general, eigensystem_two_band,
                            gauge_rescale, mm)
+from nhgeo.tolerances import BIORTHO_TOL, RECON_TOL
 
 
 def _random_nh(rng, n=2, scale=0.4):
@@ -116,7 +117,7 @@ def test_gauge_rescale_transforms_grams(rm_model, rng, bands):
         1j * rng.uniform(-np.pi, np.pi, size=eig.energies.shape))
     scaled = gauge_rescale(eig, c)
     for got, want in zip((scaled.overlap_right, scaled.overlap_left),
-                         _grams(scaled.right, scaled.left)):
+                         (_gram(scaled.right), _gram(scaled.left))):
         scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
         assert np.max(np.abs(got - want) / scale) <= 1e-14
 
@@ -167,6 +168,23 @@ def test_mm_matches_matmul(shapes, n, k, m, seed):
     out = mm(a, b)
     assert out.shape == ref.shape
     assert np.all(np.abs(out - ref) <= 1e-14 * np.matmul(np.abs(a), np.abs(b)))
+
+
+@given(points=st.integers(1, 64), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_two_band_batches_validate(points, scale, seed):
+    gen = np.random.default_rng(seed)
+    h = scale * (gen.normal(size=(points, 2, 2, 2)) @ [1.0, 1j])
+    levels = np.linalg.eigvals(h)
+    # non-defective, with a gap of at least 1e-3 of the largest level
+    assume(np.all(np.abs(levels[:, 0] - levels[:, 1]) >= 1e-3 * np.max(np.abs(levels), axis=1)))
+    eig = eigensystem_two_band(h)  # raises unless it validates
+    left_h, right_t = np.conj(eig.left), np.swapaxes(eig.right, -1, -2)
+    assert np.max(np.abs(left_h @ right_t - np.eye(2))) <= BIORTHO_TOL
+    recon = right_t @ (eig.energies[..., :, None] * left_h)
+    assert np.max(np.abs(recon - h)) <= RECON_TOL * np.max(np.abs(h))
+    for gram in (eig.overlap_right, eig.overlap_left):
+        assert np.array_equal(gram, np.conj(np.swapaxes(gram, -1, -2)))
 
 
 def test_exceptional_point_two_band():
