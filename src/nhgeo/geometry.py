@@ -41,7 +41,7 @@ from .spectra import (Eigensystem, _dot, eigensystem_two_band, matrix_elements,
                       pseudospin_split)
 from .tolerances import CROSS_CHECK_RTOL, LOCK_MIN_OVERLAP, NORM_PRODUCT_LIMIT
 
-#: mesh points per batched chunk of :func:`solve_mesh` (whole kx rows);
+#: mesh points per batched chunk of :func:`_mesh_chunks` (whole kx rows);
 #: small enough that a chunk's temporaries stay a few MB
 CHUNK_POINTS = 2048
 
@@ -366,58 +366,55 @@ def _chunk_rows(ny):
     return max(1, CHUNK_POINTS // ny)
 
 
-def solve_mesh(kxg, kyg, solve, store):
+def _mesh_chunks(kxg, kyg, solve):
     """Solve a (nx, ny) mesh in fixed chunks of whole kx rows, one after the other.
 
-    Each chunk of about CHUNK_POINTS points is one ``solve(kx, ky)`` call
-    (one batched model pass and what is built from it), handed on as
-    ``store(rows, result)`` with ``rows`` the chunk's kx-row slice.
-    Chunk bounds depend on the mesh shape only.  The exceptional points of
-    every chunk are mapped to (kx, ky), sorted and raised once after the
-    last chunk.
+    Yields ``(rows, solve(kx, ky))`` per chunk of about CHUNK_POINTS points
+    (one batched model pass and what is built from it), with ``rows`` the
+    chunk's kx-row slice.  Chunk bounds depend on the mesh shape only.  The
+    exceptional points of every chunk are mapped to (kx, ky), sorted and
+    raised once after the last chunk.
     """
     nx, ny = kxg.shape
-    rows = _chunk_rows(ny)
+    step = _chunk_rows(ny)
     bad_points = []
-    for i0 in range(0, nx, rows):
-        rng = slice(i0, i0 + rows)
-        kxr, kyr = kxg[rng], kyg[rng]
+    for i0 in range(0, nx, step):
+        rows = slice(i0, i0 + step)
+        kxr, kyr = kxg[rows], kyg[rows]
         try:
             result = solve(kxr, kyr)
         except ExceptionalPointError as exc:
             bad_points += _k_points(exc, kxr, kyr)
             continue
-        store(rng, result)
+        yield rows, result
     if bad_points:
         raise ExceptionalPointError(
             f"{len(bad_points)} exceptional point(s) on the mesh", points=sorted(bad_points))
 
 
-def _empty_fields(shape):
-    """Uninitialised arrays of the :data:`FIELDS` over a mesh of ``shape``."""
-    return [np.empty(shape + t, complex) for t in ((2, 2),) * 3 + ((2,),) * 2] + [np.empty(shape)]
+def _scan_chunks(model: BlochModel, band, kxg, kyg):
+    """Yield ``(rows, values)``, the :data:`FIELDS` of each :func:`_mesh_chunks`
+    chunk of the mesh (kxg, kyg).
 
-
-def _scan_chunks(model: BlochModel, band, kxg, kyg, store, firsts=None):
-    """Hand on the :data:`FIELDS` of each :func:`solve_mesh` chunk of the mesh
-    (kxg, kyg) as ``store(rows, values)``, then :func:`_cross_check` the first kx
-    row of every chunk, kept in ``firsts`` (or new arrays), a chunk's rows at a time."""
+    The first kx row of every chunk is :func:`_cross_check`-ed in batches of
+    ``_chunk_rows(ny)`` chunks, each as soon as all its chunks are solved and
+    before the last of them is yielded; only the current batch's rows are kept.
+    """
     if model.dimension != 2:
         raise ConfigError("grid scans support two-band models only")
-    rows = _chunk_rows(kxg.shape[1])
-    checked = np.arange(0, len(kxg), rows)  # the first kx row of every chunk
-    firsts = firsts or _empty_fields((len(checked), kxg.shape[1]))
-
-    def keep(rng, values):
-        for first, value in zip(firsts, values):
-            first[rng.start // rows] = value[0]
-        store(rng, values)
-
-    solve_mesh(kxg, kyg, lambda kxr, kyr: pseudospin_geometry(
-        *model.hamiltonian(kxr, kyr, derivatives=True), band=band), keep)
-    for i in range(0, len(checked), rows):
-        sel = checked[i:i + rows]
-        _cross_check(model, kxg[sel], kyg[sel], [first[i:i + rows] for first in firsts], band)
+    step = _chunk_rows(kxg.shape[1])
+    starts = np.arange(0, len(kxg), step)  # the first kx row of every chunk
+    batch, firsts = None, []
+    for rows, values in _mesh_chunks(kxg, kyg, lambda kxr, kyr: pseudospin_geometry(
+            *model.hamiltonian(kxr, kyr, derivatives=True), band=band)):
+        if rows.start // step**2 != batch:  # a batch that lost a chunk to exceptional
+            batch, firsts = rows.start // step**2, []  # points is never checked
+        firsts.append([np.array(value[0]) for value in values])
+        sel = starts[batch * step:(batch + 1) * step]
+        if len(firsts) == len(sel):
+            _cross_check(model, kxg[sel], kyg[sel], [np.stack(f) for f in zip(*firsts)], band)
+            firsts = []
+        yield rows, values
 
 
 def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
@@ -429,13 +426,11 @@ def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     kxg, kyg = bz_mesh(nx, nx if ny is None else ny)
-    fields = _empty_fields(kxg.shape)  # every element is written by a chunk, or the scan raises
-
-    def store(rng, values):
+    fields = []  # every element is written by a chunk, or the scan raises
+    for rows, values in _scan_chunks(model, band, kxg, kyg):
+        fields = fields or [np.empty(kxg.shape + v.shape[2:], v.dtype) for v in values]
         for field, value in zip(fields, values):
-            field[rng] = value
-
-    _scan_chunks(model, band, kxg, kyg, store, [f[::_chunk_rows(kxg.shape[1])] for f in fields])
+            field[rows] = value
     return GeometryGrid(kxg, kyg, *fields)
 
 

@@ -288,6 +288,10 @@ def model_from_config(cfg: dict) -> BlochModel:
     family = cfg.get("family")
 
     if family == "rice_mele":
+        for f in fields(RMParams):  # float(true) is 1.0, but a bool is not a number here
+            if isinstance(f.default, float) and isinstance(cfg.get(f.name), bool):
+                raise ConfigError(f"rice_mele parameter {f.name} must be a number, "
+                                  f"got {cfg[f.name]!r}")
         try:  # a key the section leaves out takes the RMParams default
             params = RMParams(**{f.name: float(cfg[f.name]) if isinstance(f.default, float)
                                  else cfg[f.name] for f in fields(RMParams) if f.name in cfg})

@@ -177,12 +177,11 @@ def _gram(v):
     return out
 
 
-def _dual_two_band(right):
-    """Dual (left) basis of two right vectors via the projection formulas."""
+def _dual_two_band(right, gram):
+    """Dual (left) basis of two right vectors via the projection formulas, from
+    their Gram matrix ``gram`` (:func:`_gram` of ``right``)."""
     r0, r1 = right[..., 0, :], right[..., 1, :]
-    i00 = braket(r0, r0)
-    i11 = braket(r1, r1)
-    i01 = braket(r0, r1)
+    i00, i11, i01 = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
     l0 = (r0 - (np.conj(i01) / i11)[..., None] * r1) / \
         (i00 - np.abs(i01) ** 2 / i11)[..., None]
     l1 = (r1 - (i01 / i00)[..., None] * r0) / \
@@ -248,8 +247,9 @@ def eigensystem_two_band(h):
 
     energies = np.stack([c + s, c - s], axis=-1)
     right = _fix_phase(np.stack([eigvec(1.0), eigvec(-1.0)], axis=-2))
-    left = _dual_two_band(right)
-    return Eigensystem(energies, right, left, _gram(right), _gram(left)).validate(h)
+    overlap_right = _gram(right)
+    left = _dual_two_band(right, overlap_right)
+    return Eigensystem(energies, right, left, overlap_right, _gram(left)).validate(h)
 
 
 def eigensystem_general(h):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import LinkCollapseError, NonIntegerResidueError, NonRealCurvatureError
 from .models import BlochModel, bz_mesh
 from .spectra import _dot, eigensystem_two_band
-from .geometry import GeometryGrid, _scan_chunks, berry_curvature_lr, solve_mesh
+from .geometry import GeometryGrid, _mesh_chunks, _scan_chunks, berry_curvature_lr
 from .tolerances import CURVATURE_SUM_IMAG_TOL, LINK_TOL, RESIDUE_TOL
 
 
@@ -41,7 +41,7 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     Links are U_mu(k) = <L(k)|R(k + delta e_mu)>; plaquette phases need no
     gauge fixing, and the total phase sum is an exact multiple of 2*pi up
     to roundoff.  The mesh is solved in the fixed kx-row chunks of
-    :func:`~nhgeo.geometry.solve_mesh`, keeping only the selected band's
+    :func:`~nhgeo.geometry._mesh_chunks`, keeping only the selected band's
     bra and ket vectors; exceptional points of every chunk are raised once
     as sorted (kx, ky) pairs.
 
@@ -52,11 +52,9 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     bra = np.empty((n_grid, n_grid, 2), dtype=complex)
     ket = np.empty_like(bra)
 
-    def store(rows, eig):
+    for rows, eig in _mesh_chunks(kxg, kyg, lambda kxr, kyr: eigensystem_two_band(
+            model.hamiltonian(kxr, kyr))):
         bra[rows], ket[rows] = np.conj(eig.left[..., band, :]), eig.right[..., band, :]
-
-    solve_mesh(kxg, kyg, lambda kxr, kyr: eigensystem_two_band(model.hamiltonian(kxr, kyr)),
-               store)
 
     u_x = _dot(bra, np.roll(ket, -1, axis=0))
     u_y = _dot(bra, np.roll(ket, -1, axis=1))
@@ -124,9 +122,8 @@ def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201, gr
     c_pl, residue = chern_plaquette(model, band=band, n_grid=n_plaquette,
                                     return_residue=True)
     if grid is None:
-        chunks = []
-        _scan_chunks(model, band, *bz_mesh(n_curvature, n_curvature),
-                     lambda rows, values: chunks.append(_chain_sums(values[0])))
+        chunks = [_chain_sums(values[0]) for _, values in
+                  _scan_chunks(model, band, *bz_mesh(n_curvature, n_curvature))]
         sums, area, n = np.sum(chunks, axis=0), (2.0 * np.pi / n_curvature) ** 2, n_curvature
     else:
         sums, area, n = _chain_sums(grid.qgt_lr), grid.cell_area(), grid.shape[0]

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conftest import NEAR_EP_REJECTED, assert_no_child_left, fail_in_child, near
 from nhgeo import bounds, cli, geometry, response, serialize, topology
 from nhgeo.cli import load_config, main
 from nhgeo.errors import ConfigError, ExceptionalPointError
-from nhgeo.models import MODEL_KEYS, bz_mesh, model_from_config
+from nhgeo.models import MODEL_KEYS, RMParams, bz_mesh, model_from_config
 from nhgeo.response import response_spectrum
 
 
@@ -146,6 +147,18 @@ def test_cli_number_rejects_a_boolean(tmp_path, capsys, monkeypatch, config, key
     monkeypatch.chdir(tmp_path)
     assert main(["scan", "--config", _write(tmp_path, "b.yaml", config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} must be a finite ")
+    assert os.listdir(tmp_path) == ["b.yaml"]
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RMParams) if isinstance(f.default, float)])
+def test_cli_rice_mele_parameter_rejects_a_boolean(tmp_path, capsys, monkeypatch, key):
+    # float(true) is 1.0: gamma: true would run as gamma = 1 and exit 0,
+    # dz_offset: true as 1.0 and exit 4
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "b.yaml", {"model": {key: True}})
+    assert main(["scan", "--grid", "8", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: rice_mele parameter {key} must be a number, got True")
     assert os.listdir(tmp_path) == ["b.yaml"]
 
 

@@ -239,6 +239,46 @@ def test_streamed_pass_collects_exceptional_points(monkeypatch):
     assert errors[0] == errors[1] == [(float(k), 0.0) for k in kx[:, 0]]
 
 
+def test_streamed_pass_checks_each_batch_before_solving_the_next(rm_model, monkeypatch):
+    # two-row chunks on the 8 x 8 mesh: the first rows 0, 2, 4 and 6 of its four
+    # chunks are cross-checked in two batches of two chunks, each batch as soon
+    # as its chunks are solved, on both paths
+    monkeypatch.setattr(geometry, "CHUNK_POINTS", 16)
+    events = []
+    solve, cross_check = geometry.pseudospin_geometry, geometry._cross_check
+
+    def solving(*args, **kwargs):
+        events.append("solve")
+        return solve(*args, **kwargs)
+
+    def recording(model, kx, ky, values, band):
+        events.append(kx[:, 0].tolist())
+        return cross_check(model, kx, ky, values, band)
+
+    monkeypatch.setattr(geometry, "pseudospin_geometry", solving)
+    monkeypatch.setattr(geometry, "_cross_check", recording)
+    compute_chern(rm_model, n_plaquette=9, n_curvature=8)
+    streamed, events[:] = events[:], []
+    scan_geometry(rm_model, nx=8)
+    kx = bz_mesh(8, 8)[0][:, 0]
+    assert streamed == events == ["solve", "solve", kx[[0, 2]].tolist(),
+                                  "solve", "solve", kx[[4, 6]].tolist()]
+
+
+def test_streamed_pass_holds_one_batch_of_checked_rows(rm_model, monkeypatch):
+    # with every kx row a chunk, every row is cross-checked, one row per batch;
+    # the fields of all 48 checked rows would take 0.61 MB (264 bytes a point)
+    monkeypatch.setattr(geometry, "CHUNK_POINTS", 48)
+    compute_chern(rm_model, n_plaquette=9, n_curvature=8)
+    tracemalloc.start()
+    try:
+        compute_chern(rm_model, n_plaquette=9, n_curvature=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 48 * 48 * 264
+
+
 def test_compute_chern_holds_no_grid(rm_model):
     # the six fields of a 201^2 GeometryGrid alone take 10.7 MB; the streamed
     # pass holds one chunk and the cross-checked rows
