@@ -5,7 +5,10 @@ per-point left/right sides are stored verbatim, so a failed report can be
 audited.  Margins are normalized by the local magnitude scale before the
 pass/fail decision; the default tolerances (:mod:`nhgeo.tolerances`)
 separate genuine violations from floating-point noise.  A NaN or infinite
-margin is a numerical failure (NonFiniteError), not a FAIL.
+margin (or PSD input entry) is a numerical failure (NonFiniteError), not a FAIL.
+
+Each checker allocates each report array once; ``_finish`` overwrites the
+``scale`` array it is given, so every caller passes a fresh one.
 """
 
 from __future__ import annotations
@@ -51,11 +54,13 @@ class BoundReport:
 
 
 def _finish(name, labels, lhs, rhs, scale, tolerance, extra=None):
+    """Report of margin = rhs - lhs; ``scale`` (fresh) is overwritten."""
     margin = rhs - lhs
-    bad = ~np.isfinite(margin)
-    if np.any(bad):
-        raise NonFiniteError(f"{name}: non-finite margin at {int(np.count_nonzero(bad))} point(s)")
-    norm = margin / np.maximum(scale, 1e-300)
+    if not np.isfinite(margin).all():
+        bad = int(np.count_nonzero(~np.isfinite(margin)))
+        raise NonFiniteError(f"{name}: non-finite margin at {bad} point(s)")
+    scale = np.asarray(scale)
+    norm = np.divide(margin, np.maximum(scale, 1e-300, out=scale), out=scale)
     worst = float(np.min(norm)) if norm.size else 0.0
     return BoundReport(
         name=name, labels=np.asarray(labels), lhs=lhs, rhs=rhs, margin=margin,
@@ -80,10 +85,10 @@ def check_local_curvature_bound(grid: GeometryGrid, tolerance=BOUND_TOL):
     ratio = rhs / np.maximum(lhs, 1e-300)
     nx, ny = grid.shape
     dx, dy = 2 * np.pi / nx, 2 * np.pi / ny
+    kx, ky = grid.kx[:, :1], grid.ky[:1, :]  # the mesh axes, (nx, 1) and (1, ny)
     on_edge = np.zeros((nx, ny), dtype=bool)
     for line in _EDGE_LINES:
-        on_edge |= np.abs(grid.kx - line) < 1.51 * dx
-        on_edge |= np.abs(grid.ky - line) < 1.51 * dy
+        on_edge |= (np.abs(kx - line) < 1.51 * dx) | (np.abs(ky - line) < 1.51 * dy)
     extra = {
         "max_ratio_edge": float(np.max(ratio.reshape(nx, ny)[on_edge])),
         "max_ratio_global": float(np.max(ratio)),
@@ -107,31 +112,37 @@ def check_qgt_inequality(grid: GeometryGrid, ablation=False, tolerance=QGT_TOL):
     ar2 = np.abs(grid.anomalous_r) ** 2
     al2 = np.abs(grid.anomalous_l) ** 2
     n_fac = np.ones_like(grid.norm_product) if ablation else grid.norm_product
-    lhs_list, rhs_list, labels = [], [], []
-    base = _grid_labels(grid)
+    right = [n_fac * (rr[..., mu] + ar2[..., mu]) for mu in range(2)]
+    left = [ll[..., nu] + al2[..., nu] for nu in range(2)]
+    # block 2 mu + nu: rhs = right[mu] * left[nu], the left-to-right product N (.)(.)
+    lhs = np.empty((4,) + grid.shape)
+    rhs = np.empty_like(lhs)
+    labels = np.empty((4, grid.kx.size, 3))
+    labels[..., 0], labels[..., 1] = grid.kx.ravel(), grid.ky.ravel()
     for mu in range(2):
         for nu in range(2):
-            lhs_list.append(np.abs(grid.qgt_lr[..., nu, mu]).ravel() ** 2)
-            rhs_list.append((n_fac * (rr[..., mu] + ar2[..., mu])
-                             * (ll[..., nu] + al2[..., nu])).ravel())
-            pair = np.full((base.shape[0], 1), 2 * mu + nu, dtype=float)
-            labels.append(np.concatenate([base, pair], axis=1))
-    lhs = np.concatenate(lhs_list)
-    rhs = np.concatenate(rhs_list)
-    scale = np.maximum(lhs, rhs)
+            pair = 2 * mu + nu
+            np.square(np.abs(grid.qgt_lr[..., nu, mu], out=lhs[pair]), out=lhs[pair])
+            np.multiply(right[mu], left[nu], out=rhs[pair])
+            labels[pair, :, 2] = pair
+    lhs, rhs = lhs.ravel(), rhs.ravel()
     name = "QGTInequalityAblated" if ablation else "QGTInequality"
-    return _finish(name, np.concatenate(labels), lhs, rhs, scale, tolerance)
+    return _finish(name, labels.reshape(-1, 3), lhs, rhs, np.maximum(lhs, rhs), tolerance)
 
 
 def hermitian_min_eigenvalue(q):
     """Closed-form smallest eigenvalue of Hermitian 2x2 matrices (batched).
 
-    Raises NonHermitianInputError if the anti-Hermitian residue exceeds
-    HERM_TOL relative to the matrix scale.
+    Raises NonFiniteError for a non-finite entry and NonHermitianInputError
+    if the anti-Hermitian residue exceeds HERM_TOL relative to the matrix scale.
     """
     q = np.asarray(q, dtype=complex)
-    resid = np.max(np.abs(q - np.conj(np.swapaxes(q, -1, -2))))
     scale = max(float(np.max(np.abs(q))), 1e-300)
+    if not np.isfinite(scale):
+        raise NonFiniteError("non-finite entry in a Hermitian 2x2 input")
+    # |q - q^H| is |q_01 - conj q_10| off the diagonal and 2 |Im q_ii| on it
+    resid = np.max([np.max(np.abs(q[..., 0, 1] - np.conj(q[..., 1, 0]))),
+                    2 * np.max(np.abs(np.imag(np.diagonal(q, 0, -2, -1))))])
     if resid > HERM_TOL * scale:
         raise NonHermitianInputError(f"anti-Hermitian residue {resid:.2e}")
     a = np.real(q[..., 0, 0])
@@ -150,10 +161,8 @@ def check_psd(q, name="PSD", tolerance=PSD_TOL):
     """
     q = np.asarray(q, dtype=complex)
     lam = hermitian_min_eigenvalue(q).ravel()
-    tr = np.real(q[..., 0, 0] + q[..., 1, 1]).ravel()
-    zeros = np.zeros_like(lam)
-    return _finish(name, np.arange(lam.size), -lam, zeros,
-                   np.maximum(tr, 1e-300), tolerance)
+    tr = (np.real(q[..., 0, 0]) + np.real(q[..., 1, 1])).ravel()
+    return _finish(name, np.arange(lam.size), -lam, np.zeros_like(lam), tr, tolerance)
 
 
 def check_chern_chain(result: ChernResult, tolerance=BOUND_TOL):
@@ -182,8 +191,8 @@ def check_absorptive_psd(omegas, pi_abs):
     tr = np.real(pi_abs[..., 0, 0] + pi_abs[..., 1, 1])
     scale = np.maximum(np.abs(tr), np.max(np.abs(pi_abs), axis=(-2, -1)))
     extra = {"re_minus_abs_im": np.real(pi_abs[..., 0, 1]) - np.abs(np.imag(pi_abs[..., 0, 1]))}
-    return _finish("AbsorptivePSD", omegas, -lam, np.zeros_like(lam),
-                   np.maximum(scale, 1e-300), ABSORPTIVE_PSD_TOL, extra)
+    return _finish("AbsorptivePSD", omegas, -lam, np.zeros_like(lam), scale,
+                   ABSORPTIVE_PSD_TOL, extra)
 
 
 def check_optical_weight_bound(weight_trace, chern, arg_infimum,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExceptionalPointError, NonConvergenceError
+from .errors import ExceptionalPointError, IllConditionedError, NonConvergenceError
 from .models import _sum3, pauli_decompose
 from .tolerances import (BIORTHO_TOL, DEFECTIVE_OVERLAP_TOL, GAP_RTOL, PAIRING_RTOL,
                          PHASE_COMPONENT_TOL, RECON_TOL)
@@ -179,14 +179,24 @@ def _gram(v):
 
 def _dual_two_band(right, gram):
     """Dual (left) basis of two right vectors via the projection formulas, from
-    their Gram matrix ``gram`` (:func:`_gram` of ``right``)."""
+    their Gram matrix ``gram`` (:func:`_gram` of ``right``).
+    Raises IllConditionedError where I00, I11 or a Schur denominator is not
+    positive and finite (numerically parallel right vectors); a NaN is left to
+    validation."""
     r0, r1 = right[..., 0, :], right[..., 1, :]
     i00, i11, i01 = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
-    l0 = (r0 - (np.conj(i01) / i11)[..., None] * r1) / \
-        (i00 - np.abs(i01) ** 2 / i11)[..., None]
-    l1 = (r1 - (i01 / i00)[..., None] * r0) / \
-        (i11 - np.abs(i01) ** 2 / i00)[..., None]
+    _require_positive(i00, i11)
+    den0, den1 = i00 - np.abs(i01) ** 2 / i11, i11 - np.abs(i01) ** 2 / i00
+    _require_positive(den0, den1)
+    l0 = (r0 - (np.conj(i01) / i11)[..., None] * r1) / den0[..., None]
+    l1 = (r1 - (i01 / i00)[..., None] * r0) / den1[..., None]
     return np.stack([l0, l1], axis=-2)
+
+
+def _require_positive(*values):
+    if any(np.any((v.real <= 0) | (v.real == np.inf)) for v in values):
+        raise IllConditionedError("right eigenvectors numerically parallel: a Gram "
+                                  "denominator of the dual basis is not positive and finite")
 
 
 def pseudospin_split(h):

@@ -1,9 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import random_three_band_model
-from nhgeo.bounds import (check_absorptive_psd, check_chern_chain,
+from nhgeo.bounds import (BoundReport, check_absorptive_psd, check_chern_chain,
                           check_local_curvature_bound, check_optical_weight_bound,
                           check_psd, check_qgt_inequality,
                           hermitian_min_eigenvalue)
@@ -11,10 +14,11 @@ from nhgeo.errors import BranchViolationError, NonFiniteError, NonHermitianInput
 from nhgeo.geometry import (GeometryGrid, anomalous_connection, berry_curvature_lr, qgt_ll,
                             qgt_lr, qgt_rl_from_lr, qgt_rr, scan_geometry,
                             velocity_matrices)
-from nhgeo.models import BlochModel, RMParams
+from nhgeo.models import BlochModel, RMParams, bz_mesh
 from nhgeo.response import absorptive_part, lehmann_correlator
 from nhgeo.spectra import eigensystem_general
-from nhgeo.topology import compute_chern
+from nhgeo.tolerances import ABSORPTIVE_PSD_TOL, BOUND_TOL, HERM_TOL, PSD_TOL, QGT_TOL
+from nhgeo.topology import ChernResult, compute_chern, local_bound_sides
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +165,6 @@ def test_chern_chain_grid_consistency(rm_model):
 
 def test_chern_chain_negative_control(rm_model):
     res = compute_chern(rm_model, band=0, n_plaquette=24, n_curvature=32)
-    import dataclasses
     bad = dataclasses.replace(res, qgt_bound_integral=0.1)
     assert not check_chern_chain(bad).passed
 
@@ -227,3 +230,231 @@ def test_reports_are_reproducible(rm_grid):
     b = check_local_curvature_bound(rm_grid)
     npt.assert_array_equal(a.margin, b.margin)
     assert a.worst_margin == b.worst_margin
+
+
+# --- the bound layer pinned bit for bit -------------------------------------
+# Frozen copies of the checkers' formulas as they stood before the reports
+# were preallocated: each builds its report from whole-array temporaries and
+# concatenations.  The checkers must return the same bits in every field.
+
+def _ref_finish(name, labels, lhs, rhs, scale, tolerance, extra=None):
+    margin = rhs - lhs
+    bad = ~np.isfinite(margin)
+    if np.any(bad):
+        raise NonFiniteError(f"{name}: non-finite margin at {int(np.count_nonzero(bad))} point(s)")
+    norm = margin / np.maximum(scale, 1e-300)
+    worst = float(np.min(norm)) if norm.size else 0.0
+    return BoundReport(
+        name=name, labels=np.asarray(labels), lhs=lhs, rhs=rhs, margin=margin,
+        tolerance=tolerance, worst_margin=worst,
+        passed=bool(worst >= -tolerance), extra=extra or {})
+
+
+def _ref_grid_labels(grid):
+    return np.stack([grid.kx.ravel(), grid.ky.ravel()], axis=-1)
+
+
+def _ref_local_curvature_bound(grid, tolerance=BOUND_TOL):
+    lhs, rhs = (side.ravel() for side in local_bound_sides(grid))
+    scale = np.maximum(rhs, lhs)
+    ratio = rhs / np.maximum(lhs, 1e-300)
+    nx, ny = grid.shape
+    dx, dy = 2 * np.pi / nx, 2 * np.pi / ny
+    on_edge = np.zeros((nx, ny), dtype=bool)
+    for line in (-np.pi, 0.0):
+        on_edge |= np.abs(grid.kx - line) < 1.51 * dx
+        on_edge |= np.abs(grid.ky - line) < 1.51 * dy
+    extra = {"max_ratio_edge": float(np.max(ratio.reshape(nx, ny)[on_edge])),
+             "max_ratio_global": float(np.max(ratio))}
+    return _ref_finish("LocalCurvature", _ref_grid_labels(grid), lhs, rhs, scale,
+                       tolerance, extra)
+
+
+def _ref_qgt_inequality(grid, ablation=False, tolerance=QGT_TOL):
+    rr = np.real(np.einsum("ijkk->ijk", grid.qgt_rr))
+    ll = np.real(np.einsum("ijkk->ijk", grid.qgt_ll))
+    ar2 = np.abs(grid.anomalous_r) ** 2
+    al2 = np.abs(grid.anomalous_l) ** 2
+    n_fac = np.ones_like(grid.norm_product) if ablation else grid.norm_product
+    lhs_list, rhs_list, labels = [], [], []
+    base = _ref_grid_labels(grid)
+    for mu in range(2):
+        for nu in range(2):
+            lhs_list.append(np.abs(grid.qgt_lr[..., nu, mu]).ravel() ** 2)
+            rhs_list.append((n_fac * (rr[..., mu] + ar2[..., mu])
+                             * (ll[..., nu] + al2[..., nu])).ravel())
+            pair = np.full((base.shape[0], 1), 2 * mu + nu, dtype=float)
+            labels.append(np.concatenate([base, pair], axis=1))
+    lhs = np.concatenate(lhs_list)
+    rhs = np.concatenate(rhs_list)
+    name = "QGTInequalityAblated" if ablation else "QGTInequality"
+    return _ref_finish(name, np.concatenate(labels), lhs, rhs, np.maximum(lhs, rhs),
+                       tolerance)
+
+
+def _ref_hermitian_min_eigenvalue(q):
+    q = np.asarray(q, dtype=complex)
+    resid = np.max(np.abs(q - np.conj(np.swapaxes(q, -1, -2))))
+    scale = max(float(np.max(np.abs(q))), 1e-300)
+    if resid > HERM_TOL * scale:
+        raise NonHermitianInputError(f"anti-Hermitian residue {resid:.2e}")
+    a = np.real(q[..., 0, 0])
+    c = np.real(q[..., 1, 1])
+    b = q[..., 0, 1]
+    half = 0.5 * (a + c)
+    rad = np.sqrt((0.5 * (a - c)) ** 2 + np.abs(b) ** 2)
+    return half - rad
+
+
+def _ref_psd(q, name="PSD", tolerance=PSD_TOL):
+    q = np.asarray(q, dtype=complex)
+    lam = _ref_hermitian_min_eigenvalue(q).ravel()
+    tr = np.real(q[..., 0, 0] + q[..., 1, 1]).ravel()
+    return _ref_finish(name, np.arange(lam.size), -lam, np.zeros_like(lam),
+                       np.maximum(tr, 1e-300), tolerance)
+
+
+def _ref_absorptive_psd(omegas, pi_abs):
+    omegas = np.asarray(omegas, dtype=float)
+    pi_abs = np.asarray(pi_abs, dtype=complex)
+    lam = _ref_hermitian_min_eigenvalue(pi_abs)
+    tr = np.real(pi_abs[..., 0, 0] + pi_abs[..., 1, 1])
+    scale = np.maximum(np.abs(tr), np.max(np.abs(pi_abs), axis=(-2, -1)))
+    extra = {"re_minus_abs_im": np.real(pi_abs[..., 0, 1]) - np.abs(np.imag(pi_abs[..., 0, 1]))}
+    return _ref_finish("AbsorptivePSD", omegas, -lam, np.zeros_like(lam),
+                       np.maximum(scale, 1e-300), ABSORPTIVE_PSD_TOL, extra)
+
+
+def _bits(value):
+    """Value, dtype, shape and bytes of a report field: equal exactly when the
+    bits are, with -0.0 unlike 0.0 and NaN like itself."""
+    if isinstance(value, (str, bool, int)):
+        return type(value), value
+    arr = np.asarray(value)
+    return type(value), arr.dtype, arr.shape, arr.tobytes()
+
+
+def _assert_same_report(got, want):
+    for f in dataclasses.fields(BoundReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "extra":
+            assert a.keys() == b.keys()
+            for key in a:
+                assert _bits(a[key]) == _bits(b[key]), f"extra[{key!r}]"
+        else:
+            assert _bits(a) == _bits(b), f.name
+
+
+def _hermitian_stack(rng, shape, scale=1.0):
+    """Random Hermitian 2x2 matrices of either definiteness with entries spread
+    over decades, plus an anti-Hermitian residue well inside HERM_TOL."""
+    m = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    m *= scale * 10.0 ** rng.uniform(-6, 3, size=shape + (1, 1))
+    noise = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    return m + np.conj(np.swapaxes(m, -1, -2)) + 1e-14 * np.abs(m).max() * noise
+
+
+def _random_grid(rng, nx, ny):
+    kx, ky = bz_mesh(nx, ny)
+    spread = 10.0 ** rng.uniform(-8, 2, size=(nx, ny))
+
+    def cplx(*tail):
+        z = rng.normal(size=(nx, ny) + tail) + 1j * rng.normal(size=(nx, ny) + tail)
+        return z * spread.reshape((nx, ny) + (1,) * len(tail))
+
+    return GeometryGrid(kx, ky, cplx(2, 2), _hermitian_stack(rng, (nx, ny)),
+                        _hermitian_stack(rng, (nx, ny)), cplx(2), cplx(2),
+                        1.0 + rng.exponential(size=(nx, ny)))
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (12, 20), (3, 1)])
+def test_checkers_match_frozen_formulas_bit_for_bit(rng, nx, ny):
+    grid = _random_grid(rng, nx, ny)
+    _assert_same_report(check_local_curvature_bound(grid), _ref_local_curvature_bound(grid))
+    for ablation in (False, True):
+        _assert_same_report(check_qgt_inequality(grid, ablation=ablation),
+                            _ref_qgt_inequality(grid, ablation=ablation))
+    for q, name in ((grid.qgt_rr, "PSD_RR"), (grid.qgt_ll, "PSD_LL")):
+        _assert_same_report(check_psd(q, name), _ref_psd(q, name))
+    omegas = np.linspace(-3.0, 3.0, nx * ny)
+    pi_abs = _hermitian_stack(rng, (nx * ny,))
+    _assert_same_report(check_absorptive_psd(omegas, pi_abs),
+                        _ref_absorptive_psd(omegas, pi_abs))
+
+
+def test_checkers_match_frozen_formulas_on_a_scan(rm_grid):
+    _assert_same_report(check_local_curvature_bound(rm_grid),
+                        _ref_local_curvature_bound(rm_grid))
+    for ablation in (False, True):  # the ablated margins straddle zero at roundoff
+        _assert_same_report(check_qgt_inequality(rm_grid, ablation=ablation, tolerance=0.0),
+                            _ref_qgt_inequality(rm_grid, ablation=ablation, tolerance=0.0))
+    for q in (rm_grid.qgt_rr, rm_grid.qgt_ll):
+        _assert_same_report(check_psd(q), _ref_psd(q))
+    omegas = np.linspace(-4.0, 4.0, 61)
+    pa = absorptive_part(lehmann_correlator(*_toy_levels(gain=True), np.array([0.7, 0.3]),
+                                            omegas))
+    _assert_same_report(check_absorptive_psd(omegas, pa), _ref_absorptive_psd(omegas, pa))
+
+
+def test_checkers_match_frozen_formulas_on_single_matrices():
+    for q in (np.eye(2), np.diag([1.0, -1.0]), np.array([[2.0, 1j], [-1j, -0.0]])):
+        _assert_same_report(check_psd(q), _ref_psd(q))
+        _assert_same_report(check_psd(q[None]), _ref_psd(q[None]))
+        _assert_same_report(check_absorptive_psd(0.5, q), _ref_absorptive_psd(0.5, q))
+    res = ChernResult(chern_plaquette=-1, chern_curvature=-0.999, curvature_abs_integral=7.0,
+                      qgt_bound_integral=6.5, grid_plaquette=8, grid_curvature=8,
+                      plaquette_residue=0.0)
+    lhs = np.array([2 * np.pi * abs(res.chern_plaquette), res.curvature_abs_integral])
+    rhs = np.array([res.curvature_abs_integral, res.qgt_bound_integral])
+    _assert_same_report(check_chern_chain(res),
+                        _ref_finish("ChernChain", np.array([0, 1]), lhs, rhs,
+                                    np.maximum(np.abs(rhs), 1.0), BOUND_TOL))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf])
+def test_non_finite_entry_is_numerical_error(entry, bad):
+    # a non-finite entry anywhere is a numerical failure (exit 3): never a
+    # non-Hermitian input, and never a pass, even in the q_10 entry that the
+    # eigenvalue formula does not read
+    q = np.array([[1.0, 0.1j], [-0.1j, 2.0]])[None].repeat(3, axis=0)
+    q[(1,) + entry] = bad
+    with pytest.raises(NonFiniteError):
+        check_psd(q)
+    with pytest.raises(NonFiniteError):
+        check_absorptive_psd(np.arange(3.0), q)
+
+
+@pytest.mark.parametrize("entry, delta", [((0, 1), 1e-6), ((1, 0), -1e-6j),
+                                          ((0, 0), 1e-6j), ((1, 1), -1e-6j)])
+def test_non_hermitian_input_residue_matches_frozen_formula(entry, delta):
+    q = np.array([[1.0, 0.1j], [-0.1j, 2.0]])[None].repeat(3, axis=0)
+    q[(2,) + entry] += delta
+    with pytest.raises(NonHermitianInputError) as want:
+        _ref_hermitian_min_eigenvalue(q)
+    with pytest.raises(NonHermitianInputError) as got:
+        check_psd(q)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("check, bound", [
+    (check_qgt_inequality, 1.8),
+    (lambda grid: check_psd(grid.qgt_rr), 2.0),
+    (check_local_curvature_bound, 1.65),
+], ids=["qgt", "psd", "local_curvature"])
+def test_checker_peak_memory_stays_near_its_report(check, bound):
+    # each checker allocates its report arrays once: the traced peak of one
+    # call on a 128^2 scan stays within `bound` times the report's bytes
+    # (about 1.5x; whole-array temporaries and concatenations took 2.65x for
+    # the QGT inequality, 4.25x for PSD and 1.85x for the local bound)
+    grid = scan_geometry(BlochModel.rice_mele(RMParams(gamma=1.0, variant="supplemental")),
+                         band=0, nx=128)
+    check(grid)  # warm up: first-call allocations are not the report's
+    tracemalloc.start()
+    try:
+        rep = check(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = sum(np.asarray(getattr(rep, f)).nbytes for f in ("labels", "lhs", "rhs", "margin"))
+    assert peak <= bound * report

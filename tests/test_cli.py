@@ -380,6 +380,16 @@ def test_cli_optical_weight_exceptional_exit_3(tmp_path, capsys):
     assert listed == [str(pt) for pt in want]
 
 
+def test_cli_chern_parallel_right_vectors_exit_3(tmp_path, capsys):
+    # the right vectors of this gapped matrix are numerically parallel, so the
+    # dual basis has a zero Gram denominator: exit 3, not a RuntimeWarning
+    cfg = _write(tmp_path, "parallel.yaml",
+                 {"model": {"family": "constant",
+                            "matrix": [[[0, 0], [0, 0]], [[-1e150, 0], [0, -0.25]]]}})
+    assert main(["chern", "--grid", "8", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "numerical error: right eigenvectors numerically parallel" in capsys.readouterr().err
+
+
 def test_cli_scan_non_real_curvature_sum_exit_3(tmp_path, capsys):
     # gamma = 1, dz_offset = 1: the bands braid, so the curvature sum is not
     # real (Im = -2.1e-3 at 64^2); scan reports it as a numerical failure

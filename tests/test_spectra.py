@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as npst
 
-from nhgeo.errors import ExceptionalPointError, NonConvergenceError
+from nhgeo.errors import ExceptionalPointError, IllConditionedError, NonConvergenceError
 from nhgeo.models import SIGMA_X, rm_d_vector
 from nhgeo.spectra import (Eigensystem, _gram, eigensystem_general, eigensystem_two_band,
                            gauge_rescale, mm)
@@ -190,6 +192,17 @@ def test_two_band_batches_validate(points, scale, seed):
 def test_exceptional_point_two_band():
     with pytest.raises(ExceptionalPointError):
         eigensystem_two_band(np.eye(2, dtype=complex))
+
+
+def test_parallel_right_vectors_two_band():
+    # gapped, but the two right vectors come out numerically parallel: a Schur
+    # denominator of the dual basis is exactly 0, a typed error and no
+    # divide-by-zero warning
+    h = np.array([[0.0, 0.0], [-1e150, -0.25j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IllConditionedError):
+            eigensystem_two_band(h)
 
 
 def test_exceptional_point_general():
