@@ -145,12 +145,24 @@ def hermitian_min_eigenvalue(q):
                     2 * np.max(np.abs(np.imag(np.diagonal(q, 0, -2, -1))))])
     if resid > HERM_TOL * scale:
         raise NonHermitianInputError(f"anti-Hermitian residue {resid:.2e}")
-    a = np.real(q[..., 0, 0])
-    c = np.real(q[..., 1, 1])
-    b = q[..., 0, 1]
-    half = 0.5 * (a + c)
-    rad = np.sqrt((0.5 * (a - c)) ** 2 + np.abs(b) ** 2)
-    return half - rad
+    # (a + c)/2 - sqrt(((a - c)/2)^2 + |b|^2) on the entries scaled exactly by
+    # 2^-e <= 1/scale, so that no square overflows (or underflows early), then
+    # scaled back.  |b| is taken unscaled: ``scale`` is the largest |q_ij|, so
+    # it cannot overflow.  In place; [()] makes one matrix's result a scalar.
+    e, shape = int(np.frexp(scale)[1]), q.shape[:-2]
+    a, c, rad = (np.empty(shape) for _ in range(3))
+    np.ldexp(q[..., 0, 0].real, -e, out=a)
+    np.ldexp(q[..., 1, 1].real, -e, out=c)
+    np.subtract(a, c, out=rad)
+    rad *= 0.5
+    np.square(rad, out=rad)
+    a += c
+    a *= 0.5
+    np.ldexp(np.abs(q[..., 0, 1], out=c), -e, out=c)
+    rad += np.square(c, out=c)
+    np.sqrt(rad, out=rad)
+    a -= rad
+    return np.ldexp(a, e, out=a)[()]
 
 
 def check_psd(q, name="PSD", tolerance=PSD_TOL):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DegeneratePointError
-from .tolerances import DEGENERACY_RTOL
+from .tolerances import DEGENERACY_RTOL, SCALE_LIMIT
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -65,9 +65,13 @@ class RMParams:
             raise ConfigError("Gamma must be >= 0 (decay, not gain)")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
-        if not np.isfinite(_scale_floor(self)):
-            raise ConfigError("the parameter scale |t| + |delta| + |Delta| + gamma/2 + "
-                              "|dz_offset| must be below 1.3e154: its square overflows")
+        scale = (abs(self.t) + abs(self.delta) + abs(self.Delta) + 0.5 * self.gamma
+                 + 0.5 * self.Gamma + abs(self.dz_offset))
+        if not scale <= SCALE_LIMIT:
+            raise ConfigError(
+                f"the parameter scale |t| + |delta| + |Delta| + gamma/2 + Gamma/2 + |dz_offset| "
+                f"= {scale:.3g} exceeds {SCALE_LIMIT:.3g} (2^500): a square that the two-band "
+                "solve forms overflows")
 
 
 def rm_d_vector(kx, ky, p: RMParams, derivatives=False):
@@ -137,12 +141,8 @@ def _sum3(q):
 
 def _scale_floor(p: RMParams):
     """P^2 with P = |t| + |delta| + |Delta| + gamma/2 + |dz_offset| the
-    parameter scale; inf where the square overflows."""
-    try:
-        return float(abs(p.t) + abs(p.delta) + abs(p.Delta) + 0.5 * p.gamma
-                     + abs(p.dz_offset)) ** 2
-    except OverflowError:
-        return np.inf
+    parameter scale (finite: RMParams bounds P by SCALE_LIMIT)."""
+    return (abs(p.t) + abs(p.delta) + abs(p.Delta) + 0.5 * p.gamma + abs(p.dz_offset)) ** 2
 
 
 def _rm_scale(d, p: RMParams):
@@ -260,6 +260,10 @@ class BlochModel:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError("constant model needs a square matrix")
+        if not np.all((np.abs(m.real) <= SCALE_LIMIT) & (np.abs(m.imag) <= SCALE_LIMIT)):
+            raise ConfigError(f"constant matrix entries need finite real and imaginary parts "
+                              f"of at most {SCALE_LIMIT:.3g} (2^500): a square that the "
+                              "two-band solve forms overflows beyond it")
 
         def ham(kx, ky, m=m):
             shape = np.broadcast(np.asarray(kx, dtype=float),

@@ -133,21 +133,28 @@ class Eigensystem:
         Every comparison fails on NaN, so a non-finite eigensystem raises
         NonConvergenceError.  The band labels are not checked.
         """
-        eye = np.eye(self.nbands)
+        diag = range(self.nbands)
+
+        def from_identity(prod):
+            """max |prod - 1| over a stack of matrix products (overwritten)."""
+            prod[..., diag, diag] -= 1
+            return np.max(np.abs(prod))
+
         left_h = np.conj(self.left)
         right_t = np.swapaxes(self.right, -1, -2)
-        err = np.max(np.abs(mm(left_h, right_t) - eye))
+        err = from_identity(mm(left_h, right_t))
         if not err <= BIORTHO_TOL:
             raise NonConvergenceError(f"biorthonormality residual {err:.2e}")
-        err = np.max(np.abs(mm(right_t, left_h) - eye))
+        err = from_identity(mm(right_t, left_h))
         if not err <= BIORTHO_TOL:
             raise NonConvergenceError(f"completeness residual {err:.2e}")
-        err = np.max(np.abs(mm(self.overlap_left, self.overlap_right) - eye))
+        err = from_identity(mm(self.overlap_left, self.overlap_right))
         if not err <= RECON_TOL * max(1.0, float(np.max(np.abs(self.overlap_right)))):
             raise NonConvergenceError(f"overlap inverse residual {err:.2e}")
         recon = mm(right_t, self.energies[..., :, None] * left_h)
         scale = np.max(np.abs(h)) or 1.0
-        err = np.max(np.abs(recon - h)) / scale
+        recon -= h
+        err = np.max(np.abs(recon)) / scale
         if not err <= RECON_TOL:
             raise NonConvergenceError(f"reconstruction residual {err:.2e}")
         return self
@@ -166,31 +173,43 @@ def _fix_phase(v):
 
 def _gram(v):
     """Gram matrix <v_n|v_m>, the bits of ``np.einsum("...ni,...mi->...nm", np.conj(v), v)``:
-    :func:`_norms_sq` on the diagonal (imaginary part exactly 0), :func:`_dot` above it and
-    the exact conj(I_nm) below it, + 0 giving a vanishing imaginary part einsum's +0."""
-    size, bra = v.shape[-2], np.conj(v)
+    :func:`_norms_sq` on the diagonal (imaginary part exactly 0); above it
+    0 + sum_i conj(v_ni) v_mi with each :func:`_mul` term written out in real
+    arithmetic, (ar br + ai bi) + i (ar bi - ai br); below it the exact
+    conj(I_nm) + 0, giving a vanishing imaginary part einsum's +0."""
+    size, terms, re, im = v.shape[-2], range(v.shape[-1]), v.real, v.imag
     out = np.empty(v.shape[:-1] + (size,), dtype=complex)
     out[..., range(size), range(size)] = _norms_sq(v)
-    for n, m in zip(*np.triu_indices(size, 1)):
-        out[..., n, m] = _dot(bra[..., n, :], v[..., m, :])
-        out[..., m, n] = np.conj(out[..., n, m]) + 0
+    for n in range(size):
+        for m in range(n + 1, size):
+            entry = out[..., n, m]
+            entry.real = sum(re[..., n, i] * re[..., m, i] + im[..., n, i] * im[..., m, i]
+                             for i in terms)
+            entry.imag = sum(re[..., n, i] * im[..., m, i] - im[..., n, i] * re[..., m, i]
+                             for i in terms)
+            np.add(np.conj(entry), 0, out=out[..., m, n])
     return out
 
 
 def _dual_two_band(right, gram):
     """Dual (left) basis of two right vectors via the projection formulas, from
-    their Gram matrix ``gram`` (:func:`_gram` of ``right``).
+    their Gram matrix ``gram`` (:func:`_gram` of ``right``), each entry formed
+    on the component planes.
     Raises IllConditionedError where I00, I11 or a Schur denominator is not
     positive and finite (numerically parallel right vectors); a NaN is left to
     validation."""
-    r0, r1 = right[..., 0, :], right[..., 1, :]
     i00, i11, i01 = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
     _require_positive(i00, i11)
-    den0, den1 = i00 - np.abs(i01) ** 2 / i11, i11 - np.abs(i01) ** 2 / i00
+    a01 = np.abs(i01) ** 2
+    den0, den1 = i00 - a01 / i11, i11 - a01 / i00
     _require_positive(den0, den1)
-    l0 = (r0 - (np.conj(i01) / i11)[..., None] * r1) / den0[..., None]
-    l1 = (r1 - (i01 / i00)[..., None] * r0) / den1[..., None]
-    return np.stack([l0, l1], axis=-2)
+    w0, w1 = np.conj(i01) / i11, i01 / i00
+    left = np.empty_like(right)
+    for i in (0, 1):
+        r0, r1 = right[..., 0, i], right[..., 1, i]
+        np.divide(r0 - w0 * r1, den0, out=left[..., 0, i])
+        np.divide(r1 - w1 * r0, den1, out=left[..., 1, i])
+    return left
 
 
 def _require_positive(*values):
@@ -244,22 +263,40 @@ def eigensystem_two_band(h):
         from :meth:`Eigensystem.validate`, which every result passes.
     """
     d, c, s = pseudospin_split(h)
-    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
-    off = dx - 1j * dy
-
-    def eigvec(sign):
-        va = np.stack([off, sign * s - dz], axis=-1)
-        vb = np.stack([dz + sign * s, dx + 1j * dy], axis=-1)
-        na = np.sum(np.abs(va) ** 2, axis=-1)
-        nb = np.sum(np.abs(vb) ** 2, axis=-1)
-        v = np.where((na >= nb)[..., None], va, vb)
-        return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))[..., None]
-
-    energies = np.stack([c + s, c - s], axis=-1)
-    right = _fix_phase(np.stack([eigvec(1.0), eigvec(-1.0)], axis=-2))
+    shape = s.shape
+    # Eigenvectors are formed on flat (N,) component arrays, 1-D even for one
+    # matrix (numpy's scalar complex product rounds unlike its array loops);
+    # each stage fills the packed (N, 2, 2) layout once, after the previous
+    # stage's temporaries are freed.
+    energies, right = _branch_vectors(d.reshape(-1, 3), c.reshape(-1), s.reshape(-1))
+    del d, c, s
     overlap_right = _gram(right)
     left = _dual_two_band(right, overlap_right)
-    return Eigensystem(energies, right, left, overlap_right, _gram(left)).validate(h)
+    eig = Eigensystem(*(x.reshape(shape + x.shape[1:]) for x in (
+        energies, right, left, overlap_right, _gram(left))))
+    return eig.validate(h)
+
+
+def _branch_vectors(d, c, s):
+    """Energies (N, 2) and unit right vectors (N, 2, 2) of the branches c +- s
+    from flat (d, c, s), in the phase convention of :func:`_fix_phase`."""
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    off, off_c = dx - 1j * dy, dx + 1j * dy
+    n_off, n_off_c = np.abs(off) ** 2, np.abs(off_c) ** 2
+    energies = np.empty((len(s), 2), dtype=complex)
+    np.add(c, s, out=energies[:, 0])
+    np.subtract(c, s, out=energies[:, 1])
+    right = np.empty((len(s), 2, 2), dtype=complex)
+    for band, sign in enumerate((1.0, -1.0)):
+        ss = sign * s
+        va1, vb0 = ss - dz, dz + ss
+        na = n_off + np.abs(va1) ** 2
+        nb = np.abs(vb0) ** 2 + n_off_c
+        pick = na >= nb
+        norm = np.sqrt(np.where(pick, na, nb))
+        np.divide(np.where(pick, off, vb0), norm, out=right[:, band, 0])
+        np.divide(np.where(pick, va1, off_c), norm, out=right[:, band, 1])
+    return energies, _fix_phase(right)
 
 
 def eigensystem_general(h):

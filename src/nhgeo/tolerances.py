@@ -13,6 +13,12 @@ DEFECTIVE_OVERLAP_TOL = 1e-12  # |<L_n|R_n>| of a defective dense pair
 #: |d.d| relative to max(|d|^2, parameter scale^2) at or below which a
 #: Rice-Mele point counts as gapless
 DEGENERACY_RTOL = 1e-10
+#: largest Rice-Mele parameter scale and |Re|, |Im| of a constant matrix entry
+#: a model accepts (2^500 ~ 3.3e150).  With M the largest |H_ij|, the two-band
+#: solve squares |d.d| <= 3 M^2 and |H_01|^2 + |s -+ d_z|^2 <= 8.5 M^2, and the
+#: pseudospin kernel N^2 |s|^2 <= 3e3 M^2 (N <= NORM_PRODUCT_LIMIT); at
+#: M ~ 3 * 2^500 these stay below 1e306, where a float overflows near 1.8e308
+SCALE_LIMIT = 2.0 ** 500
 
 LOCK_MIN_OVERLAP = 0.5    # min |<psi(k)|psi(k')>| of a finite-difference gauge lock
 #: largest norm product ||R||^2 ||L||^2 the pseudospin kernel serves: the

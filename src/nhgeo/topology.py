@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LinkCollapseError, NonIntegerResidueError, NonRealCurvatureError
 from .models import BlochModel, bz_mesh
-from .spectra import _dot, eigensystem_two_band
+from .spectra import _mul, eigensystem_two_band
 from .geometry import GeometryGrid, _mesh_chunks, _scan_chunks, berry_curvature_lr
 from .tolerances import CURVATURE_SUM_IMAG_TOL, LINK_TOL, RESIDUE_TOL
 
@@ -49,15 +49,17 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     NonIntegerResidueError when the rounding residue exceeds RESIDUE_TOL.
     """
     kxg, kyg = bz_mesh(n_grid, n_grid)
-    bra = np.empty((n_grid, n_grid, 2), dtype=complex)
+    # component planes: bra[i] and ket[i] are contiguous (n, n) meshes
+    bra = np.empty((2, n_grid, n_grid), dtype=complex)
     ket = np.empty_like(bra)
 
     for rows, eig in _mesh_chunks(kxg, kyg, lambda kxr, kyr: eigensystem_two_band(
             model.hamiltonian(kxr, kyr))):
-        bra[rows], ket[rows] = np.conj(eig.left[..., band, :]), eig.right[..., band, :]
+        for i in (0, 1):
+            np.conjugate(eig.left[..., band, i], out=bra[i, rows])
+            ket[i, rows] = eig.right[..., band, i]
 
-    u_x = _dot(bra, np.roll(ket, -1, axis=0))
-    u_y = _dot(bra, np.roll(ket, -1, axis=1))
+    u_x, u_y = _links(bra, ket)
     small = min(float(np.min(np.abs(u_x))), float(np.min(np.abs(u_y))))
     if small < LINK_TOL:
         raise LinkCollapseError(f"plaquette link magnitude {small:.2e} below {LINK_TOL}")
@@ -74,6 +76,14 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     if return_residue:
         return chern, residue
     return chern
+
+
+def _links(bra, ket):
+    """(U_x, U_y) with U_mu = sum_i bra_i ket_i(k + delta e_mu) on (2, nx, ny)
+    component planes: 0 + b_0 k_0 + b_1 k_1 in :func:`~nhgeo.spectra._mul`'s
+    rounding, the bits of ``np.einsum("ijk,ijk->ij", ...)`` on (nx, ny, 2)."""
+    return tuple(sum(_mul(b, k) for b, k in zip(bra, np.roll(ket, -1, axis=axis)))
+                 for axis in (1, 2))
 
 
 def local_bound_sides(grid: GeometryGrid):

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -139,6 +140,19 @@ def test_hermitian_min_eigenvalue_closed_form(rng):
         m = m + m.conj().T
         npt.assert_allclose(hermitian_min_eigenvalue(m),
                             np.linalg.eigvalsh(m)[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("power", [600, -600, 900])
+def test_hermitian_min_eigenvalue_is_exact_under_power_of_two_scaling(rng, power):
+    # the entries are scaled by a power of two before they are squared, so a
+    # stack scaled by 2^power gives exactly the scaled eigenvalues: no square
+    # overflows at 2^600 or 2^900, and none underflows early at 2^-600
+    q = _hermitian_stack(rng, (64,))
+    want = np.ldexp(hermitian_min_eigenvalue(q), power)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = hermitian_min_eigenvalue(q * 2.0 ** power)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_chern_chain(rm_model):

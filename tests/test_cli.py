@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -378,6 +379,34 @@ def test_cli_optical_weight_exceptional_exit_3(tmp_path, capsys):
     kx, ky = bz_mesh(8, 8)
     want = sorted(zip(kx.ravel().tolist(), ky.ravel().tolist()))[:20]
     assert listed == [str(pt) for pt in want]
+
+
+@pytest.mark.parametrize("model", [
+    {"t": 4e153, "delta": 4e153, "Delta": 4e153},
+    {"Gamma": 1e300},
+    {"family": "constant", "matrix": [[[0, 0], [0, 0]], [[-1e200, 0], [0, -0.25]]]},
+], ids=["rice_mele_4e153", "Gamma_1e300", "constant_1e200"])
+@pytest.mark.parametrize("command", ["chern", "scan", "bounds"])
+def test_cli_scale_beyond_the_solve_exit_2(tmp_path, capsys, model, command):
+    # each passed the old check and then overflowed a square of the two-band
+    # solve or the kernel: a RuntimeWarning, or a traceback under -W error
+    cfg = _write(tmp_path, "big.yaml", {"model": model})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--grid", "8", "--config", cfg, "--out", str(out)]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_bounds_large_scale_without_overflow(tmp_path):
+    # the absorptive stack's entries grow with the scale; its smallest
+    # eigenvalue squared them unscaled and overflowed from about 1e100
+    cfg = _write(tmp_path, "1e100.yaml", {"model": {"t": 1e100, "delta": 1e100, "Delta": 1e100}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["bounds", "--grid", "8", "--config", cfg, "--out", str(tmp_path / "o")]) \
+            in (0, 4)
 
 
 def test_cli_chern_parallel_right_vectors_exit_3(tmp_path, capsys):

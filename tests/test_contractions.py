@@ -10,6 +10,7 @@ import pytest
 
 from nhgeo.geometry import _schur_square, _schur_weights
 from nhgeo.spectra import _dot, _gram, _norms_sq, matrix_elements
+from nhgeo.topology import _links
 
 SIZES = (1, 7, 2304)
 
@@ -79,6 +80,8 @@ def test_gram_and_norms_are_einsum(stack, points, bands):
     v = stack((points, bands, bands))
     _same_bits(_gram(v), np.einsum("...ni,...mi->...nm", np.conj(v), v))
     _same_bits(_norms_sq(v), np.real(np.einsum("...ni,...ni->...n", np.conj(v), v)))
+    v = np.moveaxis(stack((bands, bands, points)), -1, 0)  # strided
+    _same_bits(_gram(v), np.einsum("...ni,...mi->...nm", np.conj(v), v))
 
 
 @pytest.mark.parametrize("points", SIZES)
@@ -92,7 +95,10 @@ def test_lock_overlap_is_einsum(stack, points):
 @pytest.mark.parametrize("n_grid", [1, 7, 48])
 def test_plaquette_links_are_einsum(stack, n_grid):
     bra, ket = stack((n_grid, n_grid, 2)), stack((n_grid, n_grid, 2))
+    links = _links(np.moveaxis(np.conj(bra), -1, 0).copy(), np.moveaxis(ket, -1, 0).copy())
     for axis in (0, 1):
         rolled = np.roll(ket, -1, axis=axis)
-        _same_bits(_dot(np.conj(bra), rolled),
-                   np.einsum("ijk,ijk->ij", np.conj(bra), rolled))
+        want = np.einsum("ijk,ijk->ij", np.conj(bra), rolled)
+        _same_bits(_dot(np.conj(bra), rolled), want)
+        # the (2, n, n) component planes that chern_plaquette holds
+        _same_bits(links[axis], want)

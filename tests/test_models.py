@@ -6,6 +6,7 @@ from nhgeo.errors import ConfigError, DegeneratePointError
 from nhgeo.models import (BlochModel, RMParams, SIGMA_X, SIGMA_Z, bz_mesh,
                           model_from_config, pauli_decompose, pauli_matrix,
                           rm_d_vector, rm_hamiltonian)
+from nhgeo.tolerances import SCALE_LIMIT
 
 
 def test_d_vector_appendix_origin():
@@ -229,6 +230,34 @@ def test_params_validation():
         RMParams(variant="nope")
     with pytest.raises(ConfigError, match="overflows"):
         RMParams(t=1.0e154, Delta=1.0e154)
+
+
+@pytest.mark.parametrize("params", [
+    {"t": 4e153, "delta": 4e153, "Delta": 4e153},  # P^2 finite, but |d|^2 overflows
+    {"Gamma": 1e300},  # Gamma/2 counts in the scale
+], ids=["t_delta_Delta_4e153", "Gamma_1e300"])
+def test_parameter_scale_bounds_the_squares_of_the_solve(params):
+    with pytest.raises(ConfigError, match="overflows"):
+        RMParams(**params)
+
+
+def test_parameter_scale_limit():
+    RMParams(t=SCALE_LIMIT / 2, Gamma=SCALE_LIMIT)  # at the limit
+    with pytest.raises(ConfigError, match="overflows"):
+        RMParams(t=SCALE_LIMIT / 2, Gamma=SCALE_LIMIT, gamma=1e140)
+
+
+@pytest.mark.parametrize("entry", [-1e200, 1e200j, np.inf, np.nan, complex(0.0, np.nan)])
+def test_constant_matrix_entries_bound_the_squares_of_the_solve(entry):
+    with pytest.raises(ConfigError, match="overflows"):
+        BlochModel.constant([[0.0, 0.0], [entry, -0.25j]])
+
+
+def test_constant_matrix_at_the_limit_is_accepted():
+    # the gapped matrix with numerically parallel right vectors stays a model,
+    # so that its solve, not its configuration, fails (exit 3)
+    BlochModel.constant([[0.0, 0.0], [-1e150, -0.25j]])
+    BlochModel.constant([[SCALE_LIMIT, -SCALE_LIMIT * 1j], [0.0, 1.0]])
 
 
 def test_model_from_config_rice_mele():

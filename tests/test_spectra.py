@@ -8,9 +8,9 @@ from hypothesis.extra import numpy as npst
 
 from nhgeo.errors import ExceptionalPointError, IllConditionedError, NonConvergenceError
 from nhgeo.models import SIGMA_X, rm_d_vector
-from nhgeo.spectra import (Eigensystem, _gram, eigensystem_general, eigensystem_two_band,
-                           gauge_rescale, mm)
-from nhgeo.tolerances import BIORTHO_TOL, RECON_TOL
+from nhgeo.spectra import (Eigensystem, _fix_phase, _gram, _require_positive, eigensystem_general,
+                           eigensystem_two_band, gauge_rescale, mm, pseudospin_split)
+from nhgeo.tolerances import BIORTHO_TOL, PHASE_COMPONENT_TOL, RECON_TOL
 
 
 def _random_nh(rng, n=2, scale=0.4):
@@ -223,3 +223,104 @@ def test_general_matches_two_band(rng):
         pa = np.outer(a.right[m], np.conj(a.left[m]))
         pb = np.outer(b.right[n], np.conj(b.left[n]))
         npt.assert_allclose(pa, pb, atol=1e-9)
+
+
+# -- the flat two-band solve against the stacked form it replaced ---------------
+
+def _stacked_dual(right, gram):
+    r0, r1 = right[..., 0, :], right[..., 1, :]
+    i00, i11, i01 = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
+    _require_positive(i00, i11)
+    den0, den1 = i00 - np.abs(i01) ** 2 / i11, i11 - np.abs(i01) ** 2 / i00
+    _require_positive(den0, den1)
+    l0 = (r0 - (np.conj(i01) / i11)[..., None] * r1) / den0[..., None]
+    l1 = (r1 - (i01 / i00)[..., None] * r0) / den1[..., None]
+    return np.stack([l0, l1], axis=-2)
+
+
+def _stacked_two_band(h):
+    """The stacked ``eigensystem_two_band``, frozen: every product keeps a
+    component axis, so none is formed on one-element arrays."""
+    d, c, s = pseudospin_split(h)
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    off = dx - 1j * dy
+
+    def eigvec(sign):
+        va = np.stack([off, sign * s - dz], axis=-1)
+        vb = np.stack([dz + sign * s, dx + 1j * dy], axis=-1)
+        na = np.sum(np.abs(va) ** 2, axis=-1)
+        nb = np.sum(np.abs(vb) ** 2, axis=-1)
+        v = np.where((na >= nb)[..., None], va, vb)
+        return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))[..., None]
+
+    energies = np.stack([c + s, c - s], axis=-1)
+    right = _fix_phase(np.stack([eigvec(1.0), eigvec(-1.0)], axis=-2))
+    overlap_right = _gram(right)
+    left = _stacked_dual(right, overlap_right)
+    return Eigensystem(energies, right, left, overlap_right, _gram(left)).validate(h)
+
+
+def _signed_zeros(rng, z):
+    z = z.copy()
+    for part in (z.real, z.imag):
+        part[rng.random(part.shape) < 0.3] = 0.0
+        part[rng.random(part.shape) < 0.15] = -0.0
+    return z
+
+
+def _two_band_inputs(rng, kind, shape):
+    """(..., 2, 2) matrices of one kind: random non-Hermitian, Hermitian, with
+    signed zeros, with the na == nb tie of the vector choice (Hermitian with
+    d_z = 0), or with a first component below PHASE_COMPONENT_TOL."""
+    h = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    if kind == "hermitian":
+        return h + np.conj(np.swapaxes(h, -1, -2))
+    if kind == "zeros":
+        return _signed_zeros(rng, h)
+    if kind == "tie":
+        c, dx, dy = rng.normal(size=(3,) + shape)
+        return np.stack([c, dx - 1j * dy, dx + 1j * dy, c + 0j], axis=-1).reshape(shape + (2, 2))
+    if kind == "small_lead":
+        h[..., 0, 1] *= 10.0 ** rng.uniform(-16, -13, size=shape)
+        h[..., 1, 0] *= rng.choice([0.0, 1e-14, 1.0], size=shape)
+    return h
+
+
+def _assert_same_eigensystem(got, want):
+    for name in ("energies", "right", "left", "overlap_right", "overlap_left"):
+        a, b = (np.ascontiguousarray(getattr(e, name)) for e in (got, want))
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+
+def _assert_same_solve(h):
+    try:
+        want = _stacked_two_band(h)
+    except Exception as exc:  # the same typed error, raised by the same guard
+        with pytest.raises(type(exc)):
+            eigensystem_two_band(h)
+        return
+    _assert_same_eigensystem(eigensystem_two_band(h), want)
+
+
+@pytest.mark.parametrize("kind", ["random", "hermitian", "zeros", "tie", "small_lead"])
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (2048,), (3, 5)])
+def test_two_band_solve_keeps_stacked_bits(rng, kind, shape):
+    h = _two_band_inputs(rng, kind, shape)
+    _assert_same_solve(h)
+    if kind == "small_lead":  # the phase convention skipped a component somewhere
+        v = _stacked_two_band(h).right
+        assert np.any((np.abs(v[..., 0]) <= PHASE_COMPONENT_TOL) & (np.abs(v[..., 0]) > 0))
+    if kind == "tie":  # every vector is the first candidate chosen on na == nb
+        d, _, s = pseudospin_split(h)
+        assert np.all(d[..., 2] == 0)
+
+
+@pytest.mark.parametrize("kind", ["random", "hermitian", "zeros", "tie", "small_lead"])
+def test_two_band_solve_keeps_stacked_bits_on_single_matrices(rng, kind):
+    # a single (2, 2) matrix and a batch of one: the products that form one
+    # element per point are where numpy's rounding would differ
+    for h in _two_band_inputs(rng, kind, (40,)):
+        _assert_same_solve(h)
+        _assert_same_solve(h[None])
+    _assert_same_solve(np.diag([1.0, -1.0]))  # a vanishing first component
