@@ -16,6 +16,7 @@ depend on it, and every mesh is solved serially.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -80,17 +81,13 @@ def _as_given(value, name):
 
 #: every config key, "section.key" or a top-level "key": its default and the
 #: parser that checks a value and returns the one the commands read.  Only
-#: model: takes keys the table does not name: which are allowed depends on
-#: the family, so model_from_config checks them.  threads: null stands for
-#: the usable CPUs.
+#: model: takes keys the table does not name: nhgeo.models.FAMILY_KEYS names
+#: those of each family, and model_from_config checks them.  The table keeps
+#: the CLI's own model defaults only: the family, and gamma = 1.0 where
+#: RMParams has 0.0.  threads: null stands for the usable CPUs.
 CONFIG_KEYS = {
     "model.family": ("rice_mele", _as_given),
-    "model.t": (1.0, _as_given),
-    "model.delta": (1.0, _as_given),
-    "model.Delta": (1.0, _as_given),
     "model.gamma": (1.0, _as_given),
-    "model.Gamma": (0.0, _as_given),
-    "model.variant": ("supplemental", _as_given),
     "grid.nx": (64, _number(int, 8)),
     "grid.ny": (64, _number(int, 8)),
     "band": (0, _number(int, 0, 1)),
@@ -168,18 +165,20 @@ def _ensure_outdir(cfg):
     return path
 
 
-def _model(model_cfg) -> BlochModel:
-    """The configured model; every command supports two bands only."""
-    model = model_from_config(model_cfg)
+def _model(cfg) -> BlochModel:
+    """The configured model; every command supports two bands only.  A
+    Rice-Mele model's echoed section becomes every parameter it runs with."""
+    model = model_from_config(cfg["model"])
     if model.dimension != 2:
         raise ConfigError(f"the commands support two-band models only, got {model.dimension}")
+    if model.params is not None:
+        cfg["model"] = {"family": "rice_mele", **dataclasses.asdict(model.params)}
     return model
 
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_scan(cfg):
-    model = _model(cfg["model"])
+def cmd_scan(cfg, model):
     out = _ensure_outdir(cfg)
     grid = scan_geometry(model, band=cfg["band"], nx=cfg["grid"]["nx"],
                          ny=cfg["grid"]["ny"])
@@ -203,8 +202,7 @@ def cmd_scan(cfg):
     return 0
 
 
-def cmd_chern(cfg):
-    model = _model(cfg["model"])
+def cmd_chern(cfg, model):
     out = _ensure_outdir(cfg)
     t0 = time.monotonic()
     result = topology.compute_chern(
@@ -243,8 +241,7 @@ def _absorptive_stack(cfg, model):
     nx = min(cfg["grid"]["nx"], rsp["k_samples"])
     kxg, kyg = bz_mesh(nx, nx)
     omegas = np.linspace(rsp["omega_min"], rsp["omega_max"], rsp["omega_count"])
-    gamma = float(cfg["model"]["gamma"]) or 1.0
-    rate = 0.5 * gamma
+    rate = 0.5 * float(cfg["model"]["gamma"])
     if rsp["invert_bath"]:
         rate = -rate
     h, *dh = model.hamiltonian(kxg, kyg, derivatives=True)
@@ -267,8 +264,7 @@ def _absorptive_stack(cfg, model):
     return omegas, response.absorptive_part(pi / (nx * nx))
 
 
-def cmd_bounds(cfg):
-    model = _model(cfg["model"])
+def cmd_bounds(cfg, model):
     out = _ensure_outdir(cfg)
     t0 = time.monotonic()
     tol = cfg["tolerances"]
@@ -328,17 +324,21 @@ def _sweep_row(model, n_grid, eta, tolerance, quadrature):
     return row
 
 
-def cmd_optical_weight(cfg, quadrature=False):
+def cmd_optical_weight(cfg, model, quadrature=False):
     """The sweep is cut into at most ``threads`` (and usable CPUs) contiguous
     parts; the first is solved here, each other one in a forked process that
     returns its rows as float64 bytes.  A part whose process fails is solved
     here again, so every run prints, writes and raises as the serial one."""
     sweep = cfg["sweep"]["Gamma"]
-    models = [_model(dict(cfg["model"], Gamma=g_val)) for g_val in sweep]
-    family = cfg["model"]["family"]
-    if len(sweep) > 1 and family != "rice_mele":  # every row would be the same
-        raise ConfigError(f"sweep.Gamma has {len(sweep)} values, but the {family} family "
-                          "has no Gamma to sweep; give it one value")
+    if model.params is not None:  # a bad Gamma raises before the output exists
+        models = [BlochModel.rice_mele(dataclasses.replace(model.params, Gamma=float(g_val)))
+                  for g_val in sweep]
+    elif len(sweep) == 1:
+        models = [model]
+    else:  # every row would be the same
+        raise ConfigError(f"sweep.Gamma has {len(sweep)} values, but the "
+                          f"{cfg['model']['family']} family has no Gamma to sweep; "
+                          "give it one value")
     out = _ensure_outdir(cfg)
     args = (min(cfg["grid"]["nx"], 48), cfg["response"]["eta"],
             cfg["tolerances"]["bound"], quadrature)
@@ -379,8 +379,7 @@ def cmd_optical_weight(cfg, quadrature=False):
     return 0 if np.all(table[:, header.index("margin")] > 0) else 4
 
 
-def cmd_lindblad_check(cfg):
-    model = _model(cfg["model"])
+def cmd_lindblad_check(cfg, model):
     out = _ensure_outdir(cfg)
     h0 = model.hamiltonian(0.0, 0.0)
     anti = 0.5 * (h0 - h0.conj().T)
@@ -395,7 +394,8 @@ def cmd_lindblad_check(cfg):
     h_sym = 0.5 * (h0 + h0.conj().T)
     h_eff = lindblad.effective_hamiltonian(h_sym, spec)
     recon = 0.5 * (h_eff - h_eff.conj().T) - spec.identity_shift * np.eye(2)
-    residual = float(np.max(np.abs(recon - (-1j) * target)))
+    # relative to the target, as Eigensystem.validate scales its reconstruction
+    residual = float(np.max(np.abs(recon - (-1j) * target)) / np.max(np.abs(target)))
     rsp = cfg["response"]
     kel = lindblad.keldysh_sigma(spec, inverted=rsp["invert_bath"])
 
@@ -404,7 +404,7 @@ def cmd_lindblad_check(cfg):
     # bubble_positivity(e_n, e_m, omega) equal one Lorentzian of width
     # |S_n + S_m| = |gamma|: noise_sign 2 pi^2 L(E_m - E_n, 0, |gamma|, omega)
     omegas = np.linspace(rsp["omega_min"], rsp["omega_max"], rsp["omega_count"])
-    gamma = float(cfg["model"]["gamma"]) or 1.0
+    gamma = float(cfg["model"]["gamma"])
     evals = np.linalg.eigvalsh(h_sym)
     levels = evals - 0.5j * gamma
     if abs(0.5 * gamma) < tols.UNDAMPED_RTOL * max(1.0, float(np.max(np.abs(levels)))):
@@ -464,21 +464,16 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, {"grid": args.grid, "threads": args.threads,
                                         "band": args.band, "out": args.out})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        model = _model(cfg)
         if args.command == "scan":
-            return cmd_scan(cfg)
+            return cmd_scan(cfg, model)
         if args.command == "chern":
-            return cmd_chern(cfg)
+            return cmd_chern(cfg, model)
         if args.command == "bounds":
-            return cmd_bounds(cfg)
+            return cmd_bounds(cfg, model)
         if args.command == "optical-weight":
-            return cmd_optical_weight(cfg, quadrature=args.quadrature)
-        if args.command == "lindblad-check":
-            return cmd_lindblad_check(cfg)
+            return cmd_optical_weight(cfg, model, quadrature=args.quadrature)
+        return cmd_lindblad_check(cfg, model)  # argparse admits these five only
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -487,7 +482,6 @@ def main(argv=None):
         for pt in list(getattr(exc, "points", ()))[:20]:  # a list or an index array
             print(f"  at k = {pt}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -49,10 +49,6 @@ class LinkCollapseError(NHGeoError):
     """A biorthogonal plaquette link has near-zero magnitude."""
 
 
-class NonIntegerResidueError(NHGeoError):
-    """Plaquette phase sum does not round cleanly to 2*pi*integer."""
-
-
 class BranchViolationError(NHGeoError):
     """A complex energy difference crossed the chosen logarithm branch."""
 

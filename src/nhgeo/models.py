@@ -277,44 +277,49 @@ class BlochModel:
         return cls(m.shape[0], ham, fused=fused)
 
 
-#: the ``model:`` keys some family reads; any other key is a ConfigError
-MODEL_KEYS = ("family", *(f.name for f in fields(RMParams)), "matrix")
+#: the ``model:`` keys each family reads; any other key is a ConfigError that
+#: names it and the family.  A constant matrix has no decay parameter: its
+#: ``gamma`` is only the bath rate that the CLI's Lindblad and absorptive
+#: checks read (a finite number >= 0), a stand-in for the model's own decay
+FAMILY_KEYS = {
+    "rice_mele": ("family", *(f.name for f in fields(RMParams))),
+    "constant": ("family", "matrix", "gamma"),
+}
 
 
 def model_from_config(cfg: dict) -> BlochModel:
     """Build a model from the ``model:`` section of a run config."""
     if not isinstance(cfg, dict):
         raise ConfigError("model section must be a mapping")
-    unknown = sorted(str(key) for key in cfg if key not in MODEL_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown model key(s) {', '.join(unknown)}; "
-                          f"known: {', '.join(MODEL_KEYS)}")
     family = cfg.get("family")
-
-    if family == "rice_mele":
-        for f in fields(RMParams):  # float(true) is 1.0, but a bool is not a number here
-            if isinstance(f.default, float) and isinstance(cfg.get(f.name), bool):
-                raise ConfigError(f"rice_mele parameter {f.name} must be a number, "
-                                  f"got {cfg[f.name]!r}")
-        try:  # a key the section leaves out takes the RMParams default
-            params = RMParams(**{f.name: float(cfg[f.name]) if isinstance(f.default, float)
-                                 else cfg[f.name] for f in fields(RMParams) if f.name in cfg})
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad rice_mele parameters: {exc}") from exc
-        return BlochModel.rice_mele(params)
-
-    if family == "constant":
-        raw = cfg.get("matrix")
-        if raw is None:
-            raise ConfigError("constant model needs a 'matrix' entry")
+    keys = FAMILY_KEYS.get(family) if isinstance(family, str) else None
+    if keys is None:
+        raise ConfigError(f"unknown model family {family!r}; known: {', '.join(FAMILY_KEYS)}")
+    unknown = sorted(str(key) for key in cfg if key not in keys)
+    if unknown:
+        raise ConfigError(f"unknown {family} model key(s) {', '.join(unknown)}; "
+                          f"known: {', '.join(keys)}")
+    params = {"variant": cfg["variant"]} if "variant" in cfg else {}
+    for name in (key for key in cfg if key not in ("family", "variant", "matrix")):
+        if isinstance(cfg[name], bool):  # float(true) is 1.0, but a bool is not a number here
+            raise ConfigError(f"{family} parameter {name} must be a number, got {cfg[name]!r}")
         try:
-            arr = np.asarray(raw, dtype=float)
-            if arr.ndim == 3 and arr.shape[-1] == 2:  # [[ [re, im], ... ], ...]
-                m = arr[..., 0] + 1j * arr[..., 1]
-            else:
-                m = arr.astype(complex)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad constant matrix: {exc}") from exc
-        return BlochModel.constant(m)
+            params[name] = float(cfg[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad {family} parameters: {exc}") from exc
+    if family == "rice_mele":  # a key the section leaves out takes the RMParams default
+        return BlochModel.rice_mele(RMParams(**params))
 
-    raise ConfigError(f"unknown model family {family!r}")
+    RMParams(**params)  # the bath rate gamma obeys the checks of the Rice-Mele gamma
+    raw = cfg.get("matrix")
+    if raw is None:
+        raise ConfigError("constant model needs a 'matrix' entry")
+    try:
+        arr = np.asarray(raw, dtype=float)
+        if arr.ndim == 3 and arr.shape[-1] == 2:  # [[ [re, im], ... ], ...]
+            m = arr[..., 0] + 1j * arr[..., 1]
+        else:
+            m = arr.astype(complex)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad constant matrix: {exc}") from exc
+    return BlochModel.constant(m)

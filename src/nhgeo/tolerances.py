@@ -28,7 +28,6 @@ NORM_PRODUCT_LIMIT = 1e3
 CROSS_CHECK_RTOL = 1e-10  # kernel vs eigenvector route on a chunk's check row
 
 LINK_TOL = 1e-6           # plaquette link magnitude that aborts the sum
-RESIDUE_TOL = 1e-3        # distance of the phase sum from 2 pi * integer
 CURVATURE_SUM_IMAG_TOL = 1e-3  # Im of the curvature sum, rel. to max(1, |C|)
 
 #: normalized margin forgiven by the local curvature bound, the Chern chain,

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LinkCollapseError, NonIntegerResidueError, NonRealCurvatureError
+from .errors import LinkCollapseError, NonRealCurvatureError
 from .models import BlochModel, bz_mesh
 from .spectra import _mul, eigensystem_two_band
 from .geometry import GeometryGrid, _mesh_chunks, _scan_chunks, berry_curvature_lr
-from .tolerances import CURVATURE_SUM_IMAG_TOL, LINK_TOL, RESIDUE_TOL
+from .tolerances import CURVATURE_SUM_IMAG_TOL, LINK_TOL
 
 
 @dataclass
@@ -40,13 +40,15 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
 
     Links are U_mu(k) = <L(k)|R(k + delta e_mu)>; plaquette phases need no
     gauge fixing, and the total phase sum is an exact multiple of 2*pi up
-    to roundoff.  The mesh is solved in the fixed kx-row chunks of
+    to roundoff: each link enters one loop forward and one conjugated, so
+    the loop phases telescope for any nonzero links.  The residue is
+    reported, not guarded; it says nothing about whether the bands braid.
+    The mesh is solved in the fixed kx-row chunks of
     :func:`~nhgeo.geometry._mesh_chunks`, keeping only the selected band's
     bra and ket vectors; exceptional points of every chunk are raised once
     as sorted (kx, ky) pairs.
 
-    Raises LinkCollapseError when any |U| < LINK_TOL and
-    NonIntegerResidueError when the rounding residue exceeds RESIDUE_TOL.
+    Raises LinkCollapseError when any |U| < LINK_TOL.
     """
     kxg, kyg = bz_mesh(n_grid, n_grid)
     # component planes: bra[i] and ket[i] are contiguous (n, n) meshes
@@ -69,12 +71,8 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     # loop phases accumulate -Re F per cell; negate to match F = i(Q_xy - Q_yx)
     total = -float(np.sum(np.angle(loop))) / (2.0 * np.pi)
     chern = int(np.rint(total))
-    residue = abs(total - chern)
-    if residue > RESIDUE_TOL:
-        raise NonIntegerResidueError(
-            f"plaquette sum {total} is {residue:.2e} away from an integer")
     if return_residue:
-        return chern, residue
+        return chern, abs(total - chern)
     return chern
 
 

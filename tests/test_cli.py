@@ -3,18 +3,20 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import NEAR_EP_REJECTED, assert_no_child_left, fail_in_child, near_ep_matrix
 from nhgeo import bounds, cli, geometry, response, serialize, topology
 from nhgeo.cli import load_config, main
 from nhgeo.errors import ConfigError, ExceptionalPointError
-from nhgeo.models import MODEL_KEYS, RMParams, bz_mesh, model_from_config
+from nhgeo.models import FAMILY_KEYS, RMParams, bz_mesh, model_from_config
 from nhgeo.response import response_spectrum
 
 
@@ -75,6 +77,16 @@ def test_cli_bad_config_exit_2(tmp_path):
     path.write_text("grid: {nx: 4, ny: 4}\n")
     assert main(["scan", "--config", str(path)]) == 2
     assert main(["scan", "--config", str(tmp_path / "missing.yaml")]) == 2
+
+
+@pytest.mark.parametrize("text", ["grid: {nx: 8\n", "[1, 2]\n"], ids=["malformed", "list_root"])
+def test_cli_unreadable_config_exit_2(tmp_path, capsys, monkeypatch, text):
+    # neither malformed YAML nor a root that is not a mapping reaches a command
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.yaml").write_text(text)
+    assert main(["scan", "--config", "bad.yaml"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert os.listdir(tmp_path) == ["bad.yaml"]
 
 
 THREE_BAND = {"family": "constant",
@@ -139,6 +151,44 @@ def test_cli_unknown_key_exit_2(tmp_path, capsys, monkeypatch, command, config, 
     assert os.listdir(tmp_path) == ["typo.yaml"]
 
 
+@pytest.mark.parametrize("model, key", [
+    ({"matrix": [[1.0, 0.0], [0.0, -1.0]]}, "matrix"),
+    ({"family": "constant", "matrix": [[1.0, 0.5], [0.2, -1.0]], "t": 3.0}, "t"),
+    ({"family": "constant", "matrix": [[1.0, 0.5], [0.2, -1.0]], "Gamma": 1.0}, "Gamma"),
+], ids=["matrix_under_rice_mele", "t_under_constant", "Gamma_under_constant"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_other_family_key_exit_2(tmp_path, capsys, monkeypatch, command, model, key):
+    # each family takes only its own keys: the other family's key is not ignored
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "f.yaml", {"model": model, "sweep": {"Gamma": [0.5]}})
+    assert main([command, "--grid", "8", "--config", cfg]) == 2
+    family = model.get("family", "rice_mele")
+    assert capsys.readouterr().err.startswith(
+        f"config error: unknown {family} model key(s) {key}; known: ")
+    assert os.listdir(tmp_path) == ["f.yaml"]
+
+
+@pytest.mark.parametrize("family", [[1, 2], {"rice_mele": 1}, None, 3, "rice-mele"])
+def test_cli_unknown_family_exit_2(tmp_path, capsys, monkeypatch, family):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "f.yaml", {"model": {"family": family}})
+    assert main(["scan", "--grid", "8", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown model family ")
+    assert os.listdir(tmp_path) == ["f.yaml"]
+
+
+@pytest.mark.parametrize("gamma", ["fast", float("nan"), float("inf"), -1.0, True, 1e200])
+@pytest.mark.parametrize("command", ["bounds", "lindblad-check"])
+def test_cli_constant_bath_rate_must_be_a_rate(tmp_path, monkeypatch, command, gamma):
+    # the constant family's gamma is the checks' bath rate: a finite number
+    # >= 0 within the parameter scale, as the Rice-Mele gamma
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "c.yaml", {"model": {"family": "constant", "gamma": gamma,
+                                                "matrix": [[1.0, 0.5], [0.2, -1.0]]}})
+    assert main([command, "--grid", "8", "--config", cfg]) == 2
+    assert os.listdir(tmp_path) == ["c.yaml"]
+
+
 @pytest.mark.parametrize("config, key", [
     ({"band": True}, "band"),                 # an int, which true would make band 1
     ({"response": {"eta": True}}, "response.eta"),  # a float, which true would make 1.0
@@ -194,6 +244,53 @@ def test_cli_gamma_sweep_of_a_family_without_gamma_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_gamma_sweep_bad_value_exit_2_before_output(tmp_path, capsys):
+    # every sweep model is built before the output directory exists
+    cfg = _write(tmp_path, "s.yaml", {"grid": {"nx": 8, "ny": 8},
+                                      "sweep": {"Gamma": [0.0, 1.0e+300]}})
+    out = tmp_path / "o"
+    assert main(["optical-weight", "--config", cfg, "--out", str(out)]) == 2
+    streams = capsys.readouterr()
+    assert streams.out == "" and "exceeds" in streams.err
+    assert not out.exists()
+
+
+def test_cli_gamma_sweep_rows_are_the_models_of_each_gamma(tmp_path, monkeypatch):
+    # each row's model is the configured one with its Gamma replaced
+    seen = []
+    solve = response.optical_weight_bz
+
+    def watched(model, **kwargs):
+        seen.append(model.params)
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(response, "optical_weight_bz", watched)
+    cfg = _write(tmp_path, "s.yaml", {"model": {"t": 1.25, "gamma": 0.5, "Gamma": 9.0,
+                                                "dz_offset": 0.125},
+                                      "grid": {"nx": 8, "ny": 8}, "sweep": {"Gamma": [0, 1.5]}})
+    assert main(["optical-weight", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "1"]) == 0
+    assert seen == [RMParams(t=1.25, gamma=0.5, Gamma=g, dz_offset=0.125) for g in (0.0, 1.5)]
+    assert all(type(p.Gamma) is float for p in seen)
+
+
+@pytest.mark.parametrize("model, echoed", [
+    ({}, {"family": "rice_mele", "t": 1.0, "delta": 1.0, "Delta": 1.0, "gamma": 1.0,
+          "Gamma": 0.0, "variant": "supplemental", "dz_offset": 0.0}),
+    ({"t": 2, "dz_offset": 0.25, "variant": "appendix"},
+     {"family": "rice_mele", "t": 2.0, "delta": 1.0, "Delta": 1.0, "gamma": 1.0,
+      "Gamma": 0.0, "variant": "appendix", "dz_offset": 0.25}),
+    ({"family": "constant", "matrix": [[1, 0.5], [0.2, -1]]},
+     {"family": "constant", "gamma": 1.0, "matrix": [[1, 0.5], [0.2, -1]]}),
+], ids=["defaults", "rice_mele_given", "constant"])
+def test_cli_report_echoes_the_model_that_ran(tmp_path, model, echoed):
+    # a Rice-Mele report names every parameter, a defaulted dz_offset included
+    cfg = _write(tmp_path, "m.yaml", {"model": model})
+    out = tmp_path / "o"
+    assert main(["lindblad-check", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "lindblad.json").read_text())["config"]["model"] == echoed
+
+
 @pytest.mark.parametrize("value, code", [(True, 4), (False, 0), ("no", 2), (1, 2), ("false", 2)])
 def test_cli_invert_bath_must_be_boolean(tmp_path, capsys, value, code):
     # a quoted or numeric flag is not read by its truthiness
@@ -244,12 +341,16 @@ def test_readme_example_config_matches_the_key_table(tmp_path):
     table = {name for name in cli.CONFIG_KEYS if not name.startswith("model.")}
     assert {name for name in shown if not name.startswith("model.")} == table
     assert {name[len("model."):] for name in shown if name.startswith("model.")} \
-        <= set(MODEL_KEYS)
-    # every shown value but threads is the default, the model defaults included
+        == set(FAMILY_KEYS["rice_mele"])
+    # every shown value but threads is the default, the model defaults included:
+    # the CLI's own (family, gamma), else that of RMParams
     for name in shown.keys() & cli.CONFIG_KEYS.keys() - {"threads"}:
         section, _, key = name.rpartition(".")
         default = cli.CONFIG_KEYS[name][0]
         assert shown[name] == default == (cfg[section] if section else cfg)[key], name
+    for f in fields(RMParams):
+        if f"model.{f.name}" not in cli.CONFIG_KEYS:
+            assert shown[f"model.{f.name}"] == f.default, f.name
 
 
 def test_import_cli_leaves_scipy_unloaded():
@@ -739,3 +840,91 @@ def test_cli_lindblad_check_undamped_levels_exit_3(tmp_path, capsys):
     cfg = _write(tmp_path, "u.yaml", {"model": {"gamma": 1e-16, "Gamma": 1.0}})
     assert main(["lindblad-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "Im eps_m = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [("lindblad-check", "Im eps_m = 0"),
+                                              ("bounds", "on resonance")])
+def test_cli_zero_gamma_is_not_replaced(tmp_path, capsys, command, message):
+    # gamma = 0 is a zero level decay, not the default rate 1.0: with Gamma = 1
+    # the model is non-Hermitian, and the levels the checks scan are undamped
+    cfg = _write(tmp_path, "z.yaml", {"model": {"gamma": 0.0, "Gamma": 1.0},
+                                      "response": {"k_samples": 4, "omega_count": 11}})
+    assert main([command, "--grid", "8", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 3e3, 1e7, 1e10, 1e50])
+def test_cli_lindblad_roundtrip_is_relative(tmp_path, capsys, scale):
+    # the residual is relative to the largest entry of the target: at 1e7 the
+    # absolute residual, 9.3e-10, is ~1e-16 of the scale and passes
+    cfg = _write(tmp_path, "s.yaml", {"model": {"t": scale, "delta": scale, "Delta": scale,
+                                                "gamma": scale}})
+    out = tmp_path / "o"
+    assert main(["lindblad-check", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "lindblad.json").read_text())["roundtrip_residual"] < 1e-15
+
+
+# -- the two-outcome contract over random configurations ----------------------
+
+_MAGNITUDES = [0.0, 1e-300, 1e-16, 1e-3, 0.5, 1.0, 3.0, 1e8, 1e150]
+_SIGNED = st.sampled_from(_MAGNITUDES + [-x for x in _MAGNITUDES[1:]])
+_RATE = st.one_of(st.sampled_from(_MAGNITUDES), st.just(-0.5))
+_RM_MODEL = st.fixed_dictionaries({}, optional={
+    "t": _SIGNED, "delta": _SIGNED, "Delta": _SIGNED, "dz_offset": _SIGNED,
+    "gamma": _RATE, "Gamma": _RATE, "variant": st.sampled_from(["supplemental", "appendix"])})
+_CONSTANT_MODEL = st.fixed_dictionaries(
+    {"family": st.just("constant"),
+     "matrix": st.lists(st.lists(st.lists(_SIGNED, min_size=2, max_size=2),
+                                 min_size=2, max_size=2), min_size=2, max_size=2)},
+    optional={"gamma": _RATE})
+_CONFIGS = st.fixed_dictionaries({"model": st.one_of(_RM_MODEL, _CONSTANT_MODEL)}, optional={
+    "response": st.fixed_dictionaries({}, optional={
+        "invert_bath": st.booleans(), "beta": st.sampled_from([None, 0.0, 2.0, 1e8]),
+        "k_samples": st.integers(1, 4), "omega_count": st.integers(1, 11),
+        "eta": st.sampled_from([1e-3, 1e-12, 1.0])}),
+    "sweep": st.fixed_dictionaries({"Gamma": st.lists(_RATE, min_size=1, max_size=2)}),
+    "chern": st.fixed_dictionaries({"curvature_grid": st.integers(8, 12)})})
+
+
+def _finite_leaves(value):
+    """Every number in a JSON document or a list of them is finite."""
+    if isinstance(value, dict):
+        return all(_finite_leaves(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_leaves(v) for v in value)
+    return not isinstance(value, float) or np.isfinite(value)
+
+
+@settings(max_examples=80)
+@given(command=st.sampled_from(COMMANDS), config=_CONFIGS)
+@example(command="scan", config={"model": {"matrix": [[1.0, 0.0], [0.0, -1.0]]}})
+@example(command="bounds", config={"model": {"family": "constant", "t": 3.0,
+                                             "matrix": [[1.0, 0.5], [0.2, -1.0]]}})
+@example(command="lindblad-check", config={"model": {"gamma": 0.0, "Gamma": 1.0}})
+@example(command="bounds", config={"model": {"gamma": 0.0, "Gamma": 1.0}})
+@example(command="chern", config={"model": {"family": [1, 2]}})
+@example(command="lindblad-check", config={"model": {"family": "constant", "gamma": "fast",
+                                                     "matrix": [[1.0, 0.5], [0.2, -1.0]]}})
+def test_cli_outcome_is_finite_output_or_a_typed_error(command, config):
+    # exit 0 (finite output), 2 (nothing written), 3 or 4; no traceback and no
+    # RuntimeWarning on the way
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(config, fh)
+        out = os.path.join(tmp, "o")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--grid", "8", "--threads", "1", "--config", path,
+                         "--out", out])
+        assert code in (0, 2, 3, 4)
+        if code == 2:
+            assert not os.path.exists(out)
+        if code == 0:
+            for name in os.listdir(out):
+                with open(os.path.join(out, name)) as fh:
+                    if name.endswith(".json"):
+                        assert _finite_leaves(json.load(fh)), name
+                    else:
+                        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+                        assert rows and np.all(np.isfinite(np.array(rows, dtype=float))), name

@@ -269,6 +269,17 @@ def test_model_from_config_rice_mele():
             model_from_config({"family": "rice_mele", key: val})
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"family": "rice_mele", "matrix": [[1.0, 0.0], [0.0, -1.0]]}, "matrix"),
+    ({"family": "constant", "matrix": [[1.0, 0.0], [0.0, -1.0]], "t": 3.0}, "t"),
+    ({"family": "constant", "matrix": [[1.0, 0.0], [0.0, -1.0]], "dz_offset": 1.0}, "dz_offset"),
+])
+def test_model_from_config_rejects_the_other_familys_keys(cfg, key):
+    # each family reads its own keys only; the error names the key and the family
+    with pytest.raises(ConfigError, match=rf"^unknown {cfg['family']} model key\(s\) {key}; "):
+        model_from_config(cfg)
+
+
 def test_model_from_config_constant_and_errors():
     m = model_from_config({"family": "constant",
                            "matrix": [[[1.0, 0.0], [0.0, 0.5]],

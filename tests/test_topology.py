@@ -45,6 +45,25 @@ def test_plaquette_residue_small(rm_model):
     assert residue < 1e-6
 
 
+@pytest.mark.parametrize("n", [3, 17, 64])
+def test_plaquette_residue_is_roundoff_on_rough_links(n):
+    # each link enters one loop forward and one conjugated, so the loop phases
+    # telescope: the sum is 2 pi * integer up to roundoff for any nonzero
+    # links, here of a d(k) drawn independently at each mesh point and scaled
+    # over ten decades (the phase sum cannot tell such a d from a smooth one)
+    rng = np.random.default_rng(n)
+    d = rng.normal(size=(n, n, 3)) + 0.3j * rng.normal(size=(n, n, 3))
+    d *= 10.0 ** rng.uniform(-5.0, 5.0, size=(n, n, 1))
+
+    def rough(kx, ky):
+        i, j = (np.rint((np.asarray(k) + np.pi) * n / (2 * np.pi)).astype(int) % n
+                for k in (kx, ky))
+        return d[i, j]
+
+    _, residue = chern_plaquette(BlochModel.pseudospin(rough), n_grid=n, return_residue=True)
+    assert residue < 1e-9
+
+
 def _rescale_plaquette_eigensystems(monkeypatch):
     """Rescale every eigensystem the plaquette sum solves by a smooth gauge."""
     solve, gauge = topology.eigensystem_two_band, pauli_gauge(seed=5)
