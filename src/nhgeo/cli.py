@@ -241,9 +241,9 @@ def _absorptive_stack(cfg, model):
     nx = min(cfg["grid"]["nx"], rsp["k_samples"])
     kxg, kyg = bz_mesh(nx, nx)
     omegas = np.linspace(rsp["omega_min"], rsp["omega_max"], rsp["omega_count"])
-    rate = 0.5 * float(cfg["model"]["gamma"])
-    if rsp["invert_bath"]:
-        rate = -rate
+    rate = (-0.5 if rsp["invert_bath"] else 0.5) * float(cfg["model"]["gamma"])
+    if rate == 0.0:  # exact: a level-relative guard would fire on sound rates at large scale
+        raise NonIntegrableError("absorptive stack levels must decay: gamma = 0, so Im eps_m = 0")
     h, *dh = model.hamiltonian(kxg, kyg, derivatives=True)
     evals, vecs = np.linalg.eigh(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))))
     vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
@@ -287,8 +287,11 @@ def cmd_bounds(cfg, model):
     reports.append(bounds_mod.check_optical_weight_bound(
         weight.bound_trace, chern.chern_plaquette, weight.arg_infimum, tolerance=tol["bound"]))
 
-    omegas, pi_abs = _absorptive_stack(cfg, model)
-    reports.append(bounds_mod.check_absorptive_psd(omegas, pi_abs))
+    if float(cfg["model"]["gamma"]) == 0.0 and _is_hermitian(model.hamiltonian(0.0, 0.0)):
+        print("AbsorptivePSD: skipped, a Hermitian model with no bath (gamma = 0)")
+    else:
+        omegas, pi_abs = _absorptive_stack(cfg, model)
+        reports.append(bounds_mod.check_absorptive_psd(omegas, pi_abs))
 
     for rep in reports:
         name = rep.name.lower()
@@ -379,23 +382,29 @@ def cmd_optical_weight(cfg, model, quadrature=False):
     return 0 if np.all(table[:, header.index("margin")] > 0) else 4
 
 
+def _is_hermitian(h0):
+    """Below HERMITIAN_MODEL_TOL the model at k = 0 has nothing to dissipate."""
+    return float(np.max(np.abs(0.5 * (h0 - h0.conj().T)))) < tols.HERMITIAN_MODEL_TOL
+
+
 def cmd_lindblad_check(cfg, model):
     out = _ensure_outdir(cfg)
     h0 = model.hamiltonian(0.0, 0.0)
-    anti = 0.5 * (h0 - h0.conj().T)
-    if float(np.max(np.abs(anti))) < tols.HERMITIAN_MODEL_TOL:
+    if _is_hermitian(h0):
         print("Hermitian model; nothing to check")
         serialize.write_report_json(
             os.path.join(out, "lindblad.json"),
             {"kind": "lindblad_check", "hermitian": True}, config=cfg)
         return 0
-    target = 1j * anti  # anti-Hermitian part is -i * target
+    target = 1j * (0.5 * (h0 - h0.conj().T))  # anti-Hermitian part is -i * target
     spec = lindblad.decompose_antihermitian(target)
     h_sym = 0.5 * (h0 + h0.conj().T)
     h_eff = lindblad.effective_hamiltonian(h_sym, spec)
     recon = 0.5 * (h_eff - h_eff.conj().T) - spec.identity_shift * np.eye(2)
-    # relative to the target, as Eigensystem.validate scales its reconstruction
-    residual = float(np.max(np.abs(recon - (-1j) * target)) / np.max(np.abs(target)))
+    # relative to max|H(0)|, as Eigensystem.validate scales its reconstruction:
+    # h_eff rounds each entry at the ulp of the whole matrix, not of its
+    # anti-Hermitian part, so a small gamma at a large t is no false failure
+    residual = float(np.max(np.abs(recon - (-1j) * target)) / np.max(np.abs(h0)))
     rsp = cfg["response"]
     kel = lindblad.keldysh_sigma(spec, inverted=rsp["invert_bath"])
 

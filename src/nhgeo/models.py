@@ -310,16 +310,14 @@ def model_from_config(cfg: dict) -> BlochModel:
     if family == "rice_mele":  # a key the section leaves out takes the RMParams default
         return BlochModel.rice_mele(RMParams(**params))
 
-    RMParams(**params)  # the bath rate gamma obeys the checks of the Rice-Mele gamma
-    raw = cfg.get("matrix")
-    if raw is None:
+    if not 0.0 <= 0.5 * params.get("gamma", 0.0) <= SCALE_LIMIT:  # the bath rate; nan fails
+        raise ConfigError(f"constant family bath rate gamma must be a finite number >= 0 with "
+                          f"gamma/2 at most {SCALE_LIMIT:.3g} (2^500), got {cfg['gamma']!r}")
+    if "matrix" not in cfg:
         raise ConfigError("constant model needs a 'matrix' entry")
     try:
-        arr = np.asarray(raw, dtype=float)
-        if arr.ndim == 3 and arr.shape[-1] == 2:  # [[ [re, im], ... ], ...]
-            m = arr[..., 0] + 1j * arr[..., 1]
-        else:
-            m = arr.astype(complex)
+        arr = np.asarray(cfg["matrix"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad constant matrix: {exc}") from exc
-    return BlochModel.constant(m)
+    pairs = arr.ndim == 3 and arr.shape[-1] == 2  # [[ [re, im], ... ], ...]
+    return BlochModel.constant(arr[..., 0] + 1j * arr[..., 1] if pairs else arr)

@@ -179,7 +179,7 @@ def test_cli_unknown_family_exit_2(tmp_path, capsys, monkeypatch, family):
 
 @pytest.mark.parametrize("gamma", ["fast", float("nan"), float("inf"), -1.0, True, 1e200])
 @pytest.mark.parametrize("command", ["bounds", "lindblad-check"])
-def test_cli_constant_bath_rate_must_be_a_rate(tmp_path, monkeypatch, command, gamma):
+def test_cli_constant_bath_rate_must_be_a_rate(tmp_path, capsys, monkeypatch, command, gamma):
     # the constant family's gamma is the checks' bath rate: a finite number
     # >= 0 within the parameter scale, as the Rice-Mele gamma
     monkeypatch.chdir(tmp_path)
@@ -187,6 +187,7 @@ def test_cli_constant_bath_rate_must_be_a_rate(tmp_path, monkeypatch, command, g
                                                 "matrix": [[1.0, 0.5], [0.2, -1.0]]}})
     assert main([command, "--grid", "8", "--config", cfg]) == 2
     assert os.listdir(tmp_path) == ["c.yaml"]
+    assert "constant" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, key", [
@@ -842,23 +843,49 @@ def test_cli_lindblad_check_undamped_levels_exit_3(tmp_path, capsys):
     assert "Im eps_m = 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, message", [("lindblad-check", "Im eps_m = 0"),
-                                              ("bounds", "on resonance")])
-def test_cli_zero_gamma_is_not_replaced(tmp_path, capsys, command, message):
+@pytest.mark.parametrize("omega_min", [0.0, 0.5])
+@pytest.mark.parametrize("command", ["lindblad-check", "bounds"])
+def test_cli_zero_gamma_is_not_replaced(tmp_path, capsys, command, omega_min):
     # gamma = 0 is a zero level decay, not the default rate 1.0: with Gamma = 1
-    # the model is non-Hermitian, and the levels the checks scan are undamped
+    # the model is non-Hermitian, and the levels the checks scan are undamped,
+    # on resonance (omega = 0) or off it
     cfg = _write(tmp_path, "z.yaml", {"model": {"gamma": 0.0, "Gamma": 1.0},
-                                      "response": {"k_samples": 4, "omega_count": 11}})
+                                      "response": {"k_samples": 4, "omega_count": 11,
+                                                   "omega_min": omega_min}})
     assert main([command, "--grid", "8", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert message in capsys.readouterr().err
+    assert "Im eps_m = 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 3e3, 1e7, 1e10, 1e50])
-def test_cli_lindblad_roundtrip_is_relative(tmp_path, capsys, scale):
-    # the residual is relative to the largest entry of the target: at 1e7 the
-    # absolute residual, 9.3e-10, is ~1e-16 of the scale and passes
-    cfg = _write(tmp_path, "s.yaml", {"model": {"t": scale, "delta": scale, "Delta": scale,
-                                                "gamma": scale}})
+@pytest.mark.parametrize("model", [{"gamma": 0.0, "Gamma": 0.0},
+                                   {"family": "constant", "gamma": 0.0,
+                                    "matrix": [[1.0, 0.5], [0.5, -1.0]]}],
+                         ids=["rice_mele", "constant"])
+def test_cli_hermitian_model_without_bath_skips_the_absorptive_report(tmp_path, capsys, model):
+    # no decay anywhere: bounds checks the rest, as lindblad-check finds
+    # nothing to check
+    cfg = _write(tmp_path, "h.yaml", {"model": model,
+                                      "response": {"k_samples": 4, "omega_count": 11}})
+    out = tmp_path / "o"
+    assert main(["bounds", "--grid", "8", "--config", cfg, "--out", str(out)]) == 0
+    assert "AbsorptivePSD: skipped" in capsys.readouterr().out
+    names = [r["name"] for r in json.loads((out / "bounds.json").read_text())["reports"]]
+    assert names == ["LocalCurvature", "QGTInequality", "PSD_RR", "PSD_LL", "ChernChain",
+                     "OpticalWeight"]
+    assert not (out / "margins_absorptivepsd.csv").exists()
+    assert main(["lindblad-check", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "lindblad.json").read_text())["hermitian"] is True
+
+
+@pytest.mark.parametrize("t, gamma", [(1e-3, 1e-3), (1.0, 1.0), (3e3, 3e3), (1e7, 1e7),
+                                      (1e10, 1e10), (1e50, 1e50), (1.0, 1e-4), (1.0, 1e-6),
+                                      (1e7, 1.0)])
+def test_cli_lindblad_roundtrip_is_relative(tmp_path, capsys, t, gamma):
+    # the residual is relative to max|H(0)|, whose ulp sets its roundoff: at
+    # t = gamma = 1e7 the absolute residual, 9.3e-10, is ~1e-16 of the scale,
+    # and a weak gamma at t = 1 is no false failure (relative to the target,
+    # gamma = 1e-4 read 2.2e-12)
+    cfg = _write(tmp_path, "s.yaml", {"model": {"t": t, "delta": t, "Delta": t,
+                                                "gamma": gamma}})
     out = tmp_path / "o"
     assert main(["lindblad-check", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads((out / "lindblad.json").read_text())["roundtrip_residual"] < 1e-15

@@ -280,6 +280,14 @@ def test_model_from_config_rejects_the_other_familys_keys(cfg, key):
         model_from_config(cfg)
 
 
+@pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf"), 1e200])
+def test_model_from_config_constant_bath_rate_names_its_family(gamma):
+    # the constant family has no t, delta or Delta: the error names its gamma
+    with pytest.raises(ConfigError, match=r"^constant family bath rate gamma must be "):
+        model_from_config({"family": "constant", "gamma": gamma,
+                           "matrix": [[1.0, 0.0], [0.0, -1.0]]})
+
+
 def test_model_from_config_constant_and_errors():
     m = model_from_config({"family": "constant",
                            "matrix": [[[1.0, 0.0], [0.0, 0.5]],
