@@ -20,9 +20,11 @@ Two routes compute the same tensors, batched over leading axes:
 * The pseudospin kernel (:func:`pseudospin_geometry`): for two bands,
   H = c + d.sigma, every tensor is a trace of products of the band
   projectors P_+- = (1 +- n.sigma)/2, n = d/sqrt(d.d), with the Pauli
-  parts a_mu of d_mu H; no eigenvector is formed.  It serves
+  parts a_mu = d_mu d of d_mu H, from the model's d pass (no eigenvector
+  and no matrix is formed).  It serves
   :func:`_scan_chunks`, the mesh pass of every scan, guarded per point and
-  cross-checked against the eigenvector route on one kx row of every chunk.
+  cross-checked against the eigenvector route on one kx row of every
+  chunk; the streamed ``chern`` pass forms and checks ``qgt_lr`` only.
 
 All quantities are gauge invariant under |R_n> -> c(k)|R_n>,
 |L_n> -> |L_n>/conj(c(k)).
@@ -38,7 +40,7 @@ from .errors import (ConfigError, ExceptionalPointError, GaugeLockError,
                      IllConditionedError, NonConvergenceError, NonFiniteError)
 from .models import BlochModel, bz_mesh
 from .spectra import (Eigensystem, _dot, eigensystem_two_band, matrix_elements,
-                      pseudospin_split)
+                      pseudospin_root)
 from .tolerances import CROSS_CHECK_RTOL, LOCK_MIN_OVERLAP, NORM_PRODUCT_LIMIT
 
 #: mesh points per batched chunk of :func:`_mesh_chunks` (whole kx rows);
@@ -222,16 +224,17 @@ def _cross(u, v, out):
     return out
 
 
-def pseudospin_geometry(h, dhx, dhy, band=0):
-    """The :data:`FIELDS` of branch band ``band`` of two-band matrices,
-    without eigenvectors.
+def pseudospin_geometry(c, d, ddx, ddy, band=0, lr_only=False):
+    """The :data:`FIELDS` (``qgt_lr`` only if ``lr_only``) of branch band ``band``
+    of H = c + d.sigma without eigenvectors, from a model's
+    :meth:`~nhgeo.models.BlochModel.pseudospin_pass` (c, d, a_x, a_y): a_mu is
+    the Pauli part of d_mu H, whose identity part drops out.
 
-    With h = c + d.sigma, s = sqrt(d.d) (branch energies c +- s), n = d/s
-    and a_mu the Pauli part of d_mu h, the band projectors are
-    P_n = (1 + sig n.sigma)/2 (sig = +1 for band 0, -1 for band 1) and
-    Delta = e_n - e_m = 2 sig s.  The interband pieces are the traceless
-    matrices P_n A_mu P_m = g_mu.sigma and P_m A_mu P_n = h_mu.sigma with
-    g, h = (a_perp +- i sig n x a)/2, and every field is a trace of their
+    With s = sqrt(d.d) (branch energies c +- s) and n = d/s, the band
+    projectors are P_n = (1 + sig n.sigma)/2 (sig = +1 for band 0, -1 for
+    band 1) and Delta = e_n - e_m = 2 sig s.  The interband pieces are the
+    traceless matrices P_n A_mu P_m = g_mu.sigma and P_m A_mu P_n = h_mu.sigma
+    with g, h = (a_perp +- i sig n x a)/2, and every field is a trace of their
     products with the right/left ray projectors
     rho_R = P P^+/tr(P P^+) = (1 + r.sigma)/2, rho_L = P^+ P/tr(P^+ P)
     = (1 + l.sigma)/2:
@@ -244,26 +247,20 @@ def pseudospin_geometry(h, dhx, dhy, band=0):
 
     Everything is elementwise over the batch, so a point gets the same bits
     in any batch.  Guards, each a typed error: the ``GAP_RTOL`` gap of
-    :func:`~nhgeo.spectra.pseudospin_split` (ExceptionalPointError with the
+    :func:`~nhgeo.spectra.pseudospin_root` (ExceptionalPointError with the
     batch indices), N above :data:`NORM_PRODUCT_LIMIT`
     (IllConditionedError) and non-finite output (NonFiniteError).
     """
     if band not in (0, 1):
         raise ValueError("band must be 0 or 1")
-    d, _, s = pseudospin_split(h)
+    s = pseudospin_root(d, c)
     shape = s.shape
     sig = 1.0 if band == 0 else -1.0
     inv_s = 1.0 / s.reshape(-1)
     size = inv_s.size
     n = np.empty((3, size), dtype=complex)
-    np.multiply(d.reshape(size, 3).T, inv_s, out=n)
-    a = np.empty((2, 3, size), dtype=complex)  # 2 a_mu, Pauli parts of d_mu h
-    for mu, dh in enumerate((dhx, dhy)):
-        dh = np.asarray(dh).reshape(size, 2, 2)
-        np.add(dh[:, 0, 1], dh[:, 1, 0], out=a[mu, 0])
-        np.subtract(dh[:, 0, 1], dh[:, 1, 0], out=a[mu, 1])
-        np.subtract(dh[:, 0, 0], dh[:, 1, 1], out=a[mu, 2])
-    a[:, 1] *= 1j
+    np.multiply(np.reshape(d, (size, 3)).T, inv_s, out=n)
+    a = np.array([np.reshape(x, (size, 3)).T for x in (ddx, ddy)], dtype=complex)
     x, y = n.real, n.imag
     norm = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
     bad = norm > NORM_PRODUCT_LIMIT
@@ -273,47 +270,45 @@ def pseudospin_geometry(h, dhx, dhy, band=0):
             f"{NORM_PRODUCT_LIMIT:.0e} at {int(np.count_nonzero(bad))} point(s) "
             "(near-exceptional)")
 
-    # 4g and 4h: 2 (a_perp +- i sig n x a_perp), with a_perp = a - (n.a) n
+    # 2g and 2h: a_perp +- i sig n x a_perp, with a_perp = a - (n.a) n
     p = n[0] * a[:, 0] + n[1] * a[:, 1] + n[2] * a[:, 2]
-    a -= p[:, None] * n  # now 2 a_perp
+    a -= p[:, None] * n  # now a_perp
     twist = _cross((1j * sig) * n, a, np.empty_like(a))
     hv = a - twist
     g = np.add(a, twist, out=twist)
-    u = _cross(x, y, np.empty((3, size)))  # x cross y = i (n x n*) / 2
-    r = (sig * x + u) / norm
-    l = (sig * x - u) / norm
 
-    # g and h here are 4 g and 4 h; the factors are folded into the scales
+    # g and h here are 2 g and 2 h; the factors are folded into the scales
     q_lr = np.empty((2, 2, size), dtype=complex)
     for mu in range(2):
         q_lr[mu] = (g[mu] * hv).sum(axis=1)
-    q_lr *= 0.03125 * inv_s * inv_s
-    w = 0.03125 / (norm * norm * (s.real * s.real + s.imag * s.imag).reshape(-1))
-    # Q^RR_mu,nu ~ conj(h_mu).h_nu and Q^LL_mu,nu ~ g_mu.conj(g_nu): diagonals
-    # in real arithmetic, mirrored off-diagonals, so both are exactly Hermitian
-    q_rr = np.empty((2, 2, size), dtype=complex)
-    q_ll = np.empty_like(q_rr)
-    for q, v, upper in ((q_rr, hv, (0, 1)), (q_ll, g, (1, 0))):
-        sq = (v.real * v.real + v.imag * v.imag).sum(axis=1)
-        q[0, 0] = sq[0] * w
-        q[1, 1] = sq[1] * w
-        q[upper] = (np.conj(v[0]) * v[1]).sum(axis=0) * w
-        q[upper[::-1]] = np.conj(q[upper])
-    q_r = (hv * r).sum(axis=1) * ((0.125j * sig) * inv_s)
-    q_l = (np.conj(g) * l).sum(axis=1) * ((0.125j * sig) * np.conj(inv_s))
+    q_lr *= 0.125 * inv_s * inv_s
+    fields = [q_lr]
+    if not lr_only:
+        u = _cross(x, y, np.empty((3, size)))  # x cross y = i (n x n*) / 2
+        r = (sig * x + u) / norm
+        l = (sig * x - u) / norm
+        w = 0.125 / (norm * norm * (s.real * s.real + s.imag * s.imag).reshape(-1))
+        # Q^RR_mu,nu ~ conj(h_mu).h_nu and Q^LL_mu,nu ~ g_mu.conj(g_nu): diagonals
+        # in real arithmetic, mirrored off-diagonals, so both are exactly Hermitian
+        for v, upper in ((hv, (0, 1)), (g, (1, 0))):
+            q = np.empty((2, 2, size), dtype=complex)
+            sq = (v.real * v.real + v.imag * v.imag).sum(axis=1)
+            q[0, 0] = sq[0] * w
+            q[1, 1] = sq[1] * w
+            q[upper] = (np.conj(v[0]) * v[1]).sum(axis=0) * w
+            q[upper[::-1]] = np.conj(q[upper])
+            fields.append(q)
+        fields.append((hv * r).sum(axis=1) * ((0.25j * sig) * inv_s))
+        fields.append((np.conj(g) * l).sum(axis=1) * ((0.25j * sig) * np.conj(inv_s)))
+    fields.append(norm)
 
     # one sum sees every NaN or infinity (and overflow, which is as fatal)
-    if not np.isfinite(sum(np.sum(v) for v in (q_lr, q_rr, q_ll, q_r, q_l, norm))):
+    if not np.isfinite(sum(np.sum(v) for v in fields)):
         raise NonFiniteError("non-finite geometry from the pseudospin kernel")
-    batch = len(shape)
-
-    def trailing(q, k):
-        """(k component axes, *shape) -> (*shape, k component axes) view."""
-        order = tuple(range(k, k + batch)) + tuple(range(k))
-        return q.reshape(q.shape[:k] + shape).transpose(order)
-
-    return (trailing(q_lr, 2), trailing(q_rr, 2), trailing(q_ll, 2),
-            trailing(q_r, 1), trailing(q_l, 1), norm.reshape(shape))
+    # (k component axes, size) -> (*shape, k component axes) views
+    return tuple(q.reshape(q.shape[:-1] + shape).transpose(
+        tuple(range(q.ndim - 1, q.ndim - 1 + len(shape))) + tuple(range(q.ndim - 1)))
+        for q in fields[:1 if lr_only else None])
 
 
 def _row_max(x):
@@ -321,9 +316,9 @@ def _row_max(x):
 
 
 def _cross_check(model: BlochModel, kx, ky, values, band):
-    """Compare pseudospin-kernel fields ``values`` at whole kx rows (kx, ky)
-    with the validated eigenvector route (``eigensystem_two_band`` +
-    :func:`compute_geometry`).
+    """Compare pseudospin-kernel fields ``values``, the leading :data:`FIELDS`
+    that the pass formed, at whole kx rows (kx, ky) with the validated
+    eigenvector route (``eigensystem_two_band`` + :func:`compute_geometry`).
 
     In each row, a field's largest deviation is measured against its own
     largest magnitude, floored by the natural scale of the fields (the
@@ -392,9 +387,10 @@ def _mesh_chunks(kxg, kyg, solve):
             f"{len(bad_points)} exceptional point(s) on the mesh", points=sorted(bad_points))
 
 
-def _scan_chunks(model: BlochModel, band, kxg, kyg):
-    """Yield ``(rows, values)``, the :data:`FIELDS` of each :func:`_mesh_chunks`
-    chunk of the mesh (kxg, kyg).
+def _scan_chunks(model: BlochModel, band, kxg, kyg, lr_only=False):
+    """Yield ``(rows, values)``, the :data:`FIELDS` (``qgt_lr`` only when
+    ``lr_only``) of each :func:`_mesh_chunks` chunk of the mesh (kxg, kyg),
+    from one :meth:`~nhgeo.models.BlochModel.pseudospin_pass` per chunk.
 
     The first kx row of every chunk is :func:`_cross_check`-ed in batches of
     ``_chunk_rows(ny)`` chunks, each as soon as all its chunks are solved and
@@ -406,7 +402,7 @@ def _scan_chunks(model: BlochModel, band, kxg, kyg):
     starts = np.arange(0, len(kxg), step)  # the first kx row of every chunk
     batch, firsts = None, []
     for rows, values in _mesh_chunks(kxg, kyg, lambda kxr, kyr: pseudospin_geometry(
-            *model.hamiltonian(kxr, kyr, derivatives=True), band=band)):
+            *model.pseudospin_pass(kxr, kyr), band=band, lr_only=lr_only)):
         if rows.start // step**2 != batch:  # a batch that lost a chunk to exceptional
             batch, firsts = rows.start // step**2, []  # points is never checked
         firsts.append([np.array(value[0]) for value in values])

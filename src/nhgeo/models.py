@@ -139,61 +139,60 @@ def _sum3(q):
     return q[..., 0] + q[..., 1] + q[..., 2]
 
 
-def _scale_floor(p: RMParams):
-    """P^2 with P = |t| + |delta| + |Delta| + gamma/2 + |dz_offset| the
-    parameter scale (finite: RMParams bounds P by SCALE_LIMIT)."""
-    return (abs(p.t) + abs(p.delta) + abs(p.Delta) + 0.5 * p.gamma + abs(p.dz_offset)) ** 2
+def _rm_pass(kx, ky, p: RMParams, derivatives, form):
+    """[v, d_x v, d_y v] of v = g form(d), g = 1 + i*Gamma/(2s) (an exact +-i*Gamma/2
+    shift of the band energies), s = sqrt(d.d), shaped as (kx, ky) plus form's axes;
+    ``form`` is pauli_matrix, or the identity (d is then updated in place).  On the k
+    points as one flat batch, cos/sin, d, d_mu d, the gapless guard and s are each
+    evaluated once, and d_mu v = g form(d_mu d) + (d_mu g) form(d).
 
-
-def _rm_scale(d, p: RMParams):
-    """Principal sqrt(d.d) with the gapless-point guard.
-
-    A point is gapless when |d.d| <= DEGENERACY_RTOL * max(|d|^2, P^2) with
-    P = |t| + |delta| + |Delta| + gamma/2 + |dz_offset| the parameter scale;
-    the floor P^2 does not shrink with d, so a d that is pure roundoff is
-    caught.  The prefactor 1 + i*Gamma/(2*sqrt(d.d)) makes the Gamma term an
-    exact +-i*Gamma/2 shift of the two band energies.
-    """
-    dd = _sum3(d * d)
-    floor = _scale_floor(p)
-    scale2 = np.maximum(_sum3(np.abs(d) ** 2), floor)
-    bad = np.abs(dd) <= DEGENERACY_RTOL * scale2
-    if np.any(bad):
-        raise DegeneratePointError(
-            f"rm_hamiltonian: |d.d| <= {DEGENERACY_RTOL}*max(|d|^2, {floor:.3g}) at "
-            f"{int(np.count_nonzero(bad))} point(s) (gapless/exceptional)"
-        )
-    return np.sqrt(dd)
-
-
-def rm_hamiltonian(kx, ky, p: RMParams, derivatives=False):
-    """NH Rice-Mele Hamiltonian (1 + i*Gamma/(2|d|)) d.sigma, shape (..., 2, 2).
-
-    With ``derivatives=True`` returns (H, d_x H, d_y H) from one pass:
-    cos/sin, d and its derivatives, the gapless guard, sqrt(d.d) and
-    d.sigma are each evaluated once.  The k points are evaluated as one
-    flat batch, so a scalar k gives the same bits as that point of a mesh.
-
-    Raises DegeneratePointError on gapless/exceptional points (d.d ~ 0),
-    where the scaling prefactor and all downstream geometry are invalid.
+    A point is gapless when |d.d| <= DEGENERACY_RTOL * max(|d|^2, P^2), P = |t| +
+    |delta| + |Delta| + gamma/2 + |dz_offset| (RMParams bounds it); the floor P^2
+    does not shrink with d, so a d that is pure roundoff is caught.
     """
     shape = np.broadcast(kx, ky).shape
     kx, ky = (np.broadcast_to(np.asarray(k, dtype=float), shape).reshape(-1) for k in (kx, ky))
     d, *dd = rm_d_vector(kx, ky, p, derivatives=True) if derivatives \
         else (rm_d_vector(kx, ky, p),)
-    s = _rm_scale(d, p)
-    h, *dh = (pauli_matrix(x) for x in (d, *dd))
+    dot = _sum3(d * d)
+    floor = (abs(p.t) + abs(p.delta) + abs(p.Delta) + 0.5 * p.gamma + abs(p.dz_offset)) ** 2
+    bad = np.abs(dot) <= DEGENERACY_RTOL * np.maximum(_sum3(np.abs(d) ** 2), floor)
+    if np.any(bad):
+        raise DegeneratePointError(
+            f"rm_hamiltonian: |d.d| <= {DEGENERACY_RTOL}*max(|d|^2, {floor:.3g}) at "
+            f"{int(np.count_nonzero(bad))} point(s) (gapless/exceptional)")
+    s = np.sqrt(dot)
+    v, *dv = (form(x) for x in (d, *dd))
     if p.Gamma != 0.0:
-        # H = g d.sigma with g = 1 + i Gamma/(2s): d_mu H = g d_mu d.sigma + (d_mu g) d.sigma.
-        # g stays the first factor: numpy's complex product is not bitwise commutative.
-        g = (1.0 + 0.5j * p.Gamma / s)[:, None, None]
-        s2 = s**2
-        for x, m in zip(dd, dh):
+        # g stays the first factor: numpy's complex product is not bitwise commutative
+        axes = (-1,) + (1,) * (v.ndim - 1)
+        g = (1.0 + 0.5j * p.Gamma / s).reshape(axes)
+        for x, m in zip(dd, dv):
+            dg = (-0.5j * p.Gamma * (_sum3(d * x) / s) / s**2).reshape(axes)
             np.multiply(g, m, out=m)
-            m += (-0.5j * p.Gamma * (_sum3(d * x) / s) / s2)[:, None, None] * h
-        np.multiply(g, h, out=h)
-    out = [a.reshape(shape + (2, 2)) for a in (h, *dh)]
+            m += dg * v
+        np.multiply(g, v, out=v)
+    return [x.reshape(shape + x.shape[1:]) for x in (v, *dv)]
+
+
+def rm_hamiltonian(kx, ky, p: RMParams, derivatives=False):
+    """NH Rice-Mele Hamiltonian (1 + i*Gamma/(2|d|)) d.sigma, shape (..., 2, 2).
+
+    With ``derivatives=True`` returns (H, d_x H, d_y H) from one pass
+    (:func:`_rm_pass`).  The k points are evaluated as one flat batch, so a
+    scalar k gives the same bits as that point of a mesh.
+
+    Raises DegeneratePointError on gapless/exceptional points (d.d ~ 0),
+    where the scaling prefactor and all downstream geometry are invalid.
+    """
+    out = _rm_pass(kx, ky, p, derivatives, pauli_matrix)
     return tuple(out) if derivatives else out[0]
+
+
+def rm_pseudospin(kx, ky, p: RMParams):
+    """(c, d, d_x d, d_y d) of :func:`rm_hamiltonian` = c + d.sigma from the same
+    pass and guard, without matrices: c = 0, d' = g d, d_mu d' = g d_mu d + (d_mu g) d."""
+    return (0.0, *_rm_pass(kx, ky, p, True, lambda x: x))
 
 
 class BlochModel:
@@ -205,16 +204,18 @@ class BlochModel:
     ``fused(kx, ky)`` (for Rice-Mele cos/sin, d(k), the gapless guard and
     sqrt(d.d) are evaluated once), and ``derivative(kx, ky, axis)`` is the
     matching entry of it.  Without ``fused`` the derivatives are central
-    differences of step ``fd_step``.
+    differences of step ``fd_step``.  ``d_pass`` is a two-band family's
+    :meth:`pseudospin_pass`.
     """
 
     def __init__(self, dimension, hamiltonian, fused=None,
-                 fd_step=DEFAULT_FD_STEP, params=None):
+                 fd_step=DEFAULT_FD_STEP, params=None, d_pass=None):
         self.dimension = int(dimension)
         if self.dimension < 2:
             raise ConfigError("model dimension must be >= 2")
         self._h = hamiltonian
         self._fused = fused
+        self._d_pass = d_pass
         self.fd_step = float(fd_step)
         self.params = params
 
@@ -237,22 +238,32 @@ class BlochModel:
             return (self._h(kx + h, ky) - self._h(kx - h, ky)) / (2.0 * h)
         return (self._h(kx, ky + h) - self._h(kx, ky - h)) / (2.0 * h)
 
+    def pseudospin_pass(self, kx, ky):
+        """(c, d, d_x d, d_y d), d (..., 3), of a two-band H = c + d.sigma from one pass:
+        ``d_pass``, or the :func:`pauli_decompose` of ``hamiltonian(derivatives=True)``."""
+        if self._d_pass is not None:
+            return self._d_pass(kx, ky)
+        h, *dh = self.hamiltonian(kx, ky, derivatives=True)
+        d, c = pauli_decompose(h)
+        return (c, d, *(pauli_decompose(x)[0] for x in dh))
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def rice_mele(cls, params: RMParams):
         return cls(2, lambda kx, ky, p=params: rm_hamiltonian(kx, ky, p),
                    fused=lambda kx, ky, p=params: rm_hamiltonian(kx, ky, p, derivatives=True),
-                   params=params)
+                   params=params, d_pass=lambda kx, ky, p=params: rm_pseudospin(kx, ky, p))
 
     @classmethod
     def pseudospin(cls, d_func, d_deriv=None):
-        """Generic two-band model from a complex d-vector function."""
-        fused = None
+        """Generic two-band model from a complex d-vector function; with
+        ``d_deriv`` its d pass is (0, d, d_x d, d_y d) as given."""
+        fused = d_pass = None
         if d_deriv is not None:
-            fused = lambda kx, ky: tuple(pauli_matrix(d) for d in (
-                d_func(kx, ky), d_deriv(kx, ky, 0), d_deriv(kx, ky, 1)))
-        return cls(2, lambda kx, ky: pauli_matrix(d_func(kx, ky)), fused=fused)
+            d_pass = lambda kx, ky: (0.0, d_func(kx, ky), d_deriv(kx, ky, 0), d_deriv(kx, ky, 1))
+            fused = lambda kx, ky: tuple(pauli_matrix(d) for d in d_pass(kx, ky)[1:])
+        return cls(2, lambda kx, ky: pauli_matrix(d_func(kx, ky)), fused=fused, d_pass=d_pass)
 
     @classmethod
     def constant(cls, matrix):

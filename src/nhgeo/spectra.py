@@ -218,20 +218,10 @@ def _require_positive(*values):
                                   "denominator of the dual basis is not positive and finite")
 
 
-def pseudospin_split(h):
-    """(d, c, s) of 2x2 matrices h = c + d.sigma, batched, with s = sqrt(d.d)
-    on the principal branch: the branch energies are c + s and c - s.
-
-    Raises
-    ------
-    ExceptionalPointError
-        where |e_+ - e_-| < GAP_RTOL * max|e_+-|, with the batch indices of
-        those points.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.shape[-2:] != (2, 2):
-        raise ValueError("two-band routines expect (..., 2, 2) input")
-    d, c = pauli_decompose(h)
+def pseudospin_root(d, c):
+    """s = sqrt(d.d) on the principal branch, batched over d (..., 3) and c: the
+    branch energies of c + d.sigma are c +- s.  Raises ExceptionalPointError, with
+    the batch indices, where |e_+ - e_-| < GAP_RTOL * max|e_+-|."""
     s = np.sqrt(_sum3(d * d))
     e_plus, e_minus = c + s, c - s
     scale = np.maximum(np.abs(e_plus), np.abs(e_minus))
@@ -240,7 +230,7 @@ def pseudospin_split(h):
         raise ExceptionalPointError(
             f"two-band gap below tolerance at {int(np.count_nonzero(bad))} point(s)",
             points=np.argwhere(bad))
-    return d, c, s
+    return s
 
 
 def eigensystem_two_band(h):
@@ -262,7 +252,10 @@ def eigensystem_two_band(h):
     NonConvergenceError
         from :meth:`Eigensystem.validate`, which every result passes.
     """
-    d, c, s = pseudospin_split(h)
+    if np.shape(h)[-2:] != (2, 2):
+        raise ValueError("two-band routines expect (..., 2, 2) input")
+    d, c = pauli_decompose(h)
+    s = pseudospin_root(d, c)
     shape = s.shape
     # Eigenvectors are formed on flat (N,) component arrays, 1-D even for one
     # matrix (numpy's scalar complex product rounds unlike its array loops);

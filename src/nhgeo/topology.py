@@ -124,14 +124,14 @@ def compute_chern(model: BlochModel, band=0, n_plaquette=64, n_curvature=201, gr
     which :func:`~nhgeo.bounds.check_chern_chain` checks.
 
     Only the three :func:`_chain_sums` are kept: added up chunk by chunk over
-    the n_curvature^2 mesh, which holds no GeometryGrid, or taken at once from
-    ``grid``, an already scanned GeometryGrid of ``band`` that replaces it.
+    the n_curvature^2 mesh, whose pass forms and checks ``qgt_lr`` only, or
+    taken at once from ``grid``, a scanned GeometryGrid of ``band`` instead.
     """
     c_pl, residue = chern_plaquette(model, band=band, n_grid=n_plaquette,
                                     return_residue=True)
     if grid is None:
         chunks = [_chain_sums(values[0]) for _, values in
-                  _scan_chunks(model, band, *bz_mesh(n_curvature, n_curvature))]
+                  _scan_chunks(model, band, *bz_mesh(n_curvature, n_curvature), lr_only=True)]
         sums, area, n = np.sum(chunks, axis=0), (2.0 * np.pi / n_curvature) ** 2, n_curvature
     else:
         sums, area, n = _chain_sums(grid.qgt_lr), grid.cell_area(), grid.shape[0]

@@ -78,8 +78,8 @@ def assert_no_child_left():
 
 
 def count_model_calls(monkeypatch, model):
-    """Record every ``hamiltonian``/``derivative`` call on ``model`` as
-    (method, derivatives flag); returns the (thread-safe) list."""
+    """Record every ``hamiltonian``/``derivative``/``pseudospin_pass`` call on
+    ``model`` as (method, derivatives flag); returns the (thread-safe) list."""
     calls = []
 
     def counting(name):
@@ -90,7 +90,7 @@ def count_model_calls(monkeypatch, model):
             return method(*args, **kwargs)
         return wrapper
 
-    for name in ("hamiltonian", "derivative"):
+    for name in ("hamiltonian", "derivative", "pseudospin_pass"):
         monkeypatch.setattr(model, name, counting(name))
     return calls
 

@@ -20,7 +20,7 @@ from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
 from nhgeo.oracles import finite_difference_connection, finite_difference_qgt
 from nhgeo.response import optical_weight_bz
 from nhgeo.spectra import eigensystem_general, eigensystem_two_band, gauge_rescale
-from nhgeo.topology import chern_plaquette
+from nhgeo.topology import chern_plaquette, compute_chern
 
 SAMPLE_K = [(np.pi / 2, np.pi / 2), (0.7, -1.3), (-2.1, 0.4), (1.9, 2.5)]
 
@@ -233,23 +233,60 @@ def test_scan_deterministic_across_workers(rm_model):
 
 
 def test_scan_one_model_pass_per_chunk(rm_model, monkeypatch):
-    # four kx rows per chunk: 8 chunks, whose first rows are cross-checked
-    # in 2 batches of 4; each is one hamiltonian(derivatives=True) call
+    # four kx rows per chunk: 8 chunks, each one d pass of the model, whose
+    # first rows are cross-checked in 2 batches of 4, each batch one
+    # hamiltonian(derivatives=True) call
     monkeypatch.setattr(geometry, "CHUNK_POINTS", 64)
     calls = count_model_calls(monkeypatch, rm_model)
     scan_geometry(rm_model, nx=32, ny=16)
-    assert calls == [("hamiltonian", True)] * 10
+    assert calls == ([("pseudospin_pass", False)] * 4 + [("hamiltonian", True)]) * 2
+
+
+def test_scan_one_matrix_pass_per_chunk_without_a_d_pass(rm_model, monkeypatch):
+    # a model without an analytic d: its d pass decomposes one
+    # hamiltonian(derivatives=True) call per chunk
+    monkeypatch.setattr(geometry, "CHUNK_POINTS", 64)
+    model = BlochModel(2, rm_model.hamiltonian,
+                       fused=lambda kx, ky: rm_model.hamiltonian(kx, ky, derivatives=True))
+    calls = count_model_calls(monkeypatch, model)
+    scan_geometry(model, nx=32, ny=16)
+    chunk = [("pseudospin_pass", False), ("hamiltonian", True)]
+    assert calls == (chunk * 4 + [("hamiltonian", True)]) * 2
 
 
 def test_scan_chunks_match_full_mesh(rm_model, monkeypatch):
-    # two kx rows per chunk: six chunks on the 11 x 5 mesh, the last one row
+    # two kx rows per chunk: six chunks on the 11 x 5 mesh, the last one row;
+    # the qgt_lr-only pass of chern keeps the same bits
     monkeypatch.setattr(geometry, "CHUNK_POINTS", 10)
     kx, ky = bz_mesh(11, 5)
-    full = pseudospin_geometry(rm_model.hamiltonian(kx, ky), rm_model.derivative(kx, ky, 0),
-                               rm_model.derivative(kx, ky, 1))
+    full = pseudospin_geometry(*rm_model.pseudospin_pass(kx, ky))
     grid = scan_geometry(rm_model, nx=11, ny=5)
     for name, ref in zip(geometry.FIELDS, full):
         npt.assert_array_equal(getattr(grid, name), ref)
+    chunks = [values for _, values in geometry._scan_chunks(rm_model, 0, kx, ky, lr_only=True)]
+    assert all(len(values) == 1 for values in chunks)
+    npt.assert_array_equal(np.concatenate([values[0] for values in chunks]), full[0])
+
+
+@pytest.mark.parametrize("ny, step", [(64, 32), (160, 12), (201, 10), (301, 6)])
+def test_scan_cross_checks_every_step_th_row(rm_model, monkeypatch, ny, step):
+    # the checked kx rows, pinned: the first row of every chunk of 2048 points,
+    # every step-th row from 0, on the six-field pass and on chern's qgt_lr
+    # pass, so the coverage cannot move with CHUNK_POINTS unnoticed
+    rows = []
+    cross_check = geometry._cross_check
+
+    def recording(model, kx, ky, values, band):
+        rows.append(kx[:, 0].tolist())
+        return cross_check(model, kx, ky, values, band)
+
+    monkeypatch.setattr(geometry, "_cross_check", recording)
+    kxg, kyg = bz_mesh(64, ny)
+    scan_geometry(rm_model, nx=64, ny=ny)
+    for _ in geometry._scan_chunks(rm_model, 0, kxg, kyg, lr_only=True):
+        pass
+    checked = kxg[::step, 0].tolist()
+    assert [k for batch in rows for k in batch] == checked * 2
 
 
 _PART = st.floats(-2.0, 2.0).map(lambda v: round(v, 3))
@@ -268,8 +305,12 @@ def test_pseudospin_kernel_matches_eigenvector_route(d, a_x, a_y, c, dc, band):
     h = (pauli_matrix(d) + c * np.eye(2))[None]
     dhx = (pauli_matrix(np.array(a_x)) + dc * np.eye(2))[None]
     dhy = pauli_matrix(np.array(a_y))[None]
-    fields = pseudospin_geometry(h, dhx, dhy, band=band)
+    # the kernel takes (c, d, a_x, a_y); the identity part dc of d_x H drops out
+    pseudospin = (np.array([c]), d[None], np.array([a_x]), np.array([a_y]))
+    fields = pseudospin_geometry(*pseudospin, band=band)
     ref = compute_geometry(eigensystem_two_band(h), dhx, dhy, band=band)
+    assert np.array_equal(pseudospin_geometry(*pseudospin, band=band, lr_only=True)[0],
+                          fields[0])
     # relative to each array's max; the connections are floored at the
     # tensor scale, since for a real d they are pure roundoff, and every
     # field at the scale |a|^2 / |d.d| of the inputs, since where a is
@@ -301,17 +342,30 @@ def test_near_ep_sweep_typed_error_where_eigenvector_route_rejects(exponent):
         npt.assert_allclose(grid.norm_product, eigensystem_two_band(h).norm_product(0))
 
 
-def test_scan_cross_check_catches_a_kernel_error(rm_model, monkeypatch):
+def _skew_kernel(monkeypatch, field):
+    """Make the kernel scale ``field`` by 1 + 1e-9 at one point of the first
+    kx row of every chunk."""
     kernel = geometry.pseudospin_geometry
 
-    def skewed(h, dhx, dhy, band=0):
-        fields = kernel(h, dhx, dhy, band=band)
-        fields[1][0, 3] *= 1.0 + 1e-9  # one point of the chunk's first kx row
+    def skewed(*args, **kwargs):
+        fields = kernel(*args, **kwargs)
+        fields[geometry.FIELDS.index(field)][0, 3] *= 1.0 + 1e-9
         return fields
 
     monkeypatch.setattr(geometry, "pseudospin_geometry", skewed)
+
+
+def test_scan_cross_check_catches_a_kernel_error(rm_model, monkeypatch):
+    _skew_kernel(monkeypatch, "qgt_rr")
     with pytest.raises(NonConvergenceError, match="qgt_rr"):
         scan_geometry(rm_model, nx=8)
+
+
+def test_chern_cross_check_catches_a_qgt_lr_error(rm_model, monkeypatch):
+    # the streamed curvature pass forms and cross-checks qgt_lr only
+    _skew_kernel(monkeypatch, "qgt_lr")
+    with pytest.raises(NonConvergenceError, match="qgt_lr"):
+        compute_chern(rm_model, n_plaquette=9, n_curvature=8)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
 
 from nhgeo.errors import ConfigError, DegeneratePointError
 from nhgeo.models import (BlochModel, RMParams, SIGMA_X, SIGMA_Z, bz_mesh,
@@ -157,6 +158,115 @@ def test_fused_pass_broadcasts_momenta():
     for got, want in zip(out, full):
         assert got.shape == (4, 3, 2, 2)
         assert _same_bits(got, want)
+
+
+# -- the matrices the stencil sees, against the arithmetic they were written in -
+
+def _frozen_rm_hamiltonian(kx, ky, p):
+    """``rm_hamiltonian(kx, ky, p, derivatives=True)`` frozen as the stencil and
+    the eigenvector route have always seen it: d.sigma and d_mu d.sigma formed
+    as matrices, then g = 1 + i Gamma/(2s) and d_mu g applied to the matrices
+    (no gapless guard: the test meshes avoid the gapless points)."""
+    shape = np.broadcast(kx, ky).shape
+    kx, ky = (np.broadcast_to(np.asarray(k, dtype=float), shape).reshape(-1) for k in (kx, ky))
+
+    def sum3(q):
+        return q[..., 0] + q[..., 1] + q[..., 2]
+
+    def sigma(v):
+        m = np.empty(v.shape[:-1] + (2, 2), dtype=complex)
+        m[..., 0, 0] = v[..., 2]
+        m[..., 0, 1] = v[..., 0] - 1j * v[..., 1]
+        m[..., 1, 0] = v[..., 0] + 1j * v[..., 1]
+        m[..., 1, 1] = -v[..., 2]
+        return m
+
+    d, *dd = rm_d_vector(kx, ky, p, derivatives=True)
+    s = np.sqrt(sum3(d * d))
+    h, *dh = (sigma(x) for x in (d, *dd))
+    if p.Gamma != 0.0:
+        g = (1.0 + 0.5j * p.Gamma / s)[:, None, None]
+        s2 = s**2
+        for x, m in zip(dd, dh):
+            np.multiply(g, m, out=m)
+            m += (-0.5j * p.Gamma * (sum3(d * x) / s) / s2)[:, None, None] * h
+        np.multiply(g, h, out=h)
+    return tuple(a.reshape(shape + (2, 2)) for a in (h, *dh))
+
+
+@pytest.mark.parametrize("variant", ["supplemental", "appendix"])
+@pytest.mark.parametrize("gamma, Gamma, dz_offset", [(0.0, 0.0, 0.0), (0.6, 0.0, 3.5),
+                                                     (0.6, 0.5, 0.0), (1.7, 1.9, 3.5)])
+def test_rm_hamiltonian_keeps_its_matrix_bits(variant, gamma, Gamma, dz_offset):
+    # the bench reference cannot see a drift below 1e-12; this pin carries
+    # the claim that H and d_mu H (the stencil's and the cross-check's input)
+    # are unchanged by the d pass that the scan reads
+    p = RMParams(gamma=gamma, Gamma=Gamma, variant=variant, dz_offset=dz_offset)
+    kx, ky = bz_mesh(37, 29)
+    kx, ky = kx + 0.01, ky + 0.02  # off the appendix variant's gapless point
+    want = _frozen_rm_hamiltonian(kx, ky, p)
+    for got in (rm_hamiltonian(kx, ky, p, derivatives=True),
+                BlochModel.rice_mele(p).hamiltonian(kx, ky, derivatives=True)):
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+    assert _same_bits(rm_hamiltonian(kx, ky, p), want[0])
+
+
+#: fixed momenta of the d pass properties, off every gapless point of the
+#: drawn models but for a vanishing fraction of draws
+_K = np.random.default_rng(11).uniform(-np.pi, np.pi, size=(2, 5, 7))
+
+
+def _assert_d_pass_decomposes_the_matrices(model):
+    """The model's (c, d, d_x d, d_y d) agree with the pauli_decompose of its
+    own H and d_mu H to 1e-13 of each matrix's largest entry."""
+    try:
+        h, *dh = model.hamiltonian(*_K, derivatives=True)
+    except DegeneratePointError:
+        with pytest.raises(DegeneratePointError):
+            model.pseudospin_pass(*_K)
+        return
+    c, d, *dd = model.pseudospin_pass(*_K)
+    d_ref, c_ref = pauli_decompose(h)
+    pairs = [(c, c_ref, h), (d, d_ref, h)] + [
+        (x, pauli_decompose(m)[0], m) for x, m in zip(dd, dh)]
+    for got, want, matrix in pairs:
+        got = np.broadcast_to(got, want.shape)  # a family without c hands over 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(matrix))
+
+
+_UNIT = st.floats(0.0, 2.0)
+
+
+@given(gamma=_UNIT, Gamma=_UNIT, dz_offset=st.sampled_from([0.0, 3.5]),
+       variant=st.sampled_from(["supplemental", "appendix"]))
+def test_rice_mele_d_pass_is_its_matrix_pass(gamma, Gamma, dz_offset, variant):
+    _assert_d_pass_decomposes_the_matrices(BlochModel.rice_mele(
+        RMParams(gamma=gamma, Gamma=Gamma, dz_offset=dz_offset, variant=variant)))
+
+
+_COMPLEX = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+_VECTOR = st.lists(_COMPLEX, min_size=3, max_size=3).map(np.array)
+
+
+@given(a=_VECTOR, b=_VECTOR, e=_VECTOR)
+def test_pseudospin_d_pass_is_its_matrix_pass(a, b, e):
+    # d(k) = a + b cos kx + e sin ky with its analytic derivatives
+    def d_func(kx, ky):
+        return a + b * np.cos(kx)[..., None] + e * np.sin(ky)[..., None]
+
+    def d_deriv(kx, ky, axis):
+        k = np.asarray(kx if axis == 0 else ky, dtype=float)[..., None]
+        return -b * np.sin(k) if axis == 0 else e * np.cos(k)
+
+    _assert_d_pass_decomposes_the_matrices(BlochModel.pseudospin(d_func, d_deriv))
+
+
+@given(entries=st.lists(_COMPLEX, min_size=4, max_size=4))
+def test_constant_d_pass_is_its_matrix_pass(entries):
+    model = BlochModel.constant(np.reshape(entries, (2, 2)))
+    _assert_d_pass_decomposes_the_matrices(model)
+    c, d, *dd = model.pseudospin_pass(*_K)
+    assert not np.any(dd)
 
 
 def test_derivative_axis_checked(rm_model):

@@ -7,9 +7,9 @@ from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as npst
 
 from nhgeo.errors import ExceptionalPointError, IllConditionedError, NonConvergenceError
-from nhgeo.models import SIGMA_X, rm_d_vector
+from nhgeo.models import SIGMA_X, pauli_decompose, rm_d_vector
 from nhgeo.spectra import (Eigensystem, _fix_phase, _gram, _require_positive, eigensystem_general,
-                           eigensystem_two_band, gauge_rescale, mm, pseudospin_split)
+                           eigensystem_two_band, gauge_rescale, mm, pseudospin_root)
 from nhgeo.tolerances import BIORTHO_TOL, PHASE_COMPONENT_TOL, RECON_TOL
 
 
@@ -241,7 +241,8 @@ def _stacked_dual(right, gram):
 def _stacked_two_band(h):
     """The stacked ``eigensystem_two_band``, frozen: every product keeps a
     component axis, so none is formed on one-element arrays."""
-    d, c, s = pseudospin_split(h)
+    d, c = pauli_decompose(h)
+    s = pseudospin_root(d, c)
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     off = dx - 1j * dy
 
@@ -312,7 +313,7 @@ def test_two_band_solve_keeps_stacked_bits(rng, kind, shape):
         v = _stacked_two_band(h).right
         assert np.any((np.abs(v[..., 0]) <= PHASE_COMPONENT_TOL) & (np.abs(v[..., 0]) > 0))
     if kind == "tie":  # every vector is the first candidate chosen on na == nb
-        d, _, s = pseudospin_split(h)
+        d, _ = pauli_decompose(h)
         assert np.all(d[..., 2] == 0)
 
 

@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import pauli_gauge
 from nhgeo import geometry, topology
-from nhgeo.errors import (ExceptionalPointError, LinkCollapseError,
+from nhgeo.errors import (ExceptionalPointError, LinkCollapseError, NHGeoError,
                           NonRealCurvatureError)
 from nhgeo.geometry import scan_geometry
 from nhgeo.models import BlochModel, RMParams, bz_mesh
@@ -219,6 +220,34 @@ def test_streamed_chain_sums_match_grid_path(rm_model, n):
     for name in ("chern_curvature", "curvature_abs_integral", "qgt_bound_integral"):
         a, b = getattr(streamed, name), getattr(whole, name)
         assert abs(a - b) <= 1e-12 * abs(b), name
+
+
+@given(gamma=st.floats(0.0, 2.0), Gamma=st.floats(0.0, 2.0),
+       dz_offset=st.sampled_from([0.0, 3.5]),
+       variant=st.sampled_from(["supplemental", "appendix"]))
+@settings(max_examples=30)
+def test_streamed_chain_sums_match_grid_path_on_drawn_models(gamma, Gamma, dz_offset, variant):
+    # the qgt_lr-only streamed pass against the six-field scan of the 48 x 48
+    # mesh, two chunks of 42 and 6 kx rows: the same Q^LR bits, summed in
+    # another order.  C is measured against its natural scale int |F| / (2 pi),
+    # not against a trivial phase's roundoff
+    model = BlochModel.rice_mele(RMParams(gamma=gamma, Gamma=Gamma, dz_offset=dz_offset,
+                                          variant=variant))
+    results = []
+    for run in (lambda: compute_chern(model, n_plaquette=8, n_curvature=48),
+                lambda: compute_chern(model, n_plaquette=8, grid=scan_geometry(model, nx=48))):
+        try:
+            results.append(run())
+        except NHGeoError as exc:
+            results.append(type(exc))
+    streamed, whole = results
+    if isinstance(streamed, type) or isinstance(whole, type):
+        assert streamed is whole  # both paths raise the same typed error
+        return
+    scale = {"chern_curvature": whole.curvature_abs_integral / (2 * np.pi)}
+    for name in ("chern_curvature", "curvature_abs_integral", "qgt_bound_integral"):
+        a, b = getattr(streamed, name), getattr(whole, name)
+        assert abs(a - b) <= 1e-12 * scale.get(name, abs(b)), name
 
 
 def test_streamed_pass_cross_checks_the_rows_of_scan_geometry(rm_model, monkeypatch):
