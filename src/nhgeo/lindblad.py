@@ -15,11 +15,13 @@ adaptive-quadrature oracles live in :mod:`nhgeo.oracles`.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianTargetError, NonIntegrableError
+from .errors import NonFiniteError, NonHermitianTargetError, NonIntegrableError
 from .models import pauli_decompose
 from .response import lehmann_correlator
 from .tolerances import HERM_TOL, UNDAMPED_RTOL
@@ -137,48 +139,46 @@ def keldysh_sigma(spec: JumpSpec, inverted=False):
                       proportionality="minus_two_i" if not inverted else "plus_two_i")
 
 
-def _pair_integral(p, q):
-    """int dw / ((w - p)(w - q)) over the real line by residues.
-
-    Zero when both poles share a half-plane; the opposite-half-plane case
-    never pinches (|p - q| >= |Im p - Im q| > 0), so this is confluent-safe.
-    """
-    sp, sq = np.sign(np.imag(p)), np.sign(np.imag(q))
-    if sp == sq:
-        return 0.0 + 0.0j
-    return 2j * np.pi * (1.0 if sp > 0 else -1.0) / (p - q)
-
-
 def bubble_h(eps_n, eps_m, omega, side="A", sigma_k_m=None):
     """Contour value of int domega' G^{A|R}_n(omega' + omega) G^K_m(omega').
 
-    ``sigma_k_m`` defaults to the vacuum Keldysh weight 2i Im(eps_m).
-    Partial fractions split G^K_m into its two simple poles, so the result
-    is exact for any pole configuration (gain levels included).
-
-    Raises NonIntegrableError when level m has no decay (G^K not integrable).
+    ``sigma_k_m`` defaults to the vacuum Keldysh weight 2i Im(eps_m).  The
+    G^K_m poles eps_m and conj(eps_m) lie in opposite half-planes, so closing
+    the contour away from the G_n pole g leaves one residue: exact for any
+    pole configuration (gain levels included), and never pinched since
+    |g - q| >= |Im g - Im q| > 0.  An undamped level n takes the i0
+    prescription: its G^A pole counts as upper, its G^R pole as lower.
+    Computes on Python numbers and returns a Python complex.  Raises
+    NonFiniteError for a NaN or infinite input or result, and
+    NonIntegrableError when level m has no decay (G^K not integrable).
     """
-    eps_n, eps_m = complex(eps_n), complex(eps_m)
-    if abs(np.imag(eps_m)) < UNDAMPED_RTOL * max(1.0, abs(eps_m)):
+    eps_n, eps_m, omega = complex(eps_n), complex(eps_m), float(omega)
+    sigma = 2j * eps_m.imag if sigma_k_m is None else complex(sigma_k_m)
+    if not (cmath.isfinite(eps_n) and cmath.isfinite(eps_m) and math.isfinite(omega)
+            and cmath.isfinite(sigma)):
+        raise NonFiniteError(f"bubble input not finite: {eps_n, eps_m, omega, sigma}")
+    im_m = eps_m.imag
+    if abs(im_m) < UNDAMPED_RTOL * max(1.0, abs(eps_m)):
         raise NonIntegrableError("level m must decay or grow: Im eps_m = 0")
-    if sigma_k_m is None:
-        sigma_k_m = 2j * np.imag(eps_m)
-    if side == "A":
-        g_pole = np.conj(eps_n) - omega          # pole of G^{A}_n(w' + omega) in w'
-    elif side == "R":
-        g_pole = eps_n - omega
-    else:
+    if side not in ("A", "R"):
         raise ValueError("side must be 'A' or 'R'")
-    coeff = sigma_k_m / (eps_m - np.conj(eps_m))
-    return coeff * (_pair_integral(g_pole, eps_m)
-                    - _pair_integral(g_pole, np.conj(eps_m)))
+    g_pole = (eps_n.conjugate() if side == "A" else eps_n) - omega  # pole of G_n(w' + omega)
+    g_upper = g_pole.imag > 0.0 or (g_pole.imag == 0.0 and side == "A")
+    # the G^K_m pole across the real axis from g; its residue, times the
+    # partial-fraction weight sigma / (2i Im eps_m), is -pi sigma / |Im eps_m|
+    q = eps_m if g_upper == (im_m < 0.0) else eps_m.conjugate()
+    val = -math.pi * (sigma / abs(im_m)) / (g_pole - q)
+    if not cmath.isfinite(val):
+        raise NonFiniteError(f"bubble overflows: {eps_n, eps_m, omega, sigma}")
+    return val
 
 
 def bubble_positivity(eps_n, eps_m, omega, side="A", sigma_k_m=None):
-    """Signed real part of the bubble: the quantity whose nonnegativity
-    encodes an uninverted bath (side A counts +Re, side R counts -Re)."""
-    val = bubble_h(eps_n, eps_m, omega, side=side, sigma_k_m=sigma_k_m)
-    return float(np.real(val)) if side == "A" else -float(np.real(val))
+    """Signed real part (a Python float) of :func:`bubble_h`, whose
+    nonnegativity encodes an uninverted bath (side A counts +Re, side R
+    counts -Re); same i0 prescription and errors."""
+    val = bubble_h(eps_n, eps_m, omega, side=side, sigma_k_m=sigma_k_m).real
+    return val if side == "A" else -val
 
 
 def bubble_matrix(energies, ops, omega, sign=+1):

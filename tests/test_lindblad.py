@@ -1,9 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nhgeo.errors import NonHermitianTargetError, NonIntegrableError, PoleOnAxisError
+from nhgeo.errors import (NonFiniteError, NonHermitianTargetError, NonIntegrableError,
+                          PoleOnAxisError)
 from nhgeo.models import SIGMA_Y, SIGMA_Z
 from nhgeo.lindblad import (JumpSpec, bubble_h, bubble_matrix, bubble_positivity,
                             decompose_antihermitian, effective_hamiltonian, keldysh_sigma,
@@ -125,12 +126,14 @@ def test_bubble_positivity_scan_and_gain_flip():
 
 
 @given(e_n=st.floats(-5.0, 5.0), e_m=st.floats(-5.0, 5.0),
-       s_n=st.floats(0.05, 3.0), s_m=st.floats(0.05, 3.0),
+       s_n=st.one_of(st.just(0.0), st.floats(0.05, 3.0)), s_m=st.floats(0.05, 3.0),
        omega=st.floats(-10.0, 10.0), noise_sign=st.sampled_from([1.0, -1.0]))
+@example(e_n=1.0, e_m=-0.4, s_n=0.0, s_m=0.3, omega=0.0, noise_sign=1.0)
 def test_bubble_positivity_is_lorentzian_for_decaying_levels(e_n, e_m, s_n, s_m, omega,
                                                              noise_sign):
-    # the identity behind the batched positivity scan of ``nhgeo lindblad-check``
-    eps_n, eps_m = e_n - 1j * s_n, e_m - 1j * s_m
+    # the identity behind the batched positivity scan of ``nhgeo lindblad-check``;
+    # an undamped level n (s_n = 0) is the one-sided limit s_n -> 0+ on both sides
+    eps_n, eps_m = complex(e_n, -s_n), e_m - 1j * s_m
     ref = noise_sign * 2.0 * np.pi**2 * lorentzian_kernel(e_m - e_n, 0.0, s_n + s_m, omega)
     for side in ("A", "R"):
         q = bubble_positivity(eps_n, eps_m, omega, side=side,
@@ -147,6 +150,47 @@ def test_bubble_matrix_pole_on_axis():
 def test_bubble_requires_decay():
     with pytest.raises(NonIntegrableError):
         bubble_h(EPS[0], 1.0 + 0.0j, 0.5)
+
+
+@pytest.mark.parametrize("side", ["A", "R"])
+@pytest.mark.parametrize("fn", [bubble_h, bubble_positivity])
+@pytest.mark.parametrize("args, kwargs", [
+    ((np.nan, EPS[1], 0.5), {}),
+    ((complex(0.8, np.inf), EPS[1], 0.5), {}),
+    ((EPS[0], complex("nan"), 0.5), {}),
+    ((EPS[0], EPS[1], np.nan), {}),
+    ((EPS[0], EPS[1], np.inf), {}),
+    ((EPS[0], EPS[1], 0.5), {"sigma_k_m": complex(np.nan, 1.0)}),
+], ids=["eps_n-nan", "eps_n-inf", "eps_m-nan", "omega-nan", "omega-inf", "sigma-nan"])
+def test_bubble_non_finite_input_is_typed(fn, args, kwargs, side):
+    # neither a NaN, a RuntimeWarning, a -0.0 for omega = inf nor an
+    # "Im eps_m = 0" NonIntegrableError for a NaN level
+    with pytest.raises(NonFiniteError):
+        fn(*args, side=side, **kwargs)
+
+
+def test_bubble_large_levels_stay_finite_and_overflow_is_typed():
+    # the vacuum weight over |Im eps_m| is 2 exactly, so levels near 1e300 are finite
+    got = bubble_h(1.0, 1e300 - 1e300j, 0.0)
+    assert got == pytest.approx(2j * np.pi / (1.0 - (1e300 - 1e300j)), rel=1e-15)
+    with pytest.raises(NonFiniteError):
+        bubble_h(1.0, 1.0 - 1e-13j, 0.0, sigma_k_m=1e300j)
+
+
+@settings(max_examples=40)
+@given(e_n=st.floats(-5.0, 5.0), e_m=st.floats(-5.0, 5.0),
+       s_n=st.floats(0.05, 3.0), s_m=st.floats(0.05, 3.0),
+       n_gains=st.booleans(), m_gains=st.booleans(), omega=st.floats(-10.0, 10.0),
+       side=st.sampled_from(["A", "R"]), noise_sign=st.sampled_from([1.0, -1.0]))
+def test_bubble_matches_quadrature_in_either_half_plane(e_n, e_m, s_n, s_m, n_gains,
+                                                        m_gains, omega, side, noise_sign):
+    # gain levels (Im eps > 0) included; the oracle agrees to ~1e-8
+    eps_n = complex(e_n, s_n if n_gains else -s_n)
+    eps_m = complex(e_m, s_m if m_gains else -s_m)
+    sigma = noise_sign * 2j * eps_m.imag
+    closed = bubble_h(eps_n, eps_m, omega, side=side, sigma_k_m=sigma)
+    quad = bubble_h_quadrature(eps_n, eps_m, omega, side=side, sigma_k_m=sigma)
+    assert abs(closed - quad) <= 1e-6 * abs(closed)
 
 
 def test_polarization_closed_vs_quadrature():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as npst
 
-from nhgeo.errors import ExceptionalPointError, IllConditionedError, NonConvergenceError
+from nhgeo.errors import (ExceptionalPointError, IllConditionedError, NHGeoError,
+                          NonConvergenceError)
 from nhgeo.models import SIGMA_X, pauli_decompose, rm_d_vector
 from nhgeo.spectra import (Eigensystem, _fix_phase, _gram, _require_positive, eigensystem_general,
                            eigensystem_two_band, gauge_rescale, mm, pseudospin_root)
@@ -208,6 +209,29 @@ def test_parallel_right_vectors_two_band():
 def test_exceptional_point_general():
     with pytest.raises(ExceptionalPointError):
         eigensystem_general(np.diag([1.0 + 0j, 1.0 + 1e-12j, 2.0 + 0j]))
+
+
+@given(n=st.integers(2, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       defective=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_general_validates_or_raises_typed(n, scale, defective, seed):
+    # random complex N x N matrices; a defective draw carries a 2 x 2 Jordan block
+    gen = np.random.default_rng(seed)
+    h = scale * (gen.normal(size=(n, n, 2)) @ [1.0, 1j])
+    if defective:
+        p = gen.normal(size=(n, n, 2)) @ [1.0, 1j]
+        jordan = np.diag(np.diag(h))
+        jordan[1, 1], jordan[0, 1] = jordan[0, 0], scale
+        h = p @ jordan @ np.linalg.inv(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            eig = eigensystem_general(h)
+        except NHGeoError:
+            return
+    left_h, right_t = np.conj(eig.left), eig.right.T
+    assert np.max(np.abs(left_h @ right_t - np.eye(n))) <= BIORTHO_TOL
+    recon = right_t @ (eig.energies[:, None] * left_h)
+    assert np.max(np.abs(recon - h)) <= RECON_TOL * np.max(np.abs(h))
 
 
 def test_general_matches_two_band(rng):
