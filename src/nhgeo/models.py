@@ -123,9 +123,10 @@ def pauli_matrix(d):
 
 
 def pauli_decompose(h):
-    """Inverse of :func:`pauli_matrix`: returns (d, c) with h = d.sigma + c*1."""
+    """Inverse of :func:`pauli_matrix`: returns (d, c) with h = d.sigma + c*1, d a
+    (..., 3) view of contiguous component planes d[..., i]."""
     h = np.asarray(h, dtype=complex)
-    d = np.empty(h.shape[:-2] + (3,), dtype=complex)
+    d = np.moveaxis(np.empty((3,) + h.shape[:-2], dtype=complex), 0, -1)
     d[..., 0] = 0.5 * (h[..., 0, 1] + h[..., 1, 0])
     d[..., 1] = 0.5j * (h[..., 0, 1] - h[..., 1, 0])
     d[..., 2] = 0.5 * (h[..., 0, 0] - h[..., 1, 1])

@@ -80,19 +80,29 @@ def _complex_quad(integrand, cut, points):
 
 def bubble_h_quadrature(eps_n, eps_m, omega, side="A", sigma_k_m=None,
                         cut_factor=200.0):
-    """Adaptive-quadrature oracle for :func:`nhgeo.lindblad.bubble_h`
-    (same conventions)."""
+    """Adaptive-quadrature oracle for :func:`nhgeo.lindblad.bubble_h` (same
+    conventions).  An undamped level n's G_n pole p takes bubble_h's i0 prescription:
+    the principal value over p plus i pi G^K_m(p) (G^A upper) or minus it (G^R)."""
     eps_n, eps_m = complex(eps_n), complex(eps_m)
     if sigma_k_m is None:
         sigma_k_m = 2j * np.imag(eps_m)
     pole = np.conj(eps_n) if side == "A" else eps_n
 
-    def integrand(w):
-        g_k = sigma_k_m / ((w - eps_m) * (w - np.conj(eps_m)))
-        return g_k / (w + omega - pole)
+    def poles(w):  # G^K_m = sigma / poles(w)
+        return (w - eps_m) * (w - np.conj(eps_m))
 
     cut = cut_factor * max(abs(eps_n), abs(eps_m), abs(omega), 1.0)
-    return _complex_quad(integrand, cut,
+    if pole.imag == 0.0:
+        # the pole subtracted: (G^K_m(w) - G^K_m(p)) / (w - p), written without the
+        # division by w - p, is regular, and the principal value of 1 / (w - p) over
+        # the window is log((cut - p) / (cut + p))
+        p = pole.real - omega
+        pv = _complex_quad(lambda w: -sigma_k_m * (w + p - 2.0 * eps_m.real)
+                           / (poles(w) * poles(p)), cut, {p, eps_m.real})
+        # plus the one-sided residue, +i pi for the G^A pole (upper), -i pi for G^R
+        pole_terms = np.log((cut - p) / (cut + p)) + (1j if side == "A" else -1j) * np.pi
+        return pv + sigma_k_m / poles(p) * pole_terms
+    return _complex_quad(lambda w: sigma_k_m / poles(w) / (w + omega - pole), cut,
                          {np.real(eps_m), np.real(eps_n) - omega, np.real(eps_n) + omega})
 
 

@@ -4,7 +4,10 @@ Vectors are stored band-first: ``right[..., n, :]`` are the components of
 |R_n>, ``left[..., n, :]`` those of |L_n>, normalized so <L_n|R_m> =
 delta_nm.  Right vectors are unit norm with the first non-vanishing
 component real positive; every reported quantity downstream is gauge
-invariant, so the convention only serves determinism.
+invariant, so the convention only serves determinism.  The batched two-band
+solve returns plane stacks (:func:`_to_back`): (..., N, N) views of contiguous
+(N, N, ...) planes, which are not C-contiguous, so compare their bytes through
+``np.ascontiguousarray``.
 
 Two-band eigensystems carry the k-smooth branch labels: band 0 has energy
 c + sqrt(d.d), band 1 c - sqrt(d.d), with h = c + d.sigma and the principal
@@ -30,22 +33,33 @@ def braket(a, b):
     return np.sum(np.conj(a) * b, axis=-1)
 
 
-def mm(a, b):
-    """a @ b over the trailing two axes, batched and broadcast like matmul.
+def _to_front(x):
+    """The (rows, cols, ...) planes of a (..., rows, cols) stack, as a view."""
+    return x.transpose((x.ndim - 2, x.ndim - 1) + tuple(range(x.ndim - 2)))
 
-    Each entry is the sum over the unrolled inner index of whole-stack
-    products: for the small N here that beats matmul's per-matrix dispatch
-    on long stacks, and the same path serves single matrices.
-    """
-    n, inner, m = a.shape[-2], a.shape[-1], b.shape[-1]
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n, m),
-                   dtype=np.result_type(a, b))
-    for i in range(n):
-        for j in range(m):
-            acc = a[..., i, 0] * b[..., 0, j]
-            for k in range(1, inner):
-                acc += a[..., i, k] * b[..., k, j]
-            out[..., i, j] = acc
+
+def _to_back(planes):
+    """The (..., rows, cols) plane stack, a view, of (rows, cols, ...) planes."""
+    return planes.transpose(tuple(range(2, planes.ndim)) + (0, 1))
+
+
+def mm(a, b, out=None):
+    """a @ b over the trailing two axes, batched and broadcast like matmul, as a plane
+    stack, or written into ``out``, a plane stack of the result's shape.  Each entry
+    plane adds the products a_ik b_kj, formed in one term buffer, in k order: for
+    small N that beats matmul on long stacks, and a single matrix never rounds
+    through numpy's scalar arithmetic."""
+    a, b = _to_front(a), _to_front(b)
+    if out is None:
+        out = _to_back(np.empty((a.shape[0], b.shape[1]) + np.broadcast_shapes(
+            a.shape[2:], b.shape[2:]), dtype=np.result_type(a, b)))
+    planes = _to_front(out)
+    term = np.empty(planes.shape[2:], dtype=planes.dtype)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            np.multiply(a[i, 0, ...], b[0, j, ...], out=planes[i, j, ...])
+            for k in range(1, a.shape[1]):
+                planes[i, j, ...] += np.multiply(a[i, k, ...], b[k, j, ...], out=term)
     return out
 
 
@@ -128,36 +142,44 @@ class Eigensystem:
 
     def validate(self, h):
         """Check the biorthogonality, completeness and overlap-inverse identities
-        and the reconstruction of the matrices ``h``.
+        and the reconstruction of the matrices ``h`` (:meth:`_residuals`).
 
         Every comparison fails on NaN, so a non-finite eigensystem raises
         NonConvergenceError.  The band labels are not checked.
         """
-        diag = range(self.nbands)
-
-        def from_identity(prod):
-            """max |prod - 1| over a stack of matrix products (overwritten)."""
-            prod[..., diag, diag] -= 1
-            return np.max(np.abs(prod))
-
-        left_h = np.conj(self.left)
-        right_t = np.swapaxes(self.right, -1, -2)
-        err = from_identity(mm(left_h, right_t))
-        if not err <= BIORTHO_TOL:
-            raise NonConvergenceError(f"biorthonormality residual {err:.2e}")
-        err = from_identity(mm(right_t, left_h))
-        if not err <= BIORTHO_TOL:
-            raise NonConvergenceError(f"completeness residual {err:.2e}")
-        err = from_identity(mm(self.overlap_left, self.overlap_right))
-        if not err <= RECON_TOL * max(1.0, float(np.max(np.abs(self.overlap_right)))):
-            raise NonConvergenceError(f"overlap inverse residual {err:.2e}")
-        recon = mm(right_t, self.energies[..., :, None] * left_h)
-        scale = np.max(np.abs(h)) or 1.0
-        recon -= h
-        err = np.max(np.abs(recon)) / scale
-        if not err <= RECON_TOL:
-            raise NonConvergenceError(f"reconstruction residual {err:.2e}")
+        for identity, err, bound in self._residuals(h):
+            if not err <= bound:
+                raise NonConvergenceError(f"{identity} residual {err:.2e}")
         return self
+
+    def _residuals(self, h):
+        """Yield (identity, residual, bound) of the four identities, each formed once the
+        one before is checked: the :func:`mm` products of the (M >= 1, N, N) field stacks
+        share a product and a magnitude buffer; 1 is taken off the diagonal planes."""
+        n = self.nbands
+        right_t = np.swapaxes(self.right.reshape((-1, n, n)), -1, -2)
+        left_h = np.conj(self.left.reshape((-1, n, n)))
+        planes = np.empty((n, n, len(left_h)), dtype=complex)
+        mag, diagonal = np.empty(planes.shape), planes.reshape(n * n, -1)[::n + 1]
+
+        def from_identity(a, b):  # max |a b - 1|
+            mm(a, b, out=_to_back(planes))
+            diagonal[...] -= 1
+            return np.max(np.abs(planes, out=mag))
+
+        yield "biorthonormality", from_identity(left_h, right_t), BIORTHO_TOL
+        yield "completeness", from_identity(right_t, left_h), BIORTHO_TOL
+        overlap_right = self.overlap_right.reshape((-1, n, n))
+        err = from_identity(self.overlap_left.reshape((-1, n, n)), overlap_right)
+        bound = RECON_TOL * max(1.0, float(np.max(np.abs(_to_front(overlap_right), out=mag))))
+        yield "overlap inverse", err, bound
+        np.multiply(self.energies.reshape(-1, n).T[:, None], _to_front(left_h),
+                    out=_to_front(left_h))
+        mm(right_t, left_h, out=_to_back(planes))
+        h = _to_front(np.broadcast_to(h, self.right.shape).reshape(-1, n, n))
+        scale = np.max(np.abs(h, out=mag)) or 1.0
+        planes -= h
+        yield "reconstruction", np.max(np.abs(planes, out=mag)) / scale, RECON_TOL
 
 
 def _fix_phase(v):
@@ -176,9 +198,9 @@ def _gram(v):
     :func:`_norms_sq` on the diagonal (imaginary part exactly 0); above it
     0 + sum_i conj(v_ni) v_mi with each :func:`_mul` term written out in real
     arithmetic, (ar br + ai bi) + i (ar bi - ai br); below it the exact
-    conj(I_nm) + 0, giving a vanishing imaginary part einsum's +0."""
+    conj(I_nm) + 0, giving a vanishing imaginary part einsum's +0; a plane stack."""
     size, terms, re, im = v.shape[-2], range(v.shape[-1]), v.real, v.imag
-    out = np.empty(v.shape[:-1] + (size,), dtype=complex)
+    out = _to_back(np.empty((size, size) + v.shape[:-2], dtype=complex))
     out[..., range(size), range(size)] = _norms_sq(v)
     for n in range(size):
         for m in range(n + 1, size):
@@ -257,10 +279,9 @@ def eigensystem_two_band(h):
     d, c = pauli_decompose(h)
     s = pseudospin_root(d, c)
     shape = s.shape
-    # Eigenvectors are formed on flat (N,) component arrays, 1-D even for one
-    # matrix (numpy's scalar complex product rounds unlike its array loops);
-    # each stage fills the packed (N, 2, 2) layout once, after the previous
-    # stage's temporaries are freed.
+    # each stage writes flat (band, component, N) planes (numpy keeps their layout),
+    # 1-D even for one matrix (numpy's scalar complex product rounds unlike its array
+    # loops), once the previous stage's temporaries are freed; the fields view them
     energies, right = _branch_vectors(d.reshape(-1, 3), c.reshape(-1), s.reshape(-1))
     del d, c, s
     overlap_right = _gram(right)
@@ -271,15 +292,15 @@ def eigensystem_two_band(h):
 
 
 def _branch_vectors(d, c, s):
-    """Energies (N, 2) and unit right vectors (N, 2, 2) of the branches c +- s
-    from flat (d, c, s), in the phase convention of :func:`_fix_phase`."""
+    """Energies (N, 2) and unit right vectors (N, 2, 2), plane stacks, of the
+    branches c +- s from flat (d, c, s), phased by :func:`_fix_phase`."""
     dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
     off, off_c = dx - 1j * dy, dx + 1j * dy
     n_off, n_off_c = np.abs(off) ** 2, np.abs(off_c) ** 2
-    energies = np.empty((len(s), 2), dtype=complex)
+    energies = np.empty((2, len(s)), dtype=complex).T
     np.add(c, s, out=energies[:, 0])
     np.subtract(c, s, out=energies[:, 1])
-    right = np.empty((len(s), 2, 2), dtype=complex)
+    right = _to_back(np.empty((2, 2, len(s)), dtype=complex))
     for band, sign in enumerate((1.0, -1.0)):
         ss = sign * s
         va1, vb0 = ss - dz, dz + ss
@@ -299,6 +320,9 @@ def eigensystem_general(h):
     from the adjoint eigenproblem paired by eigenvalue and rescaled to
     <L_n|R_n> = 1 (never by inverting the eigenvector matrix).  The
     result is validated against ``h`` (:meth:`Eigensystem.validate`).
+    A failure at a normalized overlap o = |<L_n|R_n>|/(||L_n|| ||R_n||) below
+    eps/BIORTHO_TOL (its first-order error eps/o exceeds BIORTHO_TOL) is an
+    ExceptionalPointError: rounding splits a Jordan pair at o ~ sqrt(eps).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -334,12 +358,19 @@ def eigensystem_general(h):
     right = right / np.linalg.norm(right, axis=-1, keepdims=True)
     right = _fix_phase(right)
     left = u.T[order][idx]
-    s = np.sum(np.conj(left) * right, axis=-1)
+    s = np.sum(np.conj(left) * right, axis=-1)  # unit vectors: |s_n| = o_n
     if np.any(np.abs(s) < DEFECTIVE_OVERLAP_TOL):
         raise ExceptionalPointError("left/right pairing degenerate (defective?)")
     left = left / np.conj(s)[:, None]
 
-    return Eigensystem(energies, right, left, _gram(right), _gram(left)).validate(h)
+    try:
+        return Eigensystem(energies, right, left, _gram(right), _gram(left)).validate(h)
+    except NonConvergenceError as exc:
+        overlap = float(np.min(np.abs(s)))
+        if not overlap < np.finfo(float).eps / BIORTHO_TOL:
+            raise
+        raise ExceptionalPointError(f"smallest normalized left/right overlap {overlap:.2e} "
+                                    f"below eps/BIORTHO_TOL (a split Jordan pair): {exc}") from exc
 
 
 def gauge_rescale(eig: Eigensystem, c):

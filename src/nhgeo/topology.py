@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LinkCollapseError, NonRealCurvatureError
 from .models import BlochModel, bz_mesh
-from .spectra import _mul, eigensystem_two_band
+from .spectra import _mul, _to_front, eigensystem_two_band
 from .geometry import GeometryGrid, _mesh_chunks, _scan_chunks, berry_curvature_lr
 from .tolerances import CURVATURE_SUM_IMAG_TOL, LINK_TOL
 
@@ -51,23 +51,21 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     Raises LinkCollapseError when any |U| < LINK_TOL.
     """
     kxg, kyg = bz_mesh(n_grid, n_grid)
-    # component planes: bra[i] and ket[i] are contiguous (n, n) meshes
-    bra = np.empty((2, n_grid, n_grid), dtype=complex)
-    ket = np.empty_like(bra)
-
+    # bra[i], ket[i]: contiguous (n, n) planes, copied from each chunk's solve planes
+    bra, ket = np.empty((2, 2, n_grid, n_grid), dtype=complex)
     for rows, eig in _mesh_chunks(kxg, kyg, lambda kxr, kyr: eigensystem_two_band(
             model.hamiltonian(kxr, kyr))):
-        for i in (0, 1):
-            np.conjugate(eig.left[..., band, i], out=bra[i, rows])
-            ket[i, rows] = eig.right[..., band, i]
+        np.conjugate(_to_front(eig.left)[band], out=bra[:, rows])
+        ket[:, rows] = _to_front(eig.right)[band]
 
     u_x, u_y = _links(bra, ket)
     small = min(float(np.min(np.abs(u_x))), float(np.min(np.abs(u_y))))
     if small < LINK_TOL:
         raise LinkCollapseError(f"plaquette link magnitude {small:.2e} below {LINK_TOL}")
 
-    loop = (u_x * np.roll(u_y, -1, axis=0)
-            * np.conj(np.roll(u_x, -1, axis=1) * u_y))
+    loop, back = np.roll(u_y, -1, axis=0), np.roll(u_x, -1, axis=1)
+    np.multiply(u_x, loop, out=loop)
+    loop *= np.conj(np.multiply(back, u_y, out=back), out=back)
     # loop phases accumulate -Re F per cell; negate to match F = i(Q_xy - Q_yx)
     total = -float(np.sum(np.angle(loop))) / (2.0 * np.pi)
     chern = int(np.rint(total))

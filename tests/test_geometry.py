@@ -326,6 +326,49 @@ def test_pseudospin_kernel_matches_eigenvector_route(d, a_x, a_y, c, dc, band):
         assert np.array_equal(q, np.conj(np.swapaxes(q, -1, -2)))
 
 
+@given(d=st.tuples(*[_PART] * 3), a_x=st.tuples(*[_PART] * 3), a_y=st.tuples(*[_PART] * 3),
+       c=_PART, dc=_PART, band=st.sampled_from([0, 1]))
+def test_hermitian_limit_on_drawn_models(d, a_x, a_y, c, dc, band):
+    # real d and a_mu: H and d_mu H are Hermitian, and the eigh oracles apply
+    d = np.array(d)
+    assume(np.linalg.norm(d) >= 0.05)
+    h = pauli_matrix(d) + c * np.eye(2)
+    dhx = pauli_matrix(np.array(a_x)) + dc * np.eye(2)
+    dhy = pauli_matrix(np.array(a_y))
+    eig = eigensystem_two_band(h)
+    assert np.max(np.abs(eig.left - eig.right)) <= 1e-12
+    # branch band 0 (c + |d|) is eigh's upper band
+    evals, vecs = np.linalg.eigh(h)
+    npt.assert_allclose(eig.energies, evals[::-1], rtol=0, atol=1e-12 * np.max(np.abs(evals)))
+    for b in (0, 1):
+        v = vecs[:, 1 - b]
+        npt.assert_allclose(np.outer(eig.right[b], np.conj(eig.right[b])), np.outer(v, np.conj(v)),
+                            rtol=0, atol=1e-12)
+    q_lr, q_rr, q_ll = compute_geometry(eig, dhx, dhy, band=band)[:3]
+    ref = hermitian_qgt(h, dhx, dhy, band=1 - band)
+    # the oracle's roundoff scale: the identity part dc of d_x H is in its products
+    unit = max(np.max(np.abs(dhx)), np.max(np.abs(dhy))) ** 2 / (d @ d)
+    for q in (q_lr, q_rr, q_ll):
+        npt.assert_allclose(q, ref, rtol=0, atol=1e-12 * max(np.max(np.abs(ref)), unit))
+
+
+@given(d=_VEC, a_x=_VEC, a_y=_VEC, c=st.builds(complex, _PART, _PART),
+       band=st.sampled_from([0, 1]))
+def test_rr_and_ll_are_psd_on_both_routes(d, a_x, a_y, c, band):
+    d = np.array(d)
+    assume(abs(d @ d) > 0.0 and np.vdot(d, d).real / abs(d @ d) < 100.0)
+    a = [np.array([x]) for x in (a_x, a_y)]
+    kernel = pseudospin_geometry(np.array([c]), d[None], *a, band=band)
+    eig = eigensystem_two_band((pauli_matrix(d) + c * np.eye(2))[None])
+    route = compute_geometry(eig, *(pauli_matrix(x) for x in a), band=band)
+    unit = max(np.linalg.norm(a_x), np.linalg.norm(a_y)) ** 2 / abs(d @ d)
+    for q in (*kernel[1:3], *route[1:3]):
+        q = q[0]
+        scale = max(np.real(np.trace(q)), unit)
+        assert np.max(np.abs(q - np.conj(q.T))) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(q)[0] >= -tolerances.PSD_TOL * scale
+
+
 @pytest.mark.parametrize("exponent", NEAR_EP_EXPONENTS)
 def test_near_ep_sweep_typed_error_where_eigenvector_route_rejects(exponent):
     model = BlochModel.constant(near_ep_matrix(10.0 ** -exponent))

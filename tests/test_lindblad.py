@@ -179,12 +179,19 @@ def test_bubble_large_levels_stay_finite_and_overflow_is_typed():
 
 @settings(max_examples=40)
 @given(e_n=st.floats(-5.0, 5.0), e_m=st.floats(-5.0, 5.0),
-       s_n=st.floats(0.05, 3.0), s_m=st.floats(0.05, 3.0),
+       s_n=st.one_of(st.just(0.0), st.floats(0.05, 3.0)), s_m=st.floats(0.05, 3.0),
        n_gains=st.booleans(), m_gains=st.booleans(), omega=st.floats(-10.0, 10.0),
        side=st.sampled_from(["A", "R"]), noise_sign=st.sampled_from([1.0, -1.0]))
+# an undamped level n: the oracle's principal value plus the one-sided residue
+# (a quadrature through the pole read 5.7417i on both sides)
+@example(e_n=1.0, e_m=-0.4, s_n=0.0, s_m=0.3, n_gains=False, m_gains=False, omega=0.0,
+         side="A", noise_sign=1.0)
+@example(e_n=1.0, e_m=-0.4, s_n=0.0, s_m=0.3, n_gains=False, m_gains=False, omega=0.0,
+         side="R", noise_sign=1.0)
 def test_bubble_matches_quadrature_in_either_half_plane(e_n, e_m, s_n, s_m, n_gains,
                                                         m_gains, omega, side, noise_sign):
-    # gain levels (Im eps > 0) included; the oracle agrees to ~1e-8
+    # gain levels (Im eps > 0) and undamped levels n included; the oracle agrees
+    # to ~1e-7
     eps_n = complex(e_n, s_n if n_gains else -s_n)
     eps_m = complex(e_m, s_m if m_gains else -s_m)
     sigma = noise_sign * 2j * eps_m.imag

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -211,17 +212,21 @@ def test_exceptional_point_general():
         eigensystem_general(np.diag([1.0 + 0j, 1.0 + 1e-12j, 2.0 + 0j]))
 
 
-@given(n=st.integers(2, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
-       defective=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_general_validates_or_raises_typed(n, scale, defective, seed):
-    # random complex N x N matrices; a defective draw carries a 2 x 2 Jordan block
-    gen = np.random.default_rng(seed)
+def _general_draw(gen, n, scale, defective):
+    """A random complex N x N matrix; a defective draw carries a 2 x 2 Jordan block."""
     h = scale * (gen.normal(size=(n, n, 2)) @ [1.0, 1j])
     if defective:
         p = gen.normal(size=(n, n, 2)) @ [1.0, 1j]
         jordan = np.diag(np.diag(h))
         jordan[1, 1], jordan[0, 1] = jordan[0, 0], scale
         h = p @ jordan @ np.linalg.inv(p)
+    return h
+
+
+@given(n=st.integers(2, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       defective=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_general_validates_or_raises_typed(n, scale, defective, seed):
+    h = _general_draw(np.random.default_rng(seed), n, scale, defective)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
@@ -232,6 +237,31 @@ def test_general_validates_or_raises_typed(n, scale, defective, seed):
     assert np.max(np.abs(left_h @ right_t - np.eye(n))) <= BIORTHO_TOL
     recon = right_t @ (eig.energies[:, None] * left_h)
     assert np.max(np.abs(recon - h)) <= RECON_TOL * np.max(np.abs(h))
+
+
+def test_general_names_split_jordan_pairs_exceptional():
+    # rounding splits a Jordan pair past GAP_RTOL, so validation fails; at a
+    # normalized overlap on the sqrt(eps) scale that is an exceptional point,
+    # not a solver failure (exit 3 either way)
+    gen = np.random.default_rng(2027)
+    outcomes = {True: [], False: []}
+    for t in range(600):
+        defective = t % 2 == 0
+        h = _general_draw(gen, int(gen.integers(2, 5)), (1e-3, 1.0, 1e3)[t % 3], defective)
+        try:
+            eigensystem_general(h)
+            outcomes[defective].append("validated")
+        except ExceptionalPointError as exc:
+            # the gap guard's message, or the overlap at the sqrt(eps) scale
+            assert re.match(r"eigenvalue gap|smallest normalized left/right overlap "
+                            r"\d\.\d+e-0[789] ", str(exc)), exc
+            outcomes[defective].append("ExceptionalPointError")
+        except NHGeoError as exc:
+            outcomes[defective].append(type(exc).__name__)
+    named = outcomes[True].count("ExceptionalPointError") / len(outcomes[True])
+    assert named >= 0.95, outcomes[True]
+    # generic draws validate, as they did before the naming rule
+    assert set(outcomes[False]) == {"validated"}
 
 
 def test_general_matches_two_band(rng):
@@ -349,3 +379,78 @@ def test_two_band_solve_keeps_stacked_bits_on_single_matrices(rng, kind):
         _assert_same_solve(h)
         _assert_same_solve(h[None])
     _assert_same_solve(np.diag([1.0, -1.0]))  # a vanishing first component
+
+
+# -- validate on planes against the stacked, mm-based form it replaced ------------
+
+def _stacked_mm(a, b):
+    """The stacked ``mm``, frozen: each entry summed over the (..., N, N) slots."""
+    n, inner, m = a.shape[-2], a.shape[-1], b.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n, m),
+                   dtype=np.result_type(a, b))
+    for i in range(n):
+        for j in range(m):
+            acc = a[..., i, 0] * b[..., 0, j]
+            for k in range(1, inner):
+                acc += a[..., i, k] * b[..., k, j]
+            out[..., i, j] = acc
+    return out
+
+
+def _stacked_residuals(eig, h):
+    """(identity, residual, bound) of the stacked ``validate``, frozen."""
+    diag = range(eig.nbands)
+
+    def from_identity(prod):
+        prod[..., diag, diag] -= 1
+        return np.max(np.abs(prod))
+
+    left_h = np.conj(eig.left)
+    right_t = np.swapaxes(eig.right, -1, -2)
+    recon = _stacked_mm(right_t, eig.energies[..., :, None] * left_h)
+    recon -= h
+    return [("biorthonormality", from_identity(_stacked_mm(left_h, right_t)), BIORTHO_TOL),
+            ("completeness", from_identity(_stacked_mm(right_t, left_h)), BIORTHO_TOL),
+            ("overlap inverse", from_identity(_stacked_mm(eig.overlap_left, eig.overlap_right)),
+             RECON_TOL * max(1.0, float(np.max(np.abs(eig.overlap_right))))),
+            ("reconstruction", np.max(np.abs(recon)) / (np.max(np.abs(h)) or 1.0), RECON_TOL)]
+
+
+def _assert_same_residuals(eig, h):
+    got = list(eig._residuals(h))
+    want = _stacked_residuals(eig, h)
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for (name, err, bound), (_, want_err, want_bound) in zip(got, want):
+        assert np.float64(err).tobytes() == np.float64(want_err).tobytes(), name
+        assert bound == want_bound, name
+
+
+@pytest.mark.parametrize("kind", ["random", "hermitian", "zeros", "tie", "small_lead"])
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (2048,), (3, 5)])
+def test_validate_residuals_keep_stacked_bits(rng, kind, shape):
+    h = _two_band_inputs(rng, kind, shape)
+    try:
+        eig = eigensystem_two_band(h)
+    except NHGeoError:
+        return
+    _assert_same_residuals(eig, h)
+    # fields stored as (..., N, N) stacks, not planes, and a perturbed system
+    names = ("energies", "right", "left", "overlap_right", "overlap_left")
+    stacked = {name: np.ascontiguousarray(getattr(eig, name)) for name in names}
+    _assert_same_residuals(Eigensystem(**stacked), h)
+    for name in names:
+        stacked[name] = stacked[name] * (1.0 + 1e-7 * rng.normal(size=stacked[name].shape))
+    _assert_same_residuals(Eigensystem(**stacked), h)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_validate_residuals_keep_stacked_bits_on_general_matrices(rng, n):
+    for _ in range(20):
+        h = _random_nh(rng, n)
+        _assert_same_residuals(eigensystem_general(h), h)
+
+
+def test_validate_broadcasts_the_matrices(rng):
+    # one matrix checked against a batch of its eigensystems, as matmul broadcasts
+    h = _random_nh(rng, 2)
+    _assert_same_residuals(eigensystem_two_band(np.broadcast_to(h, (7, 2, 2))), h)
