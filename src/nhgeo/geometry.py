@@ -43,7 +43,7 @@ from .spectra import (Eigensystem, _dot, eigensystem_two_band, matrix_elements,
                       pseudospin_root)
 from .tolerances import CROSS_CHECK_RTOL, LOCK_MIN_OVERLAP, NORM_PRODUCT_LIMIT
 
-#: mesh points per batched chunk of :func:`_mesh_chunks` (whole kx rows);
+#: mesh points per batched chunk of :func:`_scan_chunks` (whole kx rows);
 #: small enough that a chunk's temporaries stay a few MB
 CHUNK_POINTS = 2048
 
@@ -356,22 +356,22 @@ def _branch_eigensystem(h, kx, ky):
         raise ExceptionalPointError(str(exc), points=sorted(_k_points(exc, kx, ky))) from exc
 
 
-def _chunk_rows(ny):
-    """kx rows per chunk of a mesh with ``ny`` points per row."""
-    return max(1, CHUNK_POINTS // ny)
+def _chunk_rows(ny, points):
+    """kx rows per chunk of about ``points`` points, on a mesh with ``ny`` points per row."""
+    return max(1, points // ny)
 
 
-def _mesh_chunks(kxg, kyg, solve):
+def _mesh_chunks(kxg, kyg, solve, points):
     """Solve a (nx, ny) mesh in fixed chunks of whole kx rows, one after the other.
 
-    Yields ``(rows, solve(kx, ky))`` per chunk of about CHUNK_POINTS points
+    Yields ``(rows, solve(kx, ky))`` per chunk of about ``points`` points
     (one batched model pass and what is built from it), with ``rows`` the
     chunk's kx-row slice.  Chunk bounds depend on the mesh shape only.  The
     exceptional points of every chunk are mapped to (kx, ky), sorted and
     raised once after the last chunk.
     """
     nx, ny = kxg.shape
-    step = _chunk_rows(ny)
+    step = _chunk_rows(ny, points)
     bad_points = []
     for i0 in range(0, nx, step):
         rows = slice(i0, i0 + step)
@@ -389,20 +389,20 @@ def _mesh_chunks(kxg, kyg, solve):
 
 def _scan_chunks(model: BlochModel, band, kxg, kyg, lr_only=False):
     """Yield ``(rows, values)``, the :data:`FIELDS` (``qgt_lr`` only when
-    ``lr_only``) of each :func:`_mesh_chunks` chunk of the mesh (kxg, kyg),
-    from one :meth:`~nhgeo.models.BlochModel.pseudospin_pass` per chunk.
+    ``lr_only``) of each CHUNK_POINTS :func:`_mesh_chunks` chunk of the mesh
+    (kxg, kyg), from one :meth:`~nhgeo.models.BlochModel.pseudospin_pass` each.
 
-    The first kx row of every chunk is :func:`_cross_check`-ed in batches of
-    ``_chunk_rows(ny)`` chunks, each as soon as all its chunks are solved and
-    before the last of them is yielded; only the current batch's rows are kept.
+    The first kx row of every chunk is :func:`_cross_check`-ed in batches of as
+    many chunks as a chunk has kx rows, each as soon as all its chunks are solved
+    and before the last of them is yielded; only the current batch's rows are kept.
     """
     if model.dimension != 2:
         raise ConfigError("grid scans support two-band models only")
-    step = _chunk_rows(kxg.shape[1])
+    step = _chunk_rows(kxg.shape[1], CHUNK_POINTS)
     starts = np.arange(0, len(kxg), step)  # the first kx row of every chunk
     batch, firsts = None, []
     for rows, values in _mesh_chunks(kxg, kyg, lambda kxr, kyr: pseudospin_geometry(
-            *model.pseudospin_pass(kxr, kyr), band=band, lr_only=lr_only)):
+            *model.pseudospin_pass(kxr, kyr), band=band, lr_only=lr_only), CHUNK_POINTS):
         if rows.start // step**2 != batch:  # a batch that lost a chunk to exceptional
             batch, firsts = rows.start // step**2, []  # points is never checked
         firsts.append([np.array(value[0]) for value in values])

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ExceptionalPointError, IllConditionedError, NonConvergenceError
 from .models import _sum3, pauli_decompose
-from .tolerances import (BIORTHO_TOL, DEFECTIVE_OVERLAP_TOL, GAP_RTOL, PAIRING_RTOL,
-                         PHASE_COMPONENT_TOL, RECON_TOL)
+from .tolerances import (BIORTHO_TOL, DEFECTIVE_OVERLAP_TOL, GAP_RTOL, NORM_PRODUCT_LIMIT,
+                         PAIRING_RTOL, PHASE_COMPONENT_TOL, RECON_TOL)
 
 
 def braket(a, b):
@@ -323,6 +323,8 @@ def eigensystem_general(h):
     A failure at a normalized overlap o = |<L_n|R_n>|/(||L_n|| ||R_n||) below
     eps/BIORTHO_TOL (its first-order error eps/o exceeds BIORTHO_TOL) is an
     ExceptionalPointError: rounding splits a Jordan pair at o ~ sqrt(eps).
+    Above it, a failure at a norm product 1/o^2 past NORM_PRODUCT_LIMIT is an
+    IllConditionedError: residuals grow like eps/o^2 (eps/o^4, overlap inverse).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -367,10 +369,14 @@ def eigensystem_general(h):
         return Eigensystem(energies, right, left, _gram(right), _gram(left)).validate(h)
     except NonConvergenceError as exc:
         overlap = float(np.min(np.abs(s)))
-        if not overlap < np.finfo(float).eps / BIORTHO_TOL:
-            raise
-        raise ExceptionalPointError(f"smallest normalized left/right overlap {overlap:.2e} "
-                                    f"below eps/BIORTHO_TOL (a split Jordan pair): {exc}") from exc
+        prefix = f"smallest normalized left/right overlap {overlap:.2e} below"
+        if overlap < np.finfo(float).eps / BIORTHO_TOL:
+            raise ExceptionalPointError(f"{prefix} eps/BIORTHO_TOL (a split Jordan pair): "
+                                        f"{exc}") from exc
+        if overlap < NORM_PRODUCT_LIMIT ** -0.5:
+            raise IllConditionedError(f"{prefix} NORM_PRODUCT_LIMIT**-0.5 (an ill-conditioned "
+                                      f"pair): {exc}") from exc
+        raise
 
 
 def gauge_rescale(eig: Eigensystem, c):

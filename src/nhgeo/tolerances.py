@@ -23,7 +23,9 @@ SCALE_LIMIT = 2.0 ** 500
 LOCK_MIN_OVERLAP = 0.5    # min |<psi(k)|psi(k')>| of a finite-difference gauge lock
 #: largest norm product ||R||^2 ||L||^2 the pseudospin kernel serves: the
 #: eigenvector route's Gram inverse loses ~1.1e-16 N^2, so its validation
-#: (RECON_TOL) rejects from N ~ 3e3 and cannot cross-check beyond this limit
+#: (RECON_TOL) rejects from N ~ 3e3 and cannot cross-check beyond this limit;
+#: eigensystem_general's failures above it are ill-conditioned (split Jordan
+#: pairs failed up to N = 4.5e3; generic draws, all valid, stayed below 430)
 NORM_PRODUCT_LIMIT = 1e3
 CROSS_CHECK_RTOL = 1e-10  # kernel vs eigenvector route on a chunk's check row
 

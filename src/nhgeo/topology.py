@@ -20,6 +20,13 @@ from .spectra import _mul, _to_front, eigensystem_two_band
 from .geometry import GeometryGrid, _mesh_chunks, _scan_chunks, berry_curvature_lr
 from .tolerances import CURVATURE_SUM_IMAG_TOL, LINK_TOL
 
+#: mesh points per :func:`chern_plaquette` chunk: its model pass and validated
+#: solve cost ~150 numpy calls a chunk at any size.  ``library_grid`` seed 2,
+#: plaquette k-points/s: 1.09M at 2048, 1.29M 4096, 1.52M 8192, 1.54M 16384
+#: (a tie; 8192 holds less: 256^2 tracemalloc peaks 12.7, 14.4, 18.8 MB at 2048,
+#: 8192, 16384), 1.15M whole mesh
+PLAQUETTE_CHUNK_POINTS = 8192
+
 
 @dataclass
 class ChernResult:
@@ -43,8 +50,8 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     to roundoff: each link enters one loop forward and one conjugated, so
     the loop phases telescope for any nonzero links.  The residue is
     reported, not guarded; it says nothing about whether the bands braid.
-    The mesh is solved in the fixed kx-row chunks of
-    :func:`~nhgeo.geometry._mesh_chunks`, keeping only the selected band's
+    The mesh is solved in fixed kx-row chunks of PLAQUETTE_CHUNK_POINTS points
+    (:func:`~nhgeo.geometry._mesh_chunks`), keeping only the selected band's
     bra and ket vectors; exceptional points of every chunk are raised once
     as sorted (kx, ky) pairs.
 
@@ -54,7 +61,7 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     # bra[i], ket[i]: contiguous (n, n) planes, copied from each chunk's solve planes
     bra, ket = np.empty((2, 2, n_grid, n_grid), dtype=complex)
     for rows, eig in _mesh_chunks(kxg, kyg, lambda kxr, kyr: eigensystem_two_band(
-            model.hamiltonian(kxr, kyr))):
+            model.hamiltonian(kxr, kyr)), PLAQUETTE_CHUNK_POINTS):
         np.conjugate(_to_front(eig.left)[band], out=bra[:, rows])
         ket[:, rows] = _to_front(eig.right)[band]
 

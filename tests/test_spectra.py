@@ -212,13 +212,14 @@ def test_exceptional_point_general():
         eigensystem_general(np.diag([1.0 + 0j, 1.0 + 1e-12j, 2.0 + 0j]))
 
 
-def _general_draw(gen, n, scale, defective):
-    """A random complex N x N matrix; a defective draw carries a 2 x 2 Jordan block."""
+def _general_draw(gen, n, scale, defective, gap=0.0):
+    """A random complex N x N matrix; a defective draw carries a 2 x 2 Jordan block,
+    whose pair a nonzero ``gap`` splits by gap * scale."""
     h = scale * (gen.normal(size=(n, n, 2)) @ [1.0, 1j])
     if defective:
         p = gen.normal(size=(n, n, 2)) @ [1.0, 1j]
         jordan = np.diag(np.diag(h))
-        jordan[1, 1], jordan[0, 1] = jordan[0, 0], scale
+        jordan[1, 1], jordan[0, 1] = jordan[0, 0] + gap * scale, scale
         h = p @ jordan @ np.linalg.inv(p)
     return h
 
@@ -262,6 +263,28 @@ def test_general_names_split_jordan_pairs_exceptional():
     assert named >= 0.95, outcomes[True]
     # generic draws validate, as they did before the naming rule
     assert set(outcomes[False]) == {"validated"}
+
+
+@pytest.mark.parametrize("gap, named", [(1e-2, 150), (1e-3, 200)])
+def test_general_names_gapped_ill_conditioned_pairs(gap, named):
+    # a Jordan pair split by a relative gap far above GAP_RTOL: validation fails
+    # at normalized overlaps o ~ gap / 2, as the residuals grow like eps/o^2 and
+    # eps/o^4; that is a pair past NORM_PRODUCT_LIMIT, not a solver failure
+    gen = np.random.default_rng(2029)
+    outcomes = []
+    for t in range(200):
+        h = _general_draw(gen, int(gen.integers(2, 5)), (1e-3, 1.0, 1e3)[t % 3], True, gap)
+        try:
+            eigensystem_general(h)
+            outcomes.append("validated")
+        except IllConditionedError as exc:
+            assert re.match(r"smallest normalized left/right overlap \d\.\d+e-0[2-5] below "
+                            r"NORM_PRODUCT_LIMIT", str(exc)), exc
+            outcomes.append("IllConditionedError")
+        except NHGeoError as exc:
+            outcomes.append(type(exc).__name__)
+    assert set(outcomes) <= {"validated", "IllConditionedError"}, outcomes
+    assert outcomes.count("IllConditionedError") >= named
 
 
 def test_general_matches_two_band(rng):

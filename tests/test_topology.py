@@ -80,24 +80,39 @@ def test_plaquette_gauge_invariance(rm_model, monkeypatch):
     assert abs(res0 - res1) < 1e-10
 
 
+def _count_plaquette_solves(monkeypatch):
+    """The mesh shape of every eigensolve of the plaquette pass, one per chunk."""
+    shapes, solve = [], topology.eigensystem_two_band
+
+    def counting(h):
+        shapes.append(h.shape[:-2])
+        return solve(h)
+
+    monkeypatch.setattr(topology, "eigensystem_two_band", counting)
+    return shapes
+
+
 @pytest.mark.parametrize("gauged", [False, True], ids=["lr", "lr_gauge"])
 def test_chern_plaquette_chunks_match_full_mesh(rm_model, monkeypatch, gauged):
     if gauged:
         _rescale_plaquette_eigensystems(monkeypatch)
+    shapes = _count_plaquette_solves(monkeypatch)
 
     def run():
         return chern_plaquette(rm_model, n_grid=11, return_residue=True)
 
     full = run()  # 121 points: one chunk
     # two kx rows per chunk: six chunks on the 11 x 11 mesh, the last one row
-    monkeypatch.setattr(geometry, "CHUNK_POINTS", 22)
+    monkeypatch.setattr(topology, "PLAQUETTE_CHUNK_POINTS", 22)
     assert run() == full
+    assert shapes == [(11, 11)] + [(2, 11)] * 5 + [(1, 11)]
 
 
 def test_chern_plaquette_collects_exceptional_points(monkeypatch):
     # d.d = (1 - cos ky)^2 vanishes on the whole mesh line ky = 0, which
     # crosses all four two-row chunks
-    monkeypatch.setattr(geometry, "CHUNK_POINTS", 16)
+    monkeypatch.setattr(topology, "PLAQUETTE_CHUNK_POINTS", 16)
+    shapes = _count_plaquette_solves(monkeypatch)
     m = BlochModel.pseudospin(
         lambda kx, ky: np.stack([np.sin(kx) + 0j, 1j * np.sin(kx),
                                  1.0 - np.cos(ky) + 0j], axis=-1))
@@ -105,6 +120,19 @@ def test_chern_plaquette_collects_exceptional_points(monkeypatch):
         chern_plaquette(m, n_grid=8)
     kx, _ = bz_mesh(8, 8)
     assert err.value.points == [(float(k), 0.0) for k in kx[:, 0]]
+    assert shapes == [(2, 8)] * 4
+
+
+@given(gamma=st.floats(0.25, 1.5), Gamma=st.floats(0.0, 2.0),
+       dz_offset=st.sampled_from([0.0, 3.5]), n=st.sampled_from([48, 96]))
+@settings(max_examples=20)
+def test_plaquette_integer_holds_from_n_to_2n_on_drawn_models(gamma, Gamma, dz_offset, n):
+    # the benchmark's two phases, C = 1 and C = 0; at PLAQUETTE_CHUNK_POINTS =
+    # 8192 the 48^2 mesh is one chunk, 96^2 two (85 and 11 kx rows) and 192^2
+    # five (four of 42 rows and one of 24)
+    model = BlochModel.rice_mele(RMParams(gamma=gamma, Gamma=Gamma, dz_offset=dz_offset))
+    expected = 1 if dz_offset == 0.0 else 0
+    assert chern_plaquette(model, n_grid=n) == chern_plaquette(model, n_grid=2 * n) == expected
 
 
 def test_link_collapse():
@@ -213,7 +241,7 @@ def test_compute_chern_bundle(rm_model):
 def test_streamed_chain_sums_match_grid_path(rm_model, n):
     # 8 and 45 are one chunk, 100 five of 20 rows, 301 fifty of 6 rows and a
     # last one of a single row; only the order of the sums differs
-    assert (n % geometry._chunk_rows(n) == 1) == (n == 301)
+    assert (n % geometry._chunk_rows(n, geometry.CHUNK_POINTS) == 1) == (n == 301)
     streamed = compute_chern(rm_model, n_plaquette=16, n_curvature=n)
     whole = compute_chern(rm_model, n_plaquette=16, grid=scan_geometry(rm_model, nx=n))
     assert streamed.grid_curvature == whole.grid_curvature == n
