@@ -54,6 +54,9 @@ DIVERGENCE_STEP = 1e-2
 #: routes return them
 FIELDS = ("qgt_lr", "qgt_rr", "qgt_ll", "anomalous_r", "anomalous_l", "norm_product")
 
+#: the component axes of each of the FIELDS; all are complex but the real norm product
+_COMPONENTS = ((2, 2),) * 3 + ((2,),) * 2 + ((),)
+
 
 def velocity_matrices(eig: Eigensystem, dhx, dhy):
     """V[..., mu, n, m] = <L_n|d_mu H|R_m>, shape (..., 2, N, N).
@@ -91,8 +94,8 @@ def qgt_lr(eig: Eigensystem, v, band=0, occupied=None):
 
 
 def qgt_rl_from_lr(q_lr):
-    """Q^{RL}_{mu nu} = conj(Q^{LR}_{nu mu}); an involution."""
-    return np.conj(np.swapaxes(q_lr, -1, -2))
+    """Q^{RL}_{mu nu} = conj(Q^{LR}_{nu mu}), C-ordered; an involution."""
+    return np.conj(np.swapaxes(q_lr, -1, -2), order="C")
 
 
 def _schur_weights(gram, band, others):
@@ -172,6 +175,10 @@ class GeometryGrid:
     Arrays are struct-of-arrays with the mesh in the two leading axes,
     row-major in (kx index, ky index).  Only the :data:`FIELDS` are stored;
     ``qgt_rl`` and ``curvature_lr`` are read-only functions of ``qgt_lr``.
+    A scanned grid's fields are (nx, ny, ...) views of contiguous
+    (..., nx, ny) component planes, so every component ``q[..., i, j]`` is
+    a C-contiguous (nx, ny) array and a whole field is not C-contiguous:
+    compare bytes through ``np.ascontiguousarray``.
     """
 
     kx: np.ndarray
@@ -224,7 +231,13 @@ def _cross(u, v, out):
     return out
 
 
-def pseudospin_geometry(c, d, ddx, ddy, band=0, lr_only=False):
+def _components_last(planes, batch_ndim):
+    """The (*batch, *components) view of (*components, *batch) ``planes``."""
+    lead = planes.ndim - batch_ndim
+    return planes.transpose(tuple(range(lead, planes.ndim)) + tuple(range(lead)))
+
+
+def pseudospin_geometry(c, d, ddx, ddy, band=0, lr_only=False, out=None):
     """The :data:`FIELDS` (``qgt_lr`` only if ``lr_only``) of branch band ``band``
     of H = c + d.sigma without eigenvectors, from a model's
     :meth:`~nhgeo.models.BlochModel.pseudospin_pass` (c, d, a_x, a_y): a_mu is
@@ -250,6 +263,11 @@ def pseudospin_geometry(c, d, ddx, ddy, band=0, lr_only=False):
     :func:`~nhgeo.spectra.pseudospin_root` (ExceptionalPointError with the
     batch indices), N above :data:`NORM_PRODUCT_LIMIT`
     (IllConditionedError) and non-finite output (NonFiniteError).
+
+    ``out``, if given, is the result buffer: one array per returned field,
+    component axes first and the batch axes last, such as a chunk's rows of
+    :func:`scan_geometry`'s (..., nx, ny) planes, whose batch axes merge
+    without a copy.  The returned fields are then views of it.
     """
     if band not in (0, 1):
         raise ValueError("band must be 0 or 1")
@@ -261,8 +279,16 @@ def pseudospin_geometry(c, d, ddx, ddy, band=0, lr_only=False):
     n = np.empty((3, size), dtype=complex)
     np.multiply(np.reshape(d, (size, 3)).T, inv_s, out=n)
     a = np.array([np.reshape(x, (size, 3)).T for x in (ddx, ddy)], dtype=complex)
+    kinds = _COMPONENTS[:1 if lr_only else None]
+    if out is None:
+        out = [np.empty(k + (size,), complex if k else float) for k in kinds]
+    else:  # (*k, *shape) -> (*k, size) views
+        flat = [q.reshape(k + (size,)) for k, q in zip(kinds, out)]
+        if not all(map(np.may_share_memory, flat, out)):
+            raise ValueError("out arrays must merge their batch axes without a copy")
+        out = flat
     x, y = n.real, n.imag
-    norm = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    norm = np.add(x[0] * x[0] + x[1] * x[1], x[2] * x[2], out=None if lr_only else out[5])
     bad = norm > NORM_PRODUCT_LIMIT
     if np.any(bad):
         raise IllConditionedError(
@@ -278,11 +304,10 @@ def pseudospin_geometry(c, d, ddx, ddy, band=0, lr_only=False):
     g = np.add(a, twist, out=twist)
 
     # g and h here are 2 g and 2 h; the factors are folded into the scales
-    q_lr = np.empty((2, 2, size), dtype=complex)
+    q_lr = out[0]
     for mu in range(2):
         q_lr[mu] = (g[mu] * hv).sum(axis=1)
     q_lr *= 0.125 * inv_s * inv_s
-    fields = [q_lr]
     if not lr_only:
         u = _cross(x, y, np.empty((3, size)))  # x cross y = i (n x n*) / 2
         r = (sig * x + u) / norm
@@ -290,25 +315,20 @@ def pseudospin_geometry(c, d, ddx, ddy, band=0, lr_only=False):
         w = 0.125 / (norm * norm * (s.real * s.real + s.imag * s.imag).reshape(-1))
         # Q^RR_mu,nu ~ conj(h_mu).h_nu and Q^LL_mu,nu ~ g_mu.conj(g_nu): diagonals
         # in real arithmetic, mirrored off-diagonals, so both are exactly Hermitian
-        for v, upper in ((hv, (0, 1)), (g, (1, 0))):
-            q = np.empty((2, 2, size), dtype=complex)
+        for v, upper, q in ((hv, (0, 1), out[1]), (g, (1, 0), out[2])):
             sq = (v.real * v.real + v.imag * v.imag).sum(axis=1)
             q[0, 0] = sq[0] * w
             q[1, 1] = sq[1] * w
             q[upper] = (np.conj(v[0]) * v[1]).sum(axis=0) * w
             q[upper[::-1]] = np.conj(q[upper])
-            fields.append(q)
-        fields.append((hv * r).sum(axis=1) * ((0.25j * sig) * inv_s))
-        fields.append((np.conj(g) * l).sum(axis=1) * ((0.25j * sig) * np.conj(inv_s)))
-    fields.append(norm)
+        np.multiply((hv * r).sum(axis=1), (0.25j * sig) * inv_s, out=out[3])
+        np.multiply((np.conj(g) * l).sum(axis=1), (0.25j * sig) * np.conj(inv_s), out=out[4])
 
-    # one sum sees every NaN or infinity (and overflow, which is as fatal)
-    if not np.isfinite(sum(np.sum(v) for v in fields)):
+    # one sum sees every NaN or infinity (and overflow, which is as fatal);
+    # N is out[5] when the fields are formed, and summed once
+    if not np.isfinite(sum(np.sum(v) for v in out[:5]) + np.sum(norm)):
         raise NonFiniteError("non-finite geometry from the pseudospin kernel")
-    # (k component axes, size) -> (*shape, k component axes) views
-    return tuple(q.reshape(q.shape[:-1] + shape).transpose(
-        tuple(range(q.ndim - 1, q.ndim - 1 + len(shape))) + tuple(range(q.ndim - 1)))
-        for q in fields[:1 if lr_only else None])
+    return tuple(_components_last(q.reshape(q.shape[:-1] + shape), len(shape)) for q in out)
 
 
 def _row_max(x):
@@ -364,11 +384,11 @@ def _chunk_rows(ny, points):
 def _mesh_chunks(kxg, kyg, solve, points):
     """Solve a (nx, ny) mesh in fixed chunks of whole kx rows, one after the other.
 
-    Yields ``(rows, solve(kx, ky))`` per chunk of about ``points`` points
-    (one batched model pass and what is built from it), with ``rows`` the
-    chunk's kx-row slice.  Chunk bounds depend on the mesh shape only.  The
-    exceptional points of every chunk are mapped to (kx, ky), sorted and
-    raised once after the last chunk.
+    Yields ``(rows, solve(rows, kx, ky))`` per chunk of about ``points``
+    points (one batched model pass and what is built from it), with ``rows``
+    the chunk's kx-row slice and (kx, ky) its points.  Chunk bounds depend on
+    the mesh shape only.  The exceptional points of every chunk are mapped to
+    (kx, ky), sorted and raised once after the last chunk.
     """
     nx, ny = kxg.shape
     step = _chunk_rows(ny, points)
@@ -377,7 +397,7 @@ def _mesh_chunks(kxg, kyg, solve, points):
         rows = slice(i0, i0 + step)
         kxr, kyr = kxg[rows], kyg[rows]
         try:
-            result = solve(kxr, kyr)
+            result = solve(rows, kxr, kyr)
         except ExceptionalPointError as exc:
             bad_points += _k_points(exc, kxr, kyr)
             continue
@@ -387,10 +407,12 @@ def _mesh_chunks(kxg, kyg, solve, points):
             f"{len(bad_points)} exceptional point(s) on the mesh", points=sorted(bad_points))
 
 
-def _scan_chunks(model: BlochModel, band, kxg, kyg, lr_only=False):
+def _scan_chunks(model: BlochModel, band, kxg, kyg, out=None, lr_only=False):
     """Yield ``(rows, values)``, the :data:`FIELDS` (``qgt_lr`` only when
     ``lr_only``) of each CHUNK_POINTS :func:`_mesh_chunks` chunk of the mesh
     (kxg, kyg), from one :meth:`~nhgeo.models.BlochModel.pseudospin_pass` each.
+    Given ``out``, the fields' (..., nx, ny) C-contiguous planes, each chunk's
+    kernel writes its rows of them, and ``values`` are views of those rows.
 
     The first kx row of every chunk is :func:`_cross_check`-ed in batches of as
     many chunks as a chunk has kx rows, each as soon as all its chunks are solved
@@ -398,11 +420,15 @@ def _scan_chunks(model: BlochModel, band, kxg, kyg, lr_only=False):
     """
     if model.dimension != 2:
         raise ConfigError("grid scans support two-band models only")
+
+    def solve(rows, kxr, kyr):
+        return pseudospin_geometry(*model.pseudospin_pass(kxr, kyr), band=band, lr_only=lr_only,
+                                   out=None if out is None else [q[..., rows, :] for q in out])
+
     step = _chunk_rows(kxg.shape[1], CHUNK_POINTS)
     starts = np.arange(0, len(kxg), step)  # the first kx row of every chunk
     batch, firsts = None, []
-    for rows, values in _mesh_chunks(kxg, kyg, lambda kxr, kyr: pseudospin_geometry(
-            *model.pseudospin_pass(kxr, kyr), band=band, lr_only=lr_only), CHUNK_POINTS):
+    for rows, values in _mesh_chunks(kxg, kyg, solve, CHUNK_POINTS):
         if rows.start // step**2 != batch:  # a batch that lost a chunk to exceptional
             batch, firsts = rows.start // step**2, []  # points is never checked
         firsts.append([np.array(value[0]) for value in values])
@@ -415,19 +441,19 @@ def _scan_chunks(model: BlochModel, band, kxg, kyg, lr_only=False):
 
 def scan_geometry(model: BlochModel, band=0, nx=64, ny=None, workers=1):
     """GeometryGrid of branch band ``band`` over the uniform [-pi, pi)^2 mesh,
-    filled chunk by chunk by :func:`_scan_chunks`.  Bands carry the k-smooth
-    branch labels (integer topology requires a labeling that is continuous
-    across the zone).  ``workers`` (>= 1) is accepted for the callers that
-    pass a thread count and has no effect: the scan is serial."""
+    whose (..., nx, ny) field planes, allocated once, :func:`_scan_chunks`
+    fills chunk by chunk in place.  Bands carry the k-smooth branch labels
+    (integer topology requires a labeling that is continuous across the
+    zone).  ``workers`` (>= 1) is accepted for the callers that pass a
+    thread count and has no effect: the scan is serial."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     kxg, kyg = bz_mesh(nx, nx if ny is None else ny)
-    fields = []  # every element is written by a chunk, or the scan raises
-    for rows, values in _scan_chunks(model, band, kxg, kyg):
-        fields = fields or [np.empty(kxg.shape + v.shape[2:], v.dtype) for v in values]
-        for field, value in zip(fields, values):
-            field[rows] = value
-    return GeometryGrid(kxg, kyg, *fields)
+    # every element is written by a chunk, or the scan raises
+    planes = [np.empty(k + kxg.shape, complex if k else float) for k in _COMPONENTS]
+    for _ in _scan_chunks(model, band, kxg, kyg, planes):
+        pass
+    return GeometryGrid(kxg, kyg, *(_components_last(q, 2) for q in planes))
 
 
 # -- phase-locked stencil -----------------------------------------------------

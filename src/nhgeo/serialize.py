@@ -58,12 +58,19 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _width(block):
+    """The float columns of a float or complex column block (re, im per complex column)."""
+    return block.shape[1] * block.itemsize // 8
+
+
 def _write_rows(fh, blocks):
     """Append the rows of the column ``blocks`` to the binary file ``fh``,
-    joined and formatted by :func:`_format_block` ``_CSV_BLOCK`` values at a time."""
-    rows = max(1, _CSV_BLOCK // max(1, sum(b.shape[1] for b in blocks)))
+    joined and formatted by :func:`_format_block` ``_CSV_BLOCK`` values at a
+    time; a complex column's real and imaginary parts are interleaved per block."""
+    rows = max(1, _CSV_BLOCK // max(1, sum(map(_width, blocks))))
     for i in range(0, len(blocks[0]), rows):
-        fh.write(_format_block(np.concatenate([b[i:i + rows] for b in blocks], axis=1)))
+        fh.write(_format_block(np.concatenate(
+            [np.ascontiguousarray(b[i:i + rows]).view(float) for b in blocks], axis=1)))
 
 
 @functools.cache
@@ -261,18 +268,19 @@ def _replacing(path, mode):
 def write_csv(path, header, columns, workers=1):
     """Write a float table with a header; deterministic byte output.
 
-    ``columns``, 2-D float arrays with one row count, are joined one row block
-    at a time, and each value printed as "%.17g" prints it (the bytes of
-    f"{x:.17g}") by the vectorised :func:`_format_block`.  The rows are cut
+    ``columns``, 2-D float or complex arrays (views of any layout) with one
+    row count, are joined one row block at a time, a complex column as its
+    real and imaginary parts side by side, and each value printed as "%.17g"
+    prints it (the bytes of f"{x:.17g}") by the vectorised
+    :func:`_format_block`.  The rows are cut
     into ``split_parts(rows, workers, values // _CSV_PART)``, all but the first
     formatted in forked processes (:func:`fork_parts`); the bytes do not
     depend on ``workers``.  The file is written through :func:`_replacing`, so
     a failed write leaves the previous file, if any, and no partial one.
     Raises ``ConfigError`` when the file cannot be written."""
-    blocks = [np.asarray(c, dtype=float) for c in columns]
+    blocks = [np.asarray(c, dtype=complex if np.iscomplexobj(c) else float) for c in columns]
     n = len(blocks[0])
-    if any(b.ndim != 2 or len(b) != n for b in blocks) or sum(
-            b.shape[1] for b in blocks) != len(header):
+    if any(b.ndim != 2 or len(b) != n for b in blocks) or sum(map(_width, blocks)) != len(header):
         raise ValueError(f"column blocks {[b.shape for b in blocks]} do not fit the header")
     parts = [[b[rows.start:rows.stop] for b in blocks]
              for rows in split_parts(range(n), workers, n * len(header) // _CSV_PART)]
@@ -302,9 +310,9 @@ def geometry_csv_header():
 
 def write_geometry_csv(path, grid, workers=1):
     """Row-major (kx, ky) rows with Re/Im of every tensor component."""
-    # complex arrays viewed as float interleave (re, im); qgt_rl is copied row-major
+    # (points, components) views of the grid's planes and of the derived arrays
     write_csv(path, geometry_csv_header(), [
-        np.ascontiguousarray(c).view(float).reshape(grid.kx.size, -1) for c in (
+        c.reshape(grid.kx.size, -1) for c in (
             grid.kx, grid.ky, grid.qgt_lr, grid.qgt_rl, grid.qgt_rr, grid.qgt_ll,
             grid.anomalous_r, grid.anomalous_l, grid.curvature_lr, grid.norm_product)], workers)
 

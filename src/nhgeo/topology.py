@@ -60,7 +60,7 @@ def chern_plaquette(model: BlochModel, band=0, n_grid=64, return_residue=False):
     kxg, kyg = bz_mesh(n_grid, n_grid)
     # bra[i], ket[i]: contiguous (n, n) planes, copied from each chunk's solve planes
     bra, ket = np.empty((2, 2, n_grid, n_grid), dtype=complex)
-    for rows, eig in _mesh_chunks(kxg, kyg, lambda kxr, kyr: eigensystem_two_band(
+    for rows, eig in _mesh_chunks(kxg, kyg, lambda rows, kxr, kyr: eigensystem_two_band(
             model.hamiltonian(kxr, kyr)), PLAQUETTE_CHUNK_POINTS):
         np.conjugate(_to_front(eig.left)[band], out=bra[:, rows])
         ket[:, rows] = _to_front(eig.right)[band]

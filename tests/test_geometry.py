@@ -3,22 +3,24 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (NEAR_EP_EXPONENTS, NEAR_EP_REJECTED, count_model_calls, hermitian_qgt,
                       locked_fd_qgt_general, locked_fd_ray_qgt_general, near_ep_matrix,
                       random_three_band_model, smooth_gauge)
 from nhgeo import geometry, tolerances
+from nhgeo.bounds import check_local_curvature_bound, check_psd, check_qgt_inequality
 from nhgeo.errors import (ConfigError, ExceptionalPointError, GaugeLockError,
                           IllConditionedError, NHGeoError, NonConvergenceError,
                           NonFiniteError)
-from nhgeo.models import BlochModel, bz_mesh, pauli_matrix
+from nhgeo.models import BlochModel, RMParams, bz_mesh, pauli_matrix
 from nhgeo.geometry import (anomalous_connection, anomalous_divergence_integral,
                             berry_curvature_lr, compute_geometry, pseudospin_geometry,
                             qgt_ll, qgt_lr, qgt_rl_from_lr, qgt_rr, scan_geometry,
                             velocity_matrices)
 from nhgeo.oracles import finite_difference_connection, finite_difference_qgt
 from nhgeo.response import optical_weight_bz
+from nhgeo.serialize import write_geometry_csv
 from nhgeo.spectra import eigensystem_general, eigensystem_two_band, gauge_rescale
 from nhgeo.topology import chern_plaquette, compute_chern
 
@@ -179,12 +181,16 @@ def test_flat_model_zero_curvature():
 
 # -- gauge invariance ---------------------------------------------------------
 
-def test_geometry_gauge_invariance(rm_model):
+@given(gamma=st.floats(0.25, 1.5), Gamma=st.floats(0.0, 2.0),
+       dz_offset=st.sampled_from([0.0, 3.5]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_geometry_gauge_invariance(gamma, Gamma, dz_offset, seed):
+    # the benchmark's Rice-Mele phases, each under a random smooth c(k)
+    model = BlochModel.rice_mele(RMParams(gamma=gamma, Gamma=Gamma, dz_offset=dz_offset))
     kxg, kyg = bz_mesh(16, 16)
-    eig, dhx, dhy = (eigensystem_two_band(rm_model.hamiltonian(kxg, kyg)),
-                     rm_model.derivative(kxg, kyg, 0),
-                     rm_model.derivative(kxg, kyg, 1))
-    gauged = gauge_rescale(eig, smooth_gauge(seed=3)(kxg, kyg))
+    h, dhx, dhy = model.hamiltonian(kxg, kyg, derivatives=True)
+    eig = eigensystem_two_band(h)
+    gauged = gauge_rescale(eig, smooth_gauge(seed=seed)(kxg, kyg))
     for band in (0, 1):
         base = compute_geometry(eig, dhx, dhy, band=band)
         mod = compute_geometry(gauged, dhx, dhy, band=band)
@@ -222,6 +228,64 @@ def test_scan_stores_six_fields_per_point(rm_model):
     for name in ("qgt_rl", "curvature_lr"):
         with pytest.raises(AttributeError):
             setattr(grid, name, np.zeros(grid.shape))
+
+
+def _same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _stacked_scan(model, nx):
+    """Frozen copy of the scan that copied each chunk's fields into C-ordered
+    (nx, ny, ...) stacks, before the kernel wrote into component planes."""
+    kxg, kyg = bz_mesh(nx, nx)
+    fields = []
+    for rows, values in geometry._scan_chunks(model, 0, kxg, kyg):
+        fields = fields or [np.empty(kxg.shape + v.shape[2:], v.dtype) for v in values]
+        for field, value in zip(fields, values):
+            field[rows] = value
+    return geometry.GeometryGrid(kxg, kyg, *fields)
+
+
+def test_scan_planes_keep_the_stacked_bits(tmp_path):
+    # 97^2 with Gamma != 0: four chunks of 21 kx rows and a last one of 13
+    model = BlochModel.rice_mele(RMParams(gamma=0.6, Gamma=0.7))
+    grid, stacked = scan_geometry(model, nx=97), _stacked_scan(model, 97)
+    assert stacked.qgt_lr.flags.c_contiguous and not grid.qgt_lr.flags.c_contiguous
+    for name in geometry.FIELDS + ("qgt_rl", "curvature_lr"):
+        _same_bits(getattr(grid, name), getattr(stacked, name))
+    for check in (check_local_curvature_bound, check_qgt_inequality,
+                  lambda g: check_qgt_inequality(g, ablation=True),
+                  lambda g: check_psd(g.qgt_rr), lambda g: check_psd(g.qgt_ll)):
+        got, want = check(grid), check(stacked)
+        for name in ("labels", "lhs", "rhs", "margin"):
+            _same_bits(getattr(got, name), getattr(want, name))
+        assert np.float64(got.worst_margin).tobytes() == np.float64(want.worst_margin).tobytes()
+        assert got.extra == want.extra
+    write_geometry_csv(tmp_path / "planes.csv", grid)
+    write_geometry_csv(tmp_path / "stacked.csv", stacked)
+    assert (tmp_path / "planes.csv").read_bytes() == (tmp_path / "stacked.csv").read_bytes()
+
+
+def test_scan_fields_are_contiguous_planes(rm_model):
+    grid = scan_geometry(rm_model, nx=12, ny=10)
+    for plane in (grid.qgt_lr[..., 0, 1], grid.anomalous_r[..., 1], grid.norm_product):
+        assert plane.shape == (12, 10) and plane.flags.c_contiguous
+    # the kernel's result buffer changes no bit, with all fields or with the
+    # qgt_lr of the streamed chern pass, which passes none
+    pseudospin = rm_model.pseudospin_pass(*bz_mesh(12, 10))
+    for lr_only in (False, True):
+        planes = [np.empty(k + (12, 10), complex if k else float)
+                  for k in geometry._COMPONENTS[:1 if lr_only else None]]
+        got = pseudospin_geometry(*pseudospin, lr_only=lr_only, out=planes)
+        want = pseudospin_geometry(*pseudospin, lr_only=lr_only)
+        assert len(got) == len(want) == len(planes)
+        for value, ref, plane in zip(got, want, planes):
+            assert np.shares_memory(value, plane)
+            _same_bits(value, ref)
+    with pytest.raises(ValueError, match="without a copy"):
+        pseudospin_geometry(*pseudospin, lr_only=True, out=[np.asfortranarray(planes[0])])
 
 
 def test_scan_deterministic_across_workers(rm_model):
